@@ -1,0 +1,340 @@
+"""Command-line front end.
+
+Subcommands map to the library's analyses: ``report`` (single operating
+point), ``sweep`` (grid evaluation to CSV), ``contour`` (iso-QBER dark-count
+thresholds), ``optimal-mu`` (closed-form optimal signal intensity) and
+``skr-vs-afterpulse`` (preset key-rate-versus-afterpulse curves).
+
+Exit codes: 0 success, 2 configuration error, 3 model-domain error, 4 I/O
+error. Every error path prints a single ``error: <kind>: <message>`` line.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
+
+from . import config as config_mod
+from . import model
+from .bounds import evaluate_link
+from .errors import (
+    DegenerateInputError,
+    EstimationInfeasibleError,
+    ModelDomainError,
+    NoSolutionError,
+    ValidationError,
+)
+from .optimize import solve_optimal_mu, trace_iso_qber_surface
+from .sweep import NU1_BY_LOSS_DB, Axis, SweepSpec, run_sweep
+
+PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
+
+REPORT_FIELDS = (
+    "p_ap",
+    "y0",
+    "q_mu",
+    "e_mu",
+    "q_nu1",
+    "e_nu1",
+    "y1_lower",
+    "e1_upper",
+    "q1_lower",
+    "e_detector",
+    "visibility",
+    "skr_raw",
+    "skr_lower",
+    "skr_approx",
+)
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+@contextmanager
+def _open_output(path: str | None):
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+def _load_scenario(args) -> config_mod.Scenario:
+    if args.config is None:
+        return config_mod.parse_scenario({})
+    return config_mod.load_scenario(args.config)
+
+
+def _report_rows(scenario: config_mod.Scenario) -> list[tuple[str, object]]:
+    receiver = scenario.receiver
+    metrics = evaluate_link(
+        receiver, scenario.channel, scenario.intensities, scenario.protocol
+    )
+    p_ap = model.aggregate_afterpulse(receiver)
+    e_det = model.effective_baseline_error(
+        receiver.intrinsic_error, receiver.background_error, p_ap
+    )
+    vis = model.visibility(
+        receiver.intrinsic_error, receiver.background_error, p_ap
+    )
+    estimate = metrics.estimate
+    values = {
+        "p_ap": p_ap,
+        "y0": metrics.y0_measured,
+        "q_mu": metrics.q_mu,
+        "e_mu": metrics.e_mu,
+        "q_nu1": metrics.q_nu1,
+        "e_nu1": metrics.e_nu1,
+        "y1_lower": estimate.y1_lower if estimate else None,
+        "e1_upper": estimate.e1_upper if estimate else None,
+        "q1_lower": estimate.q1_lower if estimate else None,
+        "e_detector": e_det,
+        "visibility": vis,
+        "skr_raw": metrics.skr_raw,
+        "skr_lower": metrics.skr_lower,
+        "skr_approx": metrics.skr_approx,
+    }
+    rows = [(name, values[name]) for name in REPORT_FIELDS]
+    rows.append(("status", "infeasible" if metrics.reason else "ok"))
+    rows.append(("reason", metrics.reason or ""))
+    return rows
+
+
+def cmd_report(args) -> int:
+    scenario = _load_scenario(args)
+    rows = _report_rows(scenario)
+    with _open_output(args.output) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([name for name, _ in rows])
+            writer.writerow([_fmt(value) for _, value in rows])
+        else:
+            for name, value in rows:
+                fh.write(f"{name:<22}{_fmt(value)}\n")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    scenario = _load_scenario(args)
+    if scenario.sweep is None:
+        raise ValidationError("sweep: section required for the sweep command")
+    spec = scenario.sweep
+    records = run_sweep(spec)
+    with _open_output(args.output) as fh:
+        _write_sweep_csv(spec, records, fh)
+    return 0
+
+
+def _write_sweep_csv(spec: SweepSpec, records, fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    header = list(spec.axis_names)
+    if spec.mu_policy == "optimize-per-point":
+        header.append("mu_opt")
+    header.extend(spec.outputs)
+    header.extend(("status", "reason"))
+    writer.writerow(header)
+    for record in records:
+        row = [_fmt(v) for v in record.axis_values]
+        if spec.mu_policy == "optimize-per-point":
+            row.append(_fmt(record.mu_opt))
+        row.extend(_fmt(v) for v in record.values)
+        row.append(record.status)
+        row.append(record.reason or "")
+        writer.writerow(row)
+
+
+def cmd_contour(args) -> int:
+    scenario = _load_scenario(args)
+    if scenario.sweep is None:
+        raise ValidationError("sweep: section required for the contour command")
+    axes = {ax.name: ax for ax in scenario.sweep.axes}
+    if set(axes) != {"p_ap", "intrinsic_error"}:
+        raise ValidationError(
+            "sweep.axes: contour needs exactly the axes p_ap and intrinsic_error"
+        )
+    points = trace_iso_qber_surface(
+        axes["p_ap"].values(),
+        axes["intrinsic_error"].values(),
+        scenario.channel.loss_db,
+        args.target_qber,
+        scenario.receiver,
+        scenario.intensities.signal_mu,
+    )
+    with _open_output(args.output) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            (
+                "p_ap",
+                "intrinsic_error",
+                "loss_db",
+                "dark_count_threshold",
+                "achieved_qber",
+                "status",
+            )
+        )
+        for point in points:
+            writer.writerow(
+                (
+                    _fmt(point.p_ap),
+                    _fmt(point.intrinsic_error),
+                    _fmt(point.loss_db),
+                    _fmt(point.dark_count_prob),
+                    _fmt(point.achieved_qber),
+                    "ok" if point.feasible else "infeasible",
+                )
+            )
+    return 0
+
+
+def cmd_optimal_mu(args) -> int:
+    scenario = _load_scenario(args)
+    receiver = scenario.receiver
+    p_ap = model.aggregate_afterpulse(receiver)
+    e_det = model.effective_baseline_error(
+        receiver.intrinsic_error, receiver.background_error, p_ap
+    )
+    result = solve_optimal_mu(e_det, scenario.protocol)
+    with _open_output(args.output) as fh:
+        fh.write(f"{'e_detector':<22}{_fmt(e_det)}\n")
+        fh.write(f"{'mu':<22}{_fmt(result.mu)}\n")
+        fh.write(f"{'residual':<22}{_fmt(result.residual)}\n")
+        fh.write(f"{'boundary':<22}{'true' if result.boundary else 'false'}\n")
+    return 0
+
+
+def cmd_skr_vs_afterpulse(args) -> int:
+    scenario = _load_scenario(args)
+    if not 0.0 < args.pap_min < args.pap_max:
+        raise ValidationError(
+            f"afterpulse range must satisfy 0 < min < max, got "
+            f"{args.pap_min!r}..{args.pap_max!r}"
+        )
+    axis = Axis("p_ap", args.pap_min, args.pap_max, args.points, "log")
+    with _open_output(args.output) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            (
+                "loss_db",
+                "weak_decoy_nu1",
+                "intrinsic_error",
+                "p_ap",
+                "mu_opt",
+                "skr_lower",
+                "status",
+                "reason",
+            )
+        )
+        for loss_db in sorted(NU1_BY_LOSS_DB):
+            nu1 = NU1_BY_LOSS_DB[loss_db]
+            for e_prime in PRESET_INTRINSIC_ERRORS:
+                spec = SweepSpec(
+                    receiver=replace(scenario.receiver, intrinsic_error=e_prime),
+                    channel=model.ChannelModel(transmission_loss_db=loss_db),
+                    intensities=model.IntensitySet(1.0, nu1),
+                    protocol=scenario.protocol,
+                    axes=(axis,),
+                    outputs=("skr_lower",),
+                    mu_policy="optimize-per-point",
+                )
+                for record in run_sweep(spec):
+                    writer.writerow(
+                        (
+                            _fmt(loss_db),
+                            _fmt(nu1),
+                            _fmt(e_prime),
+                            _fmt(record.axis_values[0]),
+                            _fmt(record.mu_opt),
+                            _fmt(record.values[0]),
+                            record.status,
+                            record.reason or "",
+                        )
+                    )
+    return 0
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="scenario configuration file (YAML)")
+    parser.add_argument("--output", help="output path ('-' or omitted: stdout)")
+    parser.add_argument(
+        "--seedless",
+        action="store_true",
+        help="assert deterministic operation (the model uses no randomness; "
+        "accepted for pipeline compatibility)",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="decoylink",
+        description="Decoy-state QKD link performance model for afterpulsing "
+        "SPAD receiver arrays.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("report", help="evaluate one operating point")
+    _add_common(p)
+    p.add_argument(
+        "--format", choices=("pretty", "csv"), default="pretty",
+        help="pretty labels or a machine-readable CSV row",
+    )
+    p.set_defaults(func=cmd_report)
+
+    p = sub.add_parser("sweep", help="evaluate the configured parameter grid")
+    _add_common(p)
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser(
+        "contour", help="iso-QBER dark-count thresholds over (p_ap, intrinsic_error)"
+    )
+    _add_common(p)
+    p.add_argument(
+        "--target-qber", type=float, default=0.09, help="QBER level to hold (default 0.09)"
+    )
+    p.set_defaults(func=cmd_contour)
+
+    p = sub.add_parser("optimal-mu", help="solve the optimal signal intensity condition")
+    _add_common(p)
+    p.set_defaults(func=cmd_optimal_mu)
+
+    p = sub.add_parser(
+        "skr-vs-afterpulse",
+        help="preset: key rate versus afterpulse probability at 0/5/21 dB",
+    )
+    _add_common(p)
+    p.add_argument("--points", type=int, default=60, help="points per curve (default 60)")
+    p.add_argument("--pap-min", type=float, default=1e-4, help="lowest afterpulse probability")
+    p.add_argument("--pap-max", type=float, default=0.2, help="highest afterpulse probability")
+    p.set_defaults(func=cmd_skr_vs_afterpulse)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except (
+        ModelDomainError,
+        DegenerateInputError,
+        EstimationInfeasibleError,
+        NoSolutionError,
+    ) as exc:
+        print(f"error: model-domain: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        return 4
+
+
+if __name__ == "__main__":
+    sys.exit(main())

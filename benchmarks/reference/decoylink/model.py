@@ -1,0 +1,386 @@
+"""Closed-form link model for decoy-state QKD with afterpulsing SPAD arrays.
+
+All quantities are per-gate probabilities. The receiver aggregates an array
+of N avalanche detectors into one effective afterpulse probability; yields,
+gains and error rates then follow from the usual weak-coherent-pulse channel
+model with every detection term inflated by (1 + p_ap).
+
+Everything in this module is a pure function of frozen value types, so it is
+safe to call concurrently from any number of threads.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import DegenerateInputError, ModelDomainError, ValidationError
+
+# Absolute tolerance on the zero-sum constraint for detector biases.
+BIAS_SUM_TOL = 1e-12
+
+
+def _check_prob(name: str, value: float, *, upper: float = 1.0) -> None:
+    if not 0.0 <= value <= upper:
+        raise ValidationError(f"{name} must be in [0, {upper:g}], got {value!r}")
+
+
+@dataclass(frozen=True)
+class DetectorUnit:
+    """One SPAD of the receiver array.
+
+    ``afterpulse_prob`` is the probability of a spurious detection conditioned
+    on a previous detection event. ``bias`` is the fractional deviation of this
+    detector's hit probability from the equal-share ideal; the receiver checks
+    that biases sum to zero across the array.
+    """
+
+    afterpulse_prob: float
+    bias: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_prob("afterpulse_prob", self.afterpulse_prob)
+
+
+@dataclass(frozen=True)
+class ReceiverModel:
+    """Bob's detection stage: the detector array plus its noise parameters.
+
+    ``dark_count_prob_total`` is the per-gate dark count probability summed
+    over all detectors. ``intrinsic_error`` is the baseline system error rate
+    excluding afterpulsing; ``background_error`` is the error rate of
+    background counts (1/2 for random noise). ``detector_efficiency`` is the
+    receiver-side efficiency folded into the overall transmittance.
+    """
+
+    detectors: tuple[DetectorUnit, ...]
+    dark_count_prob_total: float
+    intrinsic_error: float
+    background_error: float = 0.5
+    detector_efficiency: float = 0.1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detectors", tuple(self.detectors))
+        n = len(self.detectors)
+        if n < 1:
+            raise ValidationError("receiver needs at least one detector")
+        for m, det in enumerate(self.detectors):
+            if not -1.0 <= det.bias <= n - 1.0:
+                raise ValidationError(
+                    f"detectors[{m}].bias={det.bias!r} outside [-1, {n - 1}]"
+                )
+        bias_sum = math.fsum(det.bias for det in self.detectors)
+        if abs(bias_sum) > BIAS_SUM_TOL:
+            raise ValidationError(
+                f"detector biases must sum to 0 within {BIAS_SUM_TOL:g}, got {bias_sum!r}"
+            )
+        if not 0.0 <= self.dark_count_prob_total < 1.0:
+            raise ValidationError(
+                f"dark_count_prob_total must be in [0, 1), got {self.dark_count_prob_total!r}"
+            )
+        _check_prob("intrinsic_error", self.intrinsic_error)
+        _check_prob("background_error", self.background_error)
+        if not 0.0 < self.detector_efficiency <= 1.0:
+            raise ValidationError(
+                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency!r}"
+            )
+
+    @classmethod
+    def identical(
+        cls,
+        num_detectors: int,
+        afterpulse_prob: float = 0.0,
+        *,
+        dark_count_prob_total: float | None = None,
+        dark_count_prob_per_detector: float | None = None,
+        intrinsic_error: float,
+        background_error: float = 0.5,
+        detector_efficiency: float = 0.1,
+    ) -> "ReceiverModel":
+        """Build an unbiased array of identical detectors.
+
+        Dark counts may be given either as the per-gate total across the array
+        or per detector (which is multiplied by the array size).
+        """
+        if num_detectors < 1:
+            raise ValidationError(f"num_detectors must be >= 1, got {num_detectors!r}")
+        if (dark_count_prob_total is None) == (dark_count_prob_per_detector is None):
+            raise ValidationError(
+                "give exactly one of dark_count_prob_total or dark_count_prob_per_detector"
+            )
+        if dark_count_prob_total is None:
+            dark_count_prob_total = num_detectors * dark_count_prob_per_detector
+        units = tuple(DetectorUnit(afterpulse_prob) for _ in range(num_detectors))
+        return cls(
+            detectors=units,
+            dark_count_prob_total=dark_count_prob_total,
+            intrinsic_error=intrinsic_error,
+            background_error=background_error,
+            detector_efficiency=detector_efficiency,
+        )
+
+
+@dataclass(frozen=True)
+class ChannelModel:
+    """Quantum channel loss budget.
+
+    Give either ``attenuation_db_per_km`` with ``distance_km`` or the total
+    ``transmission_loss_db`` directly. The overall transmittance combines the
+    channel loss with the receiver's detector efficiency.
+    """
+
+    attenuation_db_per_km: float | None = None
+    distance_km: float | None = None
+    transmission_loss_db: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.attenuation_db_per_km is not None and self.attenuation_db_per_km < 0.0:
+            raise ValidationError(
+                f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km!r}"
+            )
+        if self.transmission_loss_db is None:
+            if self.attenuation_db_per_km is None or self.distance_km is None:
+                raise ValidationError(
+                    "channel needs attenuation_db_per_km and distance_km, "
+                    "or transmission_loss_db"
+                )
+            if self.distance_km < 0.0:
+                raise ValidationError(f"distance_km must be >= 0, got {self.distance_km!r}")
+        else:
+            if self.distance_km is not None:
+                raise ValidationError(
+                    "give either distance_km or transmission_loss_db, not both"
+                )
+            if self.transmission_loss_db < 0.0:
+                raise ValidationError(
+                    f"transmission_loss_db must be >= 0, got {self.transmission_loss_db!r}"
+                )
+
+    @property
+    def loss_db(self) -> float:
+        if self.transmission_loss_db is not None:
+            return self.transmission_loss_db
+        return self.attenuation_db_per_km * self.distance_km
+
+    @property
+    def channel_transmittance(self) -> float:
+        return 10.0 ** (-self.loss_db / 10.0)
+
+
+@dataclass(frozen=True)
+class IntensitySet:
+    """Mean photon numbers of the three pulse classes of the weak+vacuum protocol.
+
+    Only the ideal vacuum decoy (intensity exactly 0) is modeled; the weak
+    decoy must be strictly weaker than the signal.
+    """
+
+    signal_mu: float
+    weak_decoy_nu1: float
+    vacuum_decoy: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.weak_decoy_nu1 < 0.0:
+            raise ValidationError(
+                f"weak_decoy_nu1 must be >= 0, got {self.weak_decoy_nu1!r}"
+            )
+        if not self.weak_decoy_nu1 < self.signal_mu:
+            raise ValidationError(
+                f"weak_decoy_nu1 ({self.weak_decoy_nu1!r}) must be below "
+                f"signal_mu ({self.signal_mu!r})"
+            )
+        if self.vacuum_decoy != 0.0:
+            raise ValidationError(
+                "only the ideal vacuum decoy (intensity 0) is modeled, "
+                f"got {self.vacuum_decoy!r}"
+            )
+
+
+@dataclass(frozen=True)
+class ProtocolParams:
+    """Protocol-level constants: basis-sifting factor and error-correction efficiency."""
+
+    sifting_factor: float = 0.5
+    ec_efficiency: float = 1.16
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sifting_factor <= 1.0:
+            raise ValidationError(
+                f"sifting_factor must be in (0, 1], got {self.sifting_factor!r}"
+            )
+        if self.ec_efficiency < 1.0:
+            raise ValidationError(
+                f"ec_efficiency must be >= 1, got {self.ec_efficiency!r}"
+            )
+
+
+def aggregate_afterpulse(receiver: ReceiverModel) -> float:
+    """Collapse the per-detector afterpulse probabilities into one value.
+
+    Weighted mean sum_m (1/N)(1 + r_m) p_m. The weights are nonnegative and
+    sum to one, so the result is a convex combination of the per-detector
+    probabilities.
+    """
+    n = len(receiver.detectors)
+    total = math.fsum(
+        (1.0 + det.bias) * det.afterpulse_prob for det in receiver.detectors
+    )
+    return total / n
+
+
+def transmittance(receiver: ReceiverModel, channel: ChannelModel) -> float:
+    """Overall single-photon transmittance: channel loss times detector efficiency."""
+    return receiver.detector_efficiency * channel.channel_transmittance
+
+
+def multi_photon_transmittance(eta: float, i: int) -> float:
+    """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i."""
+    if i == 0:
+        return 0.0
+    if eta >= 1.0:
+        return 1.0
+    # expm1/log1p keep precision when eta is tiny
+    return -math.expm1(i * math.log1p(-eta))
+
+
+def yield_background(receiver: ReceiverModel) -> float:
+    """Background yield: dark counts plus the afterpulses they trigger, (1 + p_ap) p_dc."""
+    return (1.0 + aggregate_afterpulse(receiver)) * receiver.dark_count_prob_total
+
+
+def yield_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
+    """Yield of an i-photon state: Y0 + eta_i (1 + p_ap) for i >= 1, Y0 for i = 0."""
+    if i < 0:
+        raise ValidationError(f"photon number must be >= 0, got {i!r}")
+    y0 = yield_background(receiver)
+    if i == 0:
+        return y0
+    p_ap = aggregate_afterpulse(receiver)
+    eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
+    return y0 + eta_i * (1.0 + p_ap)
+
+
+def qber_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
+    """Error rate of an i-photon state.
+
+    [e0 Y0 + (e' + e0 p_ap) eta_i] / Y_i.  The afterpulse term e0 p_ap enters
+    the signal contribution because an afterpulse following a signal detection
+    lands in either detector with equal probability.
+    """
+    y_i = yield_i(receiver, channel, i)
+    if y_i <= 0.0:
+        raise DegenerateInputError(
+            f"yield of the {i}-photon state is zero; error rate undefined"
+        )
+    p_ap = aggregate_afterpulse(receiver)
+    eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
+    e0 = receiver.background_error
+    numerator = e0 * yield_background(receiver) + (
+        receiver.intrinsic_error + e0 * p_ap
+    ) * eta_i
+    return numerator / y_i
+
+
+def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: float) -> float:
+    """Total gain of a Poissonian source of the given mean photon number.
+
+    Y0 + (1 - exp(-eta mu)) (1 + p_ap). At mean_photon = 0 this is exactly the
+    background yield, i.e. the vacuum-decoy measurement.
+    """
+    if mean_photon < 0.0:
+        raise ValidationError(f"mean_photon must be >= 0, got {mean_photon!r}")
+    p_ap = aggregate_afterpulse(receiver)
+    eta = transmittance(receiver, channel)
+    gain = yield_background(receiver) + (-math.expm1(-eta * mean_photon)) * (1.0 + p_ap)
+    if gain > 1.0:
+        raise ModelDomainError(
+            f"total gain {gain!r} exceeds 1: afterpulse probability too large for "
+            "the single-order afterpulse model"
+        )
+    return gain
+
+
+def qber_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: float) -> float:
+    """Total error rate of a Poissonian source of the given mean photon number.
+
+    [e0 Y0 + (e' + e0 p_ap)(1 - exp(-eta mu))] / Q.
+    """
+    gain = gain_total(receiver, channel, mean_photon)
+    if gain <= 0.0:
+        raise DegenerateInputError(
+            "total gain is zero (no dark counts and an opaque channel); "
+            "error rate undefined"
+        )
+    p_ap = aggregate_afterpulse(receiver)
+    eta = transmittance(receiver, channel)
+    e0 = receiver.background_error
+    detected = -math.expm1(-eta * mean_photon)
+    numerator = e0 * yield_background(receiver) + (
+        receiver.intrinsic_error + e0 * p_ap
+    ) * detected
+    return numerator / gain
+
+
+def effective_baseline_error(
+    intrinsic_error: float, background_error: float, afterpulse_prob: float
+) -> float:
+    """Baseline system error rate including the afterpulse contribution.
+
+    (e' + e0 p_ap) / (1 + p_ap): a weighted mean of the intrinsic error and
+    the background error, saturating toward e0 as p_ap grows. ``afterpulse_prob``
+    accepts any value >= 0 so the large-p_ap saturation can be studied.
+    """
+    _check_prob("intrinsic_error", intrinsic_error)
+    _check_prob("background_error", background_error)
+    if afterpulse_prob < 0.0:
+        raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
+    return (intrinsic_error + background_error * afterpulse_prob) / (1.0 + afterpulse_prob)
+
+
+def baseline_error_change(
+    intrinsic_error: float, background_error: float, afterpulse_prob: float
+) -> float:
+    """Relative change of the baseline error rate caused by afterpulsing.
+
+    (e_detector - e') / e' = (e0/e' - 1) p_ap / (1 + p_ap).
+    """
+    _check_prob("intrinsic_error", intrinsic_error)
+    _check_prob("background_error", background_error)
+    if afterpulse_prob < 0.0:
+        raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
+    if intrinsic_error == 0.0:
+        raise DegenerateInputError(
+            "relative baseline change undefined for intrinsic_error = 0"
+        )
+    return (
+        (background_error / intrinsic_error - 1.0)
+        * afterpulse_prob
+        / (1.0 + afterpulse_prob)
+    )
+
+
+def visibility(
+    intrinsic_error: float, background_error: float, afterpulse_prob: float
+) -> float:
+    """Interference visibility implied by the baseline error rate: 1 - 2 e_detector."""
+    return 1.0 - 2.0 * effective_baseline_error(
+        intrinsic_error, background_error, afterpulse_prob
+    )
+
+
+def decoy_consistency_check(
+    receiver: ReceiverModel, channel: ChannelModel, i: int
+) -> bool:
+    """Check that yields and error rates are independent of the pulse's role.
+
+    Signal and decoy pulses of the same photon number share one physical
+    channel and receiver, so both roles evaluate the same functions on the
+    same inputs. Returns True iff the two evaluations are bitwise equal;
+    exposed as a test hook.
+    """
+    y_signal = yield_i(receiver, channel, i)
+    y_decoy = yield_i(receiver, channel, i)
+    if y_signal != y_decoy:
+        return False
+    if y_signal <= 0.0:
+        return True
+    return qber_i(receiver, channel, i) == qber_i(receiver, channel, i)
