@@ -1,4 +1,10 @@
-"""Weak+vacuum single-photon estimation and secure-key-rate bounds."""
+"""Weak+vacuum single-photon estimation and secure-key-rate bounds.
+
+The scalar functions are the closed forms, one operating point per call.
+``link_table`` evaluates the same closed forms with numpy over a 1-D array of
+operating points; it is the one evaluation path of ``evaluate_link``, the
+sweeps and the intensity optimizer.
+"""
 from __future__ import annotations
 
 import math
@@ -6,10 +12,34 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import model
-from .errors import EstimationInfeasibleError, ValidationError
+from .errors import DecoyLinkError, EstimationInfeasibleError, ValidationError
 
 _LN2 = math.log(2.0)
+
+# Metrics computable from (intrinsic_error, background_error, p_ap) alone;
+# these stay valid for afterpulse values beyond the per-detector range.
+SCALAR_METRICS = ("p_ap", "e_detector", "baseline_error_change", "visibility")
+LINK_METRICS = (
+    "y0",
+    "q_mu",
+    "e_mu",
+    "q_nu1",
+    "e_nu1",
+    "y1_lower",
+    "e1_upper",
+    "q1_lower",
+    "skr_raw",
+    "skr_lower",
+    "skr_approx",
+)
+METRIC_NAMES = SCALAR_METRICS + LINK_METRICS
+# Link metrics that exist only when decoy estimation is feasible.
+_ESTIMATE_METRICS = ("y1_lower", "e1_upper", "q1_lower", "skr_raw")
+# Reason reported when decoy estimation finds no positive single-photon yield.
+ESTIMATION_INFEASIBLE = "estimation_infeasible"
 
 # Validity guards for the low-noise, high-loss key-rate approximation.
 _APPROX_ETA_MAX = 0.1
@@ -62,10 +92,7 @@ def estimate_single_photon(
     and Q1_lower = Y1_lower mu e^-mu. Bounds outside [0, 1] are clamped and
     flagged; a nonpositive yield bound raises EstimationInfeasibleError.
     """
-    if not 0.0 < nu1 < mu:
-        raise ValidationError(
-            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={nu1!r} mu={mu!r}"
-        )
+    check_decoy_pair(mu, nu1)
     y1 = (mu / (mu * nu1 - nu1 * nu1)) * (
         q_nu1 * math.exp(nu1)
         - q_mu * math.exp(mu) * (nu1 * nu1) / (mu * mu)
@@ -93,6 +120,14 @@ def estimate_single_photon(
         q1_lower=y1 * mu * math.exp(-mu),
         clamped=clamped,
     )
+
+
+def check_decoy_pair(mu: float, nu1: float) -> None:
+    """Reject intensities outside 0 < nu1 < mu, where weak+vacuum estimation is undefined."""
+    if not 0.0 < nu1 < mu:
+        raise ValidationError(
+            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={nu1!r} mu={mu!r}"
+        )
 
 
 def skr_lower_bound(
@@ -176,6 +211,204 @@ class LinkMetrics:
     reason: str | None = None
 
 
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` from the math module at every element of ``x``.
+
+    numpy's vectorized exp/expm1/log2/log1p round differently from the C
+    library in the last bit for a few percent of arguments. Near the optimum
+    the intensity search compares key rates that differ by less than that,
+    so the kernel calls the C library, as the scalar functions do, and its
+    results equal theirs bit for bit. Where math raises (overflow, or an
+    argument outside the domain at a node whose values are discarded), the
+    element becomes inf or nan instead.
+    """
+    values = x.tolist()
+    try:
+        return np.fromiter(map(fn, values), dtype=float, count=len(values))
+    except (OverflowError, ValueError):
+        return np.array([_libm_or_nan(fn, v) for v in values])
+
+
+def _libm_or_nan(fn: Callable[[float], float], v: float) -> float:
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+def _binary_entropy(x: np.ndarray) -> np.ndarray:
+    """Array form of binary_entropy; 0 outside the open interval (0, 1)."""
+    h = -(x * _libm(math.log2, x) + (1.0 - x) * _libm(math.log1p, -x) / _LN2)
+    return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+
+
+@dataclass(frozen=True)
+class LinkTable:
+    """Every metric of METRIC_NAMES at a 1-D array of operating points (nodes).
+
+    The scalar metrics hold at every node. The link metrics hold only where
+    the scalar closed forms return: ``gain_error`` and ``decoy_error`` mark
+    the nodes where ``gain_total``, ``qber_total`` or
+    ``estimate_single_photon`` raise (a gain outside (0, 1], or a decoy pair
+    outside 0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
+    ``infeasible`` nodes decoy estimation found no positive
+    single-photon yield: the estimate metrics and ``skr_raw`` are undefined
+    and ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
+    """
+
+    values: dict[str, np.ndarray]
+    mu: np.ndarray
+    nu1: np.ndarray
+    gain_error: np.ndarray
+    decoy_error: np.ndarray
+    domain_error: np.ndarray
+    infeasible: np.ndarray
+    clamped: np.ndarray
+
+    def error(self, i: int) -> DecoyLinkError:
+        """The exception the scalar model raises at ``domain_error`` node ``i``.
+
+        The checks run in the order the scalar functions meet them, on this
+        node's values, so the message is the scalar model's own.
+        """
+        q_mu = float(self.values["q_mu"][i])
+        q_nu1 = float(self.values["q_nu1"][i])
+        try:
+            model.check_gain(q_mu)
+            model.check_detections(q_mu)
+            model.check_gain(q_nu1)
+            model.check_detections(q_nu1)
+            check_decoy_pair(float(self.mu[i]), float(self.nu1[i]))
+        except DecoyLinkError as exc:
+            return exc
+        raise AssertionError(f"node {i} passes every link check")
+
+    def missing(self, name: str) -> np.ndarray:
+        """Mask of the nodes where metric ``name`` has no value."""
+        if name in _ESTIMATE_METRICS:
+            return self.domain_error | self.infeasible
+        if name in LINK_METRICS:
+            return self.domain_error
+        return np.zeros(self.mu.shape, dtype=bool)
+
+    def cells(self, i: int) -> dict[str, float | None]:
+        """Every metric at node ``i`` as a float, or None where it has no value."""
+        return {
+            name: None if self.missing(name)[i] else float(column[i])
+            for name, column in self.values.items()
+        }
+
+
+def link_table(
+    p_ap: np.ndarray,
+    e_prime: np.ndarray,
+    p_dc: np.ndarray,
+    eta: np.ndarray,
+    mu: np.ndarray,
+    nu1: np.ndarray,
+    background_error: float,
+    protocol: model.ProtocolParams,
+) -> LinkTable:
+    """Forward model, weak+vacuum bounds and key rates at every node at once.
+
+    Each array argument has shape (n,): aggregate afterpulse probability,
+    intrinsic error rate, total dark-count probability, overall
+    transmittance and the two decoy intensities of each node. The formulas
+    and their order of operations are those of the scalar functions
+    (``gain_total``, ``qber_total``, ``estimate_single_photon``,
+    ``skr_lower_bound``, ``skr_approx``), evaluated once per node, so the
+    results equal theirs bit for bit.
+    """
+    e0 = background_error
+    f = protocol.ec_efficiency
+    with np.errstate(all="ignore"):
+        amp = 1.0 + p_ap
+        y0 = amp * p_dc
+        detected_mu = -_libm(math.expm1, -eta * mu)
+        detected_nu1 = -_libm(math.expm1, -eta * nu1)
+        q_mu = y0 + detected_mu * amp
+        q_nu1 = y0 + detected_nu1 * amp
+        signal_error = e_prime + e0 * p_ap
+        e_mu = (e0 * y0 + signal_error * detected_mu) / q_mu
+        e_nu1 = (e0 * y0 + signal_error * detected_nu1) / q_nu1
+        e_det = signal_error / amp
+
+        exp_nu1 = _libm(math.exp, nu1)
+        exp_neg_mu = _libm(math.exp, -mu)
+        mu2 = mu * mu
+        nu2 = nu1 * nu1
+        y1 = (mu / (mu * nu1 - nu2)) * (
+            q_nu1 * exp_nu1 - q_mu * _libm(math.exp, mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * y0
+        )
+        y1_lower = np.minimum(y1, 1.0)
+        e1 = (e_nu1 * q_nu1 * exp_nu1 - e0 * y0) / (y1_lower * nu1)
+        e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
+        q1_lower = y1_lower * mu * exp_neg_mu
+        single = np.where(e1_upper < 0.5, q1_lower * (1.0 - _binary_entropy(e1_upper)), 0.0)
+        skr_raw = protocol.sifting_factor * (-f * q_mu * _binary_entropy(e_mu) + single)
+
+        h = _binary_entropy(e_det)
+        scale = eta * mu * amp
+        skr_approx = -scale * f * h + scale * exp_neg_mu * (1.0 - h)
+        change = (e0 / e_prime - 1.0) * p_ap / amp
+
+    gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | (q_nu1 > 1.0) | (q_nu1 <= 0.0)
+    decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
+    domain_error = gain_error | decoy_error
+    infeasible = ~domain_error & (y1 <= 0.0)
+    values = {
+        "p_ap": p_ap,
+        "e_detector": e_det,
+        "baseline_error_change": change,
+        "visibility": 1.0 - 2.0 * e_det,
+        "y0": y0,
+        "q_mu": q_mu,
+        "e_mu": e_mu,
+        "q_nu1": q_nu1,
+        "e_nu1": e_nu1,
+        "y1_lower": y1_lower,
+        "e1_upper": e1_upper,
+        "q1_lower": q1_lower,
+        "skr_raw": skr_raw,
+        "skr_lower": np.where(~infeasible & (skr_raw > 0.0), skr_raw, 0.0),
+        "skr_approx": skr_approx,
+    }
+    return LinkTable(
+        values=values,
+        mu=mu,
+        nu1=nu1,
+        gain_error=gain_error,
+        decoy_error=decoy_error,
+        domain_error=domain_error,
+        infeasible=infeasible,
+        clamped=(y1 > 1.0) | (e1 != e1_upper),
+    )
+
+
+def node_table(
+    receiver: model.ReceiverModel,
+    channel: model.ChannelModel,
+    intensities: model.IntensitySet,
+    protocol: model.ProtocolParams,
+) -> LinkTable:
+    """``link_table`` at one operating point; raises what the scalar model raises there."""
+    table = link_table(
+        np.array([model.aggregate_afterpulse(receiver)]),
+        np.array([receiver.intrinsic_error]),
+        np.array([receiver.dark_count_prob_total]),
+        np.array([model.transmittance(receiver, channel)]),
+        np.array([intensities.signal_mu]),
+        np.array([intensities.weak_decoy_nu1]),
+        receiver.background_error,
+        protocol,
+    )
+    if table.domain_error[0]:
+        raise table.error(0)
+    return table
+
+
 def evaluate_link(
     receiver: model.ReceiverModel,
     channel: model.ChannelModel,
@@ -183,42 +416,26 @@ def evaluate_link(
     protocol: model.ProtocolParams,
 ) -> LinkMetrics:
     """Run the full forward model plus decoy estimation for one operating point."""
-    mu = intensities.signal_mu
-    nu1 = intensities.weak_decoy_nu1
-    y0 = model.yield_background(receiver)
-    q_mu = model.gain_total(receiver, channel, mu)
-    e_mu = model.qber_total(receiver, channel, mu)
-    q_nu1 = model.gain_total(receiver, channel, nu1)
-    e_nu1 = model.qber_total(receiver, channel, nu1)
-    approx = skr_approx(receiver, channel, mu, protocol, warn=False)
-    try:
-        estimate = estimate_single_photon(
-            q_mu, e_mu, q_nu1, e_nu1, y0, mu, nu1, receiver.background_error
+    table = node_table(receiver, channel, intensities, protocol)
+    cells = table.cells(0)
+    infeasible = bool(table.infeasible[0])
+    estimate = None
+    if not infeasible:
+        estimate = SinglePhotonEstimate(
+            y1_lower=cells["y1_lower"],
+            e1_upper=cells["e1_upper"],
+            q1_lower=cells["q1_lower"],
+            clamped=bool(table.clamped[0]),
         )
-    except EstimationInfeasibleError:
-        return LinkMetrics(
-            q_mu=q_mu,
-            e_mu=e_mu,
-            q_nu1=q_nu1,
-            e_nu1=e_nu1,
-            y0_measured=y0,
-            estimate=None,
-            skr_lower=0.0,
-            skr_raw=None,
-            skr_approx=approx,
-            reason="estimation_infeasible",
-        )
-    skr_low, skr_raw = skr_lower_bound(
-        q_mu, e_mu, estimate.q1_lower, estimate.e1_upper, protocol
-    )
     return LinkMetrics(
-        q_mu=q_mu,
-        e_mu=e_mu,
-        q_nu1=q_nu1,
-        e_nu1=e_nu1,
-        y0_measured=y0,
+        q_mu=cells["q_mu"],
+        e_mu=cells["e_mu"],
+        q_nu1=cells["q_nu1"],
+        e_nu1=cells["e_nu1"],
+        y0_measured=cells["y0"],
         estimate=estimate,
-        skr_lower=skr_low,
-        skr_raw=skr_raw,
-        skr_approx=approx,
+        skr_lower=cells["skr_lower"],
+        skr_raw=cells["skr_raw"],
+        skr_approx=cells["skr_approx"],
+        reason=ESTIMATION_INFEASIBLE if infeasible else None,
     )

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import config as config_mod
 from . import model
-from .bounds import evaluate_link
+from .bounds import ESTIMATION_INFEASIBLE, node_table
 from .errors import (
     DegenerateInputError,
     EstimationInfeasibleError,
@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .optimize import solve_optimal_mu, trace_iso_qber_surface
-from .sweep import NU1_BY_LOSS_DB, Axis, SweepSpec, run_sweep
+from .sweep import NU1_BY_LOSS_DB, Axis, SweepSpec, _iter_records, run_sweep
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
 
@@ -73,37 +73,14 @@ def _load_scenario(args) -> config_mod.Scenario:
 
 
 def _report_rows(scenario: config_mod.Scenario) -> list[tuple[str, object]]:
-    receiver = scenario.receiver
-    metrics = evaluate_link(
-        receiver, scenario.channel, scenario.intensities, scenario.protocol
+    table = node_table(
+        scenario.receiver, scenario.channel, scenario.intensities, scenario.protocol
     )
-    p_ap = model.aggregate_afterpulse(receiver)
-    e_det = model.effective_baseline_error(
-        receiver.intrinsic_error, receiver.background_error, p_ap
-    )
-    vis = model.visibility(
-        receiver.intrinsic_error, receiver.background_error, p_ap
-    )
-    estimate = metrics.estimate
-    values = {
-        "p_ap": p_ap,
-        "y0": metrics.y0_measured,
-        "q_mu": metrics.q_mu,
-        "e_mu": metrics.e_mu,
-        "q_nu1": metrics.q_nu1,
-        "e_nu1": metrics.e_nu1,
-        "y1_lower": estimate.y1_lower if estimate else None,
-        "e1_upper": estimate.e1_upper if estimate else None,
-        "q1_lower": estimate.q1_lower if estimate else None,
-        "e_detector": e_det,
-        "visibility": vis,
-        "skr_raw": metrics.skr_raw,
-        "skr_lower": metrics.skr_lower,
-        "skr_approx": metrics.skr_approx,
-    }
+    values = table.cells(0)
+    infeasible = bool(table.infeasible[0])
     rows = [(name, values[name]) for name in REPORT_FIELDS]
-    rows.append(("status", "infeasible" if metrics.reason else "ok"))
-    rows.append(("reason", metrics.reason or ""))
+    rows.append(("status", "infeasible" if infeasible else "ok"))
+    rows.append(("reason", ESTIMATION_INFEASIBLE if infeasible else ""))
     return rows
 
 
@@ -126,9 +103,8 @@ def cmd_sweep(args) -> int:
     if scenario.sweep is None:
         raise ValidationError("sweep: section required for the sweep command")
     spec = scenario.sweep
-    records = run_sweep(spec)
     with _open_output(args.output) as fh:
-        _write_sweep_csv(spec, records, fh)
+        _write_sweep_csv(spec, _iter_records(spec), fh)
     return 0
 
 

@@ -291,12 +291,26 @@ def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
     p_ap = aggregate_afterpulse(receiver)
     eta = transmittance(receiver, channel)
     gain = yield_background(receiver) + (-math.expm1(-eta * mean_photon)) * (1.0 + p_ap)
+    check_gain(gain)
+    return gain
+
+
+def check_gain(gain: float) -> None:
+    """Reject a total gain above 1, which the single-order afterpulse model cannot produce."""
     if gain > 1.0:
         raise ModelDomainError(
             f"total gain {gain!r} exceeds 1: afterpulse probability too large for "
             "the single-order afterpulse model"
         )
-    return gain
+
+
+def check_detections(gain: float) -> None:
+    """Reject a zero total gain, for which no error rate is defined."""
+    if gain <= 0.0:
+        raise DegenerateInputError(
+            "total gain is zero (no dark counts and an opaque channel); "
+            "error rate undefined"
+        )
 
 
 def qber_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: float) -> float:
@@ -305,11 +319,7 @@ def qber_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
     [e0 Y0 + (e' + e0 p_ap)(1 - exp(-eta mu))] / Q.
     """
     gain = gain_total(receiver, channel, mean_photon)
-    if gain <= 0.0:
-        raise DegenerateInputError(
-            "total gain is zero (no dark counts and an opaque channel); "
-            "error rate undefined"
-        )
+    check_detections(gain)
     p_ap = aggregate_afterpulse(receiver)
     eta = transmittance(receiver, channel)
     e0 = receiver.background_error

@@ -4,14 +4,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import model
-from .bounds import binary_entropy, evaluate_link
-from .errors import (
-    DegenerateInputError,
-    ModelDomainError,
-    NoSolutionError,
-    ValidationError,
-)
+from .bounds import LinkTable, binary_entropy, link_table
+from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -21,6 +18,8 @@ DARK_COUNT_CAP = 0.1
 MU_BRACKET_MARGIN = 1e-6
 MU_BRACKET_MAX = 1.5
 _GRID_SEED_POINTS = 64
+# Reason reported when no signal intensity in the bracket gives a positive key.
+NO_POSITIVE_KEY = "no_positive_key"
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,37 @@ class OptimalMu:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Outcome of the direct key-rate maximization over the signal intensity."""
+    """Outcome of the direct key-rate maximization over the signal intensity.
+
+    ``converged`` is False when the golden-section search ran out of
+    iterations before its bracket shrank to the tolerance; ``iterations``
+    counts its steps.
+    """
 
     mu: float
     skr: float
     reason: str | None = None
+    converged: bool = True
+    iterations: int = 0
+
+
+@dataclass(frozen=True)
+class MuSearch:
+    """Outcome of the lockstep key-rate maximization at a 1-D array of nodes.
+
+    ``skr`` is the objective at ``mu``: the key-rate lower bound, 0 where
+    decoy estimation is infeasible, -inf where the link model rejects the
+    node. ``table`` holds every metric at ``mu``. ``errors`` maps the nodes
+    whose search raised, as ``maximize_skr_over_mu`` would, to the
+    exception; their other entries are meaningless.
+    """
+
+    mu: np.ndarray
+    skr: np.ndarray
+    table: LinkTable
+    errors: dict[int, DecoyLinkError]
+    converged: np.ndarray
+    iterations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,9 @@ class ContourPoint:
     """One node of an iso-QBER surface: the dark-count level meeting the target.
 
     Infeasible nodes (target unreachable even without dark counts) carry None
-    in ``dark_count_prob`` and ``achieved_qber``.
+    in ``dark_count_prob`` and ``achieved_qber``. ``converged`` is False when
+    the bisection ran out of iterations before ``achieved_qber`` met the
+    target within the tolerance; ``iterations`` counts its steps.
     """
 
     p_ap: float
@@ -76,6 +103,8 @@ class ContourPoint:
     dark_count_prob: float | None
     achieved_qber: float | None
     feasible: bool
+    converged: bool = True
+    iterations: int = 0
 
 
 def _mu_condition(mu: float) -> float:
@@ -126,24 +155,103 @@ def solve_optimal_mu(
     return OptimalMu(mu=mid, residual=abs(residual))
 
 
-def _golden_section_max(fun, lo: float, hi: float, tol: float, max_iter: int):
+def _check_mu_bracket(nu1: float, lo: float, hi: float) -> None:
+    if not nu1 < lo:
+        raise ValidationError(
+            f"bracket lower bound {lo!r} must exceed the weak-decoy intensity {nu1!r}"
+        )
+    if not lo < hi:
+        raise ValidationError(
+            f"empty signal-intensity bracket ({lo!r}, {hi!r}); the weak-decoy "
+            "intensity leaves no room below the bracket top"
+        )
+
+
+def maximize_nodes(
+    p_ap: np.ndarray,
+    e_prime: np.ndarray,
+    p_dc: np.ndarray,
+    eta: np.ndarray,
+    nu1: np.ndarray,
+    background_error: float,
+    protocol: model.ProtocolParams,
+    config: SolverConfig = SolverConfig(),
+) -> MuSearch:
+    """``maximize_skr_over_mu`` at every node of 1-D input arrays, in lockstep.
+
+    The arguments are those of ``link_table`` without the signal intensity.
+    All nodes share each ``link_table`` call: the 64-point seed grid is one
+    call over nodes x 64 points, and each golden-section step is one call
+    over the nodes whose bracket is still wider than the tolerance. Each
+    node follows the same arithmetic as a search of its own.
+    """
+    n = len(nu1)
+    nodes = np.arange(n)
+    if config.bracket is None:
+        lo = nu1 + MU_BRACKET_MARGIN
+        hi = np.full(n, MU_BRACKET_MAX)
+    else:
+        lo = np.full(n, float(config.bracket[0]))
+        hi = np.full(n, float(config.bracket[1]))
+    errors: dict[int, DecoyLinkError] = {}
+    for i in np.flatnonzero(~(nu1 < lo) | ~(lo < hi)):
+        try:
+            _check_mu_bracket(float(nu1[i]), float(lo[i]), float(hi[i]))
+        except ValidationError as exc:
+            errors[int(i)] = exc
+    failed = np.zeros(n, dtype=bool)
+    failed[list(errors)] = True
+
+    def objective(rows: np.ndarray, mu: np.ndarray) -> tuple[LinkTable, np.ndarray]:
+        table = link_table(
+            p_ap[rows], e_prime[rows], p_dc[rows], eta[rows], mu, nu1[rows],
+            background_error, protocol,
+        )
+        # A decoy pair outside 0 < nu1 < mu ends that node's search with the
+        # exception, at the first point evaluated in search order.
+        for j in np.flatnonzero(table.decoy_error):
+            node = int(rows[j])
+            if node not in errors:
+                errors[node] = table.error(j)
+                failed[node] = True
+        return table, np.where(table.gain_error, -np.inf, table.values["skr_lower"])
+
+    points = _GRID_SEED_POINTS
+    xs = lo[:, None] + (hi - lo)[:, None] * np.arange(points, dtype=float) / (points - 1)
+    _, grid = objective(np.repeat(nodes, points), xs.ravel())
+    best = np.argmax(grid.reshape(n, points), axis=1)
+    lo = xs[nodes, np.maximum(best - 1, 0)]
+    hi = xs[nodes, np.minimum(best + 1, points - 1)]
+
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    _, f = objective(np.concatenate([nodes, nodes]), np.concatenate([c, d]))
+    fc, fd = f[:n], f[n:]
+    iterations = np.zeros(n, dtype=int)
+    for _ in range(config.max_iterations):
+        active = ~failed & ~(hi - lo <= config.abs_tolerance)
+        if not active.any():
             break
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fun(d)
-    x = 0.5 * (lo + hi)
-    return x, fun(x)
+        up = np.flatnonzero(active & (fc > fd))
+        down = np.flatnonzero(active & ~(fc > fd))
+        hi[up], d[up], fd[up] = d[up], c[up], fc[up]
+        c[up] = hi[up] - _INVPHI * (hi[up] - lo[up])
+        lo[down], c[down], fc[down] = c[down], d[down], fd[down]
+        d[down] = lo[down] + _INVPHI * (hi[down] - lo[down])
+        _, f = objective(np.concatenate([up, down]), np.concatenate([c[up], d[down]]))
+        fc[up] = f[: len(up)]
+        fd[down] = f[len(up):]
+        iterations[active] += 1
+    mu = 0.5 * (lo + hi)
+    table, skr = objective(nodes, mu)
+    return MuSearch(
+        mu=mu,
+        skr=skr,
+        table=table,
+        errors=errors,
+        converged=hi - lo <= config.abs_tolerance,
+        iterations=iterations,
+    )
 
 
 def maximize_skr_over_mu(
@@ -160,43 +268,25 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
-    lo, hi = (
-        config.bracket
-        if config.bracket is not None
-        else (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX)
+    search = maximize_nodes(
+        np.array([model.aggregate_afterpulse(receiver)]),
+        np.array([receiver.intrinsic_error]),
+        np.array([receiver.dark_count_prob_total]),
+        np.array([model.transmittance(receiver, channel)]),
+        np.array([nu1]),
+        receiver.background_error,
+        protocol,
+        config,
     )
-    if not nu1 < lo:
-        raise ValidationError(
-            f"bracket lower bound {lo!r} must exceed the weak-decoy intensity {nu1!r}"
-        )
-    if not lo < hi:
-        raise ValidationError(
-            f"empty signal-intensity bracket ({lo!r}, {hi!r}); the weak-decoy "
-            "intensity leaves no room below the bracket top"
-        )
-
-    def objective(mu: float) -> float:
-        try:
-            metrics = evaluate_link(
-                receiver, channel, model.IntensitySet(mu, nu1), protocol
-            )
-        except (ModelDomainError, DegenerateInputError):
-            return -math.inf
-        return metrics.skr_lower
-
-    xs = [
-        lo + (hi - lo) * k / (_GRID_SEED_POINTS - 1) for k in range(_GRID_SEED_POINTS)
-    ]
-    vals = [objective(x) for x in xs]
-    best = max(range(_GRID_SEED_POINTS), key=lambda k: vals[k])
-    a = xs[max(0, best - 1)]
-    b = xs[min(_GRID_SEED_POINTS - 1, best + 1)]
-    mu_star, skr_star = _golden_section_max(
-        objective, a, b, config.abs_tolerance, config.max_iterations
-    )
-    if not skr_star > 0.0:
-        return MaximizeResult(mu=mu_star, skr=0.0, reason="no_positive_key")
-    return MaximizeResult(mu=mu_star, skr=skr_star)
+    if search.errors:
+        raise search.errors[0]
+    mu = float(search.mu[0])
+    skr = float(search.skr[0])
+    converged = bool(search.converged[0])
+    iterations = int(search.iterations[0])
+    if not skr > 0.0:
+        return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY, converged, iterations)
+    return MaximizeResult(mu, skr, None, converged, iterations)
 
 
 def _receiver_at(
@@ -259,6 +349,7 @@ def dark_count_threshold(
     lo, hi = 0.0, DARK_COUNT_CAP
     mid = 0.5 * (lo + hi)
     achieved = qber_at(mid)
+    iterations = 0
     for _ in range(config.max_iterations):
         if abs(achieved - target_qber) < config.abs_tolerance:
             break
@@ -268,6 +359,7 @@ def dark_count_threshold(
             hi = mid
         mid = 0.5 * (lo + hi)
         achieved = qber_at(mid)
+        iterations += 1
     return ContourPoint(
         p_ap=p_ap,
         intrinsic_error=intrinsic_error,
@@ -275,6 +367,8 @@ def dark_count_threshold(
         dark_count_prob=mid,
         achieved_qber=achieved,
         feasible=True,
+        converged=abs(achieved - target_qber) < config.abs_tolerance,
+        iterations=iterations,
     )
 
 

@@ -1,18 +1,29 @@
 """Scenario engine: evaluate link metrics over parameter grids."""
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from . import model
-from .bounds import evaluate_link
-from .errors import DegenerateInputError, ModelDomainError, ValidationError
-from .optimize import maximize_skr_over_mu
+from .bounds import (
+    ESTIMATION_INFEASIBLE,
+    LINK_METRICS,
+    METRIC_NAMES,
+    SCALAR_METRICS,
+    link_table,
+)
+from .errors import DecoyLinkError, ValidationError
+from .optimize import NO_POSITIVE_KEY, maximize_nodes
 
 MAX_GRID_POINTS = 1_000_000
+
+# Grid nodes per link_table call. Larger blocks save little more per-call
+# overhead, and under optimize-per-point a block's seed grid holds 64 points
+# per node, so memory grows with the block 64-fold.
+BLOCK_NODES = 256
 
 # Optimized weak-decoy intensities are only tabulated for these losses; any
 # other loss requires an explicit weak_decoy_nu1 (no interpolation).
@@ -29,24 +40,6 @@ _AXIS_DOMAINS = {
     "weak_decoy_nu1": (0.0, None),
 }
 AXIS_NAMES = tuple(_AXIS_DOMAINS)
-
-# Metrics computable from (intrinsic_error, background_error, p_ap) alone;
-# these stay valid for afterpulse values beyond the per-detector range.
-SCALAR_METRICS = ("p_ap", "e_detector", "baseline_error_change", "visibility")
-LINK_METRICS = (
-    "y0",
-    "q_mu",
-    "e_mu",
-    "q_nu1",
-    "e_nu1",
-    "y1_lower",
-    "e1_upper",
-    "q1_lower",
-    "skr_raw",
-    "skr_lower",
-    "skr_approx",
-)
-METRIC_NAMES = SCALAR_METRICS + LINK_METRICS
 
 MU_POLICIES = ("fixed", "optimize-per-point")
 
@@ -176,111 +169,199 @@ def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
     return attenuation_db_per_km * distance_km
 
 
-def _apply_overrides(spec: SweepSpec, overrides: dict[str, float]):
-    receiver = spec.receiver
-    channel = spec.channel
-    intensities = spec.intensities
-    if "p_ap" in overrides:
-        detectors = tuple(
-            replace(det, afterpulse_prob=overrides["p_ap"]) for det in receiver.detectors
-        )
-        receiver = replace(receiver, detectors=detectors)
-    if "intrinsic_error" in overrides:
-        receiver = replace(receiver, intrinsic_error=overrides["intrinsic_error"])
-    if "dark_count_prob" in overrides:
-        receiver = replace(receiver, dark_count_prob_total=overrides["dark_count_prob"])
-    if "loss_db" in overrides:
-        channel = model.ChannelModel(transmission_loss_db=overrides["loss_db"])
-    if "distance_km" in overrides:
-        channel = model.ChannelModel(
-            attenuation_db_per_km=spec.channel.attenuation_db_per_km,
-            distance_km=overrides["distance_km"],
-        )
-    if "signal_mu" in overrides or "weak_decoy_nu1" in overrides:
-        intensities = model.IntensitySet(
-            signal_mu=overrides.get("signal_mu", intensities.signal_mu),
-            weak_decoy_nu1=overrides.get("weak_decoy_nu1", intensities.weak_decoy_nu1),
-        )
-    return receiver, channel, intensities
-
-
-def _evaluate_node(spec: SweepSpec, node: tuple[float, ...]) -> ResultRecord:
-    overrides = dict(zip(spec.axis_names, node))
-    e0 = spec.receiver.background_error
-    e_prime = overrides.get("intrinsic_error", spec.receiver.intrinsic_error)
-    p_ap = overrides.get("p_ap", model.aggregate_afterpulse(spec.receiver))
-
-    out: dict[str, float | None] = {}
-    status = "ok"
-    reason: str | None = None
-    mu_opt: float | None = None
-
+def _error_text(build, *args) -> str:
+    """The message of the DecoyLinkError that ``build(*args)`` raises."""
     try:
-        for name in spec.outputs:
-            if name == "p_ap":
-                out[name] = p_ap
-            elif name == "e_detector":
-                out[name] = model.effective_baseline_error(e_prime, e0, p_ap)
-            elif name == "baseline_error_change":
-                out[name] = model.baseline_error_change(e_prime, e0, p_ap)
-            elif name == "visibility":
-                out[name] = model.visibility(e_prime, e0, p_ap)
-    except (ValidationError, DegenerateInputError) as exc:
-        status, reason = "model-domain-error", str(exc)
+        build(*args)
+    except DecoyLinkError as exc:
+        return str(exc)
+    raise AssertionError(f"{build.__name__}{args!r} accepted a node its mask rejected")
 
-    if status == "ok" and spec.needs_link_model():
-        try:
-            receiver, channel, intensities = _apply_overrides(spec, overrides)
-            optimizer_note = None
-            if spec.mu_policy == "optimize-per-point":
-                result = maximize_skr_over_mu(
-                    receiver, channel, intensities.weak_decoy_nu1, spec.protocol
-                )
-                mu_opt = result.mu
-                optimizer_note = result.reason
-                intensities = replace(intensities, signal_mu=result.mu)
-            metrics = evaluate_link(receiver, channel, intensities, spec.protocol)
-        except (ValidationError, ModelDomainError, DegenerateInputError) as exc:
-            status, reason = "model-domain-error", str(exc)
-        else:
-            if metrics.reason is not None:
-                status, reason = "infeasible", metrics.reason
-            elif optimizer_note is not None:
-                reason = optimizer_note
-            estimate = metrics.estimate
-            link_values = {
-                "y0": metrics.y0_measured,
-                "q_mu": metrics.q_mu,
-                "e_mu": metrics.e_mu,
-                "q_nu1": metrics.q_nu1,
-                "e_nu1": metrics.e_nu1,
-                "y1_lower": estimate.y1_lower if estimate else None,
-                "e1_upper": estimate.e1_upper if estimate else None,
-                "q1_lower": estimate.q1_lower if estimate else None,
-                "skr_raw": metrics.skr_raw,
-                "skr_lower": metrics.skr_lower,
-                "skr_approx": metrics.skr_approx,
-            }
-            for name in spec.outputs:
-                if name in link_values:
-                    out[name] = link_values[name]
 
-    values = tuple(out.get(name) for name in spec.outputs)
-    return ResultRecord(
-        axis_values=node, values=values, mu_opt=mu_opt, status=status, reason=reason
+def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
+    """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``."""
+    weights = [1.0 + det.bias for det in receiver.detectors]
+    return np.array([math.fsum(w * v for w in weights) / len(weights) for v in p.tolist()])
+
+
+class _Grid:
+    """A sweep's axes turned into per-node inputs of ``link_table``.
+
+    Each axis sets one kernel input, computed once per axis value; the other
+    inputs come from the spec's base operating point. Axis values that the
+    model's value types reject are kept with the validator's message.
+    """
+
+    _INPUT_OF_AXIS = {
+        "p_ap": "p_ap",
+        "intrinsic_error": "e_prime",
+        "dark_count_prob": "p_dc",
+        "loss_db": "eta",
+        "distance_km": "eta",
+        "signal_mu": "mu",
+        "weak_decoy_nu1": "nu1",
+    }
+
+    def __init__(self, spec: SweepSpec) -> None:
+        receiver, channel = spec.receiver, spec.channel
+        self.values = [np.asarray(ax.values()) for ax in spec.axes]
+        self.shape = tuple(len(v) for v in self.values)
+        self.size = math.prod(self.shape)
+        self.base = {
+            "p_ap": model.aggregate_afterpulse(receiver),
+            "e_prime": receiver.intrinsic_error,
+            "p_dc": receiver.dark_count_prob_total,
+            "eta": model.transmittance(receiver, channel),
+            "mu": spec.intensities.signal_mu,
+            "nu1": spec.intensities.weak_decoy_nu1,
+        }
+        # kernel input name -> (axis position, value per axis value)
+        self.inputs: dict[str, tuple[int, np.ndarray]] = {}
+        # axis name -> (axis position, {axis value index: validation message})
+        self.rejected: dict[str, tuple[int, dict[int, str]]] = {}
+        for pos, (ax, values) in enumerate(zip(spec.axes, self.values)):
+            per_value, bad = values, None
+            if ax.name == "p_ap":
+                per_value = _afterpulse_at(receiver, values)
+                bad = ~((values >= 0.0) & (values <= 1.0))
+                build = lambda v: replace(receiver.detectors[0], afterpulse_prob=v)
+            elif ax.name == "dark_count_prob":
+                bad = ~((values >= 0.0) & (values < 1.0))
+                build = lambda v: replace(receiver, dark_count_prob_total=v)
+            elif ax.name in ("loss_db", "distance_km"):
+                losses = values if ax.name == "loss_db" else channel.attenuation_db_per_km * values
+                per_value = np.array([
+                    model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
+                    for loss in losses.tolist()
+                ])
+            self.inputs[self._INPUT_OF_AXIS[ax.name]] = (pos, per_value)
+            if bad is not None:
+                self.rejected[ax.name] = (pos, {
+                    int(i): _error_text(build, float(values[i])) for i in np.flatnonzero(bad)
+                })
+
+    def block(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+        """Axis value indices and kernel inputs of the given flat node indices."""
+        index = np.unravel_index(nodes, self.shape) if self.shape else ()
+        inputs = {name: np.full(len(nodes), value) for name, value in self.base.items()}
+        for name, (pos, per_value) in self.inputs.items():
+            inputs[name] = per_value[index[pos]]
+        return index, inputs
+
+
+def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[ResultRecord]:
+    n = len(nodes)
+    index, x = grid.block(nodes)
+    e0 = spec.receiver.background_error
+
+    # Node -> model-domain-error message. Checks run in the order a node
+    # meets them: scalar outputs in output order, the axis overrides, the
+    # mu optimizer, then the link model; the first failure is kept.
+    reasons: dict[int, str] = {}
+    scalar_failed = np.zeros(n, dtype=bool)
+    # Of the scalar metrics only baseline_error_change can fail on axis
+    # values (at e' = 0); the outputs listed after it are then left empty.
+    if "baseline_error_change" in spec.outputs:
+        scalar_failed = x["e_prime"] == 0.0
+        for i in np.flatnonzero(scalar_failed):
+            reasons[int(i)] = _error_text(
+                model.baseline_error_change, float(x["e_prime"][i]), e0, float(x["p_ap"][i])
+            )
+    mu_opt = None
+    no_key = None
+    if spec.needs_link_model():
+        for name in ("p_ap", "dark_count_prob"):
+            if name in grid.rejected:
+                pos, texts = grid.rejected[name]
+                for i, value_index in enumerate(index[pos].tolist()):
+                    if value_index in texts:
+                        reasons.setdefault(i, texts[value_index])
+        for i in np.flatnonzero(~(x["nu1"] < x["mu"])):
+            reasons.setdefault(
+                int(i), _error_text(model.IntensitySet, float(x["mu"][i]), float(x["nu1"][i]))
+            )
+    if spec.mu_policy == "optimize-per-point":
+        search = maximize_nodes(
+            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, spec.protocol
+        )
+        for i, exc in search.errors.items():
+            reasons.setdefault(i, str(exc))
+        mu_opt = search.mu.tolist()
+        for i in reasons:
+            mu_opt[i] = None
+        no_key = np.flatnonzero(~(search.skr > 0.0))
+        table = search.table
+    else:
+        table = link_table(
+            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["mu"], x["nu1"], e0, spec.protocol
+        )
+    infeasible = np.zeros(n, dtype=bool)
+    if spec.needs_link_model():
+        for i in np.flatnonzero(table.domain_error):
+            if int(i) not in reasons:
+                reasons[int(i)] = str(table.error(i))
+        infeasible = table.infeasible
+
+    failed = np.zeros(n, dtype=bool)
+    failed[list(reasons)] = True
+    first_scalar_failure = (
+        spec.outputs.index("baseline_error_change")
+        if "baseline_error_change" in spec.outputs
+        else len(spec.outputs)
     )
+    columns = []
+    for j, name in enumerate(spec.outputs):
+        column = table.values[name].tolist()
+        if name in SCALAR_METRICS:
+            missing = scalar_failed if j >= first_scalar_failure else None
+        else:
+            missing = failed | table.missing(name)
+        if missing is not None:
+            for i in np.flatnonzero(missing):
+                column[i] = None
+        columns.append(column)
+
+    statuses = ["ok"] * n
+    notes: list[str | None] = [None] * n
+    if no_key is not None:
+        for i in no_key:
+            notes[i] = NO_POSITIVE_KEY
+    for i in np.flatnonzero(infeasible & ~failed):
+        statuses[i] = "infeasible"
+        notes[i] = ESTIMATION_INFEASIBLE
+    for i, text in reasons.items():
+        statuses[i] = "model-domain-error"
+        notes[i] = text
+
+    axis_values = [values[i].tolist() for values, i in zip(grid.values, index)]
+    return [
+        ResultRecord(
+            axis_values=node,
+            values=values,
+            mu_opt=None if mu_opt is None else mu_opt[i],
+            status=statuses[i],
+            reason=notes[i],
+        )
+        for i, (node, values) in enumerate(
+            zip(zip(*axis_values) if axis_values else [()] * n, zip(*columns))
+        )
+    ]
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ResultRecord]:
+def _iter_records(spec: SweepSpec) -> Iterator[ResultRecord]:
+    """The records of ``run_sweep``, yielded one block of grid nodes at a time."""
+    grid = _Grid(spec)
+    for start in range(0, grid.size, BLOCK_NODES):
+        yield from _block_records(
+            spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size))
+        )
+
+
+def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     """Evaluate every grid node, in lexicographic grid order.
 
-    Nodes are independent; with ``workers`` > 1 they are farmed out to a
-    thread pool and gathered back in grid order, so the output is identical
-    to the serial run. Per-node failures are recorded in the node's status
-    and never abort the sweep.
+    Nodes are evaluated with numpy, a block of BLOCK_NODES per ``link_table``
+    call (or per lockstep optimizer run under optimize-per-point). Per-node
+    failures are recorded in the node's status and never abort the sweep.
     """
-    nodes = itertools.product(*(ax.values() for ax in spec.axes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda node: _evaluate_node(spec, node), nodes))
-    return [_evaluate_node(spec, node) for node in nodes]
+    return list(_iter_records(spec))

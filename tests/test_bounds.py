@@ -3,10 +3,12 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from decoylink import (
     ChannelModel,
+    DecoyLinkError,
     EstimationInfeasibleError,
     IntensitySet,
     ProtocolParams,
@@ -24,6 +26,8 @@ from decoylink import (
     yield_background,
     yield_i,
 )
+from decoylink import model
+from decoylink.bounds import link_table
 
 
 def receiver(p_ap=0.0, p_dc=6e-7, e_prime=0.02, eta_bob=0.1):
@@ -354,3 +358,98 @@ class TestEvaluateLink:
             h = binary_entropy(e_prime)
             reference = -(eta * mu) * 1.16 * h + (eta * mu) * math.exp(-mu) * (1.0 - h)
             assert skr_approx(r, ch, mu, self.PROTOCOL) == reference
+
+
+class TestLinkTable:
+    """The array kernel against the scalar closed forms it vectorizes."""
+
+    PROTOCOL = ProtocolParams()
+
+    def test_matches_scalar_closed_forms_on_random_grid(self):
+        rng = random.Random(2005)
+        nodes = []
+        for _ in range(400):
+            r = receiver(
+                rng.uniform(0.0, 1.0),
+                p_dc=rng.uniform(0.0, 1e-5),
+                e_prime=rng.uniform(0.0, 0.1),
+            )
+            nodes.append((r, channel(rng.uniform(0.0, 50.0)),
+                          rng.uniform(0.2, 6.0), rng.uniform(0.001, 0.12)))
+        table = link_table(
+            np.array([model.aggregate_afterpulse(r) for r, _, _, _ in nodes]),
+            np.array([r.intrinsic_error for r, _, _, _ in nodes]),
+            np.array([r.dark_count_prob_total for r, _, _, _ in nodes]),
+            np.array([transmittance(r, ch) for r, ch, _, _ in nodes]),
+            np.array([mu for _, _, mu, _ in nodes]),
+            np.array([nu1 for _, _, _, nu1 in nodes]),
+            0.5,
+            self.PROTOCOL,
+        )
+
+        def close(name, i, expected):
+            actual = table.values[name][i]
+            assert abs(actual - expected) <= 1e-12 * abs(expected), (name, i)
+
+        kinds = set()
+        for i, (r, ch, mu, nu1) in enumerate(nodes):
+            p_ap = model.aggregate_afterpulse(r)
+            e_prime = r.intrinsic_error
+            close("p_ap", i, p_ap)
+            close("e_detector", i, model.effective_baseline_error(e_prime, 0.5, p_ap))
+            close("visibility", i, model.visibility(e_prime, 0.5, p_ap))
+            if e_prime > 0.0:
+                close("baseline_error_change", i,
+                      model.baseline_error_change(e_prime, 0.5, p_ap))
+            y0 = model.yield_background(r)
+            q_mu = gain_total(r, ch, mu)
+            e_mu = qber_total(r, ch, mu)
+            q_nu1 = gain_total(r, ch, nu1)
+            e_nu1 = qber_total(r, ch, nu1)
+            for name, expected in (("y0", y0), ("q_mu", q_mu), ("e_mu", e_mu),
+                                   ("q_nu1", q_nu1), ("e_nu1", e_nu1)):
+                close(name, i, expected)
+            close("skr_approx", i, skr_approx(r, ch, mu, self.PROTOCOL, warn=False))
+            assert not table.domain_error[i]
+            try:
+                est = estimate_single_photon(q_mu, e_mu, q_nu1, e_nu1, y0, mu, nu1)
+            except EstimationInfeasibleError:
+                assert table.infeasible[i]
+                assert table.values["skr_lower"][i] == 0.0
+                kinds.add("infeasible")
+                continue
+            assert not table.infeasible[i]
+            assert table.clamped[i] == est.clamped
+            close("y1_lower", i, est.y1_lower)
+            close("e1_upper", i, est.e1_upper)
+            close("q1_lower", i, est.q1_lower)
+            skr_low, skr_raw = skr_lower_bound(
+                q_mu, e_mu, est.q1_lower, est.e1_upper, self.PROTOCOL
+            )
+            close("skr_raw", i, skr_raw)
+            close("skr_lower", i, skr_low)
+            kinds.add("positive key" if skr_low > 0.0 else "zero key")
+        assert kinds == {"infeasible", "positive key", "zero key"}
+
+    def test_domain_errors_match_scalar_exceptions(self):
+        # gain above 1, zero gain at both intensities, and nu1 = 0: the
+        # table flags each node and rebuilds the scalar model's exception
+        r_hot = receiver(0.5, eta_bob=1.0)
+        r_dark = receiver(0.0, p_dc=0.0)
+        cases = [
+            (r_hot, channel(0.0), IntensitySet(3.0, 0.1)),
+            (r_dark, ChannelModel(transmission_loss_db=4000.0), IntensitySet(0.48, 0.038)),
+            (r_dark, channel(5.0), IntensitySet(0.48, 0.0)),
+            (receiver(0.01), channel(5.0), IntensitySet(0.48, 0.0)),
+        ]
+        for r, ch, intensities in cases:
+            with pytest.raises(DecoyLinkError) as scalar:
+                mu, nu1 = intensities.signal_mu, intensities.weak_decoy_nu1
+                q_mu, e_mu = gain_total(r, ch, mu), qber_total(r, ch, mu)
+                q_nu1, e_nu1 = gain_total(r, ch, nu1), qber_total(r, ch, nu1)
+                estimate_single_photon(
+                    q_mu, e_mu, q_nu1, e_nu1, model.yield_background(r), mu, nu1
+                )
+            with pytest.raises(type(scalar.value)) as kernel:
+                evaluate_link(r, ch, intensities, self.PROTOCOL)
+            assert str(kernel.value) == str(scalar.value)

@@ -148,6 +148,16 @@ class TestMaximizeSkr:
         for delta in (-1e-3, 1e-3):
             assert rate(result.mu + delta) <= result.skr + 1e-12
 
+    def test_reports_iterations_and_nonconvergence(self):
+        r = receiver(0.004)
+        ch = ChannelModel(transmission_loss_db=10.0)
+        result = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
+        assert result.converged
+        assert 30 < result.iterations < 60
+        short = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL, SolverConfig(max_iterations=3))
+        assert not short.converged
+        assert short.iterations == 3
+
     def test_bracket_must_clear_weak_decoy(self):
         with pytest.raises(ValidationError):
             maximize_skr_over_mu(
@@ -190,6 +200,22 @@ class TestDarkCountThreshold:
         achieved = qber_total(r, ChannelModel(transmission_loss_db=10.5), 0.48)
         assert abs(achieved - 0.09) < 1e-6
         assert abs(point.achieved_qber - 0.09) < 1e-6
+
+    def test_running_out_of_iterations_is_reported(self):
+        # three bisection steps leave the QBER far from the target; the
+        # point stays feasible but must say that it did not converge
+        r = receiver(0.01)
+        point = dark_count_threshold(
+            0.01, 0.02, 21.0, 0.09, r, 0.48, SolverConfig(max_iterations=3)
+        )
+        assert point.feasible
+        assert point.achieved_qber == pytest.approx(0.473, abs=1e-3)
+        assert not point.converged
+        assert point.iterations == 3
+        full = dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, 0.48)
+        assert full.converged
+        assert abs(full.achieved_qber - 0.09) < 1e-10
+        assert 3 < full.iterations < 200
 
     def test_matches_closed_form_oracle(self):
         # frozen from the oracle: 0.0007288309301667241 at 10.5 dB

@@ -1,4 +1,6 @@
 """Grid engine: axis generation, spec validation, record semantics."""
+import itertools
+
 import pytest
 
 from decoylink import (
@@ -7,12 +9,15 @@ from decoylink import (
     IntensitySet,
     ProtocolParams,
     ReceiverModel,
+    SinglePhotonEstimate,
     SweepSpec,
     ValidationError,
     distance_to_loss,
     evaluate_link,
+    maximize_skr_over_mu,
     run_sweep,
 )
+from decoylink.sweep import BLOCK_NODES
 
 PROTOCOL = ProtocolParams()
 
@@ -195,12 +200,37 @@ class TestRunSweep:
         )
         assert run_sweep(spec) == run_sweep(spec)
 
-    def test_concurrent_evaluation_preserves_order(self):
-        spec = base_spec(
-            [Axis("p_ap", 1e-4, 0.05, 5, "log"), Axis("loss_db", 0.0, 21.0, 4)],
-            outputs=("e_mu", "skr_lower"),
+    def test_blocks_keep_grid_order_and_match_single_node_evaluation(self):
+        # 17 x 16 nodes span two kernel blocks; every node must come out in
+        # lexicographic order and equal a one-node evaluate_link exactly
+        mu_axis = Axis("signal_mu", 0.1, 6.0, 17)
+        loss_axis = Axis("loss_db", 0.0, 45.0, 16)
+        assert mu_axis.count * loss_axis.count > BLOCK_NODES
+        outputs = ("y0", "q_mu", "e_mu", "q_nu1", "e_nu1", "y1_lower", "e1_upper",
+                   "q1_lower", "skr_raw", "skr_lower", "skr_approx")
+        spec = base_spec([mu_axis, loss_axis], outputs=outputs)
+        records = run_sweep(spec)
+        assert [r.axis_values for r in records] == list(
+            itertools.product(mu_axis.values(), loss_axis.values())
         )
-        assert run_sweep(spec, workers=4) == run_sweep(spec)
+        statuses = set()
+        for record in records:
+            mu, loss_db = record.axis_values
+            metrics = evaluate_link(
+                spec.receiver, ChannelModel(transmission_loss_db=loss_db),
+                IntensitySet(mu, spec.intensities.weak_decoy_nu1), spec.protocol,
+            )
+            estimate = metrics.estimate or SinglePhotonEstimate(None, None, None)
+            assert record.values == (
+                metrics.y0_measured, metrics.q_mu, metrics.e_mu, metrics.q_nu1,
+                metrics.e_nu1, estimate.y1_lower, estimate.e1_upper,
+                estimate.q1_lower, metrics.skr_raw, metrics.skr_lower,
+                metrics.skr_approx,
+            )
+            assert record.status == ("infeasible" if metrics.reason else "ok")
+            assert record.reason == metrics.reason
+            statuses.add(record.status)
+        assert statuses == {"ok", "infeasible"}
 
     def test_scalar_metrics_tolerate_large_afterpulse_values(self):
         spec = base_spec(
@@ -247,6 +277,105 @@ class TestRunSweep:
         assert records[1].reason == "estimation_infeasible"
         assert records[1].values[0] == 0.0
         assert records[1].values[1] is None
+
+    # Expected (status, reason, cells present, mu_opt present) per node,
+    # written out from the per-node scalar implementation this engine replaced.
+    STATUS_GRID_FIXED = [
+        ("model-domain-error", "weak_decoy_nu1 (0.038) must be below signal_mu (0.038)",
+         "x--x", False),
+        ("ok", None, "xxxx", False),
+        ("infeasible", "estimation_infeasible", "xx-x", False),
+        *[("model-domain-error", "dark_count_prob_total must be in [0, 1), got 1.0",
+           "x--x", False)] * 3,
+        *[("model-domain-error", "afterpulse_prob must be in [0, 1], got 1.5",
+           "x--x", False)] * 6,
+    ]
+    STATUS_GRID_OPTIMIZED = [
+        *[("model-domain-error",
+           "relative baseline change undefined for intrinsic_error = 0", "x----", False)] * 4,
+        ("ok", None, "xxxxx", True),
+        ("model-domain-error", "weak_decoy_nu1 (1.0) must be below signal_mu (1.0)",
+         "xxx--", False),
+        ("ok", "no_positive_key", "xxxxx", True),
+        ("model-domain-error", "weak_decoy_nu1 (1.0) must be below signal_mu (1.0)",
+         "xxx--", False),
+    ]
+    STATUS_GRID_SOLVER = [
+        ("model-domain-error",
+         "total gain is zero (no dark counts and an opaque channel); error rate undefined",
+         "-", True),
+        ("ok", "no_positive_key", "x", True),
+        ("model-domain-error",
+         "empty signal-intensity bracket (1.600001, 1.5); the weak-decoy intensity "
+         "leaves no room below the bracket top", "-", False),
+        ("model-domain-error",
+         "weak+vacuum estimation needs 0 < nu1 < mu, got nu1=0.0 mu=1e-06", "-", False),
+        ("ok", "no_positive_key", "x", True),
+        ("model-domain-error",
+         "empty signal-intensity bracket (1.600001, 1.5); the weak-decoy intensity "
+         "leaves no room below the bracket top", "-", False),
+    ]
+
+    @staticmethod
+    def outcomes(spec):
+        return [
+            (r.status, r.reason, "".join("-" if v is None else "x" for v in r.values),
+             r.mu_opt is not None)
+            for r in run_sweep(spec)
+        ]
+
+    def test_status_and_reason_of_every_failure_kind(self):
+        fixed = base_spec(
+            [Axis("p_ap", 0.008, 1.5, 2), Axis("dark_count_prob", 6e-7, 1.0, 2),
+             Axis("signal_mu", 0.038, 6.0, 3)],
+            outputs=("e_detector", "skr_lower", "y1_lower", "p_ap"),
+            loss_db=40.0, nu1=0.038,
+        )
+        assert self.outcomes(fixed) == self.STATUS_GRID_FIXED
+        optimized = base_spec(
+            [Axis("intrinsic_error", 0.0, 0.02, 2), Axis("p_ap", 0.001, 0.2, 2),
+             Axis("weak_decoy_nu1", 0.12, 1.0, 2)],
+            outputs=("visibility", "baseline_error_change", "e_detector", "skr_lower",
+                     "skr_raw"),
+            mu_policy="optimize-per-point", loss_db=21.0, nu1=0.12, mu=1.0,
+        )
+        assert self.outcomes(optimized) == self.STATUS_GRID_OPTIMIZED
+        solver = base_spec(
+            [Axis("dark_count_prob", 0.0, 6e-7, 2), Axis("weak_decoy_nu1", 0.0, 1.6, 3)],
+            mu_policy="optimize-per-point", loss_db=5.0, mu=2.0,
+        )
+        records = run_sweep(solver)
+        assert self.outcomes(solver) == self.STATUS_GRID_SOLVER
+        # every mu is rejected (-inf), so each golden-section step raises the lower end
+        assert records[0].mu_opt == 0.023810507904354516
+
+    def test_optimized_nodes_match_standalone_maximization(self):
+        spec = base_spec(
+            [Axis("p_ap", 1e-4, 0.2, 9, "log"), Axis("loss_db", 0.0, 21.0, 3)],
+            outputs=("skr_lower",),
+            mu_policy="optimize-per-point",
+        )
+        for record in run_sweep(spec):
+            p_ap, loss_db = record.axis_values
+            receiver = ReceiverModel.identical(
+                2, p_ap, dark_count_prob_total=6e-7, intrinsic_error=0.02
+            )
+            result = maximize_skr_over_mu(
+                receiver, ChannelModel(transmission_loss_db=loss_db), 0.05, PROTOCOL
+            )
+            assert record.mu_opt == result.mu
+            assert record.values == (result.skr,)
+            assert record.reason == result.reason
+
+    def test_overflowing_intensity_does_not_abort_the_sweep(self):
+        # e^mu overflows a double at mu = 800; the node is recorded, not raised
+        spec = base_spec(
+            [Axis("signal_mu", 0.48, 800.0, 2)], outputs=("skr_lower",), loss_db=40.0
+        )
+        ok, overflow = run_sweep(spec)
+        assert ok.status == "ok"
+        assert overflow.status == "infeasible"
+        assert overflow.values == (0.0,)
 
     def test_distance_axis_tracks_attenuation(self):
         spec_distance = base_spec(
