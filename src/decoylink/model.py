@@ -376,21 +376,3 @@ def visibility(
         intrinsic_error, background_error, afterpulse_prob
     )
 
-
-def decoy_consistency_check(
-    receiver: ReceiverModel, channel: ChannelModel, i: int
-) -> bool:
-    """Check that yields and error rates are independent of the pulse's role.
-
-    Signal and decoy pulses of the same photon number share one physical
-    channel and receiver, so both roles evaluate the same functions on the
-    same inputs. Returns True iff the two evaluations are bitwise equal;
-    exposed as a test hook.
-    """
-    y_signal = yield_i(receiver, channel, i)
-    y_decoy = yield_i(receiver, channel, i)
-    if y_signal != y_decoy:
-        return False
-    if y_signal <= 0.0:
-        return True
-    return qber_i(receiver, channel, i) == qber_i(receiver, channel, i)

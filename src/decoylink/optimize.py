@@ -45,11 +45,15 @@ class OptimalMu:
 
     ``boundary`` marks the degenerate zero-error case where the condition's
     right side vanishes and the optimum sits at the interval edge mu = 1.
+    ``converged`` is False when the bisection ran out of iterations before
+    the residual fell below the tolerance; ``iterations`` counts its steps.
     """
 
     mu: float
     residual: float
     boundary: bool = False
+    converged: bool = True
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,20 @@ class MuSearch:
     skr: np.ndarray
     table: LinkTable
     errors: dict[int, DecoyLinkError]
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+@dataclass(frozen=True)
+class ThresholdSearch:
+    """Outcome of the lockstep dark-count bisection at a 1-D array of nodes.
+
+    ``dark_count`` and ``achieved`` are NaN at infeasible nodes.
+    """
+
+    dark_count: np.ndarray
+    achieved: np.ndarray
+    feasible: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
 
@@ -143,6 +161,7 @@ def solve_optimal_mu(
         )
     mid = 0.5 * (lo + hi)
     residual = _mu_condition(mid) - rhs
+    iterations = 0
     for _ in range(config.max_iterations):
         if abs(residual) < config.abs_tolerance:
             break
@@ -152,7 +171,13 @@ def solve_optimal_mu(
             hi = mid
         mid = 0.5 * (lo + hi)
         residual = _mu_condition(mid) - rhs
-    return OptimalMu(mu=mid, residual=abs(residual))
+        iterations += 1
+    return OptimalMu(
+        mu=mid,
+        residual=abs(residual),
+        converged=abs(residual) < config.abs_tolerance,
+        iterations=iterations,
+    )
 
 
 def _check_mu_bracket(nu1: float, lo: float, hi: float) -> None:
@@ -289,18 +314,176 @@ def maximize_skr_over_mu(
     return MaximizeResult(mu, skr, None, converged, iterations)
 
 
-def _receiver_at(
-    template: model.ReceiverModel, p_ap: float, intrinsic_error: float, dark_count: float
-) -> model.ReceiverModel:
-    detectors = tuple(
-        replace(det, afterpulse_prob=p_ap) for det in template.detectors
+def _gain_and_qber(
+    one_p: np.ndarray,
+    signal: np.ndarray,
+    signal_error: np.ndarray,
+    background_error: float,
+    p_dc: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gain_total`` and ``qber_total`` at dark-count level ``p_dc``, in their operation order."""
+    background = one_p * p_dc
+    gain = background + signal
+    return gain, (background_error * background + signal_error) / gain
+
+
+def threshold_nodes(
+    p_ap: np.ndarray,
+    e_prime: np.ndarray,
+    detected: float,
+    target_qber: float,
+    background_error: float,
+    config: SolverConfig = SolverConfig(),
+) -> ThresholdSearch:
+    """The dark-count threshold bisection at every node of 1-D input arrays, in lockstep.
+
+    ``p_ap`` is each node's aggregated afterpulse probability and
+    ``detected`` = 1 - exp(-eta mu), the same at every node. Every bisection
+    step is one pass of array arithmetic over the nodes still above the
+    tolerance, with the scalar closed form's operations in its order, so each
+    node follows the same arithmetic as a search of its own. The first node,
+    in array order, that ``dark_count_threshold`` would reject (a gain
+    outside (0, 1], or a target the search cap cannot reach) raises its
+    exception.
+    """
+    e0 = background_error
+    one_p = 1.0 + p_ap
+    signal = detected * one_p
+    signal_error = (e_prime + e0 * p_ap) * detected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor_gain, floor = _gain_and_qber(one_p, signal, signal_error, e0, 0.0)
+        cap_gain, ceiling = _gain_and_qber(one_p, signal, signal_error, e0, DARK_COUNT_CAP)
+    floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
+    infeasible = ~floor_error & (floor > target_qber)
+    failed = floor_error | (~infeasible & ((cap_gain > 1.0) | (ceiling < target_qber)))
+    for i in np.flatnonzero(failed)[:1]:
+        # the scalar search's checks, in its order, on this node's values
+        model.check_gain(float(floor_gain[i]))
+        model.check_detections(float(floor_gain[i]))
+        model.check_gain(float(cap_gain[i]))
+        raise ValidationError(
+            f"target_qber={target_qber!r} not reachable below the dark-count "
+            f"search cap {DARK_COUNT_CAP!r} (QBER at cap: {float(ceiling[i]):g})"
+        )
+
+    n = len(p_ap)
+    dark_count = np.full(n, math.nan)
+    achieved = np.full(n, math.nan)
+    iterations = np.zeros(n, dtype=int)
+    # The nodes still searching, and their constants, bracket and midpoint.
+    rows = np.flatnonzero(~infeasible)
+    one_p, signal, signal_error = one_p[rows], signal[rows], signal_error[rows]
+    lo = np.zeros(len(rows))
+    hi = np.full(len(rows), DARK_COUNT_CAP)
+    mid = 0.5 * (lo + hi)
+    _, qber = _gain_and_qber(one_p, signal, signal_error, e0, mid)
+    for step in range(config.max_iterations):
+        done = np.abs(qber - target_qber) < config.abs_tolerance
+        if np.count_nonzero(done):
+            finished = rows[done]
+            dark_count[finished], achieved[finished] = mid[done], qber[done]
+            iterations[finished] = step
+            running = ~done
+            rows, one_p, signal, signal_error, lo, hi, mid, qber = (
+                a[running] for a in (rows, one_p, signal, signal_error, lo, hi, mid, qber)
+            )
+        if not len(rows):
+            break
+        below = qber < target_qber
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+        _, qber = _gain_and_qber(one_p, signal, signal_error, e0, mid)
+    dark_count[rows], achieved[rows], iterations[rows] = mid, qber, config.max_iterations
+    return ThresholdSearch(
+        dark_count=dark_count,
+        achieved=achieved,
+        feasible=~infeasible,
+        converged=np.abs(achieved - target_qber) < config.abs_tolerance,
+        iterations=iterations,
     )
-    return replace(
-        template,
-        detectors=detectors,
-        intrinsic_error=intrinsic_error,
-        dark_count_prob_total=dark_count,
+
+
+def trace_iso_qber_surface(
+    p_ap_values,
+    intrinsic_error_values,
+    loss_db: float,
+    target_qber: float,
+    receiver_template: model.ReceiverModel,
+    mean_photon: float,
+    config: SolverConfig = SolverConfig(),
+) -> list[ContourPoint]:
+    """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
+
+    Nodes are returned in row-major order (p_ap outer, intrinsic_error
+    inner). The afterpulse aggregation and the transmittance are computed
+    once per axis value, then ``threshold_nodes`` solves all nodes at once.
+    A node the scalar model rejects raises its exception, and the first such
+    node in row-major order is the one reported.
+    """
+    if not 0.0 < target_qber < 0.5:
+        raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
+    if mean_photon <= 0.0:
+        raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
+    channel = model.ChannelModel(transmission_loss_db=loss_db)
+    eta = model.transmittance(receiver_template, channel)
+    detected = -math.expm1(-eta * mean_photon)
+    p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
+
+    # Per axis value: the receiver's validation error, if any, and the
+    # aggregated afterpulse probability.
+    rejected_p: dict[int, ValidationError] = {}
+    afterpulse = np.full(len(p_values), math.nan)
+    for i, p in enumerate(p_values):
+        try:
+            detectors = tuple(
+                replace(det, afterpulse_prob=p) for det in receiver_template.detectors
+            )
+        except ValidationError as exc:
+            rejected_p[i] = exc
+            continue
+        afterpulse[i] = model.aggregate_afterpulse(
+            replace(receiver_template, detectors=detectors)
+        )
+    rejected_e: dict[int, ValidationError] = {}
+    for j, e in enumerate(e_values):
+        try:
+            replace(receiver_template, intrinsic_error=e)
+        except ValidationError as exc:
+            rejected_e[j] = exc
+
+    # Nodes past the first rejected one in row-major order are never reached.
+    n_p, n_e = len(p_values), len(e_values)
+    rejected = np.zeros((n_p, n_e), dtype=bool)
+    rejected[list(rejected_p), :] = True
+    rejected[:, list(rejected_e)] = True
+    reached = int(np.argmax(rejected)) if rejected.any() else rejected.size
+    search = threshold_nodes(
+        np.repeat(afterpulse, n_e)[:reached],
+        np.tile(np.asarray(e_values, dtype=float), n_p)[:reached],
+        detected,
+        target_qber,
+        receiver_template.background_error,
+        config,
     )
+    if reached < rejected.size:
+        i, j = divmod(reached, n_e)
+        raise rejected_p[i] if i in rejected_p else rejected_e[j]
+
+    nodes = zip(
+        ((p, e) for p in p_values for e in e_values),
+        search.feasible.tolist(),
+        search.dark_count.tolist(),
+        search.achieved.tolist(),
+        search.converged.tolist(),
+        search.iterations.tolist(),
+    )
+    return [
+        ContourPoint(p, e, loss_db, dark_count, achieved, True, converged, iterations)
+        if feasible
+        else ContourPoint(p, e, loss_db, None, None, False)
+        for (p, e), feasible, dark_count, achieved, converged, iterations in nodes
+    ]
 
 
 def dark_count_threshold(
@@ -320,77 +503,8 @@ def dark_count_threshold(
     node is reported infeasible (a value, not an error). A target so lax
     that the cap cannot reach it is a parameter error.
     """
-    if not 0.0 < target_qber < 0.5:
-        raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
-    if mean_photon <= 0.0:
-        raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
-    channel = model.ChannelModel(transmission_loss_db=loss_db)
-
-    def qber_at(dark_count: float) -> float:
-        receiver = _receiver_at(receiver_template, p_ap, intrinsic_error, dark_count)
-        return model.qber_total(receiver, channel, mean_photon)
-
-    floor = qber_at(0.0)
-    if floor > target_qber:
-        return ContourPoint(
-            p_ap=p_ap,
-            intrinsic_error=intrinsic_error,
-            loss_db=loss_db,
-            dark_count_prob=None,
-            achieved_qber=None,
-            feasible=False,
-        )
-    ceiling = qber_at(DARK_COUNT_CAP)
-    if ceiling < target_qber:
-        raise ValidationError(
-            f"target_qber={target_qber!r} not reachable below the dark-count "
-            f"search cap {DARK_COUNT_CAP!r} (QBER at cap: {ceiling:g})"
-        )
-    lo, hi = 0.0, DARK_COUNT_CAP
-    mid = 0.5 * (lo + hi)
-    achieved = qber_at(mid)
-    iterations = 0
-    for _ in range(config.max_iterations):
-        if abs(achieved - target_qber) < config.abs_tolerance:
-            break
-        if achieved < target_qber:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        achieved = qber_at(mid)
-        iterations += 1
-    return ContourPoint(
-        p_ap=p_ap,
-        intrinsic_error=intrinsic_error,
-        loss_db=loss_db,
-        dark_count_prob=mid,
-        achieved_qber=achieved,
-        feasible=True,
-        converged=abs(achieved - target_qber) < config.abs_tolerance,
-        iterations=iterations,
+    (point,) = trace_iso_qber_surface(
+        (p_ap,), (intrinsic_error,), loss_db, target_qber, receiver_template, mean_photon,
+        config,
     )
-
-
-def trace_iso_qber_surface(
-    p_ap_values,
-    intrinsic_error_values,
-    loss_db: float,
-    target_qber: float,
-    receiver_template: model.ReceiverModel,
-    mean_photon: float,
-    config: SolverConfig = SolverConfig(),
-) -> list[ContourPoint]:
-    """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
-
-    Nodes are evaluated independently and returned in row-major order
-    (p_ap outer, intrinsic_error inner), so the output is deterministic and
-    identical regardless of evaluation order.
-    """
-    return [
-        dark_count_threshold(
-            p_ap, e_prime, loss_db, target_qber, receiver_template, mean_photon, config
-        )
-        for p_ap in p_ap_values
-        for e_prime in intrinsic_error_values
-    ]
+    return point

@@ -1,0 +1,48 @@
+"""Shared test helpers."""
+import math
+
+import pytest
+
+from decoylink import DetectorUnit, ReceiverModel, qber_i, yield_i
+
+
+def _poisson_mixture(receiver, channel, x):
+    """(sum_i Y_i P_i, sum_i e_i Y_i P_i) over the photon-number yields.
+
+    P_i = e^-x x^i / i! is the Poisson weight of intensity x. The sums are
+    exact (``fsum``) over terms that stop once the weights, past their
+    peak, fall below 1e-300.
+    """
+    gains, errors = [], []
+    weight = math.exp(-x)
+    i = 0
+    while True:
+        y = yield_i(receiver, channel, i)
+        gains.append(y * weight)
+        errors.append(qber_i(receiver, channel, i) * y * weight if y > 0.0 else 0.0)
+        i += 1
+        weight = weight * x / i
+        if i > x and weight < 1e-300:
+            return math.fsum(gains), math.fsum(errors)
+
+
+@pytest.fixture
+def poisson_mixture():
+    return _poisson_mixture
+
+
+def _random_receiver(rng):
+    """A biased array of 1-4 detectors (biases summing to zero) with random noise."""
+    n = rng.randint(1, 4)
+    raw = [rng.uniform(-0.3, 0.3) for _ in range(n - 1)]
+    return ReceiverModel(
+        tuple(DetectorUnit(rng.uniform(0.0, 0.2), bias) for bias in raw + [-math.fsum(raw)]),
+        dark_count_prob_total=rng.uniform(0.0, 1e-5),
+        intrinsic_error=rng.uniform(0.0, 0.1),
+        detector_efficiency=rng.uniform(0.01, 1.0),
+    )
+
+
+@pytest.fixture
+def random_receiver():
+    return _random_receiver

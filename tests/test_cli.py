@@ -290,6 +290,60 @@ class TestContourCommand:
                 assert row[3] == "" and row[4] == ""
 
 
+    # Exit codes and messages generated from the scalar per-node bisection
+    # that the lockstep solver replaced. The last case fails at p_ap = 1 (a
+    # gain of 1.6) before the p_ap = 2 row that the validator rejects: the
+    # first failing node in row-major order is the one reported.
+    @pytest.mark.parametrize(
+        "receiver, loss_db, signal_mu, p_ap_axis, target, code, message",
+        [
+            (
+                "", 10.5, 0.48, "min: 0.0, max: 2.0, count: 3", "0.09", 2,
+                "error: config: afterpulse_prob must be in [0, 1], got 2.0\n",
+            ),
+            (
+                "", 0.0, 0.48, "min: 0.0, max: 0.05, count: 3", "0.4", 2,
+                "error: config: target_qber=0.4 not reachable below the dark-count "
+                "search cap 0.1 (QBER at cap: 0.340446)\n",
+            ),
+            (
+                "  detector_efficiency: 1.0\n", 0.0, 5.0, "min: 0.5, max: 0.5, count: 1",
+                "0.09", 3,
+                "error: model-domain: total gain 1.4898930795013718 exceeds 1: afterpulse "
+                "probability too large for the single-order afterpulse model\n",
+            ),
+            (
+                "", 4000.0, 0.48, "min: 0.0, max: 0.05, count: 3", "0.09", 3,
+                "error: model-domain: total gain is zero (no dark counts and an opaque "
+                "channel); error rate undefined\n",
+            ),
+            (
+                "  detector_efficiency: 1.0\n", 0.0, 1.6094379124341003,
+                "min: 0.0, max: 2.0, count: 3", "0.05", 3,
+                "error: model-domain: total gain 1.6 exceeds 1: afterpulse probability "
+                "too large for the single-order afterpulse model\n",
+            ),
+        ],
+        ids=["p_ap_above_one", "unreachable", "gain_above_one", "zero_gain", "first_in_row_order"],
+    )
+    def test_error_paths(
+        self, tmp_path, capsys, receiver, loss_db, signal_mu, p_ap_axis, target, code, message
+    ):
+        config = write_config(
+            tmp_path,
+            f"receiver:\n  intrinsic_error: 0.02\n{receiver}"
+            f"channel:\n  loss_db: {loss_db}\n"
+            f"intensities:\n  signal_mu: {signal_mu}\n"
+            "sweep:\n  axes:\n"
+            f"    - {{name: p_ap, {p_ap_axis}}}\n"
+            "    - {name: intrinsic_error, min: 0.0, max: 0.04, count: 2}\n",
+        )
+        assert main(["contour", "--config", config, "--target-qber", target]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+
 class TestOptimalMuCommand:
     def test_prints_root_and_residual(self, tmp_path, capsys):
         path = write_config(

@@ -15,7 +15,6 @@ from decoylink import (
     ValidationError,
     aggregate_afterpulse,
     baseline_error_change,
-    decoy_consistency_check,
     effective_baseline_error,
     gain_total,
     multi_photon_transmittance,
@@ -416,17 +415,38 @@ class TestVisibility:
 
 
 class TestDecoyConsistency:
-    def test_structural_identity(self):
-        assert decoy_consistency_check(receiver_two(0.008), channel(5.0), 1)
+    """Signal and decoys share one set of photon-number yields and error rates.
 
-    def test_zero_photon_case(self):
-        assert decoy_consistency_check(receiver_two(0.008), channel(5.0), 0)
+    Any intensity x measures the Poisson mixture of the same Y_i and e_i:
+    Q_x = sum_i Y_i e^-x x^i/i! and E_x Q_x = sum_i e_i Y_i e^-x x^i/i!.
+    """
 
-    def test_random_draws_bitwise_equal(self):
+    ULPS = 4
+
+    def assert_mixture(self, poisson_mixture, r, ch, x):
+        gain, errors = poisson_mixture(r, ch, x)
+        q = gain_total(r, ch, x)
+        assert abs(gain - q) <= self.ULPS * math.ulp(q)
+        eq = qber_total(r, ch, x) * q
+        assert abs(errors - eq) <= self.ULPS * math.ulp(eq)
+
+    def test_structural_identity(self, poisson_mixture):
+        for x in (0.05, 0.48, 1.0):
+            self.assert_mixture(poisson_mixture, receiver_two(0.008), channel(5.0), x)
+
+    def test_zero_photon_case(self, poisson_mixture):
+        # the vacuum decoy measures Y0 and e0 Y0 alone
+        r = receiver_two(0.008)
+        assert poisson_mixture(r, channel(5.0), 0.0) == (
+            yield_background(r),
+            qber_i(r, channel(5.0), 0) * yield_background(r),
+        )
+        self.assert_mixture(poisson_mixture, r, channel(5.0), 0.0)
+
+    def test_random_receivers_match_poisson_mixture(self, poisson_mixture, random_receiver):
         rng = random.Random(13)
-        for _ in range(10):
-            r = receiver_two(rng.uniform(0.0, 0.05), p_dc=rng.uniform(1e-8, 1e-5))
-            ch = channel(rng.uniform(0.0, 30.0))
-            i = rng.randint(0, 4)
-            assert decoy_consistency_check(r, ch, i)
-            assert yield_i(r, ch, i) == yield_i(r, ch, i)
+        for _ in range(100):
+            r = random_receiver(rng)
+            ch = channel(rng.uniform(0.0, 50.0))
+            x = rng.choice((rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.01)))
+            self.assert_mixture(poisson_mixture, r, ch, x)

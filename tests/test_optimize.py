@@ -1,11 +1,14 @@
 """Root finding, key-rate maximization and iso-QBER threshold tracing."""
 import math
+import re
 
 import pytest
 
 from decoylink import (
     ChannelModel,
+    ContourPoint,
     IntensitySet,
+    ModelDomainError,
     NoSolutionError,
     ProtocolParams,
     ReceiverModel,
@@ -67,6 +70,15 @@ class TestSolveOptimalMu:
         result = solve_optimal_mu(0.03, PROTOCOL)
         assert abs(result.mu - 0.526242256991736) < 1e-6
         assert abs(result.mu - oracle_root(0.03)) < 1e-6
+
+    def test_running_out_of_iterations_is_reported(self):
+        short = solve_optimal_mu(0.03, PROTOCOL, SolverConfig(max_iterations=3))
+        assert not short.converged
+        assert short.iterations == 3
+        assert short.residual > 1e-3
+        full = solve_optimal_mu(0.03, PROTOCOL)
+        assert full.converged
+        assert 3 < full.iterations < 200
 
     def test_zero_error_boundary(self):
         result = solve_optimal_mu(0.0, PROTOCOL)
@@ -217,6 +229,22 @@ class TestDarkCountThreshold:
         assert abs(full.achieved_qber - 0.09) < 1e-10
         assert 3 < full.iterations < 200
 
+    def test_running_out_of_iterations_matches_scalar_search(self):
+        # generated from the scalar per-node bisection
+        point = dark_count_threshold(
+            0.01, 0.02, 21.0, 0.09, receiver(0.01), 0.48, SolverConfig(max_iterations=3)
+        )
+        assert point == ContourPoint(
+            p_ap=0.01,
+            intrinsic_error=0.02,
+            loss_db=21.0,
+            dark_count_prob=0.00625,
+            achieved_qber=0.4726796748163504,
+            feasible=True,
+            converged=False,
+            iterations=3,
+        )
+
     def test_matches_closed_form_oracle(self):
         # frozen from the oracle: 0.0007288309301667241 at 10.5 dB
         point = dark_count_threshold(0.0, 0.02, 10.5, 0.09, receiver(), 0.48)
@@ -292,3 +320,17 @@ class TestTraceIsoQberSurface:
     def test_deterministic(self):
         args = ((0.0, 0.01), (0.01, 0.02), 10.5, 0.09, receiver(), 0.48)
         assert trace_iso_qber_surface(*args) == trace_iso_qber_surface(*args)
+
+    def test_first_failing_node_in_row_major_order_raises(self):
+        # messages generated from the scalar per-node bisection
+        intrinsic = "intrinsic_error must be in [0, 1], got 1.5"
+        with pytest.raises(ValidationError, match=re.escape(intrinsic)):
+            trace_iso_qber_surface((0.0, 0.01), (0.02, 1.5), 10.5, 0.09, receiver(), 0.48)
+        # node (0, 1) fails before the rejected p_ap of row 1
+        with pytest.raises(ValidationError, match=re.escape(intrinsic)):
+            trace_iso_qber_surface((0.0, 1.5), (0.02, 1.5), 10.5, 0.09, receiver(), 0.48)
+        # a gain of 0.95 without dark counts and 1.05 at the search cap
+        with pytest.raises(ModelDomainError, match=re.escape("total gain 1.05 exceeds 1")):
+            trace_iso_qber_surface(
+                (0.0,), (0.02,), 0.0, 0.09, receiver(eta_bob=1.0), -math.log(0.05)
+            )
