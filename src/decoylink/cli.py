@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+
+import numpy as np
 
 from . import config as config_mod
 from . import model
@@ -27,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .optimize import solve_optimal_mu, trace_iso_qber_surface
-from .sweep import NU1_BY_LOSS_DB, Axis, SweepSpec, _iter_records, run_sweep
+from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, SweepSpec, iter_blocks
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
 
@@ -103,27 +106,65 @@ def cmd_sweep(args) -> int:
     if scenario.sweep is None:
         raise ValidationError("sweep: section required for the sweep command")
     spec = scenario.sweep
-    with _open_output(args.output) as fh:
-        _write_sweep_csv(spec, _iter_records(spec), fh)
-    return 0
-
-
-def _write_sweep_csv(spec: SweepSpec, records, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
     header = list(spec.axis_names)
     if spec.mu_policy == "optimize-per-point":
         header.append("mu_opt")
     header.extend(spec.outputs)
     header.extend(("status", "reason"))
-    writer.writerow(header)
-    for record in records:
-        row = [_fmt(v) for v in record.axis_values]
-        if spec.mu_policy == "optimize-per-point":
-            row.append(_fmt(record.mu_opt))
-        row.extend(_fmt(v) for v in record.values)
-        row.append(record.status)
-        row.append(record.reason or "")
-        writer.writerow(row)
+    axis_cells = _axis_cells(spec.axes)
+    with _open_output(args.output) as fh:
+        fh.write(",".join(header) + "\n")
+        for block in iter_blocks(spec):
+            fh.write(_block_rows(block, axis_cells))
+    return 0
+
+
+def _float_cells(values: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
+    """``_fmt`` of each value, '' where ``missing``, formatting each distinct value once.
+
+    Values are told apart by their bits, not by ``==``: -0.0 and 0.0 print
+    differently.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [format(v, ".10g") for v in bits.view(np.float64).tolist()]
+    cells = np.array(texts, dtype=object)[inverse]
+    if missing is not None:
+        cells[missing] = ""
+    return cells
+
+
+def _axis_cells(axes: tuple[Axis, ...]) -> list[np.ndarray]:
+    """The CSV cells of every value of each axis, formatted once per sweep."""
+    return [_float_cells(np.asarray(ax.values())) for ax in axes]
+
+
+def _csv_field(text: str | None) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields: quoted only if it must be."""
+    if not text:
+        return ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
+
+
+def _block_rows(
+    block: SweepBlock, axis_cells: list[np.ndarray], lead: tuple[str, ...] = ()
+) -> str:
+    """CSV rows of the block's nodes, each prefixed by the cells ``lead``.
+
+    ``axis_cells`` holds the cells of the sweep's axis values (``_axis_cells``).
+    """
+    n = len(block.statuses)
+    columns = [[cell] * n for cell in lead]
+    columns.extend(cells[index].tolist() for cells, index in zip(axis_cells, block.axis_index))
+    if block.mu_opt is not None:
+        columns.append(_float_cells(*block.mu_opt).tolist())
+    columns.extend(_float_cells(values, missing).tolist() for values, missing in block.outputs)
+    # The statuses are fixed words that need no quoting.
+    columns.append(block.statuses)
+    quoted = {reason: _csv_field(reason) for reason in set(block.reasons)}
+    columns.append([quoted[reason] for reason in block.reasons])
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def cmd_contour(args) -> int:
@@ -193,20 +234,13 @@ def cmd_skr_vs_afterpulse(args) -> int:
             f"{args.pap_min!r}..{args.pap_max!r}"
         )
     axis = Axis("p_ap", args.pap_min, args.pap_max, args.points, "log")
+    header = (
+        "loss_db", "weak_decoy_nu1", "intrinsic_error", "p_ap", "mu_opt", "skr_lower",
+        "status", "reason",
+    )
+    axis_cells = _axis_cells((axis,))
     with _open_output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            (
-                "loss_db",
-                "weak_decoy_nu1",
-                "intrinsic_error",
-                "p_ap",
-                "mu_opt",
-                "skr_lower",
-                "status",
-                "reason",
-            )
-        )
+        fh.write(",".join(header) + "\n")
         for loss_db in sorted(NU1_BY_LOSS_DB):
             nu1 = NU1_BY_LOSS_DB[loss_db]
             for e_prime in PRESET_INTRINSIC_ERRORS:
@@ -219,19 +253,9 @@ def cmd_skr_vs_afterpulse(args) -> int:
                     outputs=("skr_lower",),
                     mu_policy="optimize-per-point",
                 )
-                for record in run_sweep(spec):
-                    writer.writerow(
-                        (
-                            _fmt(loss_db),
-                            _fmt(nu1),
-                            _fmt(e_prime),
-                            _fmt(record.axis_values[0]),
-                            _fmt(record.mu_opt),
-                            _fmt(record.values[0]),
-                            record.status,
-                            record.reason or "",
-                        )
-                    )
+                lead = (_fmt(loss_db), _fmt(nu1), _fmt(e_prime))
+                for block in iter_blocks(spec):
+                    fh.write(_block_rows(block, axis_cells, lead))
     return 0
 
 

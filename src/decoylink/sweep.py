@@ -158,6 +158,48 @@ class ResultRecord:
     reason: str | None = None
 
 
+def _with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
+    """``values`` as a list, with None where ``missing``."""
+    column = values.tolist()
+    for i in np.flatnonzero(missing).tolist():
+        column[i] = None
+    return column
+
+
+@dataclass(frozen=True)
+class SweepBlock:
+    """A run of consecutive grid nodes as columns, one entry per node.
+
+    The value of axis k at the nodes is ``axis_values[k][axis_index[k]]``:
+    ``axis_values`` holds every value of each axis, the same arrays in every
+    block. ``outputs`` holds, per requested metric, its float64 values and
+    the mask of the nodes where it has no value; ``mu_opt`` is the same pair
+    under optimize-per-point and None otherwise. Values under a mask are
+    meaningless.
+    """
+
+    axis_values: tuple[np.ndarray, ...]
+    axis_index: tuple[np.ndarray, ...]
+    outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    mu_opt: tuple[np.ndarray, np.ndarray] | None
+    statuses: list[str]
+    reasons: list[str | None]
+
+    def records(self) -> list[ResultRecord]:
+        """The block's nodes as ResultRecords, with None for masked values."""
+        n = len(self.statuses)
+        axis_values = (
+            zip(*(v[i].tolist() for v, i in zip(self.axis_values, self.axis_index)))
+            if self.axis_values else [()] * n
+        )
+        values = zip(*(_with_none(v, m) for v, m in self.outputs))
+        mu_opt = [None] * n if self.mu_opt is None else _with_none(*self.mu_opt)
+        return [
+            ResultRecord(*node)
+            for node in zip(axis_values, values, mu_opt, self.statuses, self.reasons)
+        ]
+
+
 def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
     """Fiber loss budget in dB for a span of the given length."""
     if distance_km < 0.0:
@@ -204,7 +246,7 @@ class _Grid:
 
     def __init__(self, spec: SweepSpec) -> None:
         receiver, channel = spec.receiver, spec.channel
-        self.values = [np.asarray(ax.values()) for ax in spec.axes]
+        self.values = tuple(np.asarray(ax.values()) for ax in spec.axes)
         self.shape = tuple(len(v) for v in self.values)
         self.size = math.prod(self.shape)
         self.base = {
@@ -249,7 +291,7 @@ class _Grid:
         return index, inputs
 
 
-def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[ResultRecord]:
+def _block(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> SweepBlock:
     n = len(nodes)
     index, x = grid.block(nodes)
     e0 = spec.receiver.background_error
@@ -267,8 +309,7 @@ def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[Resu
             reasons[int(i)] = _error_text(
                 model.baseline_error_change, float(x["e_prime"][i]), e0, float(x["p_ap"][i])
             )
-    mu_opt = None
-    no_key = None
+    search = None
     if spec.needs_link_model():
         for name in ("p_ap", "dark_count_prob"):
             if name in grid.rejected:
@@ -286,10 +327,9 @@ def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[Resu
         )
         for i, exc in search.errors.items():
             reasons.setdefault(i, str(exc))
-        mu_opt = search.mu.tolist()
-        for i in reasons:
-            mu_opt[i] = None
-        no_key = np.flatnonzero(~(search.skr > 0.0))
+        # A node the link model alone rejects keeps its mu_opt.
+        mu_missing = np.zeros(n, dtype=bool)
+        mu_missing[list(reasons)] = True
         table = search.table
     else:
         table = link_table(
@@ -309,22 +349,19 @@ def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[Resu
         if "baseline_error_change" in spec.outputs
         else len(spec.outputs)
     )
-    columns = []
+    never = np.zeros(n, dtype=bool)
+    outputs = []
     for j, name in enumerate(spec.outputs):
-        column = table.values[name].tolist()
         if name in SCALAR_METRICS:
-            missing = scalar_failed if j >= first_scalar_failure else None
+            missing = scalar_failed if j >= first_scalar_failure else never
         else:
             missing = failed | table.missing(name)
-        if missing is not None:
-            for i in np.flatnonzero(missing):
-                column[i] = None
-        columns.append(column)
+        outputs.append((table.values[name], missing))
 
     statuses = ["ok"] * n
     notes: list[str | None] = [None] * n
-    if no_key is not None:
-        for i in no_key:
+    if search is not None:
+        for i in np.flatnonzero(~(search.skr > 0.0)):
             notes[i] = NO_POSITIVE_KEY
     for i in np.flatnonzero(infeasible & ~failed):
         statuses[i] = "infeasible"
@@ -333,28 +370,21 @@ def _block_records(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> list[Resu
         statuses[i] = "model-domain-error"
         notes[i] = text
 
-    axis_values = [values[i].tolist() for values, i in zip(grid.values, index)]
-    return [
-        ResultRecord(
-            axis_values=node,
-            values=values,
-            mu_opt=None if mu_opt is None else mu_opt[i],
-            status=statuses[i],
-            reason=notes[i],
-        )
-        for i, (node, values) in enumerate(
-            zip(zip(*axis_values) if axis_values else [()] * n, zip(*columns))
-        )
-    ]
+    return SweepBlock(
+        axis_values=grid.values,
+        axis_index=index,
+        outputs=tuple(outputs),
+        mu_opt=None if search is None else (search.mu, mu_missing),
+        statuses=statuses,
+        reasons=notes,
+    )
 
 
-def _iter_records(spec: SweepSpec) -> Iterator[ResultRecord]:
-    """The records of ``run_sweep``, yielded one block of grid nodes at a time."""
+def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
+    """The grid nodes of ``run_sweep`` as columns, BLOCK_NODES nodes at a time."""
     grid = _Grid(spec)
     for start in range(0, grid.size, BLOCK_NODES):
-        yield from _block_records(
-            spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size))
-        )
+        yield _block(spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size)))
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
@@ -364,4 +394,4 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     call (or per lockstep optimizer run under optimize-per-point). Per-node
     failures are recorded in the node's status and never abort the sweep.
     """
-    return list(_iter_records(spec))
+    return [record for block in iter_blocks(spec) for record in block.records()]

@@ -1,9 +1,11 @@
 """Shared test helpers."""
+import csv
+import io
 import math
 
 import pytest
 
-from decoylink import DetectorUnit, ReceiverModel, qber_i, yield_i
+from decoylink import DetectorUnit, ReceiverModel, qber_i, run_sweep, yield_i
 
 
 def _poisson_mixture(receiver, channel, x):
@@ -46,3 +48,44 @@ def _random_receiver(rng):
 @pytest.fixture
 def random_receiver():
     return _random_receiver
+
+
+def _render_sweep(spec, lead=()):
+    """The ``sweep`` CSV rows of ``run_sweep(spec)``, each after the cells ``lead``.
+
+    Rendered without the CLI: ``csv.writer`` rows of ``format(v, '.10g')``,
+    with '' for None.
+    """
+    optimized = spec.mu_policy == "optimize-per-point"
+
+    def cell(value):
+        return "" if value is None else format(value, ".10g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for r in run_sweep(spec):
+        writer.writerow(
+            [*lead, *map(cell, r.axis_values), *[cell(r.mu_opt)] * optimized,
+             *map(cell, r.values), r.status, r.reason or ""]
+        )
+    return buf.getvalue()
+
+
+def _sweep_csv(spec):
+    """The whole ``sweep`` CSV of ``spec``, header included, rendered without the CLI."""
+    optimized = spec.mu_policy == "optimize-per-point"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [*spec.axis_names, *["mu_opt"] * optimized, *spec.outputs, "status", "reason"]
+    )
+    return buf.getvalue() + _render_sweep(spec)
+
+
+@pytest.fixture
+def render_sweep():
+    return _render_sweep
+
+
+@pytest.fixture
+def sweep_csv():
+    return _sweep_csv

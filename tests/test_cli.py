@@ -2,15 +2,25 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from decoylink import parse_scenario, scenario_to_dict
-from decoylink.cli import main
+from decoylink import (
+    Axis,
+    ChannelModel,
+    IntensitySet,
+    SweepSpec,
+    load_scenario,
+    parse_scenario,
+    scenario_to_dict,
+)
+from decoylink.cli import PRESET_INTRINSIC_ERRORS, main
 from decoylink.config import scenario_to_yaml
 from decoylink.errors import ValidationError
 from decoylink.optimize import dark_count_threshold
+from decoylink.sweep import BLOCK_NODES, NU1_BY_LOSS_DB
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -244,6 +254,111 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: io:")
         assert "/no/such/dir/x.csv" in err
+
+
+# Grids for the byte-identity gate, each with a check that it holds the case
+# it is there for.
+GATE_GRIDS = {
+    # ok, infeasible and model-domain-error nodes, reasons with commas, 3 axes
+    "statuses": (
+        """\
+channel: {loss_db: 40.0}
+intensities: {signal_mu: 0.48, weak_decoy_nu1: 0.038}
+sweep:
+  axes:
+    - {name: p_ap, min: 0.008, max: 1.5, count: 3}
+    - {name: dark_count_prob, min: 6.0e-7, max: 1.0, count: 2}
+    - {name: signal_mu, min: 0.038, max: 6.0, count: 3}
+  outputs: [e_detector, skr_lower, y1_lower, p_ap, e1_upper]
+""",
+        lambda rows: {row[-2] for row in rows} == {"ok", "infeasible", "model-domain-error"}
+        and any("," in row[-1] for row in rows),
+    ),
+    # baseline_error_change is -0 at p_ap = 0 when e' > e0 and 0 at e' = e0
+    "negative_zero": (
+        """\
+receiver: {intrinsic_error: 0.6}
+sweep:
+  axes:
+    - {name: p_ap, min: 0.0, max: 0.1, count: 3}
+    - {name: intrinsic_error, min: 0.4, max: 0.6, count: 3}
+  outputs: [baseline_error_change, e_detector]
+""",
+        lambda rows: {"0", "-0"} <= {row[2] for row in rows},
+    ),
+    # mu_opt on an ok node, on a node only the link model rejects, and absent
+    "optimize_per_point": (
+        """\
+channel: {loss_db: 5.0}
+intensities: {signal_mu: 2.0, weak_decoy_nu1: 0.038}
+sweep:
+  axes:
+    - {name: dark_count_prob, min: 0.0, max: 6.0e-7, count: 2}
+    - {name: weak_decoy_nu1, min: 0.0, max: 1.6, count: 5}
+  outputs: [skr_lower, q_mu]
+  mu_policy: optimize-per-point
+""",
+        lambda rows: {"no_positive_key", ""} <= {row[-1] for row in rows}
+        and any(row[2] and row[-2] == "model-domain-error" for row in rows)
+        and any(not row[2] for row in rows),
+    ),
+    "no_axes": (
+        """\
+receiver: {afterpulse_prob: 0.01}
+channel: {loss_db: 12.0}
+sweep:
+  outputs: [skr_lower, e_mu, visibility]
+""",
+        lambda rows: len(rows) == 1,
+    ),
+    # more than two blocks, the last one partial
+    "blocks": (
+        """\
+sweep:
+  axes:
+    - {name: p_ap, min: 1.0e-3, max: 1.2, count: 29, spacing: log}
+    - {name: loss_db, min: 0.0, max: 60.0, count: 31}
+  outputs: [skr_lower, e1_upper, baseline_error_change]
+""",
+        lambda rows: len(rows) > 2 * BLOCK_NODES and len(rows) % BLOCK_NODES != 0,
+    ),
+}
+
+
+class TestSweepBytes:
+    @pytest.mark.parametrize("name", GATE_GRIDS)
+    def test_equals_independent_rendering_of_records(self, tmp_path, sweep_csv, name):
+        text, covers = GATE_GRIDS[name]
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        data = out.read_bytes()
+        assert covers(list(csv.reader(io.StringIO(data.decode())))[1:])
+        assert data == sweep_csv(load_scenario(config).sweep).encode()
+
+    def test_preset_equals_independent_rendering_of_records(self, tmp_path, render_sweep):
+        out = tmp_path / "curves.csv"
+        argv = ["--points", "7", "--pap-min", "1e-3", "--pap-max", "0.6"]
+        assert main(["skr-vs-afterpulse", *argv, "--output", str(out)]) == 0
+        scenario = parse_scenario({})
+        axis = Axis("p_ap", 1e-3, 0.6, 7, "log")
+        expected = "loss_db,weak_decoy_nu1,intrinsic_error,p_ap,mu_opt,skr_lower,status,reason\n"
+        for loss_db, nu1 in sorted(NU1_BY_LOSS_DB.items()):
+            for e_prime in PRESET_INTRINSIC_ERRORS:
+                spec = SweepSpec(
+                    replace(scenario.receiver, intrinsic_error=e_prime),
+                    ChannelModel(transmission_loss_db=loss_db),
+                    IntensitySet(1.0, nu1),
+                    scenario.protocol,
+                    (axis,),
+                    ("skr_lower",),
+                    "optimize-per-point",
+                )
+                lead = (format(loss_db, ".10g"), format(nu1, ".10g"), format(e_prime, ".10g"))
+                expected += render_sweep(spec, lead)
+        data = out.read_text()
+        assert {"", "no_positive_key"} <= {row[7] for row in csv.reader(io.StringIO(data))}
+        assert data == expected
 
 
 CONTOUR_CONFIG = """\

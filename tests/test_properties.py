@@ -1,8 +1,12 @@
 """Model invariants over randomised inputs (hypothesis, derandomized)."""
 import math
+import os
+import tempfile
 from dataclasses import replace
+from unittest.mock import patch
 
-from hypothesis import given, settings
+import yaml
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from decoylink import (
@@ -11,17 +15,25 @@ from decoylink import (
     DecoyLinkError,
     DetectorUnit,
     IntensitySet,
+    ModelDomainError,
     ProtocolParams,
     ReceiverModel,
     SolverConfig,
     ValidationError,
     evaluate_link,
+    gain_total,
+    load_scenario,
     qber_i,
     qber_total,
+    run_sweep,
     trace_iso_qber_surface,
     yield_i,
 )
+from decoylink import model, sweep
+from decoylink.bounds import METRIC_NAMES
+from decoylink.cli import main
 from decoylink.optimize import DARK_COUNT_CAP
+from decoylink.sweep import MU_POLICIES
 
 # Fixed example sequence, so that every run tests the same inputs.
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -139,3 +151,108 @@ def test_decoy_bounds_enclose_single_photon_values(r, ch, mu, nu1):
         return
     assert metrics.estimate.y1_lower <= yield_i(r, ch, 1)
     assert metrics.estimate.e1_upper >= qber_i(r, ch, 1)
+
+
+@DETERMINISTIC
+@given(
+    receivers(p_ap=st.floats(0.0, 1.0)),
+    losses,
+    st.one_of(st.floats(0.9999, 1.0001), st.floats(0.98, 1.02), st.floats(0.2, 1.8)),
+    st.floats(0.01, 0.99),
+)
+def test_domain_error_exactly_when_gain_exceeds_one(r, ch, aimed_gain, decoy_fraction):
+    # mu is solved from a signal gain near aimed_gain, so that the gains fall
+    # on both sides of 1 and close to it
+    aimed = (aimed_gain - model.yield_background(r)) / (1.0 + model.aggregate_afterpulse(r))
+    mu = -math.log1p(-min(aimed, 0.999)) / model.transmittance(r, ch)
+    nu1 = decoy_fraction * mu
+
+    def gain(x):
+        # gain_total's closed form, without its check
+        detected = -math.expm1(-model.transmittance(r, ch) * x)
+        return model.yield_background(r) + detected * (1.0 + model.aggregate_afterpulse(r))
+
+    exceeds = [gain(x) > 1.0 for x in (mu, nu1)]
+    for x, above in zip((mu, nu1), exceeds):
+        if not above:
+            assert gain_total(r, ch, x) == gain(x)
+    try:
+        evaluate_link(r, ch, IntensitySet(mu, nu1), ProtocolParams())
+    except ModelDomainError:
+        assert any(exceeds)
+    else:
+        assert not any(exceeds)
+
+
+# Axis ranges reach past the model's domain, so that sweeps hold every status.
+AXIS_RANGES = {
+    "p_ap": (0.0, 1.5),
+    "loss_db": (0.0, 60.0),
+    "distance_km": (0.0, 250.0),
+    "intrinsic_error": (0.0, 0.6),
+    "dark_count_prob": (0.0, 1.0),
+    "signal_mu": (0.01, 8.0),
+    "weak_decoy_nu1": (0.0, 1.0),
+}
+
+
+@st.composite
+def sweep_configs(draw):
+    """A scenario with a sweep of up to 3 short axes, as a config dict."""
+    axes = []
+    names = draw(st.permutations(tuple(AXIS_RANGES)))[:draw(st.integers(0, 3))]
+    for name in names:
+        low, high = sorted(draw(st.lists(st.floats(*AXIS_RANGES[name]), min_size=2, max_size=2)))
+        log = low > 0.0 and draw(st.booleans())
+        axes.append({
+            "name": name, "min": low, "max": high, "count": draw(st.integers(1, 4)),
+            "spacing": "log" if log else "linear",
+        })
+    return {
+        "receiver": {
+            "num_detectors": draw(st.integers(1, 4)),
+            "afterpulse_prob": draw(st.floats(0.0, 0.2)),
+            "dark_count_prob_total": draw(st.floats(0.0, 1e-5)),
+            "intrinsic_error": draw(st.floats(0.0, 0.6)),
+            "detector_efficiency": draw(st.floats(0.01, 1.0)),
+        },
+        "channel": {"loss_db": draw(st.floats(0.0, 70.0))},
+        "intensities": {
+            "signal_mu": draw(st.floats(0.2, 6.0)),
+            "weak_decoy_nu1": draw(st.floats(0.001, 0.12)),
+        },
+        "sweep": {
+            "axes": axes,
+            "outputs": draw(st.lists(st.sampled_from(METRIC_NAMES), min_size=1, max_size=6,
+                                     unique=True)),
+            "mu_policy": draw(st.sampled_from(MU_POLICIES)),
+        },
+    }
+
+
+@settings(DETERMINISTIC, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sweep_configs())
+def test_sweep_deterministic_and_independent_of_block_size(sweep_csv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        try:
+            spec = load_scenario(path).sweep
+        except ValidationError:
+            assume(False)
+        out = os.path.join(tmp, "out.csv")
+
+        def csv_bytes(block_nodes):
+            with patch.object(sweep, "BLOCK_NODES", block_nodes):
+                assert main(["sweep", "--config", path, "--output", out]) == 0
+            with open(out, "rb") as fh:
+                return fh.read()
+
+        # reprs, since NaN != NaN: a subnormal weak_decoy_nu1 gives NaN bounds
+        assert repr(run_sweep(spec)) == repr(run_sweep(spec))
+        first = csv_bytes(sweep.BLOCK_NODES)
+        assert first == sweep_csv(spec).encode()
+        assert csv_bytes(sweep.BLOCK_NODES) == first
+        assert csv_bytes(1) == first
+        assert csv_bytes(7) == first
