@@ -3,14 +3,17 @@
 The scalar functions are the closed forms, one operating point per call.
 ``link_table`` evaluates the same closed forms with numpy over a 1-D array of
 operating points; it is the one evaluation path of ``evaluate_link``, the
-sweeps and the intensity optimizer.
+sweeps and the intensity optimizer. ``Grid`` turns the value types and a
+grid's axis values into its per-node inputs, for every caller (the sweeps,
+the iso-QBER contour and the one-node calls). ``gain_and_qber`` is the array
+gain and QBER that ``link_table`` and the threshold bisection share.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -90,18 +93,20 @@ def estimate_single_photon(
         e1 <= [E_nu1 Q_nu1 e^nu1 - e0 y0] / (Y1_lower nu1)
 
     and Q1_lower = Y1_lower mu e^-mu. Bounds outside [0, 1] are clamped and
-    flagged; a nonpositive yield bound raises EstimationInfeasibleError.
+    flagged; a yield bound that is not positive and finite (nan or inf for a
+    weak decoy too faint to resolve) raises EstimationInfeasibleError.
     """
     check_decoy_pair(mu, nu1)
-    y1 = (mu / (mu * nu1 - nu1 * nu1)) * (
+    # a nu1 so small that mu nu1 - nu1^2 underflows to 0 leaves the bound undefined
+    y1 = (mu / ((mu * nu1 - nu1 * nu1) or math.nan)) * (
         q_nu1 * math.exp(nu1)
         - q_mu * math.exp(mu) * (nu1 * nu1) / (mu * mu)
         - (mu * mu - nu1 * nu1) / (mu * mu) * y0
     )
-    if y1 <= 0.0:
+    if not 0.0 < y1 < math.inf:
         raise EstimationInfeasibleError(
-            f"single-photon yield bound is nonpositive ({y1!r}); "
-            "link too noisy for a positive key"
+            f"single-photon yield bound {y1!r} is not positive and finite; "
+            "link too noisy, or weak decoy too faint, for a positive key"
         )
     clamped = False
     if y1 > 1.0:
@@ -244,6 +249,22 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
     return np.where((x > 0.0) & (x < 1.0), h, 0.0)
 
 
+def gain_and_qber(
+    background: np.ndarray | float,
+    signal: np.ndarray,
+    signal_error: np.ndarray,
+    e0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total gain and QBER from background and signal terms, in ``qber_total``'s order.
+
+    ``background`` is the background yield (1 + p_ap) p_dc, ``signal`` the
+    signal gain (1 - exp(-eta mu)) (1 + p_ap) and ``signal_error`` its
+    erroneous part (e' + e0 p_ap)(1 - exp(-eta mu)).
+    """
+    gain = background + signal
+    return gain, (e0 * background + signal_error) / gain
+
+
 @dataclass(frozen=True)
 class LinkTable:
     """Every metric of METRIC_NAMES at a 1-D array of operating points (nodes).
@@ -253,9 +274,9 @@ class LinkTable:
     the nodes where ``gain_total``, ``qber_total`` or
     ``estimate_single_photon`` raise (a gain outside (0, 1], or a decoy pair
     outside 0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
-    ``infeasible`` nodes decoy estimation found no positive
-    single-photon yield: the estimate metrics and ``skr_raw`` are undefined
-    and ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
+    ``infeasible`` nodes the single-photon yield bound is not positive and
+    finite: the estimate metrics and ``skr_raw`` are undefined and
+    ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
     """
 
     values: dict[str, np.ndarray]
@@ -328,11 +349,9 @@ def link_table(
         y0 = amp * p_dc
         detected_mu = -_libm(math.expm1, -eta * mu)
         detected_nu1 = -_libm(math.expm1, -eta * nu1)
-        q_mu = y0 + detected_mu * amp
-        q_nu1 = y0 + detected_nu1 * amp
         signal_error = e_prime + e0 * p_ap
-        e_mu = (e0 * y0 + signal_error * detected_mu) / q_mu
-        e_nu1 = (e0 * y0 + signal_error * detected_nu1) / q_nu1
+        q_mu, e_mu = gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
+        q_nu1, e_nu1 = gain_and_qber(y0, detected_nu1 * amp, signal_error * detected_nu1, e0)
         e_det = signal_error / amp
 
         exp_nu1 = _libm(math.exp, nu1)
@@ -357,7 +376,7 @@ def link_table(
     gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | (q_nu1 > 1.0) | (q_nu1 <= 0.0)
     decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
     domain_error = gain_error | decoy_error
-    infeasible = ~domain_error & (y1 <= 0.0)
+    infeasible = ~domain_error & ~((y1 > 0.0) & (y1 < math.inf))
     values = {
         "p_ap": p_ap,
         "e_detector": e_det,
@@ -387,6 +406,113 @@ def link_table(
     )
 
 
+def error_text(build: Callable, *args) -> str:
+    """The message of the DecoyLinkError that ``build(*args)`` raises."""
+    try:
+        build(*args)
+    except DecoyLinkError as exc:
+        return str(exc)
+    raise AssertionError(f"{build.__name__}{args!r} accepted a node its mask rejected")
+
+
+def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
+    """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``."""
+    weights = [1.0 + det.bias for det in receiver.detectors]
+    return np.array([math.fsum(w * v for w in weights) / len(weights) for v in p.tolist()])
+
+
+class Grid:
+    """Value types and axis values turned into per-node inputs of ``link_table``.
+
+    ``intensities`` maps those of ``mu`` and ``nu1`` the caller needs to their
+    base values, and ``axes`` is a sequence of (axis name, values) pairs. The
+    nodes are the points of the axes' product in row-major order (first axis
+    outermost), one node for no axes. Each axis sets one kernel input,
+    computed once per axis value; the other inputs come from the value types.
+    Axis values that the model's value types reject are kept with the
+    validator's message.
+    """
+
+    _INPUT_OF_AXIS = {
+        "p_ap": "p_ap",
+        "intrinsic_error": "e_prime",
+        "dark_count_prob": "p_dc",
+        "loss_db": "eta",
+        "distance_km": "eta",
+        "signal_mu": "mu",
+        "weak_decoy_nu1": "nu1",
+    }
+
+    def __init__(
+        self,
+        receiver: model.ReceiverModel,
+        channel: model.ChannelModel,
+        intensities: dict[str, float],
+        axes: Iterable[tuple[str, Iterable[float]]],
+    ) -> None:
+        axes = tuple(axes)
+        self.values = tuple(np.asarray(values, dtype=float) for _, values in axes)
+        self.shape = tuple(len(v) for v in self.values)
+        self.size = math.prod(self.shape)
+        # kernel input name -> its value at every node no axis sets
+        self.base = {
+            "p_ap": model.aggregate_afterpulse(receiver),
+            "e_prime": receiver.intrinsic_error,
+            "p_dc": receiver.dark_count_prob_total,
+            "eta": model.transmittance(receiver, channel),
+            **intensities,
+        }
+        # kernel input name -> (axis position, value per axis value)
+        self.inputs: dict[str, tuple[int, np.ndarray]] = {}
+        # axis name -> (axis position, {axis value index: validation message})
+        self.rejected: dict[str, tuple[int, dict[int, str]]] = {}
+        for pos, ((name, _), values) in enumerate(zip(axes, self.values)):
+            per_value, bad = values, None
+            if name == "p_ap":
+                per_value = _afterpulse_at(receiver, values)
+                bad = ~((values >= 0.0) & (values <= 1.0))
+                build = lambda v: replace(receiver.detectors[0], afterpulse_prob=v)
+            elif name == "intrinsic_error":
+                bad = ~((values >= 0.0) & (values <= 1.0))
+                build = lambda v: replace(receiver, intrinsic_error=v)
+            elif name == "dark_count_prob":
+                bad = ~((values >= 0.0) & (values < 1.0))
+                build = lambda v: replace(receiver, dark_count_prob_total=v)
+            elif name in ("loss_db", "distance_km"):
+                losses = values if name == "loss_db" else channel.attenuation_db_per_km * values
+                per_value = np.array([
+                    model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
+                    for loss in losses.tolist()
+                ])
+            self.inputs[self._INPUT_OF_AXIS[name]] = (pos, per_value)
+            if bad is not None:
+                self.rejected[name] = (pos, {
+                    int(i): error_text(build, float(values[i])) for i in np.flatnonzero(bad)
+                })
+
+    def block(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+        """Axis value indices and kernel inputs of the given flat node indices."""
+        index = np.unravel_index(nodes, self.shape) if self.shape else ()
+        inputs = {name: np.full(len(nodes), value) for name, value in self.base.items()}
+        for name, (pos, per_value) in self.inputs.items():
+            inputs[name] = per_value[index[pos]]
+        return index, inputs
+
+    def rejections(self, index: tuple[np.ndarray, ...], names: Iterable[str]) -> dict[int, str]:
+        """Node -> message of the first of the axes ``names`` whose value the model rejects.
+
+        ``index`` holds the nodes' axis value indices, as ``block`` returns
+        them; a node is keyed by its position in them.
+        """
+        found: dict[int, str] = {}
+        for name in names:
+            if name in self.rejected:
+                pos, texts = self.rejected[name]
+                for i in np.flatnonzero(np.isin(index[pos], list(texts))).tolist():
+                    found.setdefault(i, texts[int(index[pos][i])])
+        return found
+
+
 def node_table(
     receiver: model.ReceiverModel,
     channel: model.ChannelModel,
@@ -394,16 +520,9 @@ def node_table(
     protocol: model.ProtocolParams,
 ) -> LinkTable:
     """``link_table`` at one operating point; raises what the scalar model raises there."""
-    table = link_table(
-        np.array([model.aggregate_afterpulse(receiver)]),
-        np.array([receiver.intrinsic_error]),
-        np.array([receiver.dark_count_prob_total]),
-        np.array([model.transmittance(receiver, channel)]),
-        np.array([intensities.signal_mu]),
-        np.array([intensities.weak_decoy_nu1]),
-        receiver.background_error,
-        protocol,
-    )
+    base = {"mu": intensities.signal_mu, "nu1": intensities.weak_decoy_nu1}
+    _, x = Grid(receiver, channel, base, ()).block(np.arange(1))
+    table = link_table(**x, background_error=receiver.background_error, protocol=protocol)
     if table.domain_error[0]:
         raise table.error(0)
     return table

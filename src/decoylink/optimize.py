@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .bounds import LinkTable, binary_entropy, link_table
+from .bounds import Grid, LinkTable, binary_entropy, gain_and_qber, link_table
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -293,15 +293,9 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
+    _, x = Grid(receiver, channel, {"nu1": nu1}, ()).block(np.arange(1))
     search = maximize_nodes(
-        np.array([model.aggregate_afterpulse(receiver)]),
-        np.array([receiver.intrinsic_error]),
-        np.array([receiver.dark_count_prob_total]),
-        np.array([model.transmittance(receiver, channel)]),
-        np.array([nu1]),
-        receiver.background_error,
-        protocol,
-        config,
+        **x, background_error=receiver.background_error, protocol=protocol, config=config
     )
     if search.errors:
         raise search.errors[0]
@@ -312,19 +306,6 @@ def maximize_skr_over_mu(
     if not skr > 0.0:
         return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY, converged, iterations)
     return MaximizeResult(mu, skr, None, converged, iterations)
-
-
-def _gain_and_qber(
-    one_p: np.ndarray,
-    signal: np.ndarray,
-    signal_error: np.ndarray,
-    background_error: float,
-    p_dc: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``gain_total`` and ``qber_total`` at dark-count level ``p_dc``, in their operation order."""
-    background = one_p * p_dc
-    gain = background + signal
-    return gain, (background_error * background + signal_error) / gain
 
 
 def threshold_nodes(
@@ -351,8 +332,8 @@ def threshold_nodes(
     signal = detected * one_p
     signal_error = (e_prime + e0 * p_ap) * detected
     with np.errstate(divide="ignore", invalid="ignore"):
-        floor_gain, floor = _gain_and_qber(one_p, signal, signal_error, e0, 0.0)
-        cap_gain, ceiling = _gain_and_qber(one_p, signal, signal_error, e0, DARK_COUNT_CAP)
+        floor_gain, floor = gain_and_qber(0.0, signal, signal_error, e0)
+        cap_gain, ceiling = gain_and_qber(one_p * DARK_COUNT_CAP, signal, signal_error, e0)
     floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
     infeasible = ~floor_error & (floor > target_qber)
     failed = floor_error | (~infeasible & ((cap_gain > 1.0) | (ceiling < target_qber)))
@@ -376,7 +357,7 @@ def threshold_nodes(
     lo = np.zeros(len(rows))
     hi = np.full(len(rows), DARK_COUNT_CAP)
     mid = 0.5 * (lo + hi)
-    _, qber = _gain_and_qber(one_p, signal, signal_error, e0, mid)
+    _, qber = gain_and_qber(one_p * mid, signal, signal_error, e0)
     for step in range(config.max_iterations):
         done = np.abs(qber - target_qber) < config.abs_tolerance
         if np.count_nonzero(done):
@@ -393,7 +374,7 @@ def threshold_nodes(
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
-        _, qber = _gain_and_qber(one_p, signal, signal_error, e0, mid)
+        _, qber = gain_and_qber(one_p * mid, signal, signal_error, e0)
     dark_count[rows], achieved[rows], iterations[rows] = mid, qber, config.max_iterations
     return ThresholdSearch(
         dark_count=dark_count,
@@ -416,59 +397,38 @@ def trace_iso_qber_surface(
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
     Nodes are returned in row-major order (p_ap outer, intrinsic_error
-    inner). The afterpulse aggregation and the transmittance are computed
-    once per axis value, then ``threshold_nodes`` solves all nodes at once.
-    A node the scalar model rejects raises its exception, and the first such
-    node in row-major order is the one reported.
+    inner). ``bounds.Grid`` builds every node's inputs, then
+    ``threshold_nodes`` solves all nodes at once. A node the scalar model
+    rejects raises its exception, and the first such node in row-major order
+    is the one reported (at one node, a rejected p_ap before a rejected
+    intrinsic_error).
     """
     if not 0.0 < target_qber < 0.5:
         raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
     if mean_photon <= 0.0:
         raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
-    channel = model.ChannelModel(transmission_loss_db=loss_db)
-    eta = model.transmittance(receiver_template, channel)
-    detected = -math.expm1(-eta * mean_photon)
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
-
-    # Per axis value: the receiver's validation error, if any, and the
-    # aggregated afterpulse probability.
-    rejected_p: dict[int, ValidationError] = {}
-    afterpulse = np.full(len(p_values), math.nan)
-    for i, p in enumerate(p_values):
-        try:
-            detectors = tuple(
-                replace(det, afterpulse_prob=p) for det in receiver_template.detectors
-            )
-        except ValidationError as exc:
-            rejected_p[i] = exc
-            continue
-        afterpulse[i] = model.aggregate_afterpulse(
-            replace(receiver_template, detectors=detectors)
-        )
-    rejected_e: dict[int, ValidationError] = {}
-    for j, e in enumerate(e_values):
-        try:
-            replace(receiver_template, intrinsic_error=e)
-        except ValidationError as exc:
-            rejected_e[j] = exc
-
+    grid = Grid(
+        receiver_template,
+        model.ChannelModel(transmission_loss_db=loss_db),
+        {},
+        (("p_ap", p_values), ("intrinsic_error", e_values)),
+    )
+    detected = -math.expm1(-grid.base["eta"] * mean_photon)
+    index, x = grid.block(np.arange(grid.size))
+    rejected = grid.rejections(index, ("p_ap", "intrinsic_error"))
     # Nodes past the first rejected one in row-major order are never reached.
-    n_p, n_e = len(p_values), len(e_values)
-    rejected = np.zeros((n_p, n_e), dtype=bool)
-    rejected[list(rejected_p), :] = True
-    rejected[:, list(rejected_e)] = True
-    reached = int(np.argmax(rejected)) if rejected.any() else rejected.size
+    reached = min(rejected, default=grid.size)
     search = threshold_nodes(
-        np.repeat(afterpulse, n_e)[:reached],
-        np.tile(np.asarray(e_values, dtype=float), n_p)[:reached],
+        x["p_ap"][:reached],
+        x["e_prime"][:reached],
         detected,
         target_qber,
         receiver_template.background_error,
         config,
     )
-    if reached < rejected.size:
-        i, j = divmod(reached, n_e)
-        raise rejected_p[i] if i in rejected_p else rejected_e[j]
+    if reached < grid.size:
+        raise ValidationError(rejected[reached])
 
     nodes = zip(
         ((p, e) for p in p_values for e in e_values),

@@ -1,8 +1,7 @@
 """Scenario engine: evaluate link metrics over parameter grids."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -13,9 +12,11 @@ from .bounds import (
     LINK_METRICS,
     METRIC_NAMES,
     SCALAR_METRICS,
+    Grid,
+    error_text,
     link_table,
 )
-from .errors import DecoyLinkError, ValidationError
+from .errors import ValidationError
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
 
 MAX_GRID_POINTS = 1_000_000
@@ -211,87 +212,7 @@ def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
     return attenuation_db_per_km * distance_km
 
 
-def _error_text(build, *args) -> str:
-    """The message of the DecoyLinkError that ``build(*args)`` raises."""
-    try:
-        build(*args)
-    except DecoyLinkError as exc:
-        return str(exc)
-    raise AssertionError(f"{build.__name__}{args!r} accepted a node its mask rejected")
-
-
-def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
-    """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``."""
-    weights = [1.0 + det.bias for det in receiver.detectors]
-    return np.array([math.fsum(w * v for w in weights) / len(weights) for v in p.tolist()])
-
-
-class _Grid:
-    """A sweep's axes turned into per-node inputs of ``link_table``.
-
-    Each axis sets one kernel input, computed once per axis value; the other
-    inputs come from the spec's base operating point. Axis values that the
-    model's value types reject are kept with the validator's message.
-    """
-
-    _INPUT_OF_AXIS = {
-        "p_ap": "p_ap",
-        "intrinsic_error": "e_prime",
-        "dark_count_prob": "p_dc",
-        "loss_db": "eta",
-        "distance_km": "eta",
-        "signal_mu": "mu",
-        "weak_decoy_nu1": "nu1",
-    }
-
-    def __init__(self, spec: SweepSpec) -> None:
-        receiver, channel = spec.receiver, spec.channel
-        self.values = tuple(np.asarray(ax.values()) for ax in spec.axes)
-        self.shape = tuple(len(v) for v in self.values)
-        self.size = math.prod(self.shape)
-        self.base = {
-            "p_ap": model.aggregate_afterpulse(receiver),
-            "e_prime": receiver.intrinsic_error,
-            "p_dc": receiver.dark_count_prob_total,
-            "eta": model.transmittance(receiver, channel),
-            "mu": spec.intensities.signal_mu,
-            "nu1": spec.intensities.weak_decoy_nu1,
-        }
-        # kernel input name -> (axis position, value per axis value)
-        self.inputs: dict[str, tuple[int, np.ndarray]] = {}
-        # axis name -> (axis position, {axis value index: validation message})
-        self.rejected: dict[str, tuple[int, dict[int, str]]] = {}
-        for pos, (ax, values) in enumerate(zip(spec.axes, self.values)):
-            per_value, bad = values, None
-            if ax.name == "p_ap":
-                per_value = _afterpulse_at(receiver, values)
-                bad = ~((values >= 0.0) & (values <= 1.0))
-                build = lambda v: replace(receiver.detectors[0], afterpulse_prob=v)
-            elif ax.name == "dark_count_prob":
-                bad = ~((values >= 0.0) & (values < 1.0))
-                build = lambda v: replace(receiver, dark_count_prob_total=v)
-            elif ax.name in ("loss_db", "distance_km"):
-                losses = values if ax.name == "loss_db" else channel.attenuation_db_per_km * values
-                per_value = np.array([
-                    model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
-                    for loss in losses.tolist()
-                ])
-            self.inputs[self._INPUT_OF_AXIS[ax.name]] = (pos, per_value)
-            if bad is not None:
-                self.rejected[ax.name] = (pos, {
-                    int(i): _error_text(build, float(values[i])) for i in np.flatnonzero(bad)
-                })
-
-    def block(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
-        """Axis value indices and kernel inputs of the given flat node indices."""
-        index = np.unravel_index(nodes, self.shape) if self.shape else ()
-        inputs = {name: np.full(len(nodes), value) for name, value in self.base.items()}
-        for name, (pos, per_value) in self.inputs.items():
-            inputs[name] = per_value[index[pos]]
-        return index, inputs
-
-
-def _block(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> SweepBlock:
+def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     n = len(nodes)
     index, x = grid.block(nodes)
     e0 = spec.receiver.background_error
@@ -306,20 +227,16 @@ def _block(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> SweepBlock:
     if "baseline_error_change" in spec.outputs:
         scalar_failed = x["e_prime"] == 0.0
         for i in np.flatnonzero(scalar_failed):
-            reasons[int(i)] = _error_text(
+            reasons[int(i)] = error_text(
                 model.baseline_error_change, float(x["e_prime"][i]), e0, float(x["p_ap"][i])
             )
     search = None
     if spec.needs_link_model():
-        for name in ("p_ap", "dark_count_prob"):
-            if name in grid.rejected:
-                pos, texts = grid.rejected[name]
-                for i, value_index in enumerate(index[pos].tolist()):
-                    if value_index in texts:
-                        reasons.setdefault(i, texts[value_index])
+        for i, text in grid.rejections(index, ("p_ap", "dark_count_prob")).items():
+            reasons.setdefault(i, text)
         for i in np.flatnonzero(~(x["nu1"] < x["mu"])):
             reasons.setdefault(
-                int(i), _error_text(model.IntensitySet, float(x["mu"][i]), float(x["nu1"][i]))
+                int(i), error_text(model.IntensitySet, float(x["mu"][i]), float(x["nu1"][i]))
             )
     if spec.mu_policy == "optimize-per-point":
         search = maximize_nodes(
@@ -332,9 +249,7 @@ def _block(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> SweepBlock:
         mu_missing[list(reasons)] = True
         table = search.table
     else:
-        table = link_table(
-            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["mu"], x["nu1"], e0, spec.protocol
-        )
+        table = link_table(**x, background_error=e0, protocol=spec.protocol)
     infeasible = np.zeros(n, dtype=bool)
     if spec.needs_link_model():
         for i in np.flatnonzero(table.domain_error):
@@ -382,7 +297,12 @@ def _block(spec: SweepSpec, grid: _Grid, nodes: np.ndarray) -> SweepBlock:
 
 def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
     """The grid nodes of ``run_sweep`` as columns, BLOCK_NODES nodes at a time."""
-    grid = _Grid(spec)
+    grid = Grid(
+        spec.receiver,
+        spec.channel,
+        {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1},
+        ((ax.name, ax.values()) for ax in spec.axes),
+    )
     for start in range(0, grid.size, BLOCK_NODES):
         yield _block(spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size)))
 

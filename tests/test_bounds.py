@@ -44,6 +44,12 @@ def channel(loss_db):
     return ChannelModel(transmission_loss_db=loss_db)
 
 
+# Weak decoys (nu1, p_dc) so faint that the yield bound is not a finite
+# number at mu = 0.48 and 10 dB: nan at 1e-310; nan through a zero
+# denominator mu nu1 - nu1^2 at 5e-324; inf at 1e-310 without dark counts.
+FAINT_DECOYS = [(1e-310, 6e-7), (5e-324, 6e-7), (1e-310, 0.0)]
+
+
 def oracle_h2(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -158,6 +164,18 @@ class TestEstimateSinglePhoton:
         # weak-decoy gain far below the signal's multiphoton share
         with pytest.raises(EstimationInfeasibleError):
             estimate_single_photon(0.5, 0.02, 1e-9, 0.02, 1e-9, 0.6, 0.05)
+        for nu1, p_dc in FAINT_DECOYS:
+            r, ch = receiver(p_dc=p_dc), channel(10.0)
+            with pytest.raises(EstimationInfeasibleError, match="not positive and finite"):
+                estimate_single_photon(
+                    gain_total(r, ch, 0.48),
+                    qber_total(r, ch, 0.48),
+                    gain_total(r, ch, nu1),
+                    qber_total(r, ch, nu1),
+                    yield_background(r),
+                    0.48,
+                    nu1,
+                )
 
     def test_clamping_flagged(self):
         est = estimate_single_photon(0.9, 0.02, 0.89, 0.02, 0.0, 1.0, 0.5)
@@ -307,14 +325,19 @@ class TestEvaluateLink:
 
     def test_infeasible_link_reports_reason(self):
         # an overdriven signal on a lossy link: the multiphoton share of the
-        # signal gain swamps the weak decoy and the yield bound goes negative
-        metrics = evaluate_link(
-            receiver(0.0), channel(40.0), IntensitySet(6.0, 0.038), self.PROTOCOL
-        )
-        assert metrics.reason == "estimation_infeasible"
-        assert metrics.estimate is None
-        assert metrics.skr_raw is None
-        assert metrics.skr_lower == 0.0
+        # signal gain swamps the weak decoy and the yield bound goes negative;
+        # then the weak decoys whose bound is nan or inf
+        cases = [(receiver(0.0), channel(40.0), IntensitySet(6.0, 0.038))]
+        cases += [
+            (receiver(p_dc=p_dc), channel(10.0), IntensitySet(0.48, nu1))
+            for nu1, p_dc in FAINT_DECOYS
+        ]
+        for r, ch, intensities in cases:
+            metrics = evaluate_link(r, ch, intensities, self.PROTOCOL)
+            assert metrics.reason == "estimation_infeasible"
+            assert metrics.estimate is None
+            assert metrics.skr_raw is None
+            assert metrics.skr_lower == 0.0
 
     def test_physical_ranges(self):
         rng = random.Random(17)

@@ -323,12 +323,21 @@ class TestTraceIsoQberSurface:
 
     def test_first_failing_node_in_row_major_order_raises(self):
         # messages generated from the scalar per-node bisection
-        intrinsic = "intrinsic_error must be in [0, 1], got 1.5"
-        with pytest.raises(ValidationError, match=re.escape(intrinsic)):
+        intrinsic = "intrinsic_error must be in [0, 1], got "
+        with pytest.raises(ValidationError, match=re.escape(intrinsic + "1.5")):
             trace_iso_qber_surface((0.0, 0.01), (0.02, 1.5), 10.5, 0.09, receiver(), 0.48)
         # node (0, 1) fails before the rejected p_ap of row 1
-        with pytest.raises(ValidationError, match=re.escape(intrinsic)):
+        with pytest.raises(ValidationError, match=re.escape(intrinsic + "1.5")):
             trace_iso_qber_surface((0.0, 1.5), (0.02, 1.5), 10.5, 0.09, receiver(), 0.48)
+        # both rejected at node (0, 0): p_ap's message comes first
+        afterpulse = "afterpulse_prob must be in [0, 1], got "
+        with pytest.raises(ValidationError, match=re.escape(afterpulse + "1.5")):
+            trace_iso_qber_surface((1.5, 0.0), (-0.1, 0.02), 10.5, 0.09, receiver(), 0.48)
+        # a NaN on either axis is rejected by that axis's validator
+        with pytest.raises(ValidationError, match=re.escape(afterpulse + "nan")):
+            trace_iso_qber_surface((0.0, math.nan), (0.02,), 10.5, 0.09, receiver(), 0.48)
+        with pytest.raises(ValidationError, match=re.escape(intrinsic + "nan")):
+            trace_iso_qber_surface((0.0,), (0.02, math.nan), 10.5, 0.09, receiver(), 0.48)
         # a gain of 0.95 without dark counts and 1.05 at the search cap
         with pytest.raises(ModelDomainError, match=re.escape("total gain 1.05 exceeds 1")):
             trace_iso_qber_surface(

@@ -266,17 +266,21 @@ class TestRunSweep:
         assert all(r.reason == "no_positive_key" for r in records)
 
     def test_infeasible_estimation_recorded_per_point(self):
-        spec = base_spec(
-            [Axis("signal_mu", 0.48, 6.0, 2)],
-            outputs=("skr_lower", "y1_lower"),
-            loss_db=40.0,
-        )
-        records = run_sweep(spec)
-        assert records[0].status == "ok"
-        assert records[1].status == "infeasible"
-        assert records[1].reason == "estimation_infeasible"
-        assert records[1].values[0] == 0.0
-        assert records[1].values[1] is None
+        # an overdriven signal at 40 dB, then weak decoys so faint at 10 dB
+        # that the yield bound is nan (5e-324, 1e-310) next to a usable one
+        cases = [
+            (Axis("signal_mu", 0.48, 6.0, 2), 40.0, ["ok", "infeasible"]),
+            (Axis("weak_decoy_nu1", 5e-324, 1e-310, 2), 10.0, ["infeasible"] * 2),
+            (Axis("weak_decoy_nu1", 1e-310, 0.05, 2), 10.0, ["infeasible", "ok"]),
+        ]
+        for axis, loss_db, statuses in cases:
+            spec = base_spec([axis], outputs=("skr_lower", "y1_lower"), loss_db=loss_db)
+            records = run_sweep(spec)
+            assert [record.status for record in records] == statuses
+            for record in records:
+                if record.status == "infeasible":
+                    assert record.reason == "estimation_infeasible"
+                    assert record.values == (0.0, None)
 
     # Expected (status, reason, cells present, mu_opt present) per node,
     # written out from the per-node scalar implementation this engine replaced.
