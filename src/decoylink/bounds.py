@@ -1,16 +1,16 @@
 """Weak+vacuum single-photon estimation and secure-key-rate bounds.
 
-The scalar functions are the closed forms, one operating point per call.
-``link_table`` evaluates the same closed forms with numpy over a 1-D array of
-operating points; it is the one evaluation path of ``evaluate_link``, the
-sweeps and the intensity optimizer. ``Grid`` turns the value types and a
-grid's axis values into its per-node inputs, for every caller (the sweeps,
-the iso-QBER contour and the one-node calls). ``gain_and_qber`` is the array
-gain and QBER that ``link_table`` and the threshold bisection share.
+Each closed form is written once, as a private function over floats or
+numpy arrays. The scalar functions run them on floats after their checks,
+and ``evaluate_link`` runs the scalar functions at one operating point.
+``link_table`` runs the same closed forms over a 1-D array of operating
+points for the sweeps and the intensity optimizer. ``Grid`` turns the value
+types and a grid's axis values into the per-node inputs of ``link_table``.
 """
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -41,7 +41,7 @@ LINK_METRICS = (
 METRIC_NAMES = SCALAR_METRICS + LINK_METRICS
 # Link metrics that exist only when decoy estimation is feasible.
 _ESTIMATE_METRICS = ("y1_lower", "e1_upper", "q1_lower", "skr_raw")
-# Reason reported when decoy estimation finds no positive single-photon yield.
+# Reason reported when decoy estimation cannot resolve a positive single-photon yield.
 ESTIMATION_INFEASIBLE = "estimation_infeasible"
 
 # Validity guards for the low-noise, high-loss key-rate approximation.
@@ -55,8 +55,7 @@ def binary_entropy(x: float) -> float:
         raise ValidationError(f"binary_entropy argument must be in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    # log1p keeps the (1 - x) term accurate for x near 0
-    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
+    return _entropy(x, _libm_or_nan)
 
 
 @dataclass(frozen=True)
@@ -93,37 +92,29 @@ def estimate_single_photon(
         e1 <= [E_nu1 Q_nu1 e^nu1 - e0 y0] / (Y1_lower nu1)
 
     and Q1_lower = Y1_lower mu e^-mu. Bounds outside [0, 1] are clamped and
-    flagged; a yield bound that is not positive and finite (nan or inf for a
-    weak decoy too faint to resolve) raises EstimationInfeasibleError.
+    flagged. EstimationInfeasibleError is raised where the bounds cannot be
+    resolved (``_resolvable``): a yield bound that is not positive and
+    finite, or gains or a bound too small (subnormal) to keep any precision.
     """
     check_decoy_pair(mu, nu1)
-    # a nu1 so small that mu nu1 - nu1^2 underflows to 0 leaves the bound undefined
-    y1 = (mu / ((mu * nu1 - nu1 * nu1) or math.nan)) * (
-        q_nu1 * math.exp(nu1)
-        - q_mu * math.exp(mu) * (nu1 * nu1) / (mu * mu)
-        - (mu * mu - nu1 * nu1) / (mu * mu) * y0
-    )
-    if not 0.0 < y1 < math.inf:
+    exp_nu1 = _libm_or_nan(math.exp, nu1)
+    try:
+        y1 = _y1_bound(q_mu, q_nu1, y0, mu, nu1, _libm_or_nan(math.exp, mu), exp_nu1)
+    except ZeroDivisionError:
+        # a nu1 so small that mu nu1 - nu1^2 underflows to 0 leaves the bound undefined
+        y1 = math.nan
+    y1_lower = min(y1, 1.0)
+    if not _resolvable(q_mu, q_nu1, y1, y1_lower, nu1):
         raise EstimationInfeasibleError(
-            f"single-photon yield bound {y1!r} is not positive and finite; "
-            "link too noisy, or weak decoy too faint, for a positive key"
+            f"single-photon yield bound {y1!r} is not positive and finite, or it, "
+            "y1 nu1 or a gain is subnormal; link too noisy or lossy, or weak decoy too faint"
         )
-    clamped = False
-    if y1 > 1.0:
-        y1 = 1.0
-        clamped = True
-    e1 = (e_nu1 * q_nu1 * math.exp(nu1) - e0 * y0) / (y1 * nu1)
-    if e1 < 0.0:
-        e1 = 0.0
-        clamped = True
-    elif e1 > 1.0:
-        e1 = 1.0
-        clamped = True
+    e1 = _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1)
     return SinglePhotonEstimate(
-        y1_lower=y1,
-        e1_upper=e1,
-        q1_lower=y1 * mu * math.exp(-mu),
-        clamped=clamped,
+        y1_lower=y1_lower,
+        e1_upper=min(max(e1, 0.0), 1.0),
+        q1_lower=y1_lower * mu * _libm_or_nan(math.exp, -mu),
+        clamped=y1 > 1.0 or e1 < 0.0 or e1 > 1.0,
     )
 
 
@@ -153,11 +144,8 @@ def skr_lower_bound(
     protocol's constant is used. Returns (floored, raw).
     """
     f = protocol.ec_efficiency if ec_efficiency_fn is None else ec_efficiency_fn(e_mu)
-    if e1_upper < 0.5:
-        single = q1_lower * (1.0 - binary_entropy(e1_upper))
-    else:
-        single = 0.0
-    raw = protocol.sifting_factor * (-f * q_mu * binary_entropy(e_mu) + single)
+    q1, h1 = (q1_lower, binary_entropy(e1_upper)) if e1_upper < 0.5 else (0.0, 0.0)
+    raw = _key_rate(q_mu, binary_entropy(e_mu), q1, h1, protocol.sifting_factor, f)
     return max(0.0, raw), raw
 
 
@@ -191,9 +179,9 @@ def skr_approx(
         receiver.intrinsic_error, receiver.background_error, p_ap
     )
     f = protocol.ec_efficiency if ec_efficiency_fn is None else ec_efficiency_fn(e_det)
-    h = binary_entropy(e_det)
-    scale = eta * mu * (1.0 + p_ap)
-    return -scale * f * h + scale * math.exp(-mu) * (1.0 - h)
+    return _skr_approx(
+        eta, mu, 1.0 + p_ap, f, binary_entropy(e_det), _libm_or_nan(math.exp, -mu)
+    )
 
 
 @dataclass(frozen=True)
@@ -216,16 +204,18 @@ class LinkMetrics:
     reason: str | None = None
 
 
+# The closed forms of the scalar functions above and of ``link_table``, without
+# their checks, clamps and branches, over floats or 1-D arrays. ``libm(fn, x)``
+# applies a math function: ``_libm_or_nan`` to a float, ``_libm`` to an array.
+
+
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` from the math module at every element of ``x``.
+    """``_libm_or_nan(fn, v)`` at every element v of ``x``.
 
     numpy's vectorized exp/expm1/log2/log1p round differently from the C
     library in the last bit for a few percent of arguments. Near the optimum
     the intensity search compares key rates that differ by less than that,
-    so the kernel calls the C library, as the scalar functions do, and its
-    results equal theirs bit for bit. Where math raises (overflow, or an
-    argument outside the domain at a node whose values are discarded), the
-    element becomes inf or nan instead.
+    so the kernel calls the C library, as the scalar functions do.
     """
     values = x.tolist()
     try:
@@ -235,6 +225,7 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 def _libm_or_nan(fn: Callable[[float], float], v: float) -> float:
+    """``fn(v)``, or inf where it overflows and nan where ``v`` is outside its domain."""
     try:
         return fn(v)
     except OverflowError:
@@ -243,26 +234,50 @@ def _libm_or_nan(fn: Callable[[float], float], v: float) -> float:
         return math.nan
 
 
+def _entropy(x, libm):
+    """H2(x) for x in the open interval (0, 1)."""
+    # log1p keeps the (1 - x) term accurate for x near 0
+    return -(x * libm(math.log2, x) + (1.0 - x) * libm(math.log1p, -x) / _LN2)
+
+
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
     """Array form of binary_entropy; 0 outside the open interval (0, 1)."""
-    h = -(x * _libm(math.log2, x) + (1.0 - x) * _libm(math.log1p, -x) / _LN2)
-    return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+    return np.where((x > 0.0) & (x < 1.0), _entropy(x, _libm), 0.0)
 
 
-def gain_and_qber(
-    background: np.ndarray | float,
-    signal: np.ndarray,
-    signal_error: np.ndarray,
-    e0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total gain and QBER from background and signal terms, in ``qber_total``'s order.
+def _y1_bound(q_mu, q_nu1, y0, mu, nu1, exp_mu, exp_nu1):
+    """The lower bound on Y1, unclamped; ``exp_mu`` = e^mu, ``exp_nu1`` = e^nu1."""
+    mu2 = mu * mu
+    nu2 = nu1 * nu1
+    return (mu / (mu * nu1 - nu2)) * (
+        q_nu1 * exp_nu1 - q_mu * exp_mu * nu2 / mu2 - (mu2 - nu2) / mu2 * y0
+    )
 
-    ``background`` is the background yield (1 + p_ap) p_dc, ``signal`` the
-    signal gain (1 - exp(-eta mu)) (1 + p_ap) and ``signal_error`` its
-    erroneous part (e' + e0 p_ap)(1 - exp(-eta mu)).
+
+def _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1):
+    """The upper bound on e1 from the clamped Y1 bound, unclamped."""
+    return (e_nu1 * q_nu1 * exp_nu1 - e0 * y0) / (y1_lower * nu1)
+
+
+def _resolvable(q_mu, q_nu1, y1, y1_lower, nu1):
+    """Whether the yield bound is finite and it, y1 nu1 and the gains are normal floats.
+
+    A subnormal value has lost its relative precision; nan fails every test.
     """
-    gain = background + signal
-    return gain, (e0 * background + signal_error) / gain
+    tiny = sys.float_info.min
+    normal = (y1_lower >= tiny) & (y1_lower * nu1 >= tiny) & (q_mu >= tiny) & (q_nu1 >= tiny)
+    return (y1 < math.inf) & normal
+
+
+def _key_rate(q_mu, h_mu, q1, h1, sifting, f):
+    """Raw key rate q [-f Q_mu H2(E_mu) + Q1 (1 - H2(e1))], from the entropies."""
+    return sifting * (-f * q_mu * h_mu + q1 * (1.0 - h1))
+
+
+def _skr_approx(eta, mu, amp, f, h, exp_neg_mu):
+    """The key-rate approximation from amp = 1 + p_ap and h = H2(e_det)."""
+    scale = eta * mu * amp
+    return -scale * f * h + scale * exp_neg_mu * (1.0 - h)
 
 
 @dataclass(frozen=True)
@@ -274,9 +289,9 @@ class LinkTable:
     the nodes where ``gain_total``, ``qber_total`` or
     ``estimate_single_photon`` raise (a gain outside (0, 1], or a decoy pair
     outside 0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
-    ``infeasible`` nodes the single-photon yield bound is not positive and
-    finite: the estimate metrics and ``skr_raw`` are undefined and
-    ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
+    ``infeasible`` nodes ``estimate_single_photon`` raises
+    EstimationInfeasibleError: the estimate metrics and ``skr_raw`` are
+    undefined and ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
     """
 
     values: dict[str, np.ndarray]
@@ -314,13 +329,6 @@ class LinkTable:
             return self.domain_error
         return np.zeros(self.mu.shape, dtype=bool)
 
-    def cells(self, i: int) -> dict[str, float | None]:
-        """Every metric at node ``i`` as a float, or None where it has no value."""
-        return {
-            name: None if self.missing(name)[i] else float(column[i])
-            for name, column in self.values.items()
-        }
-
 
 def link_table(
     p_ap: np.ndarray,
@@ -336,11 +344,10 @@ def link_table(
 
     Each array argument has shape (n,): aggregate afterpulse probability,
     intrinsic error rate, total dark-count probability, overall
-    transmittance and the two decoy intensities of each node. The formulas
-    and their order of operations are those of the scalar functions
-    (``gain_total``, ``qber_total``, ``estimate_single_photon``,
-    ``skr_lower_bound``, ``skr_approx``), evaluated once per node, so the
-    results equal theirs bit for bit.
+    transmittance and the two decoy intensities of each node. The closed
+    forms are the ones the scalar functions (``gain_total``, ``qber_total``,
+    ``estimate_single_photon``, ``skr_lower_bound``, ``skr_approx``) run on
+    floats, so the results equal theirs bit for bit.
     """
     e0 = background_error
     f = protocol.ec_efficiency
@@ -350,33 +357,31 @@ def link_table(
         detected_mu = -_libm(math.expm1, -eta * mu)
         detected_nu1 = -_libm(math.expm1, -eta * nu1)
         signal_error = e_prime + e0 * p_ap
-        q_mu, e_mu = gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
-        q_nu1, e_nu1 = gain_and_qber(y0, detected_nu1 * amp, signal_error * detected_nu1, e0)
-        e_det = signal_error / amp
+        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
+        q_nu1, e_nu1 = model.gain_and_qber(
+            y0, detected_nu1 * amp, signal_error * detected_nu1, e0
+        )
+        e_det = model.e_detector(e_prime, e0, p_ap)
 
         exp_nu1 = _libm(math.exp, nu1)
         exp_neg_mu = _libm(math.exp, -mu)
-        mu2 = mu * mu
-        nu2 = nu1 * nu1
-        y1 = (mu / (mu * nu1 - nu2)) * (
-            q_nu1 * exp_nu1 - q_mu * _libm(math.exp, mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * y0
-        )
+        y1 = _y1_bound(q_mu, q_nu1, y0, mu, nu1, _libm(math.exp, mu), exp_nu1)
         y1_lower = np.minimum(y1, 1.0)
-        e1 = (e_nu1 * q_nu1 * exp_nu1 - e0 * y0) / (y1_lower * nu1)
+        e1 = _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1)
         e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
         q1_lower = y1_lower * mu * exp_neg_mu
-        single = np.where(e1_upper < 0.5, q1_lower * (1.0 - _binary_entropy(e1_upper)), 0.0)
-        skr_raw = protocol.sifting_factor * (-f * q_mu * _binary_entropy(e_mu) + single)
-
-        h = _binary_entropy(e_det)
-        scale = eta * mu * amp
-        skr_approx = -scale * f * h + scale * exp_neg_mu * (1.0 - h)
-        change = (e0 / e_prime - 1.0) * p_ap / amp
+        skr_raw = _key_rate(
+            q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
+            _binary_entropy(e1_upper), protocol.sifting_factor, f,
+        )
+        skr_approx = _skr_approx(eta, mu, amp, f, _binary_entropy(e_det), exp_neg_mu)
+        change = model.relative_change(e_prime, e0, p_ap)
+        resolvable = _resolvable(q_mu, q_nu1, y1, y1_lower, nu1)
 
     gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | (q_nu1 > 1.0) | (q_nu1 <= 0.0)
     decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
     domain_error = gain_error | decoy_error
-    infeasible = ~domain_error & ~((y1 > 0.0) & (y1 < math.inf))
+    infeasible = ~domain_error & ~resolvable
     values = {
         "p_ap": p_ap,
         "e_detector": e_det,
@@ -513,21 +518,6 @@ class Grid:
         return found
 
 
-def node_table(
-    receiver: model.ReceiverModel,
-    channel: model.ChannelModel,
-    intensities: model.IntensitySet,
-    protocol: model.ProtocolParams,
-) -> LinkTable:
-    """``link_table`` at one operating point; raises what the scalar model raises there."""
-    base = {"mu": intensities.signal_mu, "nu1": intensities.weak_decoy_nu1}
-    _, x = Grid(receiver, channel, base, ()).block(np.arange(1))
-    table = link_table(**x, background_error=receiver.background_error, protocol=protocol)
-    if table.domain_error[0]:
-        raise table.error(0)
-    return table
-
-
 def evaluate_link(
     receiver: model.ReceiverModel,
     channel: model.ChannelModel,
@@ -535,26 +525,23 @@ def evaluate_link(
     protocol: model.ProtocolParams,
 ) -> LinkMetrics:
     """Run the full forward model plus decoy estimation for one operating point."""
-    table = node_table(receiver, channel, intensities, protocol)
-    cells = table.cells(0)
-    infeasible = bool(table.infeasible[0])
-    estimate = None
-    if not infeasible:
-        estimate = SinglePhotonEstimate(
-            y1_lower=cells["y1_lower"],
-            e1_upper=cells["e1_upper"],
-            q1_lower=cells["q1_lower"],
-            clamped=bool(table.clamped[0]),
+    mu = intensities.signal_mu
+    nu1 = intensities.weak_decoy_nu1
+    y0 = model.yield_background(receiver)
+    q_mu = model.gain_total(receiver, channel, mu)
+    e_mu = model.qber_total(receiver, channel, mu)
+    q_nu1 = model.gain_total(receiver, channel, nu1)
+    e_nu1 = model.qber_total(receiver, channel, nu1)
+    approx = skr_approx(receiver, channel, mu, protocol, warn=False)
+    try:
+        estimate = estimate_single_photon(
+            q_mu, e_mu, q_nu1, e_nu1, y0, mu, nu1, receiver.background_error
         )
-    return LinkMetrics(
-        q_mu=cells["q_mu"],
-        e_mu=cells["e_mu"],
-        q_nu1=cells["q_nu1"],
-        e_nu1=cells["e_nu1"],
-        y0_measured=cells["y0"],
-        estimate=estimate,
-        skr_lower=cells["skr_lower"],
-        skr_raw=cells["skr_raw"],
-        skr_approx=cells["skr_approx"],
-        reason=ESTIMATION_INFEASIBLE if infeasible else None,
+    except EstimationInfeasibleError:
+        return LinkMetrics(
+            q_mu, e_mu, q_nu1, e_nu1, y0, None, 0.0, None, approx, ESTIMATION_INFEASIBLE
+        )
+    skr_low, skr_raw = skr_lower_bound(
+        q_mu, e_mu, estimate.q1_lower, estimate.e1_upper, protocol
     )
+    return LinkMetrics(q_mu, e_mu, q_nu1, e_nu1, y0, estimate, skr_low, skr_raw, approx)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import model
-from .bounds import ESTIMATION_INFEASIBLE, node_table
+from .bounds import SinglePhotonEstimate, evaluate_link
 from .errors import (
     DegenerateInputError,
     EstimationInfeasibleError,
@@ -33,23 +33,6 @@ from .optimize import solve_optimal_mu, trace_iso_qber_surface
 from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, SweepSpec, iter_blocks
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
-
-REPORT_FIELDS = (
-    "p_ap",
-    "y0",
-    "q_mu",
-    "e_mu",
-    "q_nu1",
-    "e_nu1",
-    "y1_lower",
-    "e1_upper",
-    "q1_lower",
-    "e_detector",
-    "visibility",
-    "skr_raw",
-    "skr_lower",
-    "skr_approx",
-)
 
 
 def _fmt(value) -> str:
@@ -76,15 +59,29 @@ def _load_scenario(args) -> config_mod.Scenario:
 
 
 def _report_rows(scenario: config_mod.Scenario) -> list[tuple[str, object]]:
-    table = node_table(
-        scenario.receiver, scenario.channel, scenario.intensities, scenario.protocol
-    )
-    values = table.cells(0)
-    infeasible = bool(table.infeasible[0])
-    rows = [(name, values[name]) for name in REPORT_FIELDS]
-    rows.append(("status", "infeasible" if infeasible else "ok"))
-    rows.append(("reason", ESTIMATION_INFEASIBLE if infeasible else ""))
-    return rows
+    receiver = scenario.receiver
+    metrics = evaluate_link(receiver, scenario.channel, scenario.intensities, scenario.protocol)
+    p_ap = model.aggregate_afterpulse(receiver)
+    e_prime, e0 = receiver.intrinsic_error, receiver.background_error
+    estimate = metrics.estimate or SinglePhotonEstimate(None, None, None)
+    return [
+        ("p_ap", p_ap),
+        ("y0", metrics.y0_measured),
+        ("q_mu", metrics.q_mu),
+        ("e_mu", metrics.e_mu),
+        ("q_nu1", metrics.q_nu1),
+        ("e_nu1", metrics.e_nu1),
+        ("y1_lower", estimate.y1_lower),
+        ("e1_upper", estimate.e1_upper),
+        ("q1_lower", estimate.q1_lower),
+        ("e_detector", model.effective_baseline_error(e_prime, e0, p_ap)),
+        ("visibility", model.visibility(e_prime, e0, p_ap)),
+        ("skr_raw", metrics.skr_raw),
+        ("skr_lower", metrics.skr_lower),
+        ("skr_approx", metrics.skr_approx),
+        ("status", "infeasible" if metrics.reason else "ok"),
+        ("reason", metrics.reason or ""),
+    ]
 
 
 def cmd_report(args) -> int:

@@ -11,6 +11,7 @@ safe to call concurrently from any number of threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, ModelDomainError, ValidationError
@@ -251,12 +252,9 @@ def yield_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
     """Yield of an i-photon state: Y0 + eta_i (1 + p_ap) for i >= 1, Y0 for i = 0."""
     if i < 0:
         raise ValidationError(f"photon number must be >= 0, got {i!r}")
-    y0 = yield_background(receiver)
-    if i == 0:
-        return y0
-    p_ap = aggregate_afterpulse(receiver)
     eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
-    return y0 + eta_i * (1.0 + p_ap)
+    background, signal, _ = _gain_terms(receiver, eta_i)
+    return background + signal
 
 
 def qber_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
@@ -271,13 +269,8 @@ def qber_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
         raise DegenerateInputError(
             f"yield of the {i}-photon state is zero; error rate undefined"
         )
-    p_ap = aggregate_afterpulse(receiver)
     eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
-    e0 = receiver.background_error
-    numerator = e0 * yield_background(receiver) + (
-        receiver.intrinsic_error + e0 * p_ap
-    ) * eta_i
-    return numerator / y_i
+    return gain_and_qber(*_gain_terms(receiver, eta_i), receiver.background_error)[1]
 
 
 def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: float) -> float:
@@ -288,9 +281,9 @@ def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
     """
     if mean_photon < 0.0:
         raise ValidationError(f"mean_photon must be >= 0, got {mean_photon!r}")
-    p_ap = aggregate_afterpulse(receiver)
-    eta = transmittance(receiver, channel)
-    gain = yield_background(receiver) + (-math.expm1(-eta * mean_photon)) * (1.0 + p_ap)
+    detected = -math.expm1(-transmittance(receiver, channel) * mean_photon)
+    background, signal, _ = _gain_terms(receiver, detected)
+    gain = background + signal
     check_gain(gain)
     return gain
 
@@ -318,16 +311,27 @@ def qber_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
 
     [e0 Y0 + (e' + e0 p_ap)(1 - exp(-eta mu))] / Q.
     """
-    gain = gain_total(receiver, channel, mean_photon)
-    check_detections(gain)
+    check_detections(gain_total(receiver, channel, mean_photon))
+    detected = -math.expm1(-transmittance(receiver, channel) * mean_photon)
+    return gain_and_qber(*_gain_terms(receiver, detected), receiver.background_error)[1]
+
+
+def _gain_terms(receiver: ReceiverModel, detected: float) -> tuple[float, float, float]:
+    """The terms of ``gain_and_qber`` for a signal detected with probability ``detected``."""
     p_ap = aggregate_afterpulse(receiver)
-    eta = transmittance(receiver, channel)
-    e0 = receiver.background_error
-    detected = -math.expm1(-eta * mean_photon)
-    numerator = e0 * yield_background(receiver) + (
-        receiver.intrinsic_error + e0 * p_ap
-    ) * detected
-    return numerator / gain
+    signal_error = (receiver.intrinsic_error + receiver.background_error * p_ap) * detected
+    return yield_background(receiver), detected * (1.0 + p_ap), signal_error
+
+
+def gain_and_qber(background, signal, signal_error, e0):
+    """Total gain and QBER, unchecked; floats or arrays.
+
+    ``background`` is the background yield (1 + p_ap) p_dc, ``signal`` the
+    signal gain (1 + p_ap) d and ``signal_error`` its erroneous part
+    (e' + e0 p_ap) d, for a signal detected with probability d.
+    """
+    gain = background + signal
+    return gain, (e0 * background + signal_error) / gain
 
 
 def effective_baseline_error(
@@ -343,7 +347,12 @@ def effective_baseline_error(
     _check_prob("background_error", background_error)
     if afterpulse_prob < 0.0:
         raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
-    return (intrinsic_error + background_error * afterpulse_prob) / (1.0 + afterpulse_prob)
+    return e_detector(intrinsic_error, background_error, afterpulse_prob)
+
+
+def e_detector(e_prime, e0, p_ap):
+    """(e' + e0 p_ap) / (1 + p_ap), unchecked; floats or arrays."""
+    return (e_prime + e0 * p_ap) / (1.0 + p_ap)
 
 
 def baseline_error_change(
@@ -351,21 +360,24 @@ def baseline_error_change(
 ) -> float:
     """Relative change of the baseline error rate caused by afterpulsing.
 
-    (e_detector - e') / e' = (e0/e' - 1) p_ap / (1 + p_ap).
+    (e_detector - e') / e' = (e0/e' - 1) p_ap / (1 + p_ap), undefined for an
+    intrinsic error of 0 or below the smallest normal float.
     """
     _check_prob("intrinsic_error", intrinsic_error)
     _check_prob("background_error", background_error)
     if afterpulse_prob < 0.0:
         raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
-    if intrinsic_error == 0.0:
+    # below the smallest normal float e0/e' overflows (inf, or nan at p_ap = 0)
+    if intrinsic_error < sys.float_info.min:
         raise DegenerateInputError(
-            "relative baseline change undefined for intrinsic_error = 0"
+            f"relative baseline change undefined for intrinsic_error = {intrinsic_error:g}"
         )
-    return (
-        (background_error / intrinsic_error - 1.0)
-        * afterpulse_prob
-        / (1.0 + afterpulse_prob)
-    )
+    return relative_change(intrinsic_error, background_error, afterpulse_prob)
+
+
+def relative_change(e_prime, e0, p_ap):
+    """(e0/e' - 1) p_ap / (1 + p_ap), unchecked; floats or arrays."""
+    return (e0 / e_prime - 1.0) * p_ap / (1.0 + p_ap)
 
 
 def visibility(

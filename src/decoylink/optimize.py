@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .bounds import Grid, LinkTable, binary_entropy, gain_and_qber, link_table
+from .bounds import Grid, LinkTable, binary_entropy, link_table
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -332,8 +332,8 @@ def threshold_nodes(
     signal = detected * one_p
     signal_error = (e_prime + e0 * p_ap) * detected
     with np.errstate(divide="ignore", invalid="ignore"):
-        floor_gain, floor = gain_and_qber(0.0, signal, signal_error, e0)
-        cap_gain, ceiling = gain_and_qber(one_p * DARK_COUNT_CAP, signal, signal_error, e0)
+        floor_gain, floor = model.gain_and_qber(0.0, signal, signal_error, e0)
+        cap_gain, ceiling = model.gain_and_qber(one_p * DARK_COUNT_CAP, signal, signal_error, e0)
     floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
     infeasible = ~floor_error & (floor > target_qber)
     failed = floor_error | (~infeasible & ((cap_gain > 1.0) | (ceiling < target_qber)))
@@ -357,7 +357,7 @@ def threshold_nodes(
     lo = np.zeros(len(rows))
     hi = np.full(len(rows), DARK_COUNT_CAP)
     mid = 0.5 * (lo + hi)
-    _, qber = gain_and_qber(one_p * mid, signal, signal_error, e0)
+    _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
     for step in range(config.max_iterations):
         done = np.abs(qber - target_qber) < config.abs_tolerance
         if np.count_nonzero(done):
@@ -374,7 +374,7 @@ def threshold_nodes(
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
-        _, qber = gain_and_qber(one_p * mid, signal, signal_error, e0)
+        _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
     dark_count[rows], achieved[rows], iterations[rows] = mid, qber, config.max_iterations
     return ThresholdSearch(
         dark_count=dark_count,

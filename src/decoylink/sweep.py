@@ -1,6 +1,7 @@
 """Scenario engine: evaluate link metrics over parameter grids."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -222,10 +223,10 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     # mu optimizer, then the link model; the first failure is kept.
     reasons: dict[int, str] = {}
     scalar_failed = np.zeros(n, dtype=bool)
-    # Of the scalar metrics only baseline_error_change can fail on axis
-    # values (at e' = 0); the outputs listed after it are then left empty.
+    # Of the scalar metrics only baseline_error_change can fail on axis values
+    # (e' = 0 or subnormal); the outputs listed after it are then left empty.
     if "baseline_error_change" in spec.outputs:
-        scalar_failed = x["e_prime"] == 0.0
+        scalar_failed = x["e_prime"] < sys.float_info.min
         for i in np.flatnonzero(scalar_failed):
             reasons[int(i)] = error_text(
                 model.baseline_error_change, float(x["e_prime"][i]), e0, float(x["p_ap"][i])

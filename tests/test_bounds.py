@@ -48,6 +48,13 @@ def channel(loss_db):
 # number at mu = 0.48 and 10 dB: nan at 1e-310; nan through a zero
 # denominator mu nu1 - nu1^2 at 5e-324; inf at 1e-310 without dark counts.
 FAINT_DECOYS = [(1e-310, 6e-7), (5e-324, 6e-7), (1e-310, 0.0)]
+# Links whose bounds cannot be resolved though the yield bound is a number:
+# at 3200 dB without dark counts the gains and the bound are subnormal (e1
+# came out 0.0 where the exact value is 0.0314); at mu = 800, e^mu overflows.
+UNRESOLVABLE_LINKS = [
+    (receiver(0.02, p_dc=0.0), channel(3200.0), IntensitySet(0.48, 0.05)),
+    (receiver(p_dc=1e-7), channel(60.0), IntensitySet(800.0, 0.05)),
+]
 
 
 def oracle_h2(x):
@@ -164,16 +171,20 @@ class TestEstimateSinglePhoton:
         # weak-decoy gain far below the signal's multiphoton share
         with pytest.raises(EstimationInfeasibleError):
             estimate_single_photon(0.5, 0.02, 1e-9, 0.02, 1e-9, 0.6, 0.05)
-        for nu1, p_dc in FAINT_DECOYS:
-            r, ch = receiver(p_dc=p_dc), channel(10.0)
+        links = [
+            (receiver(p_dc=p_dc), channel(10.0), IntensitySet(0.48, nu1))
+            for nu1, p_dc in FAINT_DECOYS
+        ]
+        for r, ch, intensities in links + UNRESOLVABLE_LINKS:
+            mu, nu1 = intensities.signal_mu, intensities.weak_decoy_nu1
             with pytest.raises(EstimationInfeasibleError, match="not positive and finite"):
                 estimate_single_photon(
-                    gain_total(r, ch, 0.48),
-                    qber_total(r, ch, 0.48),
+                    gain_total(r, ch, mu),
+                    qber_total(r, ch, mu),
                     gain_total(r, ch, nu1),
                     qber_total(r, ch, nu1),
                     yield_background(r),
-                    0.48,
+                    mu,
                     nu1,
                 )
 
@@ -326,12 +337,14 @@ class TestEvaluateLink:
     def test_infeasible_link_reports_reason(self):
         # an overdriven signal on a lossy link: the multiphoton share of the
         # signal gain swamps the weak decoy and the yield bound goes negative;
-        # then the weak decoys whose bound is nan or inf
+        # then the weak decoys whose bound is nan or inf, and the links whose
+        # bounds cannot be resolved
         cases = [(receiver(0.0), channel(40.0), IntensitySet(6.0, 0.038))]
         cases += [
             (receiver(p_dc=p_dc), channel(10.0), IntensitySet(0.48, nu1))
             for nu1, p_dc in FAINT_DECOYS
         ]
+        cases += UNRESOLVABLE_LINKS
         for r, ch, intensities in cases:
             metrics = evaluate_link(r, ch, intensities, self.PROTOCOL)
             assert metrics.reason == "estimation_infeasible"

@@ -356,8 +356,10 @@ class TestBaselineError:
             assert baseline_error_change(0.5, 0.5, p_ap) == 0.0
 
     def test_change_undefined_for_zero_intrinsic(self):
-        with pytest.raises(DegenerateInputError):
-            baseline_error_change(0.0, 0.5, 0.01)
+        # and for a subnormal e', where e0/e' overflows (inf, or nan at p_ap = 0)
+        for e_prime, p_ap in ((0.0, 0.01), (5e-324, 0.01), (2e-309, 0.0)):
+            with pytest.raises(DegenerateInputError):
+                baseline_error_change(e_prime, 0.5, p_ap)
 
     def test_monotone_in_afterpulsing(self):
         grid = [k / 100.0 for k in range(101)]

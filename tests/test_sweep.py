@@ -23,14 +23,14 @@ PROTOCOL = ProtocolParams()
 
 
 def base_spec(axes, outputs=("skr_lower",), mu_policy="fixed", loss_db=5.0,
-              p_ap=0.008, e_prime=0.02, nu1=0.05, mu=0.48, attenuation=None):
+              p_ap=0.008, e_prime=0.02, nu1=0.05, mu=0.48, attenuation=None, p_dc=6e-7):
     if attenuation is not None:
         channel = ChannelModel(attenuation_db_per_km=attenuation, distance_km=0.0)
     else:
         channel = ChannelModel(transmission_loss_db=loss_db)
     return SweepSpec(
         receiver=ReceiverModel.identical(
-            2, p_ap, dark_count_prob_total=6e-7, intrinsic_error=e_prime
+            2, p_ap, dark_count_prob_total=p_dc, intrinsic_error=e_prime
         ),
         channel=channel,
         intensities=IntensitySet(mu, nu1),
@@ -232,6 +232,17 @@ class TestRunSweep:
             statuses.add(record.status)
         assert statuses == {"ok", "infeasible"}
 
+    def test_relative_change_undefined_below_normal_intrinsic_error(self):
+        # e0/e' overflows for a subnormal e' (inf, or nan at p_ap = 0)
+        spec = base_spec(
+            [Axis("intrinsic_error", 0.0, 4e-308, 3), Axis("p_ap", 0.0, 0.01, 2)],
+            outputs=("e_detector", "baseline_error_change"),
+        )
+        records = run_sweep(spec)
+        assert [r.status for r in records] == ["model-domain-error"] * 4 + ["ok"] * 2
+        assert records[2].reason.endswith("intrinsic_error = 2e-308")
+        assert all(r.values[0] is not None for r in records)
+
     def test_scalar_metrics_tolerate_large_afterpulse_values(self):
         spec = base_spec(
             [Axis("p_ap", 0.1, 10.0, 5, "log")],
@@ -267,14 +278,16 @@ class TestRunSweep:
 
     def test_infeasible_estimation_recorded_per_point(self):
         # an overdriven signal at 40 dB, then weak decoys so faint at 10 dB
-        # that the yield bound is nan (5e-324, 1e-310) next to a usable one
+        # that the yield bound is nan (5e-324, 1e-310) next to a usable one,
+        # then subnormal gains at 3200 dB without dark counts
         cases = [
-            (Axis("signal_mu", 0.48, 6.0, 2), 40.0, ["ok", "infeasible"]),
-            (Axis("weak_decoy_nu1", 5e-324, 1e-310, 2), 10.0, ["infeasible"] * 2),
-            (Axis("weak_decoy_nu1", 1e-310, 0.05, 2), 10.0, ["infeasible", "ok"]),
+            (Axis("signal_mu", 0.48, 6.0, 2), {"loss_db": 40.0}, ["ok", "infeasible"]),
+            (Axis("weak_decoy_nu1", 5e-324, 1e-310, 2), {"loss_db": 10.0}, ["infeasible"] * 2),
+            (Axis("weak_decoy_nu1", 1e-310, 0.05, 2), {"loss_db": 10.0}, ["infeasible", "ok"]),
+            (Axis("loss_db", 3000.0, 3200.0, 2), {"p_dc": 0.0}, ["ok", "infeasible"]),
         ]
-        for axis, loss_db, statuses in cases:
-            spec = base_spec([axis], outputs=("skr_lower", "y1_lower"), loss_db=loss_db)
+        for axis, kwargs, statuses in cases:
+            spec = base_spec([axis], outputs=("skr_lower", "y1_lower"), **kwargs)
             records = run_sweep(spec)
             assert [record.status for record in records] == statuses
             for record in records:
