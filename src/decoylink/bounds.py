@@ -421,9 +421,21 @@ def error_text(build: Callable, *args) -> str:
 
 
 def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
-    """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``."""
+    """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``.
+
+    Where the weighted sum overflows (values near the float maximum, which
+    the model rejects anyway), the mean weight times the value stands in.
+    """
     weights = [1.0 + det.bias for det in receiver.detectors]
-    return np.array([math.fsum(w * v for w in weights) / len(weights) for v in p.tolist()])
+    n = len(weights)
+
+    def mean(v: float) -> float:
+        try:
+            return math.fsum(w * v for w in weights) / n
+        except OverflowError:
+            return math.fsum(w / n for w in weights) * v
+
+    return np.array([mean(v) for v in p.tolist()])
 
 
 class Grid:

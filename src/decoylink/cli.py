@@ -15,13 +15,12 @@ import csv
 import io
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from . import config as config_mod
 from . import model
-from .bounds import SinglePhotonEstimate, evaluate_link
+from .bounds import Grid, SinglePhotonEstimate, evaluate_link
 from .errors import (
     DegenerateInputError,
     EstimationInfeasibleError,
@@ -108,7 +107,7 @@ def cmd_sweep(args) -> int:
         header.append("mu_opt")
     header.extend(spec.outputs)
     header.extend(("status", "reason"))
-    axis_cells = _axis_cells(spec.axes)
+    axis_cells = [(k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)]
     with _open_output(args.output) as fh:
         fh.write(",".join(header) + "\n")
         for block in iter_blocks(spec):
@@ -130,11 +129,6 @@ def _float_cells(values: np.ndarray, missing: np.ndarray | None = None) -> np.nd
     return cells
 
 
-def _axis_cells(axes: tuple[Axis, ...]) -> list[np.ndarray]:
-    """The CSV cells of every value of each axis, formatted once per sweep."""
-    return [_float_cells(np.asarray(ax.values())) for ax in axes]
-
-
 def _csv_field(text: str | None) -> str:
     """``text`` as ``csv.writer`` writes it among other fields: quoted only if it must be."""
     if not text:
@@ -144,16 +138,14 @@ def _csv_field(text: str | None) -> str:
     return buf.getvalue()[:-1]
 
 
-def _block_rows(
-    block: SweepBlock, axis_cells: list[np.ndarray], lead: tuple[str, ...] = ()
-) -> str:
-    """CSV rows of the block's nodes, each prefixed by the cells ``lead``.
+def _block_rows(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> str:
+    """CSV rows of the block's nodes.
 
-    ``axis_cells`` holds the cells of the sweep's axis values (``_axis_cells``).
+    Each (axis position, cells) pair of ``axis_cells`` is a leading column:
+    ``cells`` holds one CSV cell per value of that axis, formatted once per
+    run, and each node gets the cell of its value.
     """
-    n = len(block.statuses)
-    columns = [[cell] * n for cell in lead]
-    columns.extend(cells[index].tolist() for cells, index in zip(axis_cells, block.axis_index))
+    columns = [cells[block.axis_index[k]].tolist() for k, cells in axis_cells]
     if block.mu_opt is not None:
         columns.append(_float_cells(*block.mu_opt).tolist())
     columns.extend(_float_cells(values, missing).tolist() for values, missing in block.outputs)
@@ -231,28 +223,36 @@ def cmd_skr_vs_afterpulse(args) -> int:
             f"{args.pap_min!r}..{args.pap_max!r}"
         )
     axis = Axis("p_ap", args.pap_min, args.pap_max, args.points, "log")
+    losses = sorted(NU1_BY_LOSS_DB)
+    nu1 = np.array([NU1_BY_LOSS_DB[loss] for loss in losses])
+    spec = SweepSpec(
+        receiver=scenario.receiver,
+        channel=scenario.channel,
+        intensities=model.IntensitySet(1.0, float(nu1[0])),
+        protocol=scenario.protocol,
+        axes=(axis,),
+        outputs=("skr_lower",),
+        mu_policy="optimize-per-point",
+    )
+    # All six curves are one grid, so each block is one lockstep optimizer
+    # run; its loss_db axis also sets nu1.
+    axes = (
+        ("loss_db", losses),
+        ("intrinsic_error", PRESET_INTRINSIC_ERRORS),
+        ("p_ap", axis.values()),
+    )
+    grid = Grid(scenario.receiver, scenario.channel, {"mu": spec.intensities.signal_mu}, axes)
+    grid.inputs["nu1"] = (0, nu1)
     header = (
         "loss_db", "weak_decoy_nu1", "intrinsic_error", "p_ap", "mu_opt", "skr_lower",
         "status", "reason",
     )
-    axis_cells = _axis_cells((axis,))
+    cells = [_float_cells(values) for values in grid.values]
+    axis_cells = [(0, cells[0]), (0, _float_cells(nu1)), (1, cells[1]), (2, cells[2])]
     with _open_output(args.output) as fh:
         fh.write(",".join(header) + "\n")
-        for loss_db in sorted(NU1_BY_LOSS_DB):
-            nu1 = NU1_BY_LOSS_DB[loss_db]
-            for e_prime in PRESET_INTRINSIC_ERRORS:
-                spec = SweepSpec(
-                    receiver=replace(scenario.receiver, intrinsic_error=e_prime),
-                    channel=model.ChannelModel(transmission_loss_db=loss_db),
-                    intensities=model.IntensitySet(1.0, nu1),
-                    protocol=scenario.protocol,
-                    axes=(axis,),
-                    outputs=("skr_lower",),
-                    mu_policy="optimize-per-point",
-                )
-                lead = (_fmt(loss_db), _fmt(nu1), _fmt(e_prime))
-                for block in iter_blocks(spec):
-                    fh.write(_block_rows(block, axis_cells, lead))
+        for block in iter_blocks(spec, grid):
+            fh.write(_block_rows(block, axis_cells))
     return 0
 
 

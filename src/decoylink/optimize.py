@@ -18,6 +18,10 @@ DARK_COUNT_CAP = 0.1
 MU_BRACKET_MARGIN = 1e-6
 MU_BRACKET_MAX = 1.5
 _GRID_SEED_POINTS = 64
+# Rows per seed-grid link_table call: whole nodes of _GRID_SEED_POINTS rows
+# each, at least one. Bounds the kernel's temporaries however many nodes
+# search together.
+_SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
 
@@ -205,10 +209,12 @@ def maximize_nodes(
     """``maximize_skr_over_mu`` at every node of 1-D input arrays, in lockstep.
 
     The arguments are those of ``link_table`` without the signal intensity.
-    All nodes share each ``link_table`` call: the 64-point seed grid is one
-    call over nodes x 64 points, and each golden-section step is one call
-    over the nodes whose bracket is still wider than the tolerance. Each
-    node follows the same arithmetic as a search of its own.
+    The nodes share the ``link_table`` calls: the 64-point seed grid is
+    evaluated in slices of whole nodes, at most _SEED_SLICE_ROWS rows per
+    call, and each golden-section step is one call over all the nodes whose
+    bracket is still wider than the tolerance. Each node follows the same
+    arithmetic as a search of its own, so its result does not depend on the
+    other nodes or on the slicing.
     """
     n = len(nu1)
     nodes = np.arange(n)
@@ -243,8 +249,12 @@ def maximize_nodes(
 
     points = _GRID_SEED_POINTS
     xs = lo[:, None] + (hi - lo)[:, None] * np.arange(points, dtype=float) / (points - 1)
-    _, grid = objective(np.repeat(nodes, points), xs.ravel())
-    best = np.argmax(grid.reshape(n, points), axis=1)
+    best = np.empty(n, dtype=int)
+    step = max(1, _SEED_SLICE_ROWS // points)
+    for start in range(0, n, step):
+        rows = nodes[start:start + step]
+        _, grid = objective(np.repeat(rows, points), xs[rows].ravel())
+        best[rows] = np.argmax(grid.reshape(len(rows), points), axis=1)
     lo = xs[nodes, np.maximum(best - 1, 0)]
     hi = xs[nodes, np.minimum(best + 1, points - 1)]
 

@@ -22,9 +22,9 @@ from .optimize import NO_POSITIVE_KEY, maximize_nodes
 
 MAX_GRID_POINTS = 1_000_000
 
-# Grid nodes per link_table call. Larger blocks save little more per-call
-# overhead, and under optimize-per-point a block's seed grid holds 64 points
-# per node, so memory grows with the block 64-fold.
+# Grid nodes per link_table call, or per lockstep optimizer run. Larger
+# blocks save little more per-call overhead, and the CSV cells of a block's
+# outputs are held at once, so memory grows with the block.
 BLOCK_NODES = 256
 
 # Optimized weak-decoy intensities are only tabulated for these losses; any
@@ -296,14 +296,21 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     )
 
 
-def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
-    """The grid nodes of ``run_sweep`` as columns, BLOCK_NODES nodes at a time."""
-    grid = Grid(
-        spec.receiver,
-        spec.channel,
-        {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1},
-        ((ax.name, ax.values()) for ax in spec.axes),
-    )
+def iter_blocks(spec: SweepSpec, grid: Grid | None = None) -> Iterator[SweepBlock]:
+    """The grid nodes of ``run_sweep`` as columns, BLOCK_NODES nodes at a time.
+
+    Under optimize-per-point each block is one lockstep optimizer run.
+    ``grid`` replaces the grid of the spec's axes, intensities and channel;
+    the spec still sets the background error, protocol, outputs and mu
+    policy. It must give every node both intensities.
+    """
+    if grid is None:
+        grid = Grid(
+            spec.receiver,
+            spec.channel,
+            {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1},
+            ((ax.name, ax.values()) for ax in spec.axes),
+        )
     for start in range(0, grid.size, BLOCK_NODES):
         yield _block(spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size)))
 
@@ -312,7 +319,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     """Evaluate every grid node, in lexicographic grid order.
 
     Nodes are evaluated with numpy, a block of BLOCK_NODES per ``link_table``
-    call (or per lockstep optimizer run under optimize-per-point). Per-node
-    failures are recorded in the node's status and never abort the sweep.
+    call, or per lockstep optimizer run under optimize-per-point (whose seed
+    grid is evaluated in slices; see ``maximize_nodes``). Per-node failures
+    are recorded in the node's status and never abort the sweep.
     """
     return [record for block in iter_blocks(spec) for record in block.records()]

@@ -16,6 +16,8 @@ from decoylink import (
     parse_scenario,
     scenario_to_dict,
 )
+from decoylink import optimize, sweep
+from decoylink.bounds import link_table
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, main
 from decoylink.config import scenario_to_yaml
 from decoylink.errors import ValidationError
@@ -336,12 +338,14 @@ class TestSweepBytes:
         assert covers(list(csv.reader(io.StringIO(data.decode())))[1:])
         assert data == sweep_csv(load_scenario(config).sweep).encode()
 
-    def test_preset_equals_independent_rendering_of_records(self, tmp_path, render_sweep):
+    def test_preset_equals_independent_rendering_of_records(
+        self, tmp_path, render_sweep, monkeypatch
+    ):
         out = tmp_path / "curves.csv"
-        argv = ["--points", "7", "--pap-min", "1e-3", "--pap-max", "0.6"]
-        assert main(["skr-vs-afterpulse", *argv, "--output", str(out)]) == 0
+        points = 7
+        argv = ["--points", str(points), "--pap-min", "1e-3", "--pap-max", "1.2"]
         scenario = parse_scenario({})
-        axis = Axis("p_ap", 1e-3, 0.6, 7, "log")
+        axis = Axis("p_ap", 1e-3, 1.2, points, "log")
         expected = "loss_db,weak_decoy_nu1,intrinsic_error,p_ap,mu_opt,skr_lower,status,reason\n"
         for loss_db, nu1 in sorted(NU1_BY_LOSS_DB.items()):
             for e_prime in PRESET_INTRINSIC_ERRORS:
@@ -356,8 +360,18 @@ class TestSweepBytes:
                 )
                 lead = (format(loss_db, ".10g"), format(nu1, ".10g"), format(e_prime, ".10g"))
                 expected += render_sweep(spec, lead)
+        # The preset's nodes span 3 blocks of the lockstep optimizer, each of
+        # 2 or more seed-grid slices.
+        block_nodes, slice_nodes = 16, 5
+        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
+        monkeypatch.setattr(optimize, "_SEED_SLICE_ROWS", slice_nodes * optimize._GRID_SEED_POINTS)
+        nodes = len(NU1_BY_LOSS_DB) * len(PRESET_INTRINSIC_ERRORS) * points
+        assert nodes > 2 * block_nodes and nodes % block_nodes >= 2 * slice_nodes
+        assert main(["skr-vs-afterpulse", *argv, "--output", str(out)]) == 0
         data = out.read_text()
-        assert {"", "no_positive_key"} <= {row[7] for row in csv.reader(io.StringIO(data))}
+        rows = list(csv.reader(io.StringIO(data)))[1:]
+        assert {"", "no_positive_key"} <= {row[7] for row in rows}
+        assert "model-domain-error" in {row[6] for row in rows}
         assert data == expected
 
 
@@ -503,6 +517,49 @@ class TestPresetCommand:
         losses = [row[0] for row in rows[1:]]
         assert losses == ["0"] * 4 + ["5"] * 4 + ["21"] * 4
         assert all(float(row[5]) > 0.0 for row in rows[1:])
+
+    def test_one_lockstep_run_with_bounded_seed_slices(self, tmp_path, monkeypatch):
+        # 30 points per curve: the 180 nodes fit in one block, whose seed
+        # grid takes 6 slices and whose golden-section search about 44 calls
+        rows = []
+
+        def counted(*args, **kwargs):
+            rows.append(len(args[4]))
+            return link_table(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "link_table", counted)
+        out = tmp_path / "curves.csv"
+        assert main(["skr-vs-afterpulse", "--points", "30", "--output", str(out)]) == 0
+        assert len(rows) <= 60
+        assert max(rows) <= optimize._SEED_SLICE_ROWS == 2048
+        assert sum(rows) >= 180 * optimize._GRID_SEED_POINTS
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["skr-vs-afterpulse", "--pap-max", "1e308", "--points", "3"], None),
+            (
+                ["sweep"],
+                "sweep:\n  axes:\n    - {name: p_ap, min: 0.5, max: 1.0e+308, count: 3, "
+                "spacing: log}\n",
+            ),
+        ],
+        ids=["preset", "sweep"],
+    )
+    def test_huge_afterpulse_value_rejects_only_its_nodes(self, tmp_path, argv, config):
+        # The detectors' weighted sum overflows above about 9e307. A bad node
+        # must never abort a sweep.
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        for row in rows:
+            rejected = float(row["p_ap"]) > 1.0
+            assert row["status"] == ("model-domain-error" if rejected else "ok")
+        assert [row["reason"] for row in rows if row["p_ap"] == "1e+308"] == [
+            "afterpulse_prob must be in [0, 1], got 1e+308"
+        ] * (len(rows) // 3)
 
     def test_invalid_range_rejected(self, capsys):
         assert main(["skr-vs-afterpulse", "--pap-min", "0.1", "--pap-max", "0.01"]) == 2

@@ -5,6 +5,7 @@ import tempfile
 from dataclasses import replace
 from unittest.mock import patch
 
+import numpy as np
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,10 @@ from decoylink import (
     trace_iso_qber_surface,
     yield_i,
 )
-from decoylink import model, sweep
+from decoylink import model, optimize, sweep
 from decoylink.bounds import METRIC_NAMES
 from decoylink.cli import main
-from decoylink.optimize import DARK_COUNT_CAP
+from decoylink.optimize import _GRID_SEED_POINTS, DARK_COUNT_CAP, maximize_nodes
 from decoylink.sweep import MU_POLICIES
 
 # Fixed example sequence, so that every run tests the same inputs.
@@ -182,6 +183,46 @@ def test_domain_error_exactly_when_gain_exceeds_one(r, ch, aimed_gain, decoy_fra
         assert any(exceeds)
     else:
         assert not any(exceeds)
+
+
+# Kernel inputs (p_ap, e_prime, p_dc, eta, nu1) of one node of the intensity
+# search, reaching past the model's domain: p_ap > 1 gives gains above 1,
+# nu1 = 0 a rejected decoy pair and nu1 near the bracket top an empty bracket.
+search_nodes = st.tuples(
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 0.6),
+    st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+    st.floats(0.0, 60.0).map(lambda loss_db: 10.0 ** (-loss_db / 10.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(1.4, 1.6)),
+)
+
+
+@DETERMINISTIC
+@given(st.lists(search_nodes, min_size=1, max_size=6), st.integers(1, 60))
+def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
+    config = SolverConfig(max_iterations=steps)
+    columns = [np.array(column) for column in zip(*nodes)]
+
+    def search(*inputs):
+        return maximize_nodes(*inputs, 0.5, ProtocolParams(), config)
+
+    def outcome_at(result, i):
+        # bytes, so that NaN equals NaN and -0.0 differs from 0.0
+        exc = result.errors.get(i)
+        return (
+            result.mu[i:i + 1].tobytes(),
+            result.skr[i:i + 1].tobytes(),
+            bool(result.converged[i]),
+            int(result.iterations[i]),
+            None if exc is None else (type(exc), str(exc)),
+        )
+
+    alone = [outcome_at(search(*(c[i:i + 1] for c in columns)), 0) for i in range(len(nodes))]
+    # seed-grid slices of one node, and of more nodes than the search holds
+    for rows in (_GRID_SEED_POINTS, _GRID_SEED_POINTS * (len(nodes) + 1)):
+        with patch.object(optimize, "_SEED_SLICE_ROWS", rows):
+            together = search(*columns)
+        assert [outcome_at(together, i) for i in range(len(nodes))] == alone
 
 
 # Axis ranges reach past the model's domain, so that sweeps hold every status.
