@@ -304,22 +304,10 @@ class LinkTable:
     clamped: np.ndarray
 
     def error(self, i: int) -> DecoyLinkError:
-        """The exception the scalar model raises at ``domain_error`` node ``i``.
-
-        The checks run in the order the scalar functions meet them, on this
-        node's values, so the message is the scalar model's own.
-        """
-        q_mu = float(self.values["q_mu"][i])
-        q_nu1 = float(self.values["q_nu1"][i])
-        try:
-            model.check_gain(q_mu)
-            model.check_detections(q_mu)
-            model.check_gain(q_nu1)
-            model.check_detections(q_nu1)
-            check_decoy_pair(float(self.mu[i]), float(self.nu1[i]))
-        except DecoyLinkError as exc:
-            return exc
-        raise AssertionError(f"node {i} passes every link check")
+        """The exception the scalar model raises at ``domain_error`` node ``i``."""
+        return raised(
+            _check_link, self.values["q_mu"][i], self.values["q_nu1"][i], self.mu[i], self.nu1[i]
+        )
 
     def missing(self, name: str) -> np.ndarray:
         """Mask of the nodes where metric ``name`` has no value."""
@@ -411,13 +399,23 @@ def link_table(
     )
 
 
-def error_text(build: Callable, *args) -> str:
-    """The message of the DecoyLinkError that ``build(*args)`` raises."""
+def _check_link(q_mu: float, q_nu1: float, mu: float, nu1: float) -> None:
+    """The link model's checks at one node, in the order the scalar functions meet them."""
+    model.check_gain(q_mu)
+    model.check_detections(q_mu)
+    model.check_gain(q_nu1)
+    model.check_detections(q_nu1)
+    check_decoy_pair(mu, nu1)
+
+
+def raised(check: Callable, *args) -> DecoyLinkError:
+    """The DecoyLinkError that scalar ``check`` raises on one node's ``args``, as floats."""
+    args = tuple(map(float, args))
     try:
-        build(*args)
+        check(*args)
     except DecoyLinkError as exc:
-        return str(exc)
-    raise AssertionError(f"{build.__name__}{args!r} accepted a node its mask rejected")
+        return exc
+    raise AssertionError(f"{check.__name__}{args!r} accepted a node its mask rejected")
 
 
 def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
@@ -496,7 +494,8 @@ class Grid:
                 bad = ~((values >= 0.0) & (values < 1.0))
                 build = lambda v: replace(receiver, dark_count_prob_total=v)
             elif name in ("loss_db", "distance_km"):
-                losses = values if name == "loss_db" else channel.attenuation_db_per_km * values
+                with np.errstate(over="ignore"):  # an inf loss is a transmittance of 0
+                    losses = values if name == "loss_db" else channel.attenuation_db_per_km * values
                 per_value = np.array([
                     model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
                     for loss in losses.tolist()
@@ -504,7 +503,7 @@ class Grid:
             self.inputs[self._INPUT_OF_AXIS[name]] = (pos, per_value)
             if bad is not None:
                 self.rejected[name] = (pos, {
-                    int(i): error_text(build, float(values[i])) for i in np.flatnonzero(bad)
+                    int(i): str(raised(build, values[i])) for i in np.flatnonzero(bad)
                 })
 
     def block(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import config as config_mod
-from . import model
+from . import model, sweep
 from .bounds import Grid, SinglePhotonEstimate, evaluate_link
 from .errors import (
     DegenerateInputError,
@@ -86,14 +86,12 @@ def _report_rows(scenario: config_mod.Scenario) -> list[tuple[str, object]]:
 def cmd_report(args) -> int:
     scenario = _load_scenario(args)
     rows = _report_rows(scenario)
+    if args.format == "csv":
+        _write_csv(args.output, [n for n, _ in rows], [[[_csv_field(_fmt(v))] for _, v in rows]])
+        return 0
     with _open_output(args.output) as fh:
-        if args.format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name for name, _ in rows])
-            writer.writerow([_fmt(value) for _, value in rows])
-        else:
-            for name, value in rows:
-                fh.write(f"{name:<22}{_fmt(value)}\n")
+        for name, value in rows:
+            fh.write(f"{name:<22}{_fmt(value)}\n")
     return 0
 
 
@@ -108,10 +106,7 @@ def cmd_sweep(args) -> int:
     header.extend(spec.outputs)
     header.extend(("status", "reason"))
     axis_cells = [(k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)]
-    with _open_output(args.output) as fh:
-        fh.write(",".join(header) + "\n")
-        for block in iter_blocks(spec):
-            fh.write(_block_rows(block, axis_cells))
+    _write_csv(args.output, header, (_block_columns(b, axis_cells) for b in iter_blocks(spec)))
     return 0
 
 
@@ -138,8 +133,21 @@ def _csv_field(text: str | None) -> str:
     return buf.getvalue()[:-1]
 
 
-def _block_rows(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> str:
-    """CSV rows of the block's nodes.
+def _rows(columns: list[list[str]]) -> str:
+    """CSV rows of the given columns of cells, one row per position."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _write_csv(path: str | None, header, blocks) -> None:
+    """Write the header line, then the rows of each block of CSV columns in ``blocks``."""
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            fh.write(_rows(columns))
+
+
+def _block_columns(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> list:
+    """CSV columns of the block's nodes.
 
     Each (axis position, cells) pair of ``axis_cells`` is a leading column:
     ``cells`` holds one CSV cell per value of that axis, formatted once per
@@ -153,7 +161,7 @@ def _block_rows(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> 
     columns.append(block.statuses)
     quoted = {reason: _csv_field(reason) for reason in set(block.reasons)}
     columns.append([quoted[reason] for reason in block.reasons])
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+    return columns
 
 
 def cmd_contour(args) -> int:
@@ -173,30 +181,25 @@ def cmd_contour(args) -> int:
         scenario.receiver,
         scenario.intensities.signal_mu,
     )
-    with _open_output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            (
-                "p_ap",
-                "intrinsic_error",
-                "loss_db",
-                "dark_count_threshold",
-                "achieved_qber",
-                "status",
-            )
-        )
-        for point in points:
-            writer.writerow(
-                (
-                    _fmt(point.p_ap),
-                    _fmt(point.intrinsic_error),
-                    _fmt(point.loss_db),
-                    _fmt(point.dark_count_prob),
-                    _fmt(point.achieved_qber),
-                    "ok" if point.feasible else "infeasible",
-                )
-            )
+    step = sweep.BLOCK_NODES
+    _write_csv(
+        args.output,
+        ("p_ap", "intrinsic_error", "loss_db", "dark_count_threshold", "achieved_qber", "status"),
+        (_contour_columns(points[start:start + step]) for start in range(0, len(points), step)),
+    )
     return 0
+
+
+def _contour_columns(points) -> list:
+    """CSV columns of contour points; the two result columns are empty where infeasible."""
+    feasible = np.array([point.feasible for point in points])
+    numbers = np.array([
+        (p.p_ap, p.intrinsic_error, p.loss_db, p.dark_count_prob, p.achieved_qber) for p in points
+    ], dtype=float).T
+    columns = [_float_cells(values).tolist() for values in numbers[:3]]
+    columns.extend(_float_cells(values, ~feasible).tolist() for values in numbers[3:])
+    columns.append(np.where(feasible, "ok", "infeasible").tolist())
+    return columns
 
 
 def cmd_optimal_mu(args) -> int:
@@ -249,10 +252,8 @@ def cmd_skr_vs_afterpulse(args) -> int:
     )
     cells = [_float_cells(values) for values in grid.values]
     axis_cells = [(0, cells[0]), (0, _float_cells(nu1)), (1, cells[1]), (2, cells[2])]
-    with _open_output(args.output) as fh:
-        fh.write(",".join(header) + "\n")
-        for block in iter_blocks(spec, grid):
-            fh.write(_block_rows(block, axis_cells))
+    blocks = iter_blocks(spec, grid)
+    _write_csv(args.output, header, (_block_columns(b, axis_cells) for b in blocks))
     return 0
 
 

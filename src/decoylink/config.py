@@ -126,35 +126,26 @@ def _parse_receiver(cfg: dict) -> model.ReceiverModel:
             units.append(
                 _wrap(entry_path, lambda p=prob, b=bias: model.DetectorUnit(p, b))
             )
-        if per_det is not None:
-            total = per_det * len(units)
-        elif total is None:
-            total = DEFAULT_DARK_COUNT_TOTAL
-        return _wrap(
-            path,
-            lambda: model.ReceiverModel(
-                detectors=tuple(units),
-                dark_count_prob_total=total,
-                intrinsic_error=intrinsic,
-                background_error=background,
-                detector_efficiency=efficiency,
-            ),
-        )
-
-    num = _get_int(section, "num_detectors", path, DEFAULT_NUM_DETECTORS)
-    prob = _get_number(section, "afterpulse_prob", path, DEFAULT_AFTERPULSE_PROB)
-    kwargs = dict(
-        intrinsic_error=intrinsic,
-        background_error=background,
-        detector_efficiency=efficiency,
-    )
-    if per_det is not None:
-        kwargs["dark_count_prob_per_detector"] = per_det
     else:
-        kwargs["dark_count_prob_total"] = (
-            total if total is not None else DEFAULT_DARK_COUNT_TOTAL
-        )
-    return _wrap(path, lambda: model.ReceiverModel.identical(num, prob, **kwargs))
+        num = _get_int(section, "num_detectors", path, DEFAULT_NUM_DETECTORS)
+        prob = _get_number(section, "afterpulse_prob", path, DEFAULT_AFTERPULSE_PROB)
+        if num < 1:
+            raise ValidationError(f"{path}: num_detectors must be >= 1, got {num!r}")
+        units = [_wrap(path, lambda: model.DetectorUnit(prob))] * num
+    if per_det is not None:
+        total = len(units) * per_det
+    elif total is None:
+        total = DEFAULT_DARK_COUNT_TOTAL
+    return _wrap(
+        path,
+        lambda: model.ReceiverModel(
+            detectors=tuple(units),
+            dark_count_prob_total=total,
+            intrinsic_error=intrinsic,
+            background_error=background,
+            detector_efficiency=efficiency,
+        ),
+    )
 
 
 def _parse_channel(cfg: dict) -> model.ChannelModel:
@@ -170,19 +161,12 @@ def _parse_channel(cfg: dict) -> model.ChannelModel:
         raise ValidationError(
             f"{path}.loss_db: give either loss_db or distance_km, not both"
         )
-    if loss is not None:
-        return _wrap(
-            path,
-            lambda: model.ChannelModel(
-                attenuation_db_per_km=attenuation, transmission_loss_db=loss
-            ),
-        )
-    if distance is None:
+    if loss is None and distance is None:
         distance = 0.0
     return _wrap(
         path,
         lambda: model.ChannelModel(
-            attenuation_db_per_km=attenuation, distance_km=distance
+            attenuation_db_per_km=attenuation, distance_km=distance, transmission_loss_db=loss
         ),
     )
 

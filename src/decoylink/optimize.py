@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .bounds import Grid, LinkTable, binary_entropy, link_table
+from .bounds import Grid, LinkTable, binary_entropy, link_table, raised
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -224,12 +224,10 @@ def maximize_nodes(
     else:
         lo = np.full(n, float(config.bracket[0]))
         hi = np.full(n, float(config.bracket[1]))
-    errors: dict[int, DecoyLinkError] = {}
-    for i in np.flatnonzero(~(nu1 < lo) | ~(lo < hi)):
-        try:
-            _check_mu_bracket(float(nu1[i]), float(lo[i]), float(hi[i]))
-        except ValidationError as exc:
-            errors[int(i)] = exc
+    errors: dict[int, DecoyLinkError] = {
+        int(i): raised(_check_mu_bracket, nu1[i], lo[i], hi[i])
+        for i in np.flatnonzero(~(nu1 < lo) | ~(lo < hi))
+    }
     failed = np.zeros(n, dtype=bool)
     failed[list(errors)] = True
 
@@ -248,7 +246,9 @@ def maximize_nodes(
         return table, np.where(table.gain_error, -np.inf, table.values["skr_lower"])
 
     points = _GRID_SEED_POINTS
-    xs = lo[:, None] + (hi - lo)[:, None] * np.arange(points, dtype=float) / (points - 1)
+    # A rejected bracket can overflow here and below; its node's result is never used.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = lo[:, None] + (hi - lo)[:, None] * np.arange(points, dtype=float) / (points - 1)
     best = np.empty(n, dtype=int)
     step = max(1, _SEED_SLICE_ROWS // points)
     for start in range(0, n, step):
@@ -277,7 +277,8 @@ def maximize_nodes(
         fc[up] = f[: len(up)]
         fd[down] = f[len(up):]
         iterations[active] += 1
-    mu = 0.5 * (lo + hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = 0.5 * (lo + hi)
     table, skr = objective(nodes, mu)
     return MuSearch(
         mu=mu,
@@ -324,30 +325,37 @@ def threshold_nodes(
     detected: float,
     target_qber: float,
     background_error: float,
+    rejected: dict[int, str],
     config: SolverConfig = SolverConfig(),
 ) -> ThresholdSearch:
     """The dark-count threshold bisection at every node of 1-D input arrays, in lockstep.
 
     ``p_ap`` is each node's aggregated afterpulse probability and
-    ``detected`` = 1 - exp(-eta mu), the same at every node. Every bisection
-    step is one pass of array arithmetic over the nodes still above the
-    tolerance, with the scalar closed form's operations in its order, so each
-    node follows the same arithmetic as a search of its own. The first node,
-    in array order, that ``dark_count_threshold`` would reject (a gain
+    ``detected`` = 1 - exp(-eta mu), the same at every node. ``rejected``
+    maps the nodes whose inputs the model's value types reject to the
+    validator's message. Every bisection step is one pass of array
+    arithmetic over the nodes still above the tolerance, with the scalar
+    closed form's operations in its order, so each node follows the same
+    arithmetic as a search of its own. The first node, in array order, that
+    ``dark_count_threshold`` would reject (a rejected input, then a gain
     outside (0, 1], or a target the search cap cannot reach) raises its
     exception.
     """
     e0 = background_error
-    one_p = 1.0 + p_ap
-    signal = detected * one_p
-    signal_error = (e_prime + e0 * p_ap) * detected
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a rejected node's inputs can be inf or nan
+    with np.errstate(all="ignore"):
+        one_p = 1.0 + p_ap
+        signal = detected * one_p
+        signal_error = (e_prime + e0 * p_ap) * detected
         floor_gain, floor = model.gain_and_qber(0.0, signal, signal_error, e0)
         cap_gain, ceiling = model.gain_and_qber(one_p * DARK_COUNT_CAP, signal, signal_error, e0)
-    floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
-    infeasible = ~floor_error & (floor > target_qber)
-    failed = floor_error | (~infeasible & ((cap_gain > 1.0) | (ceiling < target_qber)))
-    for i in np.flatnonzero(failed)[:1]:
+        floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
+        infeasible = ~floor_error & (floor > target_qber)
+        failed = floor_error | (~infeasible & ((cap_gain > 1.0) | (ceiling < target_qber)))
+    failed[list(rejected)] = True
+    for i in np.flatnonzero(failed)[:1].tolist():
+        if i in rejected:
+            raise ValidationError(rejected[i])
         # the scalar search's checks, in its order, on this node's values
         model.check_gain(float(floor_gain[i]))
         model.check_detections(float(floor_gain[i]))
@@ -407,7 +415,7 @@ def trace_iso_qber_surface(
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
     Nodes are returned in row-major order (p_ap outer, intrinsic_error
-    inner). ``bounds.Grid`` builds every node's inputs, then
+    inner). ``bounds.Grid`` builds every node's inputs and rejections, then
     ``threshold_nodes`` solves all nodes at once. A node the scalar model
     rejects raises its exception, and the first such node in row-major order
     is the one reported (at one node, a rejected p_ap before a rejected
@@ -426,19 +434,10 @@ def trace_iso_qber_surface(
     )
     detected = -math.expm1(-grid.base["eta"] * mean_photon)
     index, x = grid.block(np.arange(grid.size))
-    rejected = grid.rejections(index, ("p_ap", "intrinsic_error"))
-    # Nodes past the first rejected one in row-major order are never reached.
-    reached = min(rejected, default=grid.size)
     search = threshold_nodes(
-        x["p_ap"][:reached],
-        x["e_prime"][:reached],
-        detected,
-        target_qber,
-        receiver_template.background_error,
-        config,
+        x["p_ap"], x["e_prime"], detected, target_qber, receiver_template.background_error,
+        grid.rejections(index, ("p_ap", "intrinsic_error")), config,
     )
-    if reached < grid.size:
-        raise ValidationError(rejected[reached])
 
     nodes = zip(
         ((p, e) for p in p_values for e in e_values),

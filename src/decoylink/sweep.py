@@ -1,6 +1,7 @@
 """Scenario engine: evaluate link metrics over parameter grids."""
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -14,8 +15,8 @@ from .bounds import (
     METRIC_NAMES,
     SCALAR_METRICS,
     Grid,
-    error_text,
     link_table,
+    raised,
 )
 from .errors import ValidationError
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
@@ -80,6 +81,11 @@ class Axis:
             domain = f"[{lo:g}, {hi:g}]" if hi is not None else f"[{lo:g}, inf)"
             raise ValidationError(
                 f"axis {self.name}: bounds outside the physical domain {domain}"
+            )
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValidationError(
+                f"axis {self.name}: endpoints must be finite, "
+                f"got min={self.min!r} max={self.max!r}"
             )
 
     def values(self) -> tuple[float, ...]:
@@ -228,17 +234,15 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     if "baseline_error_change" in spec.outputs:
         scalar_failed = x["e_prime"] < sys.float_info.min
         for i in np.flatnonzero(scalar_failed):
-            reasons[int(i)] = error_text(
-                model.baseline_error_change, float(x["e_prime"][i]), e0, float(x["p_ap"][i])
+            reasons[int(i)] = str(
+                raised(model.baseline_error_change, x["e_prime"][i], e0, x["p_ap"][i])
             )
     search = None
     if spec.needs_link_model():
         for i, text in grid.rejections(index, ("p_ap", "dark_count_prob")).items():
             reasons.setdefault(i, text)
         for i in np.flatnonzero(~(x["nu1"] < x["mu"])):
-            reasons.setdefault(
-                int(i), error_text(model.IntensitySet, float(x["mu"][i]), float(x["nu1"][i]))
-            )
+            reasons.setdefault(int(i), str(raised(model.IntensitySet, x["mu"][i], x["nu1"][i])))
     if spec.mu_policy == "optimize-per-point":
         search = maximize_nodes(
             x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, spec.protocol

@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from decoylink import (
 )
 from decoylink import optimize, sweep
 from decoylink.bounds import link_table
-from decoylink.cli import PRESET_INTRINSIC_ERRORS, main
+from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
 from decoylink.config import scenario_to_yaml
 from decoylink.errors import ValidationError
 from decoylink.optimize import dark_count_threshold
@@ -113,6 +114,46 @@ class TestConfig:
                 }
             )
 
+    # One line per way the receiver and channel sections fail to build,
+    # identical to the seed code's.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("receiver: {num_detectors: 0}", "receiver: num_detectors must be >= 1, got 0"),
+            (
+                "receiver: {num_detectors: 0, afterpulse_prob: 2.0}",
+                "receiver: num_detectors must be >= 1, got 0",
+            ),
+            (
+                "receiver: {afterpulse_prob: 2.0}",
+                "receiver: afterpulse_prob must be in [0, 1], got 2.0",
+            ),
+            (
+                "receiver: {num_detectors: 3, dark_count_prob_per_detector: 0.4}",
+                "receiver: dark_count_prob_total must be in [0, 1), got 1.2000000000000002",
+            ),
+            (
+                "receiver: {detectors: [{afterpulse_prob: 0.01}], "
+                "dark_count_prob_per_detector: 2.0}",
+                "receiver: dark_count_prob_total must be in [0, 1), got 2.0",
+            ),
+            ("channel: {distance_km: -1}", "channel: distance_km must be >= 0, got -1.0"),
+            (
+                "channel: {attenuation_db_per_km: -1, loss_db: 3}",
+                "channel: attenuation_db_per_km must be >= 0, got -1.0",
+            ),
+        ],
+        ids=[
+            "no_detectors", "no_detectors_bad_afterpulse", "bad_afterpulse",
+            "per_detector_dark_counts", "detector_list_dark_counts", "negative_distance",
+            "negative_attenuation_with_loss",
+        ],
+    )
+    def test_receiver_and_channel_error_lines(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text + "\n")
+        assert main(["report", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
     def test_axis_name_alias(self):
         scenario = parse_scenario(
             {
@@ -167,12 +208,33 @@ class TestReport:
         values = parse_pretty(capsys.readouterr().out)
         assert values["e_detector"] == "0.02380952381"
 
-    def test_machine_readable_row(self, capsys):
+    def test_machine_readable_row(self, tmp_path, capsys):
         assert main(["report", "--format", "csv"]) == 0
         header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         record = dict(zip(header, row))
         assert record["status"] == "ok"
         assert float(record["e_detector"]) == pytest.approx(0.02)
+        # The bytes, at the defaults and at an overdriven signal at 40 dB
+        # (decoy estimation infeasible: empty cells and a reason), equal a
+        # csv.writer rendering of the report's values.
+        infeasible = write_config(
+            tmp_path,
+            "receiver: {num_detectors: 2, afterpulse_prob: 0.05, dark_count_prob_total: 6.0e-7}\n"
+            "channel: {loss_db: 40.0}\n"
+            "intensities: {signal_mu: 6.0, weak_decoy_nu1: 0.05}\n",
+        )
+        for argv, status in [([], "ok"), (["--config", infeasible], "infeasible")]:
+            assert main(["report", "--format", "csv", *argv]) == 0
+            rows = _report_rows(load_scenario(infeasible) if argv else parse_scenario({}))
+            assert dict(rows)["status"] == status
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow([name for name, _ in rows])
+            writer.writerow([
+                "" if v is None else format(v, ".10g") if isinstance(v, float) else v
+                for _, v in rows
+            ])
+            assert capsys.readouterr().out == buf.getvalue()
 
     def test_degenerate_input_exits_model_domain(self, tmp_path, capsys):
         path = write_config(
@@ -244,6 +306,56 @@ class TestSweepCommand:
         data = out.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+    def test_non_finite_axis_endpoint_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "sweep:\n  axes:\n    - {name: loss_db, min: 0.0, max: .inf, count: 3}\n"
+        )
+        assert main(["sweep", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: config: sweep.axes[0]: axis loss_db: endpoints must be finite, "
+            "got min=0.0 max=inf\n"
+        )
+        assert captured.out == ""
+
+    # Grids whose rejected nodes overflow in numpy arithmetic: a nu1 axis
+    # to 1e308 under optimize-per-point (the optimizer's bracket and seed
+    # grid) and a loss of attenuation times distance past the float maximum.
+    # The seed code prints no warning for them; the expected text is its
+    # stdout.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "sweep:\n  axes:\n"
+                "    - {name: weak_decoy_nu1, min: 0.0, max: 1.0e+308, count: 3}\n"
+                "  mu_policy: optimize-per-point\n",
+                "weak_decoy_nu1,mu_opt,skr_lower,status,reason\n"
+                '0,,,model-domain-error,"weak+vacuum estimation needs 0 < nu1 < mu, '
+                'got nu1=0.0 mu=1e-06"\n'
+                "5e+307,,,model-domain-error,weak_decoy_nu1 (5e+307) must be below "
+                "signal_mu (0.48)\n"
+                "1e+308,,,model-domain-error,weak_decoy_nu1 (1e+308) must be below "
+                "signal_mu (0.48)\n",
+            ),
+            (
+                "channel: {attenuation_db_per_km: 1.0e+300}\n"
+                "sweep:\n  axes:\n    - {name: distance_km, min: 0.0, max: 1.0e+10, count: 3}\n",
+                "distance_km,skr_lower,status,reason\n"
+                "0,0.008702849002,ok,\n"
+                "5000000000,0,ok,\n"
+                "1e+10,0,ok,\n",
+            ),
+        ],
+        ids=["huge_nu1", "huge_loss"],
+    )
+    def test_overflow_at_extreme_nodes_is_silent(self, tmp_path, capsys, text, expected):
+        config = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", config]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         config = write_config(tmp_path, "receiver:\n  intrinsic_error: 0.02\n")
@@ -399,6 +511,39 @@ class TestContourCommand:
             0.05, 0.04, 10.5, 0.09, scenario.receiver, 0.48
         )
         assert float(rows[-1][3]) == pytest.approx(expected.dark_count_prob, rel=1e-9)
+
+    def test_equals_independent_rendering_of_points(self, tmp_path, capsys, monkeypatch):
+        config = write_config(
+            tmp_path,
+            CONTOUR_CONFIG.replace("count: 3", "count: 9").replace(
+                "max: 0.04, count: 2", "max: 0.2, count: 8"
+            ),
+        )
+        scenario = load_scenario(config)
+        axes = {ax.name: ax for ax in scenario.sweep.axes}
+        points = optimize.trace_iso_qber_surface(
+            axes["p_ap"].values(), axes["intrinsic_error"].values(), scenario.channel.loss_db,
+            0.09, scenario.receiver, scenario.intensities.signal_mu,
+        )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            ("p_ap", "intrinsic_error", "loss_db", "dark_count_threshold", "achieved_qber",
+             "status")
+        )
+        for p in points:
+            numbers = (p.p_ap, p.intrinsic_error, p.loss_db, p.dark_count_prob, p.achieved_qber)
+            writer.writerow([
+                *("" if v is None else format(v, ".10g") for v in numbers),
+                "ok" if p.feasible else "infeasible",
+            ])
+        # at least 3 slices, the last one partial, with infeasible rows
+        block_nodes = 20
+        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
+        assert len(points) > 2 * block_nodes and len(points) % block_nodes != 0
+        assert {p.feasible for p in points} == {True, False}
+        assert main(["contour", "--config", config, "--target-qber", "0.09"]) == 0
+        assert capsys.readouterr().out == buf.getvalue()
 
     def test_requires_both_axes(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)
@@ -560,6 +705,14 @@ class TestPresetCommand:
         assert [row["reason"] for row in rows if row["p_ap"] == "1e+308"] == [
             "afterpulse_prob must be in [0, 1], got 1e+308"
         ] * (len(rows) // 3)
+
+    def test_non_finite_range_rejected(self, capsys):
+        assert main(["skr-vs-afterpulse", "--pap-max", "inf", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: config: axis p_ap: endpoints must be finite, got min=0.0001 max=inf\n"
+        )
+        assert captured.out == ""
 
     def test_invalid_range_rejected(self, capsys):
         assert main(["skr-vs-afterpulse", "--pap-min", "0.1", "--pap-max", "0.01"]) == 2

@@ -1,12 +1,14 @@
 """Root finding, key-rate maximization and iso-QBER threshold tracing."""
 import math
 import re
+import warnings
 
 import pytest
 
 from decoylink import (
     ChannelModel,
     ContourPoint,
+    DegenerateInputError,
     IntensitySet,
     ModelDomainError,
     NoSolutionError,
@@ -343,3 +345,22 @@ class TestTraceIsoQberSurface:
             trace_iso_qber_surface(
                 (0.0,), (0.02,), 0.0, 0.09, receiver(eta_bob=1.0), -math.log(0.05)
             )
+        # A rejected p_ap of inf, nan or near the float maximum is checked
+        # with every other node, silently. At 4000 dB the gain of p_ap = 0 is
+        # zero, which fails before a rejected node after it.
+        zero_gain = "total gain is zero"
+        for p_values, text, error_at_4000_db in [
+            ((0.0, math.inf), "inf", (DegenerateInputError, zero_gain)),
+            ((0.0, math.nan), "nan", (DegenerateInputError, zero_gain)),
+            ((0.0, 1e308), "1e+308", (DegenerateInputError, zero_gain)),
+            ((math.inf, 0.0), "inf", (ValidationError, afterpulse + "inf")),
+        ]:
+            for loss_db, (error, message) in [
+                (10.0, (ValidationError, afterpulse + text)), (4000.0, error_at_4000_db)
+            ]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(error, match=re.escape(message)):
+                        trace_iso_qber_surface(
+                            p_values, (0.02,), loss_db, 0.09, receiver(), 0.48
+                        )

@@ -1,5 +1,7 @@
 """Grid engine: axis generation, spec validation, record semantics."""
 import itertools
+import math
+import re
 
 import pytest
 
@@ -79,6 +81,21 @@ class TestAxis:
             Axis("dark_count_prob", 0.0, 2.0, 5)
         with pytest.raises(ValidationError):
             Axis("loss_db", -1.0, 5.0, 5)
+
+    def test_non_finite_endpoints_rejected(self):
+        # the checks before it keep their messages for the inputs they reject
+        with pytest.raises(ValidationError, match="physical domain"):
+            Axis("loss_db", -math.inf, 5.0, 5)
+        with pytest.raises(ValidationError, match="must not exceed"):
+            Axis("p_ap", math.nan, 1.0, 5)
+        for name, lo, hi, spacing in [
+            ("p_ap", 1e-4, math.inf, "log"),
+            ("loss_db", 0.0, math.inf, "linear"),
+            ("signal_mu", math.inf, math.inf, "linear"),
+        ]:
+            message = f"axis {name}: endpoints must be finite, got min={lo!r} max={hi!r}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                Axis(name, lo, hi, 3, spacing)
 
 
 class TestSweepSpecValidation:
