@@ -436,27 +436,31 @@ def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
     return np.array([mean(v) for v in p.tolist()])
 
 
+# Axis name -> (kernel input it sets, lowest and highest value a sweep axis
+# may span, None = unbounded), in the order ``Grid.rejections`` reports them.
+AXES = {
+    "p_ap": ("p_ap", 0.0, None),
+    "loss_db": ("eta", 0.0, None),
+    "distance_km": ("eta", 0.0, None),
+    "intrinsic_error": ("e_prime", 0.0, 1.0),
+    "dark_count_prob": ("p_dc", 0.0, 1.0),
+    "signal_mu": ("mu", 0.0, None),
+    "weak_decoy_nu1": ("nu1", 0.0, None),
+}
+AXIS_NAMES = tuple(AXES)
+
+
 class Grid:
     """Value types and axis values turned into per-node inputs of ``link_table``.
 
     ``intensities`` maps those of ``mu`` and ``nu1`` the caller needs to their
     base values, and ``axes`` is a sequence of (axis name, values) pairs. The
     nodes are the points of the axes' product in row-major order (first axis
-    outermost), one node for no axes. Each axis sets one kernel input,
-    computed once per axis value; the other inputs come from the value types.
-    Axis values that the model's value types reject are kept with the
-    validator's message.
+    outermost), one node for no axes. Each axis sets the kernel input that
+    ``AXES`` names, computed once per axis value; the other inputs come from
+    the value types. Axis values that the model's value types reject are
+    kept with the validator's message.
     """
-
-    _INPUT_OF_AXIS = {
-        "p_ap": "p_ap",
-        "intrinsic_error": "e_prime",
-        "dark_count_prob": "p_dc",
-        "loss_db": "eta",
-        "distance_km": "eta",
-        "signal_mu": "mu",
-        "weak_decoy_nu1": "nu1",
-    }
 
     def __init__(
         self,
@@ -500,7 +504,7 @@ class Grid:
                     model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
                     for loss in losses.tolist()
                 ])
-            self.inputs[self._INPUT_OF_AXIS[name]] = (pos, per_value)
+            self.inputs[AXES[name][0]] = (pos, per_value)
             if bad is not None:
                 self.rejected[name] = (pos, {
                     int(i): str(raised(build, values[i])) for i in np.flatnonzero(bad)
@@ -514,14 +518,14 @@ class Grid:
             inputs[name] = per_value[index[pos]]
         return index, inputs
 
-    def rejections(self, index: tuple[np.ndarray, ...], names: Iterable[str]) -> dict[int, str]:
-        """Node -> message of the first of the axes ``names`` whose value the model rejects.
+    def rejections(self, index: tuple[np.ndarray, ...]) -> dict[int, str]:
+        """Node -> message of its first axis, in ``AXES`` order, whose value the model rejects.
 
         ``index`` holds the nodes' axis value indices, as ``block`` returns
         them; a node is keyed by its position in them.
         """
         found: dict[int, str] = {}
-        for name in names:
+        for name in AXES:
             if name in self.rejected:
                 pos, texts = self.rejected[name]
                 for i in np.flatnonzero(np.isin(index[pos], list(texts))).tolist():

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .optimize import solve_optimal_mu, trace_iso_qber_surface
-from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, SweepSpec, iter_blocks
+from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, check_grid_size, grid_blocks, iter_blocks
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
 
@@ -226,17 +226,10 @@ def cmd_skr_vs_afterpulse(args) -> int:
             f"{args.pap_min!r}..{args.pap_max!r}"
         )
     axis = Axis("p_ap", args.pap_min, args.pap_max, args.points, "log")
+    # the grid-size cap applies to each curve, as to a one-axis sweep
+    check_grid_size(args.points)
     losses = sorted(NU1_BY_LOSS_DB)
     nu1 = np.array([NU1_BY_LOSS_DB[loss] for loss in losses])
-    spec = SweepSpec(
-        receiver=scenario.receiver,
-        channel=scenario.channel,
-        intensities=model.IntensitySet(1.0, float(nu1[0])),
-        protocol=scenario.protocol,
-        axes=(axis,),
-        outputs=("skr_lower",),
-        mu_policy="optimize-per-point",
-    )
     # All six curves are one grid, so each block is one lockstep optimizer
     # run; its loss_db axis also sets nu1.
     axes = (
@@ -244,7 +237,8 @@ def cmd_skr_vs_afterpulse(args) -> int:
         ("intrinsic_error", PRESET_INTRINSIC_ERRORS),
         ("p_ap", axis.values()),
     )
-    grid = Grid(scenario.receiver, scenario.channel, {"mu": spec.intensities.signal_mu}, axes)
+    # mu is optimized at every node; this base value only feeds the nu1 < mu check.
+    grid = Grid(scenario.receiver, scenario.channel, {"mu": 1.0}, axes)
     grid.inputs["nu1"] = (0, nu1)
     header = (
         "loss_db", "weak_decoy_nu1", "intrinsic_error", "p_ap", "mu_opt", "skr_lower",
@@ -252,7 +246,8 @@ def cmd_skr_vs_afterpulse(args) -> int:
     )
     cells = [_float_cells(values) for values in grid.values]
     axis_cells = [(0, cells[0]), (0, _float_cells(nu1)), (1, cells[1]), (2, cells[2])]
-    blocks = iter_blocks(spec, grid)
+    e0 = scenario.receiver.background_error
+    blocks = grid_blocks(grid, scenario.protocol, e0, ("skr_lower",), "optimize-per-point")
     _write_csv(args.output, header, (_block_columns(b, axis_cells) for b in blocks))
     return 0
 

@@ -51,18 +51,18 @@ def _check_keys(section: dict, allowed: tuple[str, ...], path: str) -> None:
 
 
 def _get_number(section: dict, key: str, path: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
+    value = section.get(key)
+    if value is None:  # absent or null
+        return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
     return float(value)
 
 
 def _get_int(section: dict, key: str, path: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
+    value = section.get(key)
+    if value is None:  # absent or null
+        return default
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}.{key}: expected an integer, got {value!r}")
     return value

@@ -134,24 +134,28 @@ class ChannelModel:
     transmission_loss_db: float | None = None
 
     def __post_init__(self) -> None:
-        if self.attenuation_db_per_km is not None and self.attenuation_db_per_km < 0.0:
+        # `not x >= 0.0` rejects NaN too. An infinite loss or distance is an
+        # opaque channel; an infinite attenuation would make 0 km NaN dB.
+        if self.attenuation_db_per_km is not None and not self.attenuation_db_per_km >= 0.0:
             raise ValidationError(
                 f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km!r}"
             )
+        if self.attenuation_db_per_km == math.inf:
+            raise ValidationError("attenuation_db_per_km must be finite, got inf")
         if self.transmission_loss_db is None:
             if self.attenuation_db_per_km is None or self.distance_km is None:
                 raise ValidationError(
                     "channel needs attenuation_db_per_km and distance_km, "
                     "or transmission_loss_db"
                 )
-            if self.distance_km < 0.0:
+            if not self.distance_km >= 0.0:
                 raise ValidationError(f"distance_km must be >= 0, got {self.distance_km!r}")
         else:
             if self.distance_km is not None:
                 raise ValidationError(
                     "give either distance_km or transmission_loss_db, not both"
                 )
-            if self.transmission_loss_db < 0.0:
+            if not self.transmission_loss_db >= 0.0:
                 raise ValidationError(
                     f"transmission_loss_db must be >= 0, got {self.transmission_loss_db!r}"
                 )
@@ -208,7 +212,7 @@ class ProtocolParams:
             raise ValidationError(
                 f"sifting_factor must be in (0, 1], got {self.sifting_factor!r}"
             )
-        if self.ec_efficiency < 1.0:
+        if not self.ec_efficiency >= 1.0:
             raise ValidationError(
                 f"ec_efficiency must be >= 1, got {self.ec_efficiency!r}"
             )

@@ -436,7 +436,7 @@ def trace_iso_qber_surface(
     index, x = grid.block(np.arange(grid.size))
     search = threshold_nodes(
         x["p_ap"], x["e_prime"], detected, target_qber, receiver_template.background_error,
-        grid.rejections(index, ("p_ap", "intrinsic_error")), config,
+        grid.rejections(index), config,
     )
 
     nodes = zip(

@@ -10,6 +10,8 @@ import numpy as np
 
 from . import model
 from .bounds import (
+    AXES,
+    AXIS_NAMES,
     ESTIMATION_INFEASIBLE,
     LINK_METRICS,
     METRIC_NAMES,
@@ -32,18 +34,6 @@ BLOCK_NODES = 256
 # other loss requires an explicit weak_decoy_nu1 (no interpolation).
 NU1_BY_LOSS_DB = {0.0: 0.038, 5.0: 0.05, 21.0: 0.12}
 
-# Physical (lower, upper) domain per axis; None upper bound = unbounded.
-_AXIS_DOMAINS = {
-    "p_ap": (0.0, None),
-    "loss_db": (0.0, None),
-    "distance_km": (0.0, None),
-    "intrinsic_error": (0.0, 1.0),
-    "dark_count_prob": (0.0, 1.0),
-    "signal_mu": (0.0, None),
-    "weak_decoy_nu1": (0.0, None),
-}
-AXIS_NAMES = tuple(_AXIS_DOMAINS)
-
 MU_POLICIES = ("fixed", "optimize-per-point")
 
 
@@ -58,7 +48,7 @@ class Axis:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.name not in _AXIS_DOMAINS:
+        if self.name not in AXES:
             raise ValidationError(
                 f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
             )
@@ -76,7 +66,7 @@ class Axis:
             raise ValidationError(
                 f"axis {self.name}: log spacing needs positive endpoints, got min={self.min!r}"
             )
-        lo, hi = _AXIS_DOMAINS[self.name]
+        _, lo, hi = AXES[self.name]
         if self.min < lo or (hi is not None and self.max > hi):
             domain = f"[{lo:g}, {hi:g}]" if hi is not None else f"[{lo:g}, inf)"
             raise ValidationError(
@@ -94,6 +84,12 @@ class Axis:
         else:
             points = np.linspace(self.min, self.max, self.count)
         return tuple(float(v) for v in points)
+
+
+def check_grid_size(points: int) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS nodes."""
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"grid has {points} points, above the cap of {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -137,22 +133,11 @@ class SweepSpec:
             raise ValidationError(
                 f"mu_policy must be one of {MU_POLICIES}, got {self.mu_policy!r}"
             )
-        total = 1
-        for ax in self.axes:
-            total *= ax.count
-        if total > MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid has {total} points, above the cap of {MAX_GRID_POINTS}"
-            )
+        check_grid_size(math.prod(ax.count for ax in self.axes))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)
-
-    def needs_link_model(self) -> bool:
-        return self.mu_policy == "optimize-per-point" or any(
-            name in LINK_METRICS for name in self.outputs
-        )
 
 
 @dataclass(frozen=True)
@@ -219,10 +204,13 @@ def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
     return attenuation_db_per_km * distance_km
 
 
-def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
+def _block(
+    grid: Grid, protocol: model.ProtocolParams, e0: float, outputs: tuple[str, ...],
+    mu_policy: str, nodes: np.ndarray,
+) -> SweepBlock:
     n = len(nodes)
     index, x = grid.block(nodes)
-    e0 = spec.receiver.background_error
+    link_model = mu_policy == "optimize-per-point" or any(name in LINK_METRICS for name in outputs)
 
     # Node -> model-domain-error message. Checks run in the order a node
     # meets them: scalar outputs in output order, the axis overrides, the
@@ -231,21 +219,21 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     scalar_failed = np.zeros(n, dtype=bool)
     # Of the scalar metrics only baseline_error_change can fail on axis values
     # (e' = 0 or subnormal); the outputs listed after it are then left empty.
-    if "baseline_error_change" in spec.outputs:
+    if "baseline_error_change" in outputs:
         scalar_failed = x["e_prime"] < sys.float_info.min
         for i in np.flatnonzero(scalar_failed):
             reasons[int(i)] = str(
                 raised(model.baseline_error_change, x["e_prime"][i], e0, x["p_ap"][i])
             )
     search = None
-    if spec.needs_link_model():
-        for i, text in grid.rejections(index, ("p_ap", "dark_count_prob")).items():
+    if link_model:
+        for i, text in grid.rejections(index).items():
             reasons.setdefault(i, text)
         for i in np.flatnonzero(~(x["nu1"] < x["mu"])):
             reasons.setdefault(int(i), str(raised(model.IntensitySet, x["mu"][i], x["nu1"][i])))
-    if spec.mu_policy == "optimize-per-point":
+    if mu_policy == "optimize-per-point":
         search = maximize_nodes(
-            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, spec.protocol
+            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, protocol
         )
         for i, exc in search.errors.items():
             reasons.setdefault(i, str(exc))
@@ -254,9 +242,9 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
         mu_missing[list(reasons)] = True
         table = search.table
     else:
-        table = link_table(**x, background_error=e0, protocol=spec.protocol)
+        table = link_table(**x, background_error=e0, protocol=protocol)
     infeasible = np.zeros(n, dtype=bool)
-    if spec.needs_link_model():
+    if link_model:
         for i in np.flatnonzero(table.domain_error):
             if int(i) not in reasons:
                 reasons[int(i)] = str(table.error(i))
@@ -265,18 +253,18 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     failed = np.zeros(n, dtype=bool)
     failed[list(reasons)] = True
     first_scalar_failure = (
-        spec.outputs.index("baseline_error_change")
-        if "baseline_error_change" in spec.outputs
-        else len(spec.outputs)
+        outputs.index("baseline_error_change")
+        if "baseline_error_change" in outputs
+        else len(outputs)
     )
     never = np.zeros(n, dtype=bool)
-    outputs = []
-    for j, name in enumerate(spec.outputs):
+    columns = []
+    for j, name in enumerate(outputs):
         if name in SCALAR_METRICS:
             missing = scalar_failed if j >= first_scalar_failure else never
         else:
             missing = failed | table.missing(name)
-        outputs.append((table.values[name], missing))
+        columns.append((table.values[name], missing))
 
     statuses = ["ok"] * n
     notes: list[str | None] = [None] * n
@@ -293,30 +281,34 @@ def _block(spec: SweepSpec, grid: Grid, nodes: np.ndarray) -> SweepBlock:
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
-        outputs=tuple(outputs),
+        outputs=tuple(columns),
         mu_opt=None if search is None else (search.mu, mu_missing),
         statuses=statuses,
         reasons=notes,
     )
 
 
-def iter_blocks(spec: SweepSpec, grid: Grid | None = None) -> Iterator[SweepBlock]:
-    """The grid nodes of ``run_sweep`` as columns, BLOCK_NODES nodes at a time.
+def grid_blocks(
+    grid: Grid, protocol: model.ProtocolParams, background_error: float,
+    outputs: tuple[str, ...], mu_policy: str,
+) -> Iterator[SweepBlock]:
+    """The nodes of ``grid`` as columns of the ``outputs``, BLOCK_NODES nodes at a time.
 
-    Under optimize-per-point each block is one lockstep optimizer run.
-    ``grid`` replaces the grid of the spec's axes, intensities and channel;
-    the spec still sets the background error, protocol, outputs and mu
-    policy. It must give every node both intensities.
+    Under optimize-per-point each block is one lockstep optimizer run. The
+    grid must give every node both intensities.
     """
-    if grid is None:
-        grid = Grid(
-            spec.receiver,
-            spec.channel,
-            {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1},
-            ((ax.name, ax.values()) for ax in spec.axes),
-        )
     for start in range(0, grid.size, BLOCK_NODES):
-        yield _block(spec, grid, np.arange(start, min(start + BLOCK_NODES, grid.size)))
+        nodes = np.arange(start, min(start + BLOCK_NODES, grid.size))
+        yield _block(grid, protocol, background_error, outputs, mu_policy, nodes)
+
+
+def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
+    """The grid nodes of ``run_sweep`` as columns: ``grid_blocks`` of the spec's grid."""
+    intensities = {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1}
+    axes = ((ax.name, ax.values()) for ax in spec.axes)
+    grid = Grid(spec.receiver, spec.channel, intensities, axes)
+    e0 = spec.receiver.background_error
+    return grid_blocks(grid, spec.protocol, e0, spec.outputs, spec.mu_policy)
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRecord]:

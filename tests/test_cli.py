@@ -32,6 +32,15 @@ def write_config(tmp_path, text, name="scenario.yaml"):
     return str(path)
 
 
+# A sweep section that every command accepts: contour needs these two axes.
+CONTOUR_GRID = """\
+sweep:
+  axes:
+    - {name: p_ap, min: 0.0, max: 0.1, count: 2}
+    - {name: intrinsic_error, min: 0.01, max: 0.02, count: 2}
+"""
+
+
 def parse_pretty(output):
     result = {}
     for line in output.splitlines():
@@ -153,6 +162,61 @@ class TestConfig:
         config = write_config(tmp_path, text + "\n")
         assert main(["report", "--config", config]) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    # NaN fails every `x >= 0` test, and an infinite attenuation would make
+    # 0 km NaN dB, so each of these is a config error before any node runs.
+    @pytest.mark.parametrize("command", ["report", "sweep", "contour"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("channel: {loss_db: .nan}", "channel: transmission_loss_db must be >= 0, got nan"),
+            ("channel: {distance_km: .nan}", "channel: distance_km must be >= 0, got nan"),
+            (
+                "channel: {attenuation_db_per_km: .nan}",
+                "channel: attenuation_db_per_km must be >= 0, got nan",
+            ),
+            (
+                "channel: {attenuation_db_per_km: .inf}",
+                "channel: attenuation_db_per_km must be finite, got inf",
+            ),
+            ("protocol: {ec_efficiency: .nan}", "protocol: ec_efficiency must be >= 1, got nan"),
+        ],
+        ids=["nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation", "nan_ec"],
+    )
+    def test_nan_settings_and_infinite_attenuation_are_config_errors(
+        self, tmp_path, capsys, command, text, message
+    ):
+        config = write_config(tmp_path, f"{text}\n{CONTOUR_GRID}")
+        assert main([command, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {message}\n"
+        assert captured.out == ""
+
+    # A null number is a field not given: it takes the field's default.
+    @pytest.mark.parametrize("command", ["report", "sweep", "contour"])
+    @pytest.mark.parametrize(
+        "text, absent",
+        [
+            ("receiver: {num_detectors: null}", "receiver: {}"),
+            ("intensities: {signal_mu: null}", "intensities: {}"),
+            ("receiver: {intrinsic_error: null}", "receiver: {}"),
+            ("protocol: {ec_efficiency: null}", "protocol: {}"),
+            (
+                "receiver: {detectors: [{afterpulse_prob: 0.01, bias: null}]}",
+                "receiver: {detectors: [{afterpulse_prob: 0.01}]}",
+            ),
+        ],
+        ids=["num_detectors", "signal_mu", "intrinsic_error", "ec_efficiency", "bias"],
+    )
+    def test_null_number_takes_its_default(self, tmp_path, capsys, command, text, absent):
+        outputs = []
+        for name, section in (("null.yaml", text), ("absent.yaml", absent)):
+            config = write_config(tmp_path, f"{section}\n{CONTOUR_GRID}", name)
+            assert main([command, "--config", config]) == 0
+            outputs.append(capsys.readouterr())
+            assert outputs[-1].err == ""
+        assert outputs[0].out == outputs[1].out
+        assert load_scenario(config) == load_scenario(str(tmp_path / "null.yaml"))
 
     def test_axis_name_alias(self):
         scenario = parse_scenario(
@@ -705,6 +769,15 @@ class TestPresetCommand:
         assert [row["reason"] for row in rows if row["p_ap"] == "1e+308"] == [
             "afterpulse_prob must be in [0, 1], got 1e+308"
         ] * (len(rows) // 3)
+
+    def test_points_above_grid_cap_rejected(self, capsys):
+        # the grid-size cap applies to each curve, as to a one-axis sweep
+        assert main(["skr-vs-afterpulse", "--points", "1000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: config: grid has 1000001 points, above the cap of 1000000\n"
+        )
+        assert captured.out == ""
 
     def test_non_finite_range_rejected(self, capsys):
         assert main(["skr-vs-afterpulse", "--pap-max", "inf", "--points", "3"]) == 2

@@ -169,6 +169,32 @@ class TestChannel:
         with pytest.raises(ValidationError):
             ChannelModel(attenuation_db_per_km=-0.1, distance_km=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"transmission_loss_db": math.nan}, "transmission_loss_db must be >= 0, got nan"),
+            ({"attenuation_db_per_km": 0.21, "distance_km": math.nan},
+             "distance_km must be >= 0, got nan"),
+            ({"attenuation_db_per_km": math.nan, "distance_km": 0.0},
+             "attenuation_db_per_km must be >= 0, got nan"),
+            ({"attenuation_db_per_km": math.inf, "distance_km": 0.0},
+             "attenuation_db_per_km must be finite, got inf"),
+            ({"attenuation_db_per_km": math.inf, "transmission_loss_db": 3.0},
+             "attenuation_db_per_km must be finite, got inf"),
+        ],
+        ids=["nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation",
+             "inf_attenuation_with_loss"],
+    )
+    def test_non_numbers_and_infinite_attenuation_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError) as excinfo:
+            ChannelModel(**kwargs)
+        assert str(excinfo.value) == message
+
+    def test_infinite_loss_or_distance_is_an_opaque_channel(self):
+        by_loss = ChannelModel(transmission_loss_db=math.inf)
+        by_distance = ChannelModel(attenuation_db_per_km=0.21, distance_km=math.inf)
+        assert by_loss.channel_transmittance == by_distance.channel_transmittance == 0.0
+
 
 class TestIntensityAndProtocol:
     def test_weak_decoy_below_signal(self):
@@ -186,6 +212,9 @@ class TestIntensityAndProtocol:
             ProtocolParams(sifting_factor=0.0)
         with pytest.raises(ValidationError):
             ProtocolParams(ec_efficiency=0.9)
+        with pytest.raises(ValidationError) as excinfo:
+            ProtocolParams(ec_efficiency=math.nan)
+        assert str(excinfo.value) == "ec_efficiency must be >= 1, got nan"
 
 
 class TestYields:

@@ -58,6 +58,14 @@ class TestAxis:
     def test_single_point_axis(self):
         assert Axis("signal_mu", 0.48, 0.48, 1).values() == (0.48,)
 
+    def test_unknown_axis_message_lists_axes_in_table_order(self):
+        with pytest.raises(ValidationError) as excinfo:
+            Axis("x", 0.0, 1.0, 3)
+        assert str(excinfo.value) == (
+            "unknown axis 'x'; expected one of p_ap, loss_db, distance_km, intrinsic_error, "
+            "dark_count_prob, signal_mu, weak_decoy_nu1"
+        )
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             Axis("unknown", 0.0, 1.0, 5)
@@ -143,8 +151,10 @@ class TestSweepSpecValidation:
 
     def test_grid_size_cap(self):
         axes = [Axis("p_ap", 0.0, 0.01, 1001), Axis("loss_db", 0.0, 5.0, 1001)]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             base_spec(axes)
+        assert str(excinfo.value) == "grid has 1002001 points, above the cap of 1000000"
+        base_spec([Axis("p_ap", 0.0, 0.01, 1000), Axis("loss_db", 0.0, 5.0, 1000)])
 
 
 class TestRunSweep:
@@ -350,6 +360,31 @@ class TestRunSweep:
          "leaves no room below the bracket top", "-", False),
     ]
 
+    # A node rejected on several axes reads the message of its first in the
+    # axis table (p_ap, intrinsic_error, dark_count_prob), whatever the
+    # grid's axis order; written out from the seed code.
+    E0 = ("model-domain-error", "relative baseline change undefined for intrinsic_error = 0",
+          "x---", False)
+    OK = ("ok", None, "xxxx", False)
+    PAP = ("model-domain-error", "afterpulse_prob must be in [0, 1], got 1.5", "xx--", False)
+    DARK = ("model-domain-error", "dark_count_prob_total must be in [0, 1), got 1.0", "xx--",
+            False)
+    GAIN = ("model-domain-error", "total gain 1.0301286268693686 exceeds 1: afterpulse "
+            "probability too large for the single-order afterpulse model", "xx--", False)
+    STATUS_GRID_MIXED = [
+        *[E0] * 4, *[OK] * 3, PAP, *[OK] * 3, PAP,
+        *[E0] * 4, OK, OK, GAIN, PAP, OK, OK, GAIN, PAP,
+        *[E0] * 4, *[DARK] * 3, PAP, *[DARK] * 3, PAP,
+    ]
+    STATUS_GRID_MIXED_OPTIMIZED = [
+        ("model-domain-error",
+         "total gain is zero (no dark counts and an opaque channel); error rate undefined",
+         "xx--", True), PAP, DARK, PAP,
+        ("ok", None, "xxxx", True), PAP, DARK, PAP,
+        ("model-domain-error", "weak_decoy_nu1 (0.6) must be below signal_mu (0.48)", "xx--",
+         False), PAP, DARK, PAP,
+    ]
+
     @staticmethod
     def outcomes(spec):
         return [
@@ -382,6 +417,19 @@ class TestRunSweep:
         assert self.outcomes(solver) == self.STATUS_GRID_SOLVER
         # every mu is rejected (-inf), so each golden-section step raises the lower end
         assert records[0].mu_opt == 0.023810507904354516
+        mixed = base_spec(
+            [Axis("dark_count_prob", 0.0, 1.0, 3), Axis("intrinsic_error", 0.0, 1.0, 3),
+             Axis("p_ap", 0.0, 1.5, 4)],
+            outputs=("visibility", "baseline_error_change", "q_mu", "skr_raw"),
+        )
+        assert self.outcomes(mixed) == self.STATUS_GRID_MIXED
+        mixed_optimized = base_spec(
+            [Axis("weak_decoy_nu1", 0.0, 0.6, 3), Axis("dark_count_prob", 0.0, 1.0, 2),
+             Axis("p_ap", 0.0, 1.5, 2)],
+            outputs=("p_ap", "baseline_error_change", "skr_lower", "e_mu"),
+            mu_policy="optimize-per-point",
+        )
+        assert self.outcomes(mixed_optimized) == self.STATUS_GRID_MIXED_OPTIMIZED
 
     def test_optimized_nodes_match_standalone_maximization(self):
         spec = base_spec(
