@@ -1,12 +1,13 @@
 """Scenario configuration: YAML schema, defaults, parsing, serialization.
 
 Sections and field names are the stable contract documented in the README;
-unspecified fields take the defaults below. Parse errors always carry the
+``FIELDS`` lists each section's fields with their kinds and defaults, and
+every section is read by ``_read``. Parse errors always carry the
 ``section.field`` path of the offending entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -14,15 +15,58 @@ from . import model
 from .errors import ValidationError
 from .sweep import Axis, SweepSpec
 
-DEFAULT_NUM_DETECTORS = 2
-DEFAULT_AFTERPULSE_PROB = 0.0
-DEFAULT_DARK_COUNT_TOTAL = 6e-7
-DEFAULT_INTRINSIC_ERROR = 0.02
-DEFAULT_BACKGROUND_ERROR = 0.5
-DEFAULT_DETECTOR_EFFICIENCY = 0.1
-DEFAULT_ATTENUATION_DB_PER_KM = 0.21
-DEFAULT_SIGNAL_MU = 0.48
-DEFAULT_WEAK_DECOY_NU1 = 0.038
+# section -> field -> (kind, default). A default of None means the field has
+# none. Fields are listed in the order unknown-field messages name them.
+FIELDS = {
+    "receiver": {
+        "detectors": ("list", None),
+        "num_detectors": ("integer", 2),
+        "afterpulse_prob": ("number", 0.0),
+        "dark_count_prob_total": ("number", 6e-7),
+        "dark_count_prob_per_detector": ("number", None),
+        "intrinsic_error": ("number", 0.02),
+        "background_error": ("number", 0.5),
+        "detector_efficiency": ("number", 0.1),
+    },
+    "detector": {"afterpulse_prob": ("number", None), "bias": ("number", 0.0)},
+    "channel": {
+        "attenuation_db_per_km": ("number", 0.21),
+        "distance_km": ("number", 0.0),
+        "loss_db": ("number", None),
+    },
+    "intensities": {
+        "signal_mu": ("number", 0.48),
+        "weak_decoy_nu1": ("number", 0.038),
+        "vacuum_decoy": ("number", 0.0),
+    },
+    "protocol": {"sifting_factor": ("number", 0.5), "ec_efficiency": ("number", 1.16)},
+    "sweep": {
+        "axes": ("list", ()),
+        "outputs": ("names", ("skr_lower",)),
+        "mu_policy": ("string", "fixed"),
+    },
+    "axis": {
+        "name": ("string", None),
+        "min": ("number", None),
+        "max": ("number", None),
+        "count": ("integer", None),
+        "spacing": ("string", "linear"),
+    },
+}
+
+# kind -> (what the error message expects, test of a given value)
+_KINDS = {
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "names": (
+        "a list of metric names",
+        lambda v: isinstance(v, list) and all(isinstance(o, str) for o in v),
+    ),
+}
+
+TOP_LEVEL_SECTIONS = ("receiver", "channel", "intensities", "protocol", "sweep")
 
 
 @dataclass(frozen=True)
@@ -34,38 +78,40 @@ class Scenario:
     sweep: SweepSpec | None = None
 
 
-def _require_mapping(value, path: str) -> dict:
+def _mapping(value, path: str, keys) -> dict:
+    """``value`` as a mapping (``null`` is empty) whose keys are all in ``keys``."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(section: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in section:
-        if key not in allowed:
+    for key in value:
+        if key not in keys:
             raise ValidationError(
-                f"{path}.{key}: unknown field (expected one of {', '.join(allowed)})"
+                f"{path}.{key}: unknown field (expected one of {', '.join(keys)})"
             )
-
-
-def _get_number(section: dict, key: str, path: str, default=None):
-    value = section.get(key)
-    if value is None:  # absent or null
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_int(section: dict, key: str, path: str, default=None):
-    value = section.get(key)
-    if value is None:  # absent or null
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key}: expected an integer, got {value!r}")
     return value
+
+
+def _read(value, path: str, fields: dict) -> dict:
+    """Every field of a section: its default if absent or ``null``, else its
+    checked value (numbers as float)."""
+    section = _mapping(value, path, fields)
+    out = {}
+    for key, (kind, default) in fields.items():
+        given = section.get(key)
+        if given is None:
+            out[key] = default
+            continue
+        expected, check = _KINDS[kind]
+        if not check(given):
+            raise ValidationError(f"{path}.{key}: expected {expected}, got {given!r}")
+        out[key] = float(given) if kind == "number" else given
+    return out
+
+
+def _given(value, key: str) -> bool:
+    """Whether a section read by ``_read`` gives ``key`` (present and not ``null``)."""
+    return value is not None and value.get(key) is not None
 
 
 def _wrap(path: str, build):
@@ -77,155 +123,94 @@ def _wrap(path: str, build):
 
 def _parse_receiver(cfg: dict) -> model.ReceiverModel:
     path = "receiver"
-    section = _require_mapping(cfg.get("receiver"), path)
-    _check_keys(
-        section,
-        (
-            "detectors",
-            "num_detectors",
-            "afterpulse_prob",
-            "dark_count_prob_total",
-            "dark_count_prob_per_detector",
-            "intrinsic_error",
-            "background_error",
-            "detector_efficiency",
-        ),
-        path,
-    )
-    per_det = _get_number(section, "dark_count_prob_per_detector", path)
-    total = _get_number(section, "dark_count_prob_total", path)
-    if per_det is not None and total is not None:
+    section = cfg.get(path)
+    fields = _read(section, path, FIELDS[path])
+    per_det = fields["dark_count_prob_per_detector"]
+    if per_det is not None and _given(section, "dark_count_prob_total"):
         raise ValidationError(
             f"{path}.dark_count_prob_total: give either the total or the "
             "per-detector dark count probability, not both"
         )
-    intrinsic = _get_number(section, "intrinsic_error", path, DEFAULT_INTRINSIC_ERROR)
-    background = _get_number(section, "background_error", path, DEFAULT_BACKGROUND_ERROR)
-    efficiency = _get_number(
-        section, "detector_efficiency", path, DEFAULT_DETECTOR_EFFICIENCY
-    )
-
-    if "detectors" in section:
+    entries = fields["detectors"]
+    if entries is not None:
         for key in ("num_detectors", "afterpulse_prob"):
-            if key in section:
+            if _given(section, key):
                 raise ValidationError(
                     f"{path}.{key}: not allowed together with an explicit detectors list"
                 )
-        entries = section["detectors"]
-        if not isinstance(entries, list) or not entries:
+        if not entries:
             raise ValidationError(f"{path}.detectors: expected a non-empty list")
         units = []
         for idx, entry in enumerate(entries):
             entry_path = f"{path}.detectors[{idx}]"
-            entry = _require_mapping(entry, entry_path)
-            _check_keys(entry, ("afterpulse_prob", "bias"), entry_path)
-            prob = _get_number(entry, "afterpulse_prob", entry_path)
-            if prob is None:
+            entry = _read(entry, entry_path, FIELDS["detector"])
+            if entry["afterpulse_prob"] is None:
                 raise ValidationError(f"{entry_path}.afterpulse_prob: required")
-            bias = _get_number(entry, "bias", entry_path, 0.0)
-            units.append(
-                _wrap(entry_path, lambda p=prob, b=bias: model.DetectorUnit(p, b))
-            )
+            units.append(_wrap(entry_path, lambda: model.DetectorUnit(**entry)))
     else:
-        num = _get_int(section, "num_detectors", path, DEFAULT_NUM_DETECTORS)
-        prob = _get_number(section, "afterpulse_prob", path, DEFAULT_AFTERPULSE_PROB)
+        num = fields["num_detectors"]
         if num < 1:
             raise ValidationError(f"{path}: num_detectors must be >= 1, got {num!r}")
-        units = [_wrap(path, lambda: model.DetectorUnit(prob))] * num
+        units = [_wrap(path, lambda: model.DetectorUnit(fields["afterpulse_prob"]))] * num
     if per_det is not None:
-        total = len(units) * per_det
-    elif total is None:
-        total = DEFAULT_DARK_COUNT_TOTAL
+        fields["dark_count_prob_total"] = len(units) * per_det
     return _wrap(
         path,
         lambda: model.ReceiverModel(
             detectors=tuple(units),
-            dark_count_prob_total=total,
-            intrinsic_error=intrinsic,
-            background_error=background,
-            detector_efficiency=efficiency,
+            dark_count_prob_total=fields["dark_count_prob_total"],
+            intrinsic_error=fields["intrinsic_error"],
+            background_error=fields["background_error"],
+            detector_efficiency=fields["detector_efficiency"],
         ),
     )
 
 
 def _parse_channel(cfg: dict) -> model.ChannelModel:
     path = "channel"
-    section = _require_mapping(cfg.get("channel"), path)
-    _check_keys(section, ("attenuation_db_per_km", "distance_km", "loss_db"), path)
-    attenuation = _get_number(
-        section, "attenuation_db_per_km", path, DEFAULT_ATTENUATION_DB_PER_KM
-    )
-    distance = _get_number(section, "distance_km", path)
-    loss = _get_number(section, "loss_db", path)
-    if loss is not None and distance is not None:
-        raise ValidationError(
-            f"{path}.loss_db: give either loss_db or distance_km, not both"
-        )
-    if loss is None and distance is None:
-        distance = 0.0
+    fields = _read(cfg.get(path), path, FIELDS[path])
+    loss = fields["loss_db"]
+    if loss is not None:
+        if _given(cfg.get(path), "distance_km"):
+            raise ValidationError(
+                f"{path}.loss_db: give either loss_db or distance_km, not both"
+            )
+        fields["distance_km"] = None
     return _wrap(
         path,
         lambda: model.ChannelModel(
-            attenuation_db_per_km=attenuation, distance_km=distance, transmission_loss_db=loss
+            attenuation_db_per_km=fields["attenuation_db_per_km"],
+            distance_km=fields["distance_km"],
+            transmission_loss_db=loss,
         ),
     )
 
 
-def _parse_intensities(cfg: dict) -> model.IntensitySet:
-    path = "intensities"
-    section = _require_mapping(cfg.get("intensities"), path)
-    _check_keys(section, ("signal_mu", "weak_decoy_nu1", "vacuum_decoy"), path)
-    mu = _get_number(section, "signal_mu", path, DEFAULT_SIGNAL_MU)
-    nu1 = _get_number(section, "weak_decoy_nu1", path, DEFAULT_WEAK_DECOY_NU1)
-    vacuum = _get_number(section, "vacuum_decoy", path, 0.0)
-    return _wrap(path, lambda: model.IntensitySet(mu, nu1, vacuum))
-
-
-def _parse_protocol(cfg: dict) -> model.ProtocolParams:
-    path = "protocol"
-    section = _require_mapping(cfg.get("protocol"), path)
-    _check_keys(section, ("sifting_factor", "ec_efficiency"), path)
-    q = _get_number(section, "sifting_factor", path, 0.5)
-    f = _get_number(section, "ec_efficiency", path, 1.16)
-    return _wrap(path, lambda: model.ProtocolParams(sifting_factor=q, ec_efficiency=f))
+def _parse_fields(cfg: dict, path: str, build):
+    """``build`` called with the fields of section ``path``, named as in ``FIELDS``."""
+    fields = _read(cfg.get(path), path, FIELDS[path])
+    return _wrap(path, lambda: build(**fields))
 
 
 def _parse_axis(entry, path: str) -> Axis:
-    entry = _require_mapping(entry, path)
-    _check_keys(entry, ("name", "min", "max", "count", "spacing"), path)
-    name = entry.get("name")
-    if not isinstance(name, str):
-        raise ValidationError(f"{path}.name: expected a string, got {name!r}")
-    name = {"p_AP": "p_ap"}.get(name, name)
-    lo = _get_number(entry, "min", path)
-    hi = _get_number(entry, "max", path)
-    count = _get_int(entry, "count", path)
-    if lo is None or hi is None or count is None:
+    fields = _read(entry, path, FIELDS["axis"])
+    name = fields["name"]
+    if name is None:
+        raise ValidationError(f"{path}.name: expected a string, got None")
+    fields["name"] = {"p_AP": "p_ap"}.get(name, name)
+    if fields["min"] is None or fields["max"] is None or fields["count"] is None:
         raise ValidationError(f"{path}: min, max and count are required")
-    spacing = entry.get("spacing", "linear")
-    if not isinstance(spacing, str):
-        raise ValidationError(f"{path}.spacing: expected a string, got {spacing!r}")
-    return _wrap(path, lambda: Axis(name, lo, hi, count, spacing))
+    return _wrap(path, lambda: Axis(**fields))
 
 
 def _parse_sweep(cfg: dict, scenario_parts) -> SweepSpec | None:
     path = "sweep"
-    if "sweep" not in cfg or cfg["sweep"] is None:
+    if cfg.get(path) is None:
         return None
-    section = _require_mapping(cfg["sweep"], path)
-    _check_keys(section, ("axes", "outputs", "mu_policy"), path)
-    raw_axes = section.get("axes", [])
-    if not isinstance(raw_axes, list):
-        raise ValidationError(f"{path}.axes: expected a list")
+    fields = _read(cfg[path], path, FIELDS[path])
     axes = tuple(
-        _parse_axis(entry, f"{path}.axes[{idx}]") for idx, entry in enumerate(raw_axes)
+        _parse_axis(entry, f"{path}.axes[{idx}]") for idx, entry in enumerate(fields["axes"])
     )
-    outputs = section.get("outputs", ["skr_lower"])
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise ValidationError(f"{path}.outputs: expected a list of metric names")
-    mu_policy = section.get("mu_policy", "fixed")
-    if not isinstance(mu_policy, str):
-        raise ValidationError(f"{path}.mu_policy: expected a string, got {mu_policy!r}")
     receiver, channel, intensities, protocol = scenario_parts
     return _wrap(
         path,
@@ -235,23 +220,19 @@ def _parse_sweep(cfg: dict, scenario_parts) -> SweepSpec | None:
             intensities=intensities,
             protocol=protocol,
             axes=axes,
-            outputs=tuple(outputs),
-            mu_policy=mu_policy,
+            outputs=tuple(fields["outputs"]),
+            mu_policy=fields["mu_policy"],
         ),
     )
 
 
-TOP_LEVEL_SECTIONS = ("receiver", "channel", "intensities", "protocol", "sweep")
-
-
 def parse_scenario(cfg: dict | None) -> Scenario:
     """Build a validated scenario from a configuration mapping."""
-    cfg = _require_mapping(cfg, "config")
-    _check_keys(cfg, TOP_LEVEL_SECTIONS, "config")
+    cfg = _mapping(cfg, "config", TOP_LEVEL_SECTIONS)
     receiver = _parse_receiver(cfg)
     channel = _parse_channel(cfg)
-    intensities = _parse_intensities(cfg)
-    protocol = _parse_protocol(cfg)
+    intensities = _parse_fields(cfg, "intensities", model.IntensitySet)
+    protocol = _parse_fields(cfg, "protocol", model.ProtocolParams)
     sweep = _parse_sweep(cfg, (receiver, channel, intensities, protocol))
     return Scenario(receiver, channel, intensities, protocol, sweep)
 
@@ -272,24 +253,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     channel = scenario.channel
     cfg: dict = {
         "receiver": {
-            "detectors": [
-                {"afterpulse_prob": det.afterpulse_prob, "bias": det.bias}
-                for det in receiver.detectors
-            ],
+            "detectors": [asdict(det) for det in receiver.detectors],
             "dark_count_prob_total": receiver.dark_count_prob_total,
             "intrinsic_error": receiver.intrinsic_error,
             "background_error": receiver.background_error,
             "detector_efficiency": receiver.detector_efficiency,
         },
-        "intensities": {
-            "signal_mu": scenario.intensities.signal_mu,
-            "weak_decoy_nu1": scenario.intensities.weak_decoy_nu1,
-            "vacuum_decoy": scenario.intensities.vacuum_decoy,
-        },
-        "protocol": {
-            "sifting_factor": scenario.protocol.sifting_factor,
-            "ec_efficiency": scenario.protocol.ec_efficiency,
-        },
+        "intensities": asdict(scenario.intensities),
+        "protocol": asdict(scenario.protocol),
     }
     channel_cfg: dict = {}
     if channel.attenuation_db_per_km is not None:
@@ -301,16 +272,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     cfg["channel"] = channel_cfg
     if scenario.sweep is not None:
         cfg["sweep"] = {
-            "axes": [
-                {
-                    "name": ax.name,
-                    "min": ax.min,
-                    "max": ax.max,
-                    "count": ax.count,
-                    "spacing": ax.spacing,
-                }
-                for ax in scenario.sweep.axes
-            ],
+            "axes": [asdict(ax) for ax in scenario.sweep.axes],
             "outputs": list(scenario.sweep.outputs),
             "mu_policy": scenario.sweep.mu_policy,
         }

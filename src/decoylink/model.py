@@ -135,7 +135,8 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         # `not x >= 0.0` rejects NaN too. An infinite loss or distance is an
-        # opaque channel; an infinite attenuation would make 0 km NaN dB.
+        # opaque channel; an infinite attenuation would make 0 km NaN dB, and
+        # so would 0 dB/km over an infinite distance.
         if self.attenuation_db_per_km is not None and not self.attenuation_db_per_km >= 0.0:
             raise ValidationError(
                 f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km!r}"
@@ -150,6 +151,10 @@ class ChannelModel:
                 )
             if not self.distance_km >= 0.0:
                 raise ValidationError(f"distance_km must be >= 0, got {self.distance_km!r}")
+            if self.distance_km == math.inf and self.attenuation_db_per_km == 0.0:
+                raise ValidationError(
+                    "distance_km must be finite when attenuation_db_per_km is 0, got inf"
+                )
         else:
             if self.distance_km is not None:
                 raise ValidationError(

@@ -195,13 +195,9 @@ class SweepBlock:
 
 def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
     """Fiber loss budget in dB for a span of the given length."""
-    if distance_km < 0.0:
-        raise ValidationError(f"distance_km must be >= 0, got {distance_km!r}")
-    if attenuation_db_per_km < 0.0:
-        raise ValidationError(
-            f"attenuation_db_per_km must be >= 0, got {attenuation_db_per_km!r}"
-        )
-    return attenuation_db_per_km * distance_km
+    return model.ChannelModel(
+        attenuation_db_per_km=attenuation_db_per_km, distance_km=distance_km
+    ).loss_db
 
 
 def _block(

@@ -87,10 +87,44 @@ class TestConfig:
         assert scenario.receiver.dark_count_prob_total == pytest.approx(4e-7)
 
     def test_unknown_field_names_path(self):
-        with pytest.raises(ValidationError, match=r"receiver\.typo"):
-            parse_scenario({"receiver": {"typo": 1}})
-        with pytest.raises(ValidationError, match=r"config\.extra"):
-            parse_scenario({"extra": {}})
+        # One full message per section: the path and the section's fields in order.
+        axis = {"name": "p_ap", "min": 0.0, "max": 0.1, "count": 2}
+        cases = [
+            ({"extra": {}}, "config.extra", "receiver, channel, intensities, protocol, sweep"),
+            (
+                {"receiver": {"typo": 1}},
+                "receiver.typo",
+                "detectors, num_detectors, afterpulse_prob, dark_count_prob_total, "
+                "dark_count_prob_per_detector, intrinsic_error, background_error, "
+                "detector_efficiency",
+            ),
+            (
+                {"receiver": {"detectors": [{"afterpulse_prob": 0.01, "typo": 1}]}},
+                "receiver.detectors[0].typo",
+                "afterpulse_prob, bias",
+            ),
+            (
+                {"channel": {"typo": 1}},
+                "channel.typo",
+                "attenuation_db_per_km, distance_km, loss_db",
+            ),
+            (
+                {"intensities": {"typo": 1}},
+                "intensities.typo",
+                "signal_mu, weak_decoy_nu1, vacuum_decoy",
+            ),
+            ({"protocol": {"typo": 1}}, "protocol.typo", "sifting_factor, ec_efficiency"),
+            ({"sweep": {"typo": 1}}, "sweep.typo", "axes, outputs, mu_policy"),
+            (
+                {"sweep": {"axes": [axis, {**axis, "typo": 1}]}},
+                "sweep.axes[1].typo",
+                "name, min, max, count, spacing",
+            ),
+        ]
+        for cfg, path, fields in cases:
+            with pytest.raises(ValidationError) as excinfo:
+                parse_scenario(cfg)
+            assert str(excinfo.value) == f"{path}: unknown field (expected one of {fields})"
 
     def test_detector_entry_error_path(self):
         with pytest.raises(ValidationError, match=r"receiver\.detectors\[1\]"):
@@ -164,7 +198,8 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
     # NaN fails every `x >= 0` test, and an infinite attenuation would make
-    # 0 km NaN dB, so each of these is a config error before any node runs.
+    # 0 km NaN dB (as would 0 dB/km over an infinite distance), so each of
+    # these is a config error before any node runs.
     @pytest.mark.parametrize("command", ["report", "sweep", "contour"])
     @pytest.mark.parametrize(
         "text, message",
@@ -179,9 +214,16 @@ class TestConfig:
                 "channel: {attenuation_db_per_km: .inf}",
                 "channel: attenuation_db_per_km must be finite, got inf",
             ),
+            (
+                "channel: {attenuation_db_per_km: 0.0, distance_km: .inf}",
+                "channel: distance_km must be finite when attenuation_db_per_km is 0, got inf",
+            ),
             ("protocol: {ec_efficiency: .nan}", "protocol: ec_efficiency must be >= 1, got nan"),
         ],
-        ids=["nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation", "nan_ec"],
+        ids=[
+            "nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation",
+            "zero_attenuation_inf_distance", "nan_ec",
+        ],
     )
     def test_nan_settings_and_infinite_attenuation_are_config_errors(
         self, tmp_path, capsys, command, text, message
@@ -192,7 +234,8 @@ class TestConfig:
         assert captured.err == f"error: config: {message}\n"
         assert captured.out == ""
 
-    # A null number is a field not given: it takes the field's default.
+    # Any field given as null is a field not given: it takes the field's
+    # default. A case without a sweep section runs on CONTOUR_GRID.
     @pytest.mark.parametrize("command", ["report", "sweep", "contour"])
     @pytest.mark.parametrize(
         "text, absent",
@@ -205,18 +248,73 @@ class TestConfig:
                 "receiver: {detectors: [{afterpulse_prob: 0.01, bias: null}]}",
                 "receiver: {detectors: [{afterpulse_prob: 0.01}]}",
             ),
+            ("receiver: {detectors: null, num_detectors: 3}", "receiver: {num_detectors: 3}"),
+            (
+                "receiver: {detectors: [{afterpulse_prob: 0.01}], num_detectors: null,"
+                " afterpulse_prob: null}",
+                "receiver: {detectors: [{afterpulse_prob: 0.01}]}",
+            ),
+            (CONTOUR_GRID.replace("count: 2}", "count: 2, spacing: null}"), CONTOUR_GRID),
+            (CONTOUR_GRID + "  mu_policy: null\n", CONTOUR_GRID),
+            (CONTOUR_GRID + "  outputs: null\n", CONTOUR_GRID),
+            ("sweep: {axes: null}", "sweep: {}"),
         ],
-        ids=["num_detectors", "signal_mu", "intrinsic_error", "ec_efficiency", "bias"],
+        ids=[
+            "num_detectors", "signal_mu", "intrinsic_error", "ec_efficiency", "bias",
+            "detectors", "identical_fields_next_to_detectors", "spacing", "mu_policy",
+            "outputs", "axes",
+        ],
     )
-    def test_null_number_takes_its_default(self, tmp_path, capsys, command, text, absent):
-        outputs = []
-        for name, section in (("null.yaml", text), ("absent.yaml", absent)):
-            config = write_config(tmp_path, f"{section}\n{CONTOUR_GRID}", name)
-            assert main([command, "--config", config]) == 0
-            outputs.append(capsys.readouterr())
-            assert outputs[-1].err == ""
-        assert outputs[0].out == outputs[1].out
+    def test_null_takes_its_default(self, tmp_path, capsys, command, text, absent):
+        runs = []
+        for name, body in (("null.yaml", text), ("absent.yaml", absent)):
+            if "sweep:" not in body:
+                body = f"{body}\n{CONTOUR_GRID}"
+            config = write_config(tmp_path, body, name)
+            runs.append((main([command, "--config", config]), capsys.readouterr()))
+        # contour needs two axes: with none, both runs fail alike
+        fails = "axes: null" in text and command == "contour"
+        assert runs[1][0] == (2 if fails else 0)
+        if not fails:
+            assert runs[1][1].err == ""
+        assert runs[0] == runs[1]
         assert load_scenario(config) == load_scenario(str(tmp_path / "null.yaml"))
+
+    # One line per kind of field given a value of the wrong type.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("intensities: {signal_mu: hi}", "intensities.signal_mu: expected a number, got 'hi'"),
+            (
+                "protocol: {ec_efficiency: yes}",
+                "protocol.ec_efficiency: expected a number, got True",
+            ),
+            (
+                "receiver: {num_detectors: 2.5}",
+                "receiver.num_detectors: expected an integer, got 2.5",
+            ),
+            ("sweep: {mu_policy: 3}", "sweep.mu_policy: expected a string, got 3"),
+            (
+                "sweep: {axes: [{name: p_ap, min: 0, max: 1, count: 2, spacing: [log]}]}",
+                "sweep.axes[0].spacing: expected a string, got ['log']",
+            ),
+            ("sweep: {axes: 5}", "sweep.axes: expected a list, got 5"),
+            ("receiver: {detectors: 5}", "receiver.detectors: expected a list, got 5"),
+            ("receiver: {detectors: []}", "receiver.detectors: expected a non-empty list"),
+            (
+                "sweep: {outputs: [skr_lower, 1]}",
+                "sweep.outputs: expected a list of metric names, got ['skr_lower', 1]",
+            ),
+        ],
+        ids=[
+            "number", "bool_number", "integer", "string", "axis_string", "list",
+            "detectors_list", "empty_detectors", "names",
+        ],
+    )
+    def test_type_error_lines(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text + "\n")
+        assert main(["report", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
 
     def test_axis_name_alias(self):
         scenario = parse_scenario(
@@ -252,6 +350,42 @@ class TestConfig:
         scenario = parse_scenario(cfg)
         assert parse_scenario(scenario_to_dict(scenario)) == scenario
         assert parse_scenario(yaml.safe_load(scenario_to_yaml(scenario))) == scenario
+        assert scenario_to_yaml(scenario) == ROUND_TRIP_YAML
+
+
+ROUND_TRIP_YAML = """\
+receiver:
+  detectors:
+  - afterpulse_prob: 0.01
+    bias: 0.25
+  - afterpulse_prob: 0.02
+    bias: -0.25
+  dark_count_prob_total: 5.0e-07
+  intrinsic_error: 0.015
+  background_error: 0.5
+  detector_efficiency: 0.1
+intensities:
+  signal_mu: 0.5
+  weak_decoy_nu1: 0.05
+  vacuum_decoy: 0.0
+protocol:
+  sifting_factor: 0.5
+  ec_efficiency: 1.2
+channel:
+  attenuation_db_per_km: 0.21
+  distance_km: 50.0
+sweep:
+  axes:
+  - name: p_ap
+    min: 0.0001
+    max: 0.1
+    count: 7
+    spacing: log
+  outputs:
+  - skr_lower
+  - e_mu
+  mu_policy: optimize-per-point
+"""
 
 
 class TestReport:

@@ -181,9 +181,11 @@ class TestChannel:
              "attenuation_db_per_km must be finite, got inf"),
             ({"attenuation_db_per_km": math.inf, "transmission_loss_db": 3.0},
              "attenuation_db_per_km must be finite, got inf"),
+            ({"attenuation_db_per_km": 0.0, "distance_km": math.inf},
+             "distance_km must be finite when attenuation_db_per_km is 0, got inf"),
         ],
         ids=["nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation",
-             "inf_attenuation_with_loss"],
+             "inf_attenuation_with_loss", "inf_distance_at_zero_attenuation"],
     )
     def test_non_numbers_and_infinite_attenuation_rejected(self, kwargs, message):
         with pytest.raises(ValidationError) as excinfo:

@@ -476,7 +476,24 @@ class TestDistanceToLoss:
         assert distance_to_loss(50.0, 0.21) == pytest.approx(10.5)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^distance_km must be >= 0, got -1.0$"):
             distance_to_loss(-1.0, 0.21)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^attenuation_db_per_km must be >= 0"):
             distance_to_loss(1.0, -0.21)
+        with pytest.raises(ValidationError, match=r"^attenuation_db_per_km must be >= 0"):
+            distance_to_loss(-1.0, -0.21)
+
+    # Each would be a NaN loss; ChannelModel rejects them all.
+    @pytest.mark.parametrize(
+        "distance, attenuation, message",
+        [
+            (math.nan, 0.21, "distance_km must be >= 0, got nan"),
+            (1.0, math.nan, "attenuation_db_per_km must be >= 0, got nan"),
+            (0.0, math.inf, "attenuation_db_per_km must be finite, got inf"),
+            (math.inf, 0.0, "distance_km must be finite when attenuation_db_per_km is 0, got inf"),
+        ],
+    )
+    def test_nan_loss_rejected(self, distance, attenuation, message):
+        with pytest.raises(ValidationError) as excinfo:
+            distance_to_loss(distance, attenuation)
+        assert str(excinfo.value) == message
