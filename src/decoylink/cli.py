@@ -28,7 +28,7 @@ from .errors import (
     NoSolutionError,
     ValidationError,
 )
-from .optimize import solve_optimal_mu, trace_iso_qber_surface
+from .optimize import solve_optimal_mu, threshold_nodes
 from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, check_grid_size, grid_blocks, iter_blocks
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
@@ -173,33 +173,34 @@ def cmd_contour(args) -> int:
         raise ValidationError(
             "sweep.axes: contour needs exactly the axes p_ap and intrinsic_error"
         )
-    points = trace_iso_qber_surface(
-        axes["p_ap"].values(),
-        axes["intrinsic_error"].values(),
-        scenario.channel.loss_db,
-        args.target_qber,
-        scenario.receiver,
+    p_values, e_values = axes["p_ap"].values(), axes["intrinsic_error"].values()
+    loss_db = scenario.channel.loss_db
+    search = threshold_nodes(
+        p_values, e_values, loss_db, args.target_qber, scenario.receiver,
         scenario.intensities.signal_mu,
     )
-    step = sweep.BLOCK_NODES
+    p_cells, e_cells = _float_cells(np.asarray(p_values)), _float_cells(np.asarray(e_values))
+    loss_cell = format(float(loss_db), ".10g")
+
+    def columns(nodes: np.ndarray) -> list:
+        p_index, e_index = np.divmod(nodes, len(e_values))
+        feasible = search.feasible[nodes]
+        return [
+            p_cells[p_index].tolist(),
+            e_cells[e_index].tolist(),
+            [loss_cell] * len(nodes),
+            _float_cells(search.dark_count[nodes], ~feasible).tolist(),
+            _float_cells(search.achieved[nodes], ~feasible).tolist(),
+            np.where(feasible, "ok", "infeasible").tolist(),
+        ]
+
+    nodes, step = np.arange(len(search.feasible)), sweep.BLOCK_NODES
     _write_csv(
         args.output,
         ("p_ap", "intrinsic_error", "loss_db", "dark_count_threshold", "achieved_qber", "status"),
-        (_contour_columns(points[start:start + step]) for start in range(0, len(points), step)),
+        (columns(nodes[start:start + step]) for start in range(0, len(nodes), step)),
     )
     return 0
-
-
-def _contour_columns(points) -> list:
-    """CSV columns of contour points; the two result columns are empty where infeasible."""
-    feasible = np.array([point.feasible for point in points])
-    numbers = np.array([
-        (p.p_ap, p.intrinsic_error, p.loss_db, p.dark_count_prob, p.achieved_qber) for p in points
-    ], dtype=float).T
-    columns = [_float_cells(values).tolist() for values in numbers[:3]]
-    columns.extend(_float_cells(values, ~feasible).tolist() for values in numbers[3:])
-    columns.append(np.where(feasible, "ok", "infeasible").tolist())
-    return columns
 
 
 def cmd_optimal_mu(args) -> int:

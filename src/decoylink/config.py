@@ -237,11 +237,26 @@ def parse_scenario(cfg: dict | None) -> Scenario:
     return Scenario(receiver, channel, intensities, protocol, sweep)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key given twice in one mapping, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ValidationError(f"config: line {line}: duplicate key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str) -> Scenario:
-    """Parse a scenario from a YAML file."""
+    """Parse a scenario from a YAML file; a key given twice in one mapping is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"config: not valid YAML: {exc}") from exc
     return parse_scenario(cfg)

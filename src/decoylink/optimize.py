@@ -320,33 +320,45 @@ def maximize_skr_over_mu(
 
 
 def threshold_nodes(
-    p_ap: np.ndarray,
-    e_prime: np.ndarray,
-    detected: float,
+    p_ap_values,
+    intrinsic_error_values,
+    loss_db: float,
     target_qber: float,
-    background_error: float,
-    rejected: dict[int, str],
+    receiver_template: model.ReceiverModel,
+    mean_photon: float,
     config: SolverConfig = SolverConfig(),
 ) -> ThresholdSearch:
-    """The dark-count threshold bisection at every node of 1-D input arrays, in lockstep.
+    """The dark-count threshold bisection on every node of a (p_ap, intrinsic_error) grid.
 
-    ``p_ap`` is each node's aggregated afterpulse probability and
-    ``detected`` = 1 - exp(-eta mu), the same at every node. ``rejected``
-    maps the nodes whose inputs the model's value types reject to the
-    validator's message. Every bisection step is one pass of array
-    arithmetic over the nodes still above the tolerance, with the scalar
-    closed form's operations in its order, so each node follows the same
-    arithmetic as a search of its own. The first node, in array order, that
-    ``dark_count_threshold`` would reject (a rejected input, then a gain
-    outside (0, 1], or a target the search cap cannot reach) raises its
-    exception.
+    Takes the arguments of ``trace_iso_qber_surface`` and returns its nodes
+    as arrays, in row-major order (p_ap outer, intrinsic_error inner).
+    ``bounds.Grid`` builds every node's inputs and rejections. Every
+    bisection step is one pass of array arithmetic over the nodes still above
+    the tolerance, with the scalar closed form's operations in its order, so
+    each node follows the same arithmetic as a search of its own. The first
+    node, in row-major order, that ``dark_count_threshold`` would reject (a
+    rejected p_ap, then a rejected intrinsic_error, a gain outside (0, 1], or
+    a target the search cap cannot reach) raises its exception.
     """
-    e0 = background_error
+    if not 0.0 < target_qber < 0.5:
+        raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
+    if mean_photon <= 0.0:
+        raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
+    grid = Grid(
+        receiver_template,
+        model.ChannelModel(transmission_loss_db=loss_db),
+        {},
+        (("p_ap", p_ap_values), ("intrinsic_error", intrinsic_error_values)),
+    )
+    detected = -math.expm1(-grid.base["eta"] * mean_photon)
+    index, x = grid.block(np.arange(grid.size))
+    rejected = grid.rejections(index)
+    e0 = receiver_template.background_error
     # a rejected node's inputs can be inf or nan
     with np.errstate(all="ignore"):
-        one_p = 1.0 + p_ap
+        one_p = 1.0 + x["p_ap"]
         signal = detected * one_p
-        signal_error = (e_prime + e0 * p_ap) * detected
+        signal_error = (x["e_prime"] + e0 * x["p_ap"]) * detected
         floor_gain, floor = model.gain_and_qber(0.0, signal, signal_error, e0)
         cap_gain, ceiling = model.gain_and_qber(one_p * DARK_COUNT_CAP, signal, signal_error, e0)
         floor_error = (floor_gain > 1.0) | (floor_gain <= 0.0)
@@ -365,7 +377,7 @@ def threshold_nodes(
             f"search cap {DARK_COUNT_CAP!r} (QBER at cap: {float(ceiling[i]):g})"
         )
 
-    n = len(p_ap)
+    n = grid.size
     dark_count = np.full(n, math.nan)
     achieved = np.full(n, math.nan)
     iterations = np.zeros(n, dtype=int)
@@ -415,30 +427,15 @@ def trace_iso_qber_surface(
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
     Nodes are returned in row-major order (p_ap outer, intrinsic_error
-    inner). ``bounds.Grid`` builds every node's inputs and rejections, then
-    ``threshold_nodes`` solves all nodes at once. A node the scalar model
-    rejects raises its exception, and the first such node in row-major order
-    is the one reported (at one node, a rejected p_ap before a rejected
-    intrinsic_error).
+    inner): ``threshold_nodes``' arrays as one ``ContourPoint`` per node. A
+    node the scalar model rejects raises its exception, and the first such
+    node in row-major order is the one reported (at one node, a rejected p_ap
+    before a rejected intrinsic_error).
     """
-    if not 0.0 < target_qber < 0.5:
-        raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
-    if mean_photon <= 0.0:
-        raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
-    grid = Grid(
-        receiver_template,
-        model.ChannelModel(transmission_loss_db=loss_db),
-        {},
-        (("p_ap", p_values), ("intrinsic_error", e_values)),
-    )
-    detected = -math.expm1(-grid.base["eta"] * mean_photon)
-    index, x = grid.block(np.arange(grid.size))
     search = threshold_nodes(
-        x["p_ap"], x["e_prime"], detected, target_qber, receiver_template.background_error,
-        grid.rejections(index), config,
+        p_values, e_values, loss_db, target_qber, receiver_template, mean_photon, config
     )
-
     nodes = zip(
         ((p, e) for p in p_values for e in e_values),
         search.feasible.tolist(),

@@ -316,6 +316,48 @@ class TestConfig:
         assert main(["report", "--config", config]) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
+    # A key given twice in one mapping is an error, at any depth: YAML itself
+    # would keep the last value and drop the first without a word.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "receiver: {afterpulse_prob: 0.5}\nreceiver: {intrinsic_error: 0.03}\n",
+                "config: line 2: duplicate key 'receiver'",
+            ),
+            (
+                "receiver:\n  afterpulse_prob: 0.5\n  intrinsic_error: 0.03\n"
+                "  afterpulse_prob: 0.2\n",
+                "config: line 4: duplicate key 'afterpulse_prob'",
+            ),
+            (
+                CONTOUR_GRID.replace("count: 2}", "count: 2, max: 0.5}", 1),
+                "config: line 3: duplicate key 'max'",
+            ),
+        ],
+        ids=["section", "field", "axis_entry"],
+    )
+    def test_repeated_key_is_a_config_error(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(config)
+        assert str(exc.value) == message
+        for command in ("report", "sweep", "contour"):
+            assert main([command, "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: config: {message}\n"
+            assert captured.out == ""
+
+    def test_merge_key_is_not_a_repeated_key(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            "receiver:\n  <<: {afterpulse_prob: 0.5, intrinsic_error: 0.03}\n"
+            "  afterpulse_prob: 0.2\n",
+        )
+        receiver = load_scenario(config).receiver
+        assert receiver.detectors[0].afterpulse_prob == 0.2
+        assert receiver.intrinsic_error == 0.03
+
     def test_axis_name_alias(self):
         scenario = parse_scenario(
             {
@@ -924,3 +966,27 @@ class TestPresetCommand:
     def test_invalid_range_rejected(self, capsys):
         assert main(["skr-vs-afterpulse", "--pap-min", "0.1", "--pap-max", "0.01"]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+
+# No command builds a per-node record: each writes its CSV from columns.
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["contour"], CONTOUR_CONFIG),
+        (["sweep"], SWEEP_CONFIG),
+        (["sweep"], SWEEP_CONFIG + "  mu_policy: optimize-per-point\n"),
+        (["skr-vs-afterpulse", "--points", "3"], ""),
+    ],
+    ids=["contour", "sweep_fixed", "sweep_optimize", "preset"],
+)
+def test_no_command_builds_a_record(tmp_path, capsys, monkeypatch, argv, text):
+    def record(*args, **kwargs):
+        raise AssertionError("a CLI command built a per-node record")
+
+    monkeypatch.setattr(optimize, "ContourPoint", record)
+    monkeypatch.setattr(sweep, "ResultRecord", record)
+    config = write_config(tmp_path, text)
+    assert main([*argv, "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") > 2

@@ -1,0 +1,145 @@
+"""Differential test: the CLI against the frozen seed code at random valid scenarios.
+
+``benchmarks/reference/decoylink`` is the seed code, loaded here under the
+package name ``decoylink_seed``. A derandomized strategy writes scenario
+files, and each example runs ``cli.main`` of both trees on the same argv and
+compares the exit code, stdout and stderr. Inputs whose output changed on
+purpose (non-finite or NaN numbers, ``null`` fields, subnormal values, a
+repeated key) are not drawn here; CHANGES.md lists them and they keep tests
+of their own.
+"""
+import importlib
+import importlib.util
+import io
+import math
+import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decoylink import cli
+from decoylink.bounds import AXIS_NAMES, METRIC_NAMES
+
+SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
+
+
+def _load_seed_cli():
+    spec = importlib.util.spec_from_file_location(
+        "decoylink_seed", SEED_PACKAGE / "__init__.py",
+        submodule_search_locations=[str(SEED_PACKAGE)],
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("decoylink_seed.cli")
+
+
+seed_cli = _load_seed_cli()
+
+
+def numbers(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+# Axis name -> range its endpoints are drawn from; most reach past what the
+# model accepts, so rejected nodes occur too.
+AXIS_RANGES = {
+    "p_ap": (0.0, 1.2),
+    "loss_db": (0.0, 60.0),
+    "distance_km": (0.0, 250.0),
+    "intrinsic_error": (0.0, 1.0),
+    "dark_count_prob": (0.0, 1e-3),
+    "signal_mu": (0.0, 1.5),
+    "weak_decoy_nu1": (0.0, 0.6),
+}
+assert set(AXIS_RANGES) == set(AXIS_NAMES)
+
+
+@st.composite
+def receivers(draw):
+    section = {}
+    if draw(st.booleans()):
+        raw = draw(st.lists(numbers(-0.5, 0.5), max_size=3))
+        section["detectors"] = [
+            {"afterpulse_prob": draw(numbers(0.0, 0.3)), "bias": bias}
+            for bias in raw + [-math.fsum(raw)]
+        ]
+    else:
+        section["num_detectors"] = draw(st.integers(1, 4))
+        section["afterpulse_prob"] = draw(numbers(0.0, 0.3))
+    dark = draw(st.sampled_from(["dark_count_prob_total", "dark_count_prob_per_detector"]))
+    section[dark] = draw(numbers(0.0, 1e-4))
+    section["intrinsic_error"] = draw(numbers(0.0, 0.2))
+    section["detector_efficiency"] = draw(numbers(0.01, 1.0))
+    return section
+
+
+@st.composite
+def axes(draw, names):
+    drawn = []
+    for name in names:
+        lo, hi = AXIS_RANGES[name]
+        spacing = draw(st.sampled_from(["linear", "log"]))
+        if spacing == "log":
+            lo = max(lo, hi * 1e-4)
+        ends = sorted(draw(st.lists(numbers(lo, hi), min_size=2, max_size=2)))
+        drawn.append(
+            {"name": name, "min": ends[0], "max": ends[1], "count": draw(st.integers(1, 3)),
+             "spacing": spacing}
+        )
+    return drawn
+
+
+@st.composite
+def runs(draw):
+    """(scenario mapping, CLI arguments without --config)."""
+    command = draw(st.sampled_from(["sweep", "contour", "report", "report-csv", "optimal-mu"]))
+    cfg = {"receiver": draw(receivers())}
+    if draw(st.booleans()):
+        cfg["channel"] = {"loss_db": draw(numbers(0.0, 60.0))}
+    else:
+        cfg["channel"] = {
+            "distance_km": draw(numbers(0.0, 250.0)),
+            "attenuation_db_per_km": draw(numbers(0.15, 0.3)),
+        }
+    nu1, mu = sorted(draw(st.lists(numbers(0.0, 1.5), min_size=2, max_size=2)))
+    cfg["intensities"] = {"signal_mu": mu, "weak_decoy_nu1": nu1}
+    if command == "contour":
+        names = draw(st.permutations(["p_ap", "intrinsic_error"]))
+        cfg["sweep"] = {"axes": draw(axes(names))}
+        target = draw(st.one_of(numbers(0.005, 0.2), numbers(0.0, 0.6)))
+        return cfg, ["contour", "--target-qber", repr(target)]
+    if command == "sweep":
+        names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=3, unique=True))
+        cfg["sweep"] = {
+            "axes": draw(axes(names)),
+            "outputs": draw(st.lists(st.sampled_from(METRIC_NAMES), min_size=1, max_size=4)),
+            "mu_policy": draw(st.sampled_from(["fixed", "optimize-per-point"])),
+        }
+        return cfg, ["sweep"]
+    if command == "report-csv":
+        return cfg, ["report", "--format", "csv"]
+    return cfg, [command]
+
+
+def run(main, argv):
+    """(exit code, stdout, stderr, warnings) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(runs())
+def test_cli_matches_the_seed_code(tmp_path_factory, drawn):
+    cfg, argv = drawn
+    path = tmp_path_factory.mktemp("scenario") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    argv = [*argv, "--config", str(path)]
+    assert run(cli.main, argv) == run(seed_cli.main, argv)
