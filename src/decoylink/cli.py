@@ -21,13 +21,7 @@ import numpy as np
 from . import config as config_mod
 from . import model, sweep
 from .bounds import Grid, SinglePhotonEstimate, evaluate_link
-from .errors import (
-    DegenerateInputError,
-    EstimationInfeasibleError,
-    ModelDomainError,
-    NoSolutionError,
-    ValidationError,
-)
+from .errors import DecoyLinkError, ValidationError
 from .optimize import solve_optimal_mu, threshold_nodes
 from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, check_grid_size, grid_blocks, iter_blocks
 
@@ -317,12 +311,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (
-        ModelDomainError,
-        DegenerateInputError,
-        EstimationInfeasibleError,
-        NoSolutionError,
-    ) as exc:
+    except DecoyLinkError as exc:
         print(f"error: model-domain: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

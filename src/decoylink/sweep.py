@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,9 @@ BLOCK_NODES = 256
 NU1_BY_LOSS_DB = {0.0: 0.038, 5.0: 0.05, 21.0: 0.12}
 
 MU_POLICIES = ("fixed", "optimize-per-point")
+
+# A node's status by 2 * (model-domain error) + (infeasible).
+_STATUSES = np.array(["ok", "infeasible", "model-domain-error"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -208,79 +211,71 @@ def _block(
     index, x = grid.block(nodes)
     link_model = mu_policy == "optimize-per-point" or any(name in LINK_METRICS for name in outputs)
 
-    # Node -> model-domain-error message. Checks run in the order a node
-    # meets them: scalar outputs in output order, the axis overrides, the
-    # mu optimizer, then the link model; the first failure is kept.
-    reasons: dict[int, str] = {}
-    scalar_failed = np.zeros(n, dtype=bool)
+    # The ledger: which nodes failed, and each one's model-domain-error
+    # message. Checks run in the order a node meets them: scalar outputs in
+    # output order, the axis overrides, the mu optimizer, then the link
+    # model; the first failure is kept.
+    failed = np.zeros(n, dtype=bool)
+    reasons: list[str | None] = [None] * n
+
+    def fail(found: Iterable[int], message: Callable[[int], object]) -> None:
+        """Fail each node position ``i`` of ``found`` not yet failed, as ``str(message(i))``."""
+        for i in found:
+            if not failed[i]:
+                failed[i] = True
+                reasons[i] = str(message(i))
+
     # Of the scalar metrics only baseline_error_change can fail on axis values
     # (e' = 0 or subnormal); the outputs listed after it are then left empty.
-    if "baseline_error_change" in outputs:
-        scalar_failed = x["e_prime"] < sys.float_info.min
-        for i in np.flatnonzero(scalar_failed):
-            reasons[int(i)] = str(
-                raised(model.baseline_error_change, x["e_prime"][i], e0, x["p_ap"][i])
-            )
+    changes = "baseline_error_change" in outputs
+    first_change = outputs.index("baseline_error_change") if changes else len(outputs)
+    scalar_failed = changes & (x["e_prime"] < sys.float_info.min)
+    fail(np.flatnonzero(scalar_failed), lambda i: raised(
+        model.baseline_error_change, x["e_prime"][i], e0, x["p_ap"][i]
+    ))
     search = None
     if link_model:
-        for i, text in grid.rejections(index).items():
-            reasons.setdefault(i, text)
-        for i in np.flatnonzero(~(x["nu1"] < x["mu"])):
-            reasons.setdefault(int(i), str(raised(model.IntensitySet, x["mu"][i], x["nu1"][i])))
+        rejected = grid.rejections(index)
+        fail(rejected, rejected.__getitem__)
+        fail(np.flatnonzero(~(x["nu1"] < x["mu"])), lambda i: raised(
+            model.IntensitySet, x["mu"][i], x["nu1"][i]
+        ))
     if mu_policy == "optimize-per-point":
         search = maximize_nodes(
             x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, protocol
         )
-        for i, exc in search.errors.items():
-            reasons.setdefault(i, str(exc))
+        fail(search.errors, search.errors.__getitem__)
         # A node the link model alone rejects keeps its mu_opt.
-        mu_missing = np.zeros(n, dtype=bool)
-        mu_missing[list(reasons)] = True
+        mu_missing = failed.copy()
         table = search.table
     else:
         table = link_table(**x, background_error=e0, protocol=protocol)
-    infeasible = np.zeros(n, dtype=bool)
     if link_model:
-        for i in np.flatnonzero(table.domain_error):
-            if int(i) not in reasons:
-                reasons[int(i)] = str(table.error(i))
-        infeasible = table.infeasible
+        fail(np.flatnonzero(table.domain_error), table.error)
+    infeasible = link_model & table.infeasible & ~failed
 
-    failed = np.zeros(n, dtype=bool)
-    failed[list(reasons)] = True
-    first_scalar_failure = (
-        outputs.index("baseline_error_change")
-        if "baseline_error_change" in outputs
-        else len(outputs)
-    )
-    never = np.zeros(n, dtype=bool)
     columns = []
     for j, name in enumerate(outputs):
         if name in SCALAR_METRICS:
-            missing = scalar_failed if j >= first_scalar_failure else never
+            missing = scalar_failed & (j >= first_change)
         else:
             missing = failed | table.missing(name)
         columns.append((table.values[name], missing))
 
-    statuses = ["ok"] * n
-    notes: list[str | None] = [None] * n
+    # A reason other than the ledger's: estimation_infeasible, else
+    # no_positive_key where the optimizer found no key.
+    for i in np.flatnonzero(infeasible).tolist():
+        reasons[i] = ESTIMATION_INFEASIBLE
     if search is not None:
-        for i in np.flatnonzero(~(search.skr > 0.0)):
-            notes[i] = NO_POSITIVE_KEY
-    for i in np.flatnonzero(infeasible & ~failed):
-        statuses[i] = "infeasible"
-        notes[i] = ESTIMATION_INFEASIBLE
-    for i, text in reasons.items():
-        statuses[i] = "model-domain-error"
-        notes[i] = text
-
+        for i in np.flatnonzero(~(search.skr > 0.0) & ~failed & ~infeasible).tolist():
+            reasons[i] = NO_POSITIVE_KEY
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
         mu_opt=None if search is None else (search.mu, mu_missing),
-        statuses=statuses,
-        reasons=notes,
+        statuses=_STATUSES[2 * failed + infeasible].tolist(),
+        reasons=reasons,
     )
 
 

@@ -17,11 +17,11 @@ from decoylink import (
     parse_scenario,
     scenario_to_dict,
 )
-from decoylink import optimize, sweep
+from decoylink import cli, optimize, sweep
 from decoylink.bounds import link_table
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
 from decoylink.config import scenario_to_yaml
-from decoylink.errors import ValidationError
+from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
 from decoylink.sweep import BLOCK_NODES, NU1_BY_LOSS_DB
 
@@ -491,6 +491,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "receiver.nonsense" in err
+
+    @pytest.mark.parametrize(
+        "error", DecoyLinkError.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_exit_code_follows_the_error_hierarchy(self, monkeypatch, capsys, error):
+        def command(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_report", command)
+        code, kind = (2, "config") if issubclass(error, ValidationError) else (3, "model-domain")
+        assert main(["report"]) == code
+        assert capsys.readouterr().err == f"error: {kind}: boom\n"
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["report", "--config", "/nonexistent/x.yaml"]) == 4

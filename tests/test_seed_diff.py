@@ -97,7 +97,9 @@ def axes(draw, names):
 @st.composite
 def runs(draw):
     """(scenario mapping, CLI arguments without --config)."""
-    command = draw(st.sampled_from(["sweep", "contour", "report", "report-csv", "optimal-mu"]))
+    command = draw(st.sampled_from(
+        ["sweep", "contour", "report", "report-csv", "optimal-mu", "skr-vs-afterpulse"]
+    ))
     cfg = {"receiver": draw(receivers())}
     if draw(st.booleans()):
         cfg["channel"] = {"loss_db": draw(numbers(0.0, 60.0))}
@@ -121,6 +123,14 @@ def runs(draw):
             "mu_policy": draw(st.sampled_from(["fixed", "optimize-per-point"])),
         }
         return cfg, ["sweep"]
+    if command == "skr-vs-afterpulse":
+        # a log-uniform lowest p_ap, and a highest one up to 2.5 decades above
+        # it or half a decade below it (exit 2); the range can pass p_ap = 1
+        pap_min = 10.0 ** draw(numbers(-6.0, 0.0))
+        pap_max = pap_min * 10.0 ** draw(numbers(-0.5, 2.5))
+        points = str(draw(st.integers(1, 4)))
+        return cfg, [command, "--points", points, "--pap-min", repr(pap_min),
+                     "--pap-max", repr(pap_max)]
     if command == "report-csv":
         return cfg, ["report", "--format", "csv"]
     return cfg, [command]
