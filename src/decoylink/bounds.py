@@ -3,17 +3,18 @@
 Each closed form is written once, as a private function over floats or
 numpy arrays. The scalar functions run them on floats after their checks,
 and ``evaluate_link`` runs the scalar functions at one operating point.
-``link_table`` runs the same closed forms over a 1-D array of operating
-points for the sweeps and the intensity optimizer. ``Grid`` turns the value
-types and a grid's axis values into the per-node inputs of ``link_table``.
+``link_table`` runs the same closed forms over arrays of operating points
+for the sweeps and the intensity optimizer. ``Grid`` turns the value types
+and a grid's axis values into the inputs of ``link_table``, shaped so that
+each term is computed once per distinct value of the axes it depends on.
 """
 from __future__ import annotations
 
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -205,7 +206,7 @@ class LinkMetrics:
 
 
 # The closed forms of the scalar functions above and of ``link_table``, without
-# their checks, clamps and branches, over floats or 1-D arrays. ``libm(fn, x)``
+# their checks, clamps and branches, over floats or arrays. ``libm(fn, x)``
 # applies a math function: ``_libm_or_nan`` to a float, ``_libm`` to an array.
 
 
@@ -215,13 +216,15 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     numpy's vectorized exp/expm1/log2/log1p round differently from the C
     library in the last bit for a few percent of arguments. Near the optimum
     the intensity search compares key rates that differ by less than that,
-    so the kernel calls the C library, as the scalar functions do.
+    so the kernel calls the C library, as the scalar functions do. The
+    result has the shape of ``x``.
     """
-    values = x.tolist()
+    values = x.ravel().tolist()
     try:
-        return np.fromiter(map(fn, values), dtype=float, count=len(values))
+        y = np.fromiter(map(fn, values), dtype=float, count=len(values))
     except (OverflowError, ValueError):
-        return np.array([_libm_or_nan(fn, v) for v in values])
+        y = np.array([_libm_or_nan(fn, v) for v in values])
+    return y.reshape(x.shape)
 
 
 def _libm_or_nan(fn: Callable[[float], float], v: float) -> float:
@@ -282,11 +285,14 @@ def _skr_approx(eta, mu, amp, f, h, exp_neg_mu):
 
 @dataclass(frozen=True)
 class LinkTable:
-    """Every metric of METRIC_NAMES at a 1-D array of operating points (nodes).
+    """Every metric of METRIC_NAMES at an array of operating points (nodes).
 
-    The scalar metrics hold at every node. The link metrics hold only where
-    the scalar closed forms return: ``gain_error`` and ``decoy_error`` mark
-    the nodes where ``gain_total``, ``qber_total`` or
+    The nodes are the points of ``shape``, the broadcast shape of the
+    kernel's inputs, numbered in row-major order. Each value and mask has
+    the broadcast shape of the inputs it depends on, which broadcasts to
+    ``shape``. The scalar metrics hold at every node. The link metrics hold
+    only where the scalar closed forms return: ``gain_error`` and
+    ``decoy_error`` mark the nodes where ``gain_total``, ``qber_total`` or
     ``estimate_single_photon`` raise (a gain outside (0, 1], or a decoy pair
     outside 0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
     ``infeasible`` nodes ``estimate_single_photon`` raises
@@ -303,11 +309,16 @@ class LinkTable:
     infeasible: np.ndarray
     clamped: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The broadcast shape of the kernel's inputs, on which the metrics together depend."""
+        return np.broadcast(self.mu, self.nu1, *self.values.values()).shape
+
     def error(self, i: int) -> DecoyLinkError:
         """The exception the scalar model raises at ``domain_error`` node ``i``."""
-        return raised(
-            _check_link, self.values["q_mu"][i], self.values["q_nu1"][i], self.mu[i], self.nu1[i]
-        )
+        args = (self.values["q_mu"], self.values["q_nu1"], self.mu, self.nu1)
+        shape = self.shape
+        return raised(_check_link, *(np.broadcast_to(a, shape).flat[i] for a in args))
 
     def missing(self, name: str) -> np.ndarray:
         """Mask of the nodes where metric ``name`` has no value."""
@@ -315,7 +326,15 @@ class LinkTable:
             return self.domain_error | self.infeasible
         if name in LINK_METRICS:
             return self.domain_error
-        return np.zeros(self.mu.shape, dtype=bool)
+        return np.zeros(self.shape, dtype=bool)
+
+    def reshape(self, shape: tuple[int, ...]) -> LinkTable:
+        """This table of a 1-D array of nodes, with the nodes laid out in ``shape``, row-major."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "values"}
+        return LinkTable(
+            values={name: np.reshape(v, shape) for name, v in self.values.items()},
+            **{name: np.reshape(v, shape) for name, v in arrays.items()},
+        )
 
 
 def link_table(
@@ -330,10 +349,13 @@ def link_table(
 ) -> LinkTable:
     """Forward model, weak+vacuum bounds and key rates at every node at once.
 
-    Each array argument has shape (n,): aggregate afterpulse probability,
-    intrinsic error rate, total dark-count probability, overall
-    transmittance and the two decoy intensities of each node. The closed
-    forms are the ones the scalar functions (``gain_total``, ``qber_total``,
+    The array arguments are the aggregate afterpulse probability, intrinsic
+    error rate, total dark-count probability, overall transmittance and the
+    two decoy intensities, broadcast together: the nodes are the points of
+    their broadcast shape. Each term is computed at the broadcast shape of
+    the arguments it depends on, so an argument that varies along one axis
+    only gives that axis's terms once per value. The closed forms are the
+    ones the scalar functions (``gain_total``, ``qber_total``,
     ``estimate_single_photon``, ``skr_lower_bound``, ``skr_approx``) run on
     floats, so the results equal theirs bit for bit.
     """
@@ -449,17 +471,21 @@ AXES = {
 }
 AXIS_NAMES = tuple(AXES)
 
+# A slab of a Grid: (axis value indices, kernel inputs); see ``Grid.slabs``.
+Slab = tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]
+
 
 class Grid:
-    """Value types and axis values turned into per-node inputs of ``link_table``.
+    """Value types and axis values turned into the inputs of ``link_table``.
 
     ``intensities`` maps those of ``mu`` and ``nu1`` the caller needs to their
     base values, and ``axes`` is a sequence of (axis name, values) pairs. The
     nodes are the points of the axes' product in row-major order (first axis
     outermost), one node for no axes. Each axis sets the kernel input that
     ``AXES`` names, computed once per axis value; the other inputs come from
-    the value types. Axis values that the model's value types reject are
-    kept with the validator's message.
+    the value types. ``slabs`` hands them out over sub-boxes of the grid.
+    Axis values that the model's value types reject are kept with the
+    validator's message.
     """
 
     def __init__(
@@ -510,10 +536,41 @@ class Grid:
                     int(i): str(raised(build, values[i])) for i in np.flatnonzero(bad)
                 })
 
-    def block(self, nodes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
-        """Axis value indices and kernel inputs of the given flat node indices."""
-        index = np.unravel_index(nodes, self.shape) if self.shape else ()
-        inputs = {name: np.full(len(nodes), value) for name, value in self.base.items()}
+    def slabs(self, max_nodes: int) -> Iterator[Slab]:
+        """The grid's nodes as row-major sub-boxes ("slabs") of at most ``max_nodes`` nodes.
+
+        Each slab is (index, inputs). ``index[k]`` holds the slab's value
+        indices on axis k, shaped to vary along axis k only. ``inputs`` maps
+        each kernel input to its values, shaped to broadcast over the slab:
+        an axis's input varies along that axis only, and an input no axis
+        sets has size 1. A slab's nodes are the points of its box in
+        row-major order, and the slabs follow one another in the grid's
+        row-major order. A grid of at most ``max_nodes`` nodes is one slab.
+        """
+        whole = tuple(range(n) for n in self.shape)
+        if self.size <= max_nodes:
+            yield self._slab(whole)
+            return
+        # The axes after ``split`` are whole in every slab; the slab takes a
+        # run of values of axis ``split`` and one value of each axis before it.
+        split, inner = len(self.shape) - 1, 1
+        while split and inner * self.shape[split] <= max_nodes:
+            inner *= self.shape[split]
+            split -= 1
+        step = max_nodes // inner
+        for outer in np.ndindex(*self.shape[:split]):
+            for start in range(0, self.shape[split], step):
+                run = range(start, min(start + step, self.shape[split]))
+                yield self._slab((*(range(i, i + 1) for i in outer), run, *whole[split + 1:]))
+
+    def _slab(self, box: tuple[range, ...]) -> Slab:
+        """The slab of the axis value ranges ``box``, one range per axis."""
+        ones = (1,) * len(box)
+        index = tuple(
+            np.arange(r.start, r.stop).reshape(ones[:k] + (-1,) + ones[k + 1:])
+            for k, r in enumerate(box)
+        )
+        inputs = {name: np.full(ones, value) for name, value in self.base.items()}
         for name, (pos, per_value) in self.inputs.items():
             inputs[name] = per_value[index[pos]]
         return index, inputs
@@ -521,16 +578,35 @@ class Grid:
     def rejections(self, index: tuple[np.ndarray, ...]) -> dict[int, str]:
         """Node -> message of its first axis, in ``AXES`` order, whose value the model rejects.
 
-        ``index`` holds the nodes' axis value indices, as ``block`` returns
-        them; a node is keyed by its position in them.
+        ``index`` is a slab's, as ``slabs`` yields it; a node is keyed by its
+        row-major position in the slab.
         """
+        shape = tuple(i.size for i in index)
         found: dict[int, str] = {}
         for name in AXES:
             if name in self.rejected:
                 pos, texts = self.rejected[name]
-                for i in np.flatnonzero(np.isin(index[pos], list(texts))).tolist():
-                    found.setdefault(i, texts[int(index[pos][i])])
+                at = per_node(index[pos], shape)
+                for i in np.flatnonzero(np.isin(at, list(texts))).tolist():
+                    found.setdefault(i, texts[int(at[i])])
         return found
+
+
+def per_node(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``values``, an array that broadcasts to ``shape``, as one entry per point of ``shape``.
+
+    The points are in row-major order. (A copy into a new array costs a
+    fraction of ``np.broadcast_to``'s call on the small arrays of a slab.)
+    """
+    nodes = np.empty(shape, dtype=values.dtype)
+    nodes[...] = values
+    return nodes.ravel()
+
+
+def node_values(index: tuple[np.ndarray, ...], inputs: dict[str, np.ndarray]) -> dict:
+    """A slab's ``inputs`` as 1-D arrays of one value per node, in row-major order."""
+    shape = tuple(i.size for i in index)
+    return {name: per_node(values, shape) for name, values in inputs.items()}
 
 
 def evaluate_link(

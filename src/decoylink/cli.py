@@ -104,17 +104,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _float_cells(values: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
-    """``_fmt`` of each value, '' where ``missing``, formatting each distinct value once.
+def _float_cells(values, missing: np.ndarray | None = None) -> np.ndarray:
+    """``_fmt`` of each value, '' where ``missing``, as an array of their broadcast shape.
 
-    Values are told apart by their bits, not by ``==``: -0.0 and 0.0 print
-    differently.
+    All values are formatted in one '%.10g' batch, which prints each float
+    (-0.0, inf, nan and subnormals included) as ``format(v, '.10g')`` does.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [format(v, ".10g") for v in bits.view(np.float64).tolist()]
-    cells = np.array(texts, dtype=object)[inverse]
-    if missing is not None:
-        cells[missing] = ""
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel().tolist()
+    texts = ("%.10g," * len(flat) % tuple(flat)).split(",")[:-1]
+    cells = np.array(texts, dtype=object).reshape(values.shape)
+    if missing is not None and missing.any():
+        cells = np.where(missing, "", cells)
     return cells
 
 
@@ -136,8 +137,8 @@ def _write_csv(path: str | None, header, blocks) -> None:
     """Write the header line, then the rows of each block of CSV columns in ``blocks``."""
     with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            fh.write(_rows(columns))
+        # writelines holds no block's cells while the next block is built
+        fh.writelines(map(_rows, blocks))
 
 
 def _block_columns(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> list:
@@ -145,12 +146,16 @@ def _block_columns(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) 
 
     Each (axis position, cells) pair of ``axis_cells`` is a leading column:
     ``cells`` holds one CSV cell per value of that axis, formatted once per
-    run, and each node gets the cell of its value.
+    run, and each node gets the cell of its value. Each output is formatted
+    at the shape it was computed at, once per distinct value of the axes it
+    depends on, and then spread over the block's nodes.
     """
-    columns = [cells[block.axis_index[k]].tolist() for k, cells in axis_cells]
+    columns = [block.nodes(cells[block.axis_index[k]]).tolist() for k, cells in axis_cells]
     if block.mu_opt is not None:
-        columns.append(_float_cells(*block.mu_opt).tolist())
-    columns.extend(_float_cells(values, missing).tolist() for values, missing in block.outputs)
+        columns.append(block.nodes(_float_cells(*block.mu_opt)).tolist())
+    columns.extend(
+        block.nodes(_float_cells(values, missing)).tolist() for values, missing in block.outputs
+    )
     # The statuses are fixed words that need no quoting.
     columns.append(block.statuses)
     quoted = {reason: _csv_field(reason) for reason in set(block.reasons)}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .bounds import Grid, LinkTable, binary_entropy, link_table, raised
+from .bounds import Grid, LinkTable, binary_entropy, link_table, node_values, raised
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -304,9 +304,10 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
-    _, x = Grid(receiver, channel, {"nu1": nu1}, ()).block(np.arange(1))
+    (slab,) = Grid(receiver, channel, {"nu1": nu1}, ()).slabs(1)
     search = maximize_nodes(
-        **x, background_error=receiver.background_error, protocol=protocol, config=config
+        **node_values(*slab), background_error=receiver.background_error, protocol=protocol,
+        config=config,
     )
     if search.errors:
         raise search.errors[0]
@@ -351,7 +352,8 @@ def threshold_nodes(
         (("p_ap", p_ap_values), ("intrinsic_error", intrinsic_error_values)),
     )
     detected = -math.expm1(-grid.base["eta"] * mean_photon)
-    index, x = grid.block(np.arange(grid.size))
+    ((index, inputs),) = grid.slabs(grid.size)
+    x = node_values(index, inputs)
     rejected = grid.rejections(index)
     e0 = receiver_template.background_error
     # a rejected node's inputs can be inf or nan

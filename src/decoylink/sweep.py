@@ -17,7 +17,10 @@ from .bounds import (
     METRIC_NAMES,
     SCALAR_METRICS,
     Grid,
+    Slab,
     link_table,
+    node_values,
+    per_node,
     raised,
 )
 from .errors import ValidationError
@@ -25,10 +28,11 @@ from .optimize import NO_POSITIVE_KEY, maximize_nodes
 
 MAX_GRID_POINTS = 1_000_000
 
-# Grid nodes per link_table call, or per lockstep optimizer run. Larger
-# blocks save little more per-call overhead, and the CSV cells of a block's
-# outputs are held at once, so memory grows with the block.
-BLOCK_NODES = 256
+# Most grid nodes per slab: per link_table call, or per lockstep optimizer
+# run. Larger slabs save per-call overhead, but the CSV cells of a slab's
+# outputs are held at once, so memory grows with the slab; at 512 the peak
+# RSS of an 81 x 80 sweep of all 15 outputs is no higher than at 256.
+BLOCK_NODES = 512
 
 # Optimized weak-decoy intensities are only tabulated for these losses; any
 # other loss requires an explicit weak_decoy_nu1 (no interpolation).
@@ -164,14 +168,17 @@ def _with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """A run of consecutive grid nodes as columns, one entry per node.
+    """A slab of grid nodes (see ``Grid.slabs``) as columns.
 
-    The value of axis k at the nodes is ``axis_values[k][axis_index[k]]``:
-    ``axis_values`` holds every value of each axis, the same arrays in every
-    block. ``outputs`` holds, per requested metric, its float64 values and
-    the mask of the nodes where it has no value; ``mu_opt`` is the same pair
-    under optimize-per-point and None otherwise. Values under a mask are
-    meaningless.
+    ``axis_index[k]`` holds the slab's value indices on axis k, shaped to
+    vary along axis k only; ``axis_values`` holds every value of each axis,
+    the same arrays in every block. ``outputs`` holds, per requested metric,
+    its float64 values and the mask of the nodes where it has no value, each
+    at the shape it was computed at, which broadcasts over the slab;
+    ``mu_opt`` is the same pair under optimize-per-point and None
+    otherwise. Values under a mask are meaningless. ``statuses`` and
+    ``reasons`` hold one entry per node. ``nodes`` gives any of these arrays
+    one entry per node, in row-major order.
     """
 
     axis_values: tuple[np.ndarray, ...]
@@ -181,15 +188,19 @@ class SweepBlock:
     statuses: list[str]
     reasons: list[str | None]
 
+    def nodes(self, values) -> np.ndarray:
+        """``values``, an array that broadcasts over the slab, as one entry per node."""
+        return per_node(values, tuple(i.size for i in self.axis_index))
+
     def records(self) -> list[ResultRecord]:
         """The block's nodes as ResultRecords, with None for masked values."""
         n = len(self.statuses)
         axis_values = (
-            zip(*(v[i].tolist() for v, i in zip(self.axis_values, self.axis_index)))
+            zip(*(self.nodes(v[i]).tolist() for v, i in zip(self.axis_values, self.axis_index)))
             if self.axis_values else [()] * n
         )
-        values = zip(*(_with_none(v, m) for v, m in self.outputs))
-        mu_opt = [None] * n if self.mu_opt is None else _with_none(*self.mu_opt)
+        values = zip(*(_with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
+        mu_opt = [None] * n if self.mu_opt is None else _with_none(*map(self.nodes, self.mu_opt))
         return [
             ResultRecord(*node)
             for node in zip(axis_values, values, mu_opt, self.statuses, self.reasons)
@@ -205,11 +216,16 @@ def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
 
 def _block(
     grid: Grid, protocol: model.ProtocolParams, e0: float, outputs: tuple[str, ...],
-    mu_policy: str, nodes: np.ndarray,
+    mu_policy: str, slab: Slab,
 ) -> SweepBlock:
-    n = len(nodes)
-    index, x = grid.block(nodes)
+    index, x = slab
+    shape = tuple(i.size for i in index)
+    n = math.prod(shape)
     link_model = mu_policy == "optimize-per-point" or any(name in LINK_METRICS for name in outputs)
+
+    def at(values, i: int):
+        """The entry of node ``i`` of ``values``, an array that broadcasts over the slab."""
+        return np.broadcast_to(values, shape).flat[i]
 
     # The ledger: which nodes failed, and each one's model-domain-error
     # message. Checks run in the order a node meets them: scalar outputs in
@@ -226,40 +242,42 @@ def _block(
                 reasons[i] = str(message(i))
 
     # Of the scalar metrics only baseline_error_change can fail on axis values
-    # (e' = 0 or subnormal); the outputs listed after it are then left empty.
+    # (e' = 0 or subnormal); the outputs listed after it are then left empty,
+    # except a name also listed before it, whose value came before the failure.
     changes = "baseline_error_change" in outputs
     first_change = outputs.index("baseline_error_change") if changes else len(outputs)
     scalar_failed = changes & (x["e_prime"] < sys.float_info.min)
-    fail(np.flatnonzero(scalar_failed), lambda i: raised(
-        model.baseline_error_change, x["e_prime"][i], e0, x["p_ap"][i]
+    fail(np.flatnonzero(per_node(scalar_failed, shape)), lambda i: raised(
+        model.baseline_error_change, at(x["e_prime"], i), e0, at(x["p_ap"], i)
     ))
     search = None
     if link_model:
         rejected = grid.rejections(index)
         fail(rejected, rejected.__getitem__)
-        fail(np.flatnonzero(~(x["nu1"] < x["mu"])), lambda i: raised(
-            model.IntensitySet, x["mu"][i], x["nu1"][i]
+        fail(np.flatnonzero(per_node(~(x["nu1"] < x["mu"]), shape)), lambda i: raised(
+            model.IntensitySet, at(x["mu"], i), at(x["nu1"], i)
         ))
     if mu_policy == "optimize-per-point":
+        flat = node_values(index, x)
         search = maximize_nodes(
-            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, protocol
+            flat["p_ap"], flat["e_prime"], flat["p_dc"], flat["eta"], flat["nu1"], e0, protocol
         )
         fail(search.errors, search.errors.__getitem__)
         # A node the link model alone rejects keeps its mu_opt.
         mu_missing = failed.copy()
-        table = search.table
+        table = search.table.reshape(shape)
     else:
         table = link_table(**x, background_error=e0, protocol=protocol)
     if link_model:
-        fail(np.flatnonzero(table.domain_error), table.error)
-    infeasible = link_model & table.infeasible & ~failed
+        fail(np.flatnonzero(per_node(table.domain_error, shape)), table.error)
+    infeasible = link_model & per_node(table.infeasible, shape) & ~failed
 
     columns = []
     for j, name in enumerate(outputs):
         if name in SCALAR_METRICS:
-            missing = scalar_failed & (j >= first_change)
+            missing = scalar_failed & (j >= first_change) & (name not in outputs[:first_change])
         else:
-            missing = failed | table.missing(name)
+            missing = failed.reshape(shape) | table.missing(name)
         columns.append((table.values[name], missing))
 
     # A reason other than the ledger's: estimation_infeasible, else
@@ -273,7 +291,7 @@ def _block(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
-        mu_opt=None if search is None else (search.mu, mu_missing),
+        mu_opt=None if search is None else (search.mu.reshape(shape), mu_missing.reshape(shape)),
         statuses=_STATUSES[2 * failed + infeasible].tolist(),
         reasons=reasons,
     )
@@ -283,14 +301,14 @@ def grid_blocks(
     grid: Grid, protocol: model.ProtocolParams, background_error: float,
     outputs: tuple[str, ...], mu_policy: str,
 ) -> Iterator[SweepBlock]:
-    """The nodes of ``grid`` as columns of the ``outputs``, BLOCK_NODES nodes at a time.
+    """The nodes of ``grid`` as columns of the ``outputs``, one slab at a time.
 
-    Under optimize-per-point each block is one lockstep optimizer run. The
-    grid must give every node both intensities.
+    Each slab holds at most BLOCK_NODES nodes; under optimize-per-point it
+    is one lockstep optimizer run. The grid must give every node both
+    intensities.
     """
-    for start in range(0, grid.size, BLOCK_NODES):
-        nodes = np.arange(start, min(start + BLOCK_NODES, grid.size))
-        yield _block(grid, protocol, background_error, outputs, mu_policy, nodes)
+    for slab in grid.slabs(BLOCK_NODES):
+        yield _block(grid, protocol, background_error, outputs, mu_policy, slab)
 
 
 def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
@@ -305,9 +323,10 @@ def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
 def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     """Evaluate every grid node, in lexicographic grid order.
 
-    Nodes are evaluated with numpy, a block of BLOCK_NODES per ``link_table``
-    call, or per lockstep optimizer run under optimize-per-point (whose seed
-    grid is evaluated in slices; see ``maximize_nodes``). Per-node failures
-    are recorded in the node's status and never abort the sweep.
+    Nodes are evaluated with numpy, a slab of at most BLOCK_NODES nodes per
+    ``link_table`` call, or per lockstep optimizer run under
+    optimize-per-point (whose seed grid is evaluated in slices; see
+    ``maximize_nodes``). Per-node failures are recorded in the node's status
+    and never abort the sweep.
     """
     return [record for block in iter_blocks(spec) for record in block.records()]

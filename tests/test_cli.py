@@ -23,7 +23,7 @@ from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
 from decoylink.config import scenario_to_yaml
 from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
-from decoylink.sweep import BLOCK_NODES, NU1_BY_LOSS_DB
+from decoylink.sweep import NU1_BY_LOSS_DB
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -609,6 +609,48 @@ class TestSweepCommand:
             assert main(["sweep", "--config", config]) == 0
         assert capsys.readouterr().out == expected
 
+    # A scalar output repeated after baseline_error_change, at e' = 0: the
+    # seed code prints the value it computed before the failure. The
+    # expected text is the seed code's stdout.
+    @pytest.mark.parametrize(
+        "outputs, expected",
+        [
+            (
+                "[p_ap, baseline_error_change, p_ap]",
+                "intrinsic_error,p_ap,baseline_error_change,p_ap,status,reason\n"
+                "0,0,,0,model-domain-error,"
+                "relative baseline change undefined for intrinsic_error = 0\n"
+                "0.02,0,0,0,ok,\n",
+            ),
+            (
+                "[e_detector, q_mu, baseline_error_change, e_detector, visibility]",
+                "intrinsic_error,e_detector,q_mu,baseline_error_change,e_detector,visibility,"
+                "status,reason\n"
+                "0,0,,,0,,model-domain-error,"
+                "relative baseline change undefined for intrinsic_error = 0\n"
+                "0.02,0.02,0.04686681292,0,0.02,0.96,ok,\n",
+            ),
+            (
+                "[baseline_error_change, p_ap, p_ap]",
+                "intrinsic_error,baseline_error_change,p_ap,p_ap,status,reason\n"
+                "0,,,,model-domain-error,"
+                "relative baseline change undefined for intrinsic_error = 0\n"
+                "0.02,0,0,0,ok,\n",
+            ),
+        ],
+        ids=["after", "between", "first"],
+    )
+    def test_scalar_output_repeated_after_baseline_change(
+        self, tmp_path, capsys, outputs, expected
+    ):
+        config = write_config(
+            tmp_path,
+            "sweep:\n  axes:\n    - {name: intrinsic_error, min: 0.0, max: 0.02, count: 2}\n"
+            f"  outputs: {outputs}\n",
+        )
+        assert main(["sweep", "--config", config]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_missing_sweep_section(self, tmp_path, capsys):
         config = write_config(tmp_path, "receiver:\n  intrinsic_error: 0.02\n")
         assert main(["sweep", "--config", config]) == 2
@@ -623,7 +665,8 @@ class TestSweepCommand:
 
 
 # Grids for the byte-identity gate, each with a check that it holds the case
-# it is there for.
+# it is there for. They run in slabs of at most GATE_BLOCK_NODES nodes.
+GATE_BLOCK_NODES = 64
 GATE_GRIDS = {
     # ok, infeasible and model-domain-error nodes, reasons with commas, 3 axes
     "statuses": (
@@ -677,7 +720,7 @@ sweep:
 """,
         lambda rows: len(rows) == 1,
     ),
-    # more than two blocks, the last one partial
+    # more than two slabs, the last one partial
     "blocks": (
         """\
 sweep:
@@ -686,17 +729,20 @@ sweep:
     - {name: loss_db, min: 0.0, max: 60.0, count: 31}
   outputs: [skr_lower, e1_upper, baseline_error_change]
 """,
-        lambda rows: len(rows) > 2 * BLOCK_NODES and len(rows) % BLOCK_NODES != 0,
+        lambda rows: len(rows) > 2 * GATE_BLOCK_NODES and len(rows) % GATE_BLOCK_NODES != 0,
     ),
 }
 
 
 class TestSweepBytes:
     @pytest.mark.parametrize("name", GATE_GRIDS)
-    def test_equals_independent_rendering_of_records(self, tmp_path, sweep_csv, name):
+    def test_equals_independent_rendering_of_records(
+        self, tmp_path, sweep_csv, monkeypatch, name
+    ):
         text, covers = GATE_GRIDS[name]
         config = write_config(tmp_path, text)
         out = tmp_path / "out.csv"
+        monkeypatch.setattr(sweep, "BLOCK_NODES", GATE_BLOCK_NODES)
         assert main(["sweep", "--config", config, "--output", str(out)]) == 0
         data = out.read_bytes()
         assert covers(list(csv.reader(io.StringIO(data.decode())))[1:])

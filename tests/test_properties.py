@@ -1,13 +1,14 @@
 """Model invariants over randomised inputs (hypothesis, derandomized)."""
 import math
 import os
+import sys
 import tempfile
 from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from decoylink import (
@@ -31,7 +32,7 @@ from decoylink import (
     yield_i,
 )
 from decoylink import model, optimize, sweep
-from decoylink.bounds import METRIC_NAMES
+from decoylink.bounds import METRIC_NAMES, Grid, link_table
 from decoylink.cli import main
 from decoylink.optimize import _GRID_SEED_POINTS, DARK_COUNT_CAP, maximize_nodes
 from decoylink.sweep import MU_POLICIES
@@ -297,3 +298,95 @@ def test_sweep_deterministic_and_independent_of_block_size(sweep_csv, config):
         assert csv_bytes(sweep.BLOCK_NODES) == first
         assert csv_bytes(1) == first
         assert csv_bytes(7) == first
+
+
+# Values of each kernel input, reaching NaN nodes, eta = 0, a subnormal nu1
+# and p_ap near the float maximum (where _libm takes its fallback path).
+KERNEL_VALUES = {
+    "p_ap": st.one_of(
+        st.floats(0.0, 1.5), st.just(math.nan), st.floats(1e307, sys.float_info.max)
+    ),
+    "e_prime": st.one_of(st.floats(0.0, 0.6), st.just(math.nan)),
+    "p_dc": st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+    "eta": st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    "mu": st.one_of(st.floats(0.01, 2.0), st.just(math.nan)),
+    "nu1": st.one_of(st.floats(0.0, 0.6), st.just(5e-324), st.floats(1e-320, 1e-310)),
+}
+
+
+@st.composite
+def slab_inputs(draw):
+    """(shape, inputs): ``link_table`` inputs over a slab of 1-3 axes.
+
+    Each input varies along one axis, or none and has size 1, as
+    ``Grid.slabs`` shapes them; an axis no input varies along has length 1.
+    """
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    inputs = {}
+    for name, values in KERNEL_VALUES.items():
+        axis = draw(st.sampled_from([None, *range(len(lengths))]))
+        dims = tuple(n if k == axis else 1 for k, n in enumerate(lengths))
+        drawn = draw(st.lists(values, min_size=math.prod(dims), max_size=math.prod(dims)))
+        inputs[name] = np.array(drawn).reshape(dims)
+    return np.broadcast_shapes(*(v.shape for v in inputs.values())), inputs
+
+
+@DETERMINISTIC
+@given(slab_inputs())
+@example((
+    (2, 3),
+    {
+        "p_ap": np.array([[math.nan], [1.7e308]]),
+        "e_prime": np.full((1, 1), 0.02),
+        "p_dc": np.full((1, 1), 1e-6),
+        "eta": np.array([[0.0, 0.1, 1.0]]),
+        "mu": np.full((1, 1), 0.5),
+        "nu1": np.array([[0.1, 5e-324, 0.05]]),
+    },
+))
+def test_kernel_on_a_slab_equals_kernel_on_its_flat_nodes(drawn):
+    shape, inputs = drawn
+
+    def nodes(values):
+        return np.broadcast_to(values, shape).ravel()
+
+    slab = link_table(**inputs, background_error=0.5, protocol=ProtocolParams())
+    flat = link_table(
+        **{name: nodes(values) for name, values in inputs.items()},
+        background_error=0.5, protocol=ProtocolParams(),
+    )
+    assert slab.shape == shape
+    # bits, so that NaN equals NaN and -0.0 differs from 0.0
+    for name in METRIC_NAMES:
+        assert np.array_equal(
+            nodes(slab.values[name]).view(np.int64), flat.values[name].view(np.int64)
+        ), name
+    for mask in ("gain_error", "decoy_error", "domain_error", "infeasible", "clamped"):
+        assert np.array_equal(nodes(getattr(slab, mask)), getattr(flat, mask)), mask
+    for i in np.flatnonzero(flat.domain_error).tolist():
+        assert str(slab.error(i)) == str(flat.error(i))
+
+
+@DETERMINISTIC
+@given(st.lists(st.integers(1, 6), max_size=3), st.integers(1, 50))
+def test_slabs_tile_the_grid_in_row_major_order(lengths, max_nodes):
+    names = ("p_ap", "loss_db", "intrinsic_error")
+    axes = [(name, np.linspace(0.0, 0.1, n)) for name, n in zip(names, lengths)]
+    receiver = ReceiverModel.identical(2, dark_count_prob_total=6e-7, intrinsic_error=0.02)
+    grid = Grid(receiver, ChannelModel(transmission_loss_db=5.0), {"mu": 0.5, "nu1": 0.1}, axes)
+    covered = []
+    for index, inputs in grid.slabs(max_nodes):
+        shape = tuple(i.size for i in index)
+        assert math.prod(shape) <= max_nodes
+        for k, i in enumerate(index):
+            # a run of consecutive values of axis k, laid along axis k only
+            assert i.shape == tuple(n if j == k else 1 for j, n in enumerate(shape))
+            assert np.array_equal(i.ravel(), np.arange(i.flat[0], i.flat[0] + i.size))
+        for name, values in inputs.items():
+            # each input varies along one axis at most, and broadcasts over the slab
+            assert np.broadcast_shapes(values.shape, shape) == shape
+            assert sum(n > 1 for n in values.shape) <= 1, name
+        covered += np.ravel_multi_index(
+            [np.broadcast_to(i, shape).ravel() for i in index], grid.shape
+        ).tolist() if index else [0]
+    assert covered == list(range(grid.size))

@@ -3,10 +3,10 @@
 ``benchmarks/reference/decoylink`` is the seed code, loaded here under the
 package name ``decoylink_seed``. A derandomized strategy writes scenario
 files, and each example runs ``cli.main`` of both trees on the same argv and
-compares the exit code, stdout and stderr. Inputs whose output changed on
-purpose (non-finite or NaN numbers, ``null`` fields, subnormal values, a
-repeated key) are not drawn here; CHANGES.md lists them and they keep tests
-of their own.
+compares the exit code, stdout and stderr; this tree runs its grids in slabs
+of a drawn size. Inputs whose output changed on purpose (non-finite or NaN
+numbers, ``null`` fields, subnormal values, a repeated key) are not drawn
+here; CHANGES.md lists them and they keep tests of their own.
 """
 import importlib
 import importlib.util
@@ -16,12 +16,13 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoylink import cli
+from decoylink import cli, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES
 
 SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
@@ -145,11 +146,14 @@ def run(main, argv):
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
+# The drawn grids hold at most 27 nodes; slabs of 1-7 nodes split them at
+# every axis depth.
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(runs())
-def test_cli_matches_the_seed_code(tmp_path_factory, drawn):
+@given(runs(), st.integers(1, 7))
+def test_cli_matches_the_seed_code(tmp_path_factory, drawn, block_nodes):
     cfg, argv = drawn
     path = tmp_path_factory.mktemp("scenario") / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg))
     argv = [*argv, "--config", str(path)]
-    assert run(cli.main, argv) == run(seed_cli.main, argv)
+    with patch.object(sweep, "BLOCK_NODES", block_nodes):
+        assert run(cli.main, argv) == run(seed_cli.main, argv)

@@ -19,7 +19,7 @@ from decoylink import (
     maximize_skr_over_mu,
     run_sweep,
 )
-from decoylink.sweep import BLOCK_NODES
+from decoylink import sweep
 
 PROTOCOL = ProtocolParams()
 
@@ -227,12 +227,15 @@ class TestRunSweep:
         )
         assert run_sweep(spec) == run_sweep(spec)
 
-    def test_blocks_keep_grid_order_and_match_single_node_evaluation(self):
-        # 17 x 16 nodes span two kernel blocks; every node must come out in
-        # lexicographic order and equal a one-node evaluate_link exactly
+    def test_blocks_keep_grid_order_and_match_single_node_evaluation(self, monkeypatch):
+        # 17 x 16 nodes span three slabs of 6, 6 and 5 mu values; every node
+        # must come out in lexicographic order and equal a one-node
+        # evaluate_link exactly
+        block_nodes = 100
+        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
         mu_axis = Axis("signal_mu", 0.1, 6.0, 17)
         loss_axis = Axis("loss_db", 0.0, 45.0, 16)
-        assert mu_axis.count * loss_axis.count > BLOCK_NODES
+        assert mu_axis.count * loss_axis.count > 2 * block_nodes
         outputs = ("y0", "q_mu", "e_mu", "q_nu1", "e_nu1", "y1_lower", "e1_upper",
                    "q1_lower", "skr_raw", "skr_lower", "skr_approx")
         spec = base_spec([mu_axis, loss_axis], outputs=outputs)
