@@ -4,9 +4,11 @@ Each closed form is written once, as a private function over floats or
 numpy arrays. The scalar functions run them on floats after their checks,
 and ``evaluate_link`` runs the scalar functions at one operating point.
 ``link_table`` runs the same closed forms over arrays of operating points
-for the sweeps and the intensity optimizer. ``Grid`` turns the value types
-and a grid's axis values into the inputs of ``link_table``, shaped so that
-each term is computed once per distinct value of the axes it depends on.
+for the sweeps and the intensity optimizer, in two stages, so that a search
+over the signal intensity computes the terms that do not depend on it once.
+``Grid`` turns the value types and a grid's axis values into the inputs of
+``link_table``, shaped so that each term is computed once per distinct
+value of the axes it depends on.
 """
 from __future__ import annotations
 
@@ -354,26 +356,56 @@ def link_table(
     two decoy intensities, broadcast together: the nodes are the points of
     their broadcast shape. Each term is computed at the broadcast shape of
     the arguments it depends on, so an argument that varies along one axis
-    only gives that axis's terms once per value. The closed forms are the
+    only gives that axis's terms once per value. ``node_stage`` computes the
+    terms that do not depend on ``mu`` and ``mu_stage`` the rest, so that a
+    search over ``mu`` runs the first stage once. The closed forms are the
     ones the scalar functions (``gain_total``, ``qber_total``,
     ``estimate_single_photon``, ``skr_lower_bound``, ``skr_approx``) run on
     floats, so the results equal theirs bit for bit.
     """
+    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
+    return mu_stage(mu, background_error, protocol, **terms)
+
+
+def node_stage(
+    p_ap: np.ndarray,
+    e_prime: np.ndarray,
+    p_dc: np.ndarray,
+    eta: np.ndarray,
+    nu1: np.ndarray,
+    background_error: float,
+) -> dict[str, np.ndarray]:
+    """The first stage of ``link_table``: the arguments of ``mu_stage`` that do not depend on mu."""
     e0 = background_error
-    f = protocol.ec_efficiency
     with np.errstate(all="ignore"):
         amp = 1.0 + p_ap
         y0 = amp * p_dc
-        detected_mu = -_libm(math.expm1, -eta * mu)
         detected_nu1 = -_libm(math.expm1, -eta * nu1)
         signal_error = e_prime + e0 * p_ap
-        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
         q_nu1, e_nu1 = model.gain_and_qber(
             y0, detected_nu1 * amp, signal_error * detected_nu1, e0
         )
         e_det = model.e_detector(e_prime, e0, p_ap)
+        return dict(
+            p_ap=p_ap, eta=eta, nu1=nu1, amp=amp, y0=y0, signal_error=signal_error,
+            q_nu1=q_nu1, e_nu1=e_nu1, exp_nu1=_libm(math.exp, nu1), e_det=e_det,
+            h_det=_binary_entropy(e_det), change=model.relative_change(e_prime, e0, p_ap),
+        )
 
-        exp_nu1 = _libm(math.exp, nu1)
+
+def mu_stage(
+    mu: np.ndarray,
+    background_error: float,
+    protocol: model.ProtocolParams,
+    *,
+    p_ap, eta, nu1, amp, y0, signal_error, q_nu1, e_nu1, exp_nu1, e_det, h_det, change,
+) -> LinkTable:
+    """The second stage of ``link_table``: its table from ``mu`` and the terms of ``node_stage``."""
+    e0 = background_error
+    f = protocol.ec_efficiency
+    with np.errstate(all="ignore"):
+        detected_mu = -_libm(math.expm1, -eta * mu)
+        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
         exp_neg_mu = _libm(math.exp, -mu)
         y1 = _y1_bound(q_mu, q_nu1, y0, mu, nu1, _libm(math.exp, mu), exp_nu1)
         y1_lower = np.minimum(y1, 1.0)
@@ -384,8 +416,7 @@ def link_table(
             q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
             _binary_entropy(e1_upper), protocol.sifting_factor, f,
         )
-        skr_approx = _skr_approx(eta, mu, amp, f, _binary_entropy(e_det), exp_neg_mu)
-        change = model.relative_change(e_prime, e0, p_ap)
+        skr_approx = _skr_approx(eta, mu, amp, f, h_det, exp_neg_mu)
         resolvable = _resolvable(q_mu, q_nu1, y1, y1_lower, nu1)
 
     gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | (q_nu1 > 1.0) | (q_nu1 <= 0.0)

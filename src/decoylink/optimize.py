@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .bounds import Grid, LinkTable, binary_entropy, link_table, node_values, raised
+from .bounds import (
+    Grid, LinkTable, binary_entropy, mu_stage, node_stage, node_values, per_node, raised,
+)
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -18,7 +20,7 @@ DARK_COUNT_CAP = 0.1
 MU_BRACKET_MARGIN = 1e-6
 MU_BRACKET_MAX = 1.5
 _GRID_SEED_POINTS = 64
-# Rows per seed-grid link_table call: whole nodes of _GRID_SEED_POINTS rows
+# Points per seed-grid kernel call: whole nodes of _GRID_SEED_POINTS points
 # each, at least one. Bounds the kernel's temporaries however many nodes
 # search together.
 _SEED_SLICE_ROWS = 2048
@@ -209,12 +211,14 @@ def maximize_nodes(
     """``maximize_skr_over_mu`` at every node of 1-D input arrays, in lockstep.
 
     The arguments are those of ``link_table`` without the signal intensity.
-    The nodes share the ``link_table`` calls: the 64-point seed grid is
-    evaluated in slices of whole nodes, at most _SEED_SLICE_ROWS rows per
-    call, and each golden-section step is one call over all the nodes whose
-    bracket is still wider than the tolerance. Each node follows the same
-    arithmetic as a search of its own, so its result does not depend on the
-    other nodes or on the slicing.
+    ``bounds.node_stage`` computes the nodes' terms that do not depend on mu
+    once, and each probe runs ``bounds.mu_stage`` alone. The nodes share the
+    ``mu_stage`` calls: the 64-point seed grid is evaluated as (nodes, 64)
+    in slices of whole nodes, at most _SEED_SLICE_ROWS points per call, and
+    each golden-section step is one call over all the nodes whose bracket is
+    still wider than the tolerance. Each node follows the same arithmetic as
+    a search of its own, so its result does not depend on the other nodes or
+    on the slicing.
     """
     n = len(nu1)
     nodes = np.arange(n)
@@ -231,15 +235,18 @@ def maximize_nodes(
     failed = np.zeros(n, dtype=bool)
     failed[list(errors)] = True
 
+    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
+
     def objective(rows: np.ndarray, mu: np.ndarray) -> tuple[LinkTable, np.ndarray]:
-        table = link_table(
-            p_ap[rows], e_prime[rows], p_dc[rows], eta[rows], mu, nu1[rows],
-            background_error, protocol,
-        )
+        """The table and objective at ``mu``, an array that the node indices ``rows`` broadcast to."""
+        at_rows = {name: values[rows] for name, values in terms.items()}
+        table = mu_stage(mu, background_error, protocol, **at_rows)
         # A decoy pair outside 0 < nu1 < mu ends that node's search with the
         # exception, at the first point evaluated in search order.
-        for j in np.flatnonzero(table.decoy_error):
-            node = int(rows[j])
+        decoy_errors = np.flatnonzero(table.decoy_error)
+        at = per_node(rows, table.shape) if decoy_errors.size else rows
+        for j in decoy_errors:
+            node = int(at[j])
             if node not in errors:
                 errors[node] = table.error(j)
                 failed[node] = True
@@ -253,8 +260,8 @@ def maximize_nodes(
     step = max(1, _SEED_SLICE_ROWS // points)
     for start in range(0, n, step):
         rows = nodes[start:start + step]
-        _, grid = objective(np.repeat(rows, points), xs[rows].ravel())
-        best[rows] = np.argmax(grid.reshape(len(rows), points), axis=1)
+        _, grid = objective(rows[:, None], xs[rows])
+        best[rows] = np.argmax(grid, axis=1)
     lo = xs[nodes, np.maximum(best - 1, 0)]
     hi = xs[nodes, np.minimum(best + 1, points - 1)]
 

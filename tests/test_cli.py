@@ -5,6 +5,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,7 +19,7 @@ from decoylink import (
     scenario_to_dict,
 )
 from decoylink import cli, optimize, sweep
-from decoylink.bounds import link_table
+from decoylink.bounds import mu_stage
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
 from decoylink.config import scenario_to_yaml
 from decoylink.errors import DecoyLinkError, ValidationError
@@ -447,6 +448,21 @@ class TestReport:
         assert main(["report", "--config", path]) == 0
         values = parse_pretty(capsys.readouterr().out)
         assert values["e_detector"] == "0.02380952381"
+
+    def test_weak_decoy_at_smallest_normal_float_is_infeasible(self, tmp_path, capsys):
+        # nu1 * nu1 underflows and the weak-decoy gain is subnormal: the seed
+        # code prints an ok row with bounds from that gain
+        path = write_config(
+            tmp_path,
+            "receiver: {intrinsic_error: 0.0, dark_count_prob_total: 0.0}\n"
+            "channel: {loss_db: 0.0}\n"
+            "intensities: {signal_mu: 1.0, weak_decoy_nu1: 2.2250738585072014e-308}\n",
+        )
+        assert main(["report", "--config", path]) == 0
+        values = parse_pretty(capsys.readouterr().out)
+        assert values["status"] == "infeasible"
+        assert values["y1_lower"] == values["skr_raw"] == ""
+        assert values["skr_lower"] == "0"
 
     def test_machine_readable_row(self, tmp_path, capsys):
         assert main(["report", "--format", "csv"]) == 0
@@ -964,18 +980,18 @@ class TestPresetCommand:
     def test_one_lockstep_run_with_bounded_seed_slices(self, tmp_path, monkeypatch):
         # 30 points per curve: the 180 nodes fit in one block, whose seed
         # grid takes 6 slices and whose golden-section search about 44 calls
-        rows = []
+        points = []
 
-        def counted(*args, **kwargs):
-            rows.append(len(args[4]))
-            return link_table(*args, **kwargs)
+        def counted(mu, *args, **terms):
+            points.append(np.size(mu))
+            return mu_stage(mu, *args, **terms)
 
-        monkeypatch.setattr(optimize, "link_table", counted)
+        monkeypatch.setattr(optimize, "mu_stage", counted)
         out = tmp_path / "curves.csv"
         assert main(["skr-vs-afterpulse", "--points", "30", "--output", str(out)]) == 0
-        assert len(rows) <= 60
-        assert max(rows) <= optimize._SEED_SLICE_ROWS == 2048
-        assert sum(rows) >= 180 * optimize._GRID_SEED_POINTS
+        assert len(points) <= 60
+        assert max(points) <= optimize._SEED_SLICE_ROWS == 2048
+        assert sum(points) >= 180 * optimize._GRID_SEED_POINTS
 
     @pytest.mark.parametrize(
         "argv, config",

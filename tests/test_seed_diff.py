@@ -1,12 +1,14 @@
-"""Differential test: the CLI against the frozen seed code at random valid scenarios.
+"""Differential tests: the CLI and the intensity optimizer against the frozen seed code.
 
 ``benchmarks/reference/decoylink`` is the seed code, loaded here under the
 package name ``decoylink_seed``. A derandomized strategy writes scenario
 files, and each example runs ``cli.main`` of both trees on the same argv and
 compares the exit code, stdout and stderr; this tree runs its grids in slabs
 of a drawn size. Inputs whose output changed on purpose (non-finite or NaN
-numbers, ``null`` fields, subnormal values, a repeated key) are not drawn
-here; CHANGES.md lists them and they keep tests of their own.
+numbers, ``null`` fields, subnormal values, intensities so small that
+``mu*nu1 - nu1*nu1`` underflows, a repeated key) are not drawn here;
+CHANGES.md lists them and they keep tests of their own. A second strategy
+runs ``maximize_skr_over_mu`` of both trees at random receivers and links.
 """
 import importlib
 import importlib.util
@@ -22,13 +24,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decoylink
 from decoylink import cli, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES
 
 SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
 
 
-def _load_seed_cli():
+def _load_seed_package():
     spec = importlib.util.spec_from_file_location(
         "decoylink_seed", SEED_PACKAGE / "__init__.py",
         submodule_search_locations=[str(SEED_PACKAGE)],
@@ -36,14 +39,20 @@ def _load_seed_cli():
     package = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module("decoylink_seed.cli")
+    return package
 
 
-seed_cli = _load_seed_cli()
+seed = _load_seed_package()
+seed_cli = importlib.import_module("decoylink_seed.cli")
 
 
 def numbers(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+def intensities(hi):
+    """0, or a number in [1e-100, hi]: no product of two of them underflows."""
+    return st.one_of(st.just(0.0), numbers(1e-100, hi))
 
 
 # Axis name -> range its endpoints are drawn from; most reach past what the
@@ -109,7 +118,7 @@ def runs(draw):
             "distance_km": draw(numbers(0.0, 250.0)),
             "attenuation_db_per_km": draw(numbers(0.15, 0.3)),
         }
-    nu1, mu = sorted(draw(st.lists(numbers(0.0, 1.5), min_size=2, max_size=2)))
+    nu1, mu = sorted(draw(st.lists(intensities(1.5), min_size=2, max_size=2)))
     cfg["intensities"] = {"signal_mu": mu, "weak_decoy_nu1": nu1}
     if command == "contour":
         names = draw(st.permutations(["p_ap", "intrinsic_error"]))
@@ -157,3 +166,43 @@ def test_cli_matches_the_seed_code(tmp_path_factory, drawn, block_nodes):
     argv = [*argv, "--config", str(path)]
     with patch.object(sweep, "BLOCK_NODES", block_nodes):
         assert run(cli.main, argv) == run(seed_cli.main, argv)
+
+
+@st.composite
+def optimizer_inputs(draw):
+    """(``ReceiverModel`` fields, loss in dB, nu1, max_iterations) of one search."""
+    raw = draw(st.lists(numbers(-0.3, 0.3), max_size=3))
+    receiver = {
+        "detectors": [(draw(numbers(0.0, 0.3)), bias) for bias in raw + [-math.fsum(raw)]],
+        "dark_count_prob_total": draw(numbers(0.0, 1e-4)),
+        "intrinsic_error": draw(numbers(0.0, 0.2)),
+        "detector_efficiency": draw(numbers(0.01, 1.0)),
+    }
+    nu1 = draw(numbers(1e-100, 0.6))
+    return receiver, draw(numbers(0.0, 60.0)), nu1, draw(st.integers(1, 200))
+
+
+def search(package, receiver, loss_db, nu1, max_iterations):
+    """``maximize_skr_over_mu`` of ``package``: (mu, skr, reason) with the floats as
+    bits, or the exception as (type, message)."""
+    types = package.model
+    try:
+        result = package.optimize.maximize_skr_over_mu(
+            types.ReceiverModel(**{
+                **receiver,
+                "detectors": [types.DetectorUnit(p, bias) for p, bias in receiver["detectors"]],
+            }),
+            types.ChannelModel(transmission_loss_db=loss_db),
+            nu1,
+            types.ProtocolParams(),
+            package.optimize.SolverConfig(max_iterations=max_iterations),
+        )
+    except package.errors.DecoyLinkError as exc:
+        return type(exc).__name__, str(exc)
+    return result.mu.hex(), result.skr.hex(), result.reason
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(optimizer_inputs())
+def test_optimizer_matches_the_seed_code(drawn):
+    assert search(decoylink, *drawn) == search(seed, *drawn)
