@@ -502,6 +502,33 @@ AXES = {
 }
 AXIS_NAMES = tuple(AXES)
 
+
+def boxes(shape: tuple[int, ...], max_nodes: int) -> Iterator[tuple[range, ...]]:
+    """The points of ``shape`` as row-major sub-boxes of at most ``max_nodes`` points.
+
+    Each box is one range per axis: the axes after some axis k whole, a run
+    of values of axis k, and one value of each axis before it. So a box's
+    points are consecutive in row-major order, and the boxes follow one
+    another in row-major order. A shape of at most ``max_nodes`` points is
+    one box.
+    """
+    whole = tuple(range(n) for n in shape)
+    if math.prod(shape) <= max_nodes:
+        yield whole
+        return
+    # The axes after ``split`` are whole in every box; the box takes a run
+    # of values of axis ``split`` and one value of each axis before it.
+    split, inner = len(shape) - 1, 1
+    while split and inner * shape[split] <= max_nodes:
+        inner *= shape[split]
+        split -= 1
+    step = max_nodes // inner
+    for outer in np.ndindex(*shape[:split]):
+        for start in range(0, shape[split], step):
+            run = range(start, min(start + step, shape[split]))
+            yield (*(range(i, i + 1) for i in outer), run, *whole[split + 1:])
+
+
 # A slab of a Grid: (axis value indices, kernel inputs); see ``Grid.slabs``.
 Slab = tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]
 
@@ -568,31 +595,17 @@ class Grid:
                 })
 
     def slabs(self, max_nodes: int) -> Iterator[Slab]:
-        """The grid's nodes as row-major sub-boxes ("slabs") of at most ``max_nodes`` nodes.
+        """The grid's nodes as slabs, one per box of ``boxes(self.shape, max_nodes)``.
 
         Each slab is (index, inputs). ``index[k]`` holds the slab's value
         indices on axis k, shaped to vary along axis k only. ``inputs`` maps
         each kernel input to its values, shaped to broadcast over the slab:
         an axis's input varies along that axis only, and an input no axis
         sets has size 1. A slab's nodes are the points of its box in
-        row-major order, and the slabs follow one another in the grid's
-        row-major order. A grid of at most ``max_nodes`` nodes is one slab.
+        row-major order.
         """
-        whole = tuple(range(n) for n in self.shape)
-        if self.size <= max_nodes:
-            yield self._slab(whole)
-            return
-        # The axes after ``split`` are whole in every slab; the slab takes a
-        # run of values of axis ``split`` and one value of each axis before it.
-        split, inner = len(self.shape) - 1, 1
-        while split and inner * self.shape[split] <= max_nodes:
-            inner *= self.shape[split]
-            split -= 1
-        step = max_nodes // inner
-        for outer in np.ndindex(*self.shape[:split]):
-            for start in range(0, self.shape[split], step):
-                run = range(start, min(start + step, self.shape[split]))
-                yield self._slab((*(range(i, i + 1) for i in outer), run, *whole[split + 1:]))
+        for box in boxes(self.shape, max_nodes):
+            yield self._slab(box)
 
     def _slab(self, box: tuple[range, ...]) -> Slab:
         """The slab of the axis value ranges ``box``, one range per axis."""

@@ -19,13 +19,18 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import config as config_mod
-from . import model, sweep
-from .bounds import Grid, SinglePhotonEstimate, evaluate_link
+from . import model
+from .bounds import Grid, SinglePhotonEstimate, boxes, evaluate_link
 from .errors import DecoyLinkError, ValidationError
 from .optimize import solve_optimal_mu, threshold_nodes
 from .sweep import NU1_BY_LOSS_DB, Axis, SweepBlock, check_grid_size, grid_blocks, iter_blocks
 
 PRESET_INTRINSIC_ERRORS = (0.005, 0.02)
+
+# Most grid nodes whose CSV cells are held at once: each slab the sweep
+# engine hands out is formatted and written in chunks of at most this many
+# nodes, so memory does not grow with the slab.
+CHUNK_NODES = 512
 
 
 def _fmt(value) -> str:
@@ -100,7 +105,7 @@ def cmd_sweep(args) -> int:
     header.extend(spec.outputs)
     header.extend(("status", "reason"))
     axis_cells = [(k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)]
-    _write_csv(args.output, header, (_block_columns(b, axis_cells) for b in iter_blocks(spec)))
+    _write_csv(args.output, header, _chunk_columns(iter_blocks(spec), axis_cells))
     return 0
 
 
@@ -139,6 +144,13 @@ def _write_csv(path: str | None, header, blocks) -> None:
         fh.write(",".join(header) + "\n")
         # writelines holds no block's cells while the next block is built
         fh.writelines(map(_rows, blocks))
+
+
+def _chunk_columns(blocks, axis_cells: list[tuple[int, np.ndarray]]):
+    """CSV columns of each chunk of at most CHUNK_NODES nodes of the SweepBlocks ``blocks``."""
+    for block in blocks:
+        for chunk in block.chunks(CHUNK_NODES):
+            yield _block_columns(chunk, axis_cells)
 
 
 def _block_columns(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> list:
@@ -193,11 +205,11 @@ def cmd_contour(args) -> int:
             np.where(feasible, "ok", "infeasible").tolist(),
         ]
 
-    nodes, step = np.arange(len(search.feasible)), sweep.BLOCK_NODES
     _write_csv(
         args.output,
         ("p_ap", "intrinsic_error", "loss_db", "dark_count_threshold", "achieved_qber", "status"),
-        (columns(nodes[start:start + step]) for start in range(0, len(nodes), step)),
+        (columns(np.arange(run.start, run.stop))
+         for (run,) in boxes((len(search.feasible),), CHUNK_NODES)),
     )
     return 0
 
@@ -248,7 +260,7 @@ def cmd_skr_vs_afterpulse(args) -> int:
     axis_cells = [(0, cells[0]), (0, _float_cells(nu1)), (1, cells[1]), (2, cells[2])]
     e0 = scenario.receiver.background_error
     blocks = grid_blocks(grid, scenario.protocol, e0, ("skr_lower",), "optimize-per-point")
-    _write_csv(args.output, header, (_block_columns(b, axis_cells) for b in blocks))
+    _write_csv(args.output, header, _chunk_columns(blocks, axis_cells))
     return 0
 
 

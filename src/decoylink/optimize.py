@@ -253,17 +253,24 @@ def maximize_nodes(
         return table, np.where(table.gain_error, -np.inf, table.values["skr_lower"])
 
     points = _GRID_SEED_POINTS
-    # A rejected bracket can overflow here and below; its node's result is never used.
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs = lo[:, None] + (hi - lo)[:, None] * np.arange(points, dtype=float) / (points - 1)
+
+    def seed_points(rows, k):
+        """Points ``k`` of the seed grids of nodes ``rows``, which broadcast together."""
+        # A rejected bracket can overflow here and below; its node's result is never used.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lo[rows] + (hi[rows] - lo[rows]) * k / (points - 1)
+
+    # Each slice's grid is built in its turn, so no (nodes, 64) array is held.
     best = np.empty(n, dtype=int)
     step = max(1, _SEED_SLICE_ROWS // points)
     for start in range(0, n, step):
-        rows = nodes[start:start + step]
-        _, grid = objective(rows[:, None], xs[rows])
-        best[rows] = np.argmax(grid, axis=1)
-    lo = xs[nodes, np.maximum(best - 1, 0)]
-    hi = xs[nodes, np.minimum(best + 1, points - 1)]
+        rows = nodes[start:start + step, None]
+        _, grid = objective(rows, seed_points(rows, np.arange(points, dtype=float)))
+        best[rows[:, 0]] = np.argmax(grid, axis=1)
+    lo, hi = (
+        seed_points(nodes, np.maximum(best - 1, 0)),
+        seed_points(nodes, np.minimum(best + 1, points - 1)),
+    )
 
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)

@@ -18,6 +18,7 @@ from .bounds import (
     SCALAR_METRICS,
     Grid,
     Slab,
+    boxes,
     link_table,
     node_values,
     per_node,
@@ -29,10 +30,11 @@ from .optimize import NO_POSITIVE_KEY, maximize_nodes
 MAX_GRID_POINTS = 1_000_000
 
 # Most grid nodes per slab: per link_table call, or per lockstep optimizer
-# run. Larger slabs save per-call overhead, but the CSV cells of a slab's
-# outputs are held at once, so memory grows with the slab; at 512 the peak
-# RSS of an 81 x 80 sweep of all 15 outputs is no higher than at 256.
-BLOCK_NODES = 512
+# run (whose seed grid optimize._SEED_SLICE_ROWS bounds). A slab holds
+# float64 arrays, not CSV cells, which the CLI formats in smaller chunks
+# (cli.CHUNK_NODES); so slabs can be large enough for the per-call overhead
+# to stop mattering: every 81 x 81 grid is one slab.
+SLAB_NODES = 8192
 
 # Optimized weak-decoy intensities are only tabulated for these losses; any
 # other loss requires an explicit weak_decoy_nu1 (no interpolation).
@@ -168,13 +170,13 @@ def _with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """A slab of grid nodes (see ``Grid.slabs``) as columns.
+    """A box of grid nodes (a slab of ``Grid.slabs``, or a chunk of one) as columns.
 
-    ``axis_index[k]`` holds the slab's value indices on axis k, shaped to
+    ``axis_index[k]`` holds the box's value indices on axis k, shaped to
     vary along axis k only; ``axis_values`` holds every value of each axis,
     the same arrays in every block. ``outputs`` holds, per requested metric,
     its float64 values and the mask of the nodes where it has no value, each
-    at the shape it was computed at, which broadcasts over the slab;
+    at the shape it was computed at, which broadcasts over the box;
     ``mu_opt`` is the same pair under optimize-per-point and None
     otherwise. Values under a mask are meaningless. ``statuses`` and
     ``reasons`` hold one entry per node. ``nodes`` gives any of these arrays
@@ -188,9 +190,42 @@ class SweepBlock:
     statuses: list[str]
     reasons: list[str | None]
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The box's length along each axis."""
+        return tuple(i.size for i in self.axis_index)
+
     def nodes(self, values) -> np.ndarray:
-        """``values``, an array that broadcasts over the slab, as one entry per node."""
-        return per_node(values, tuple(i.size for i in self.axis_index))
+        """``values``, an array that broadcasts over the box, as one entry per node."""
+        return per_node(values, self.shape)
+
+    def chunks(self, max_nodes: int) -> Iterator[SweepBlock]:
+        """The block as the ``boxes`` of at most ``max_nodes`` nodes, each a SweepBlock.
+
+        A chunk's arrays are views of the block's; its nodes are consecutive
+        in the block, so its statuses and reasons are a slice of the block's.
+        """
+        shape = self.shape
+        for box in boxes(shape, max_nodes):
+            def cut(values: np.ndarray) -> np.ndarray:
+                """``values``, which broadcasts over the block, cut to the box."""
+                return values[(..., *(
+                    slice(r.start, r.stop) if n > 1 else slice(None)
+                    for r, n in zip(box[len(box) - values.ndim:], values.shape)
+                ))]
+
+            start = 0
+            for r, n in zip(box, shape):
+                start = start * n + r.start
+            stop = start + math.prod(map(len, box))
+            yield SweepBlock(
+                axis_values=self.axis_values,
+                axis_index=tuple(map(cut, self.axis_index)),
+                outputs=tuple((cut(v), cut(m)) for v, m in self.outputs),
+                mu_opt=None if self.mu_opt is None else tuple(map(cut, self.mu_opt)),
+                statuses=self.statuses[start:stop],
+                reasons=self.reasons[start:stop],
+            )
 
     def records(self) -> list[ResultRecord]:
         """The block's nodes as ResultRecords, with None for masked values."""
@@ -303,11 +338,11 @@ def grid_blocks(
 ) -> Iterator[SweepBlock]:
     """The nodes of ``grid`` as columns of the ``outputs``, one slab at a time.
 
-    Each slab holds at most BLOCK_NODES nodes; under optimize-per-point it
-    is one lockstep optimizer run. The grid must give every node both
-    intensities.
+    Each slab holds at most SLAB_NODES nodes and is one ``link_table`` call,
+    or under optimize-per-point one lockstep optimizer run. The grid must
+    give every node both intensities.
     """
-    for slab in grid.slabs(BLOCK_NODES):
+    for slab in grid.slabs(SLAB_NODES):
         yield _block(grid, protocol, background_error, outputs, mu_policy, slab)
 
 
@@ -323,7 +358,7 @@ def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
 def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     """Evaluate every grid node, in lexicographic grid order.
 
-    Nodes are evaluated with numpy, a slab of at most BLOCK_NODES nodes per
+    Nodes are evaluated with numpy, a slab of at most SLAB_NODES nodes per
     ``link_table`` call, or per lockstep optimizer run under
     optimize-per-point (whose seed grid is evaluated in slices; see
     ``maximize_nodes``). Per-node failures are recorded in the node's status

@@ -681,8 +681,11 @@ class TestSweepCommand:
 
 
 # Grids for the byte-identity gate, each with a check that it holds the case
-# it is there for. They run in slabs of at most GATE_BLOCK_NODES nodes.
-GATE_BLOCK_NODES = 64
+# it is there for. They run in slabs of at most GATE_SLAB_NODES nodes, written
+# in chunks of at most GATE_CHUNK_NODES nodes, so that chunk edges fall inside
+# the slabs' rows.
+GATE_SLAB_NODES = 64
+GATE_CHUNK_NODES = 24
 GATE_GRIDS = {
     # ok, infeasible and model-domain-error nodes, reasons with commas, 3 axes
     "statuses": (
@@ -736,7 +739,8 @@ sweep:
 """,
         lambda rows: len(rows) == 1,
     ),
-    # more than two slabs, the last one partial
+    # more than two slabs, the last one partial, and each p_ap value's row of
+    # loss values longer than a chunk
     "blocks": (
         """\
 sweep:
@@ -745,7 +749,8 @@ sweep:
     - {name: loss_db, min: 0.0, max: 60.0, count: 31}
   outputs: [skr_lower, e1_upper, baseline_error_change]
 """,
-        lambda rows: len(rows) > 2 * GATE_BLOCK_NODES and len(rows) % GATE_BLOCK_NODES != 0,
+        lambda rows: len(rows) > 2 * GATE_SLAB_NODES and len(rows) % GATE_SLAB_NODES != 0
+        and len({row[0] for row in rows}) * GATE_CHUNK_NODES < len(rows),
     ),
 }
 
@@ -758,7 +763,8 @@ class TestSweepBytes:
         text, covers = GATE_GRIDS[name]
         config = write_config(tmp_path, text)
         out = tmp_path / "out.csv"
-        monkeypatch.setattr(sweep, "BLOCK_NODES", GATE_BLOCK_NODES)
+        monkeypatch.setattr(sweep, "SLAB_NODES", GATE_SLAB_NODES)
+        monkeypatch.setattr(cli, "CHUNK_NODES", GATE_CHUNK_NODES)
         assert main(["sweep", "--config", config, "--output", str(out)]) == 0
         data = out.read_bytes()
         assert covers(list(csv.reader(io.StringIO(data.decode())))[1:])
@@ -786,10 +792,11 @@ class TestSweepBytes:
                 )
                 lead = (format(loss_db, ".10g"), format(nu1, ".10g"), format(e_prime, ".10g"))
                 expected += render_sweep(spec, lead)
-        # The preset's nodes span 3 blocks of the lockstep optimizer, each of
-        # 2 or more seed-grid slices.
-        block_nodes, slice_nodes = 16, 5
-        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
+        # The preset's nodes span 3 slabs of the lockstep optimizer, each of
+        # 2 or more seed-grid slices, and each curve is written in 2 chunks.
+        block_nodes, slice_nodes, chunk_nodes = 16, 5, 4
+        monkeypatch.setattr(sweep, "SLAB_NODES", block_nodes)
+        monkeypatch.setattr(cli, "CHUNK_NODES", chunk_nodes)
         monkeypatch.setattr(optimize, "_SEED_SLICE_ROWS", slice_nodes * optimize._GRID_SEED_POINTS)
         nodes = len(NU1_BY_LOSS_DB) * len(PRESET_INTRINSIC_ERRORS) * points
         assert nodes > 2 * block_nodes and nodes % block_nodes >= 2 * slice_nodes
@@ -811,6 +818,56 @@ sweep:
     - {name: p_ap, min: 0.0, max: 0.05, count: 3}
     - {name: intrinsic_error, min: 0.0, max: 0.04, count: 2}
 """
+
+
+# Scenarios of several write chunks each, for each command that writes a grid.
+CHUNKED_RUNS = {
+    "sweep-fixed": ("""\
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.04, count: 3}
+    - {name: p_ap, min: 1.0e-3, max: 1.5, count: 4, spacing: log}
+    - {name: loss_db, min: 0.0, max: 60.0, count: 7}
+  outputs: [skr_lower, e_mu, baseline_error_change]
+""", ["sweep"]),
+    "sweep-optimize": ("""\
+sweep:
+  axes:
+    - {name: p_ap, min: 1.0e-3, max: 1.5, count: 3, spacing: log}
+    - {name: loss_db, min: 0.0, max: 30.0, count: 7}
+  mu_policy: optimize-per-point
+""", ["sweep"]),
+    "preset": ("", ["skr-vs-afterpulse", "--points", "7"]),
+    "contour": (CONTOUR_CONFIG.replace("count: 3", "count: 9"), ["contour"]),
+}
+
+
+class TestWriteChunks:
+    """The CLI holds the CSV cells of at most CHUNK_NODES nodes at once."""
+
+    @pytest.mark.parametrize("name", CHUNKED_RUNS)
+    def test_write_csv_gets_at_most_a_chunk_of_rows(self, tmp_path, monkeypatch, name):
+        text, argv = CHUNKED_RUNS[name]
+        chunk_nodes = 5
+        monkeypatch.setattr(cli, "CHUNK_NODES", chunk_nodes)
+        sizes = []
+        write_csv = cli._write_csv
+
+        def counted(path, header, blocks):
+            def rows_of(blocks):
+                for columns in blocks:
+                    sizes.append({len(column) for column in columns})
+                    yield columns
+            write_csv(path, header, rows_of(blocks))
+
+        monkeypatch.setattr(cli, "_write_csv", counted)
+        out = tmp_path / "out.csv"
+        config = write_config(tmp_path, text)
+        assert main([*argv, "--config", config, "--output", str(out)]) == 0
+        rows = len(out.read_text().splitlines()) - 1
+        assert all(len(size) == 1 for size in sizes)
+        assert max(size for (size,) in sizes) <= chunk_nodes
+        assert sum(size for (size,) in sizes) == rows > 3 * chunk_nodes
 
 
 class TestContourCommand:
@@ -851,10 +908,10 @@ class TestContourCommand:
                 *("" if v is None else format(v, ".10g") for v in numbers),
                 "ok" if p.feasible else "infeasible",
             ])
-        # at least 3 slices, the last one partial, with infeasible rows
-        block_nodes = 20
-        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
-        assert len(points) > 2 * block_nodes and len(points) % block_nodes != 0
+        # at least 3 chunks, the last one partial, with infeasible rows
+        chunk_nodes = 20
+        monkeypatch.setattr(cli, "CHUNK_NODES", chunk_nodes)
+        assert len(points) > 2 * chunk_nodes and len(points) % chunk_nodes != 0
         assert {p.feasible for p in points} == {True, False}
         assert main(["contour", "--config", config, "--target-qber", "0.09"]) == 0
         assert capsys.readouterr().out == buf.getvalue()

@@ -1,4 +1,5 @@
 """Model invariants over randomised inputs (hypothesis, derandomized)."""
+import itertools
 import math
 import os
 import sys
@@ -31,8 +32,8 @@ from decoylink import (
     trace_iso_qber_surface,
     yield_i,
 )
-from decoylink import model, optimize, sweep
-from decoylink.bounds import METRIC_NAMES, Grid, link_table
+from decoylink import cli, model, optimize, sweep
+from decoylink.bounds import METRIC_NAMES, Grid, boxes, link_table
 from decoylink.cli import main
 from decoylink.optimize import _GRID_SEED_POINTS, DARK_COUNT_CAP, maximize_nodes
 from decoylink.sweep import MU_POLICIES
@@ -272,9 +273,14 @@ def sweep_configs(draw):
     }
 
 
+# Grids of at most 64 nodes, in slabs and chunks of 1-7 nodes drawn apart:
+# chunk edges fall inside slabs and on slab edges, and the chunks of one run
+# span several slabs.
 @settings(DETERMINISTIC, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(sweep_configs())
-def test_sweep_deterministic_and_independent_of_block_size(sweep_csv, config):
+@given(sweep_configs(), st.integers(1, 7), st.integers(1, 7))
+def test_sweep_deterministic_and_independent_of_block_size(
+    sweep_csv, config, slab_nodes, chunk_nodes
+):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.yaml")
         with open(path, "w") as fh:
@@ -285,19 +291,20 @@ def test_sweep_deterministic_and_independent_of_block_size(sweep_csv, config):
             assume(False)
         out = os.path.join(tmp, "out.csv")
 
-        def csv_bytes(block_nodes):
-            with patch.object(sweep, "BLOCK_NODES", block_nodes):
+        def csv_bytes(slab_nodes=sweep.SLAB_NODES, chunk_nodes=cli.CHUNK_NODES):
+            with patch.object(sweep, "SLAB_NODES", slab_nodes), \
+                    patch.object(cli, "CHUNK_NODES", chunk_nodes):
                 assert main(["sweep", "--config", path, "--output", out]) == 0
             with open(out, "rb") as fh:
                 return fh.read()
 
         # reprs, since NaN != NaN: a subnormal weak_decoy_nu1 gives NaN bounds
         assert repr(run_sweep(spec)) == repr(run_sweep(spec))
-        first = csv_bytes(sweep.BLOCK_NODES)
+        first = csv_bytes()
         assert first == sweep_csv(spec).encode()
-        assert csv_bytes(sweep.BLOCK_NODES) == first
-        assert csv_bytes(1) == first
-        assert csv_bytes(7) == first
+        assert csv_bytes() == first
+        assert csv_bytes(1, 1) == first
+        assert csv_bytes(slab_nodes, chunk_nodes) == first
 
 
 # Values of each kernel input, reaching NaN nodes, eta = 0, a subnormal nu1
@@ -390,3 +397,36 @@ def test_slabs_tile_the_grid_in_row_major_order(lengths, max_nodes):
             [np.broadcast_to(i, shape).ravel() for i in index], grid.shape
         ).tolist() if index else [0]
     assert covered == list(range(grid.size))
+
+
+@st.composite
+def shapes_and_sizes(draw):
+    """(shape of 0-3 axes of 1-6 points, max_nodes from 1 to its size + 1)."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    return shape, draw(st.integers(1, math.prod(shape) + 1))
+
+
+@DETERMINISTIC
+@given(shapes_and_sizes())
+def test_boxes_cover_the_points_once_in_row_major_order(drawn):
+    shape, max_nodes = drawn
+
+    def row_major(point):
+        position = 0
+        for k, n in zip(point, shape):
+            position = position * n + k
+        return position
+
+    found = list(boxes(shape, max_nodes))
+    if math.prod(shape) <= max_nodes:
+        assert found == [tuple(range(n) for n in shape)]
+    covered = []
+    for box in found:
+        assert len(box) == len(shape)
+        assert all(0 <= r.start < r.stop <= n and r.step == 1 for r, n in zip(box, shape))
+        points = [row_major(point) for point in itertools.product(*box)]
+        assert len(points) <= max_nodes
+        # the box's points are consecutive in row-major order
+        assert points == list(range(points[0], points[0] + len(points)))
+        covered += points
+    assert covered == list(range(math.prod(shape)))

@@ -4,11 +4,16 @@
 package name ``decoylink_seed``. A derandomized strategy writes scenario
 files, and each example runs ``cli.main`` of both trees on the same argv and
 compares the exit code, stdout and stderr; this tree runs its grids in slabs
-of a drawn size. Inputs whose output changed on purpose (non-finite or NaN
-numbers, ``null`` fields, subnormal values, intensities so small that
-``mu*nu1 - nu1*nu1`` underflows, a repeated key) are not drawn here;
-CHANGES.md lists them and they keep tests of their own. A second strategy
-runs ``maximize_skr_over_mu`` of both trees at random receivers and links.
+and writes them in chunks, each of a drawn size. Inputs whose output changed
+on purpose (non-finite or NaN numbers, ``null`` fields, subnormal values,
+intensities so small that ``mu*nu1 - nu1*nu1`` underflows, a repeated key)
+are not drawn here; CHANGES.md lists them and they keep tests of their own.
+A second strategy runs ``maximize_skr_over_mu`` of both trees at random
+receivers and links. Two more tests draw intensities, transmittances and
+error rates where numpy's vectorized exp, expm1 and log1p round differently
+from the C library's: one compares ``link_table`` with ``evaluate_link``,
+the other the optimizer with the seed code, bit for bit, so the array
+kernel must call the C library as the scalar model does.
 """
 import importlib
 import importlib.util
@@ -20,13 +25,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import decoylink
-from decoylink import cli, sweep
-from decoylink.bounds import AXIS_NAMES, METRIC_NAMES
+from decoylink import cli, model, sweep
+from decoylink.bounds import AXIS_NAMES, METRIC_NAMES, evaluate_link, link_table
+from decoylink.errors import DecoyLinkError
 
 SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
 
@@ -155,16 +162,18 @@ def run(main, argv):
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
-# The drawn grids hold at most 27 nodes; slabs of 1-7 nodes split them at
-# every axis depth.
+# The drawn grids hold at most 27 nodes (the preset's 24); slabs of 1-7 nodes
+# split them at every axis depth, and write chunks of 1-7 nodes drawn apart
+# from the slabs end inside slabs, on their edges, or hold a whole slab.
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(runs(), st.integers(1, 7))
-def test_cli_matches_the_seed_code(tmp_path_factory, drawn, block_nodes):
+@given(runs(), st.integers(1, 7), st.integers(1, 7))
+def test_cli_matches_the_seed_code(tmp_path_factory, drawn, slab_nodes, chunk_nodes):
     cfg, argv = drawn
     path = tmp_path_factory.mktemp("scenario") / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg))
     argv = [*argv, "--config", str(path)]
-    with patch.object(sweep, "BLOCK_NODES", block_nodes):
+    with patch.object(sweep, "SLAB_NODES", slab_nodes), \
+            patch.object(cli, "CHUNK_NODES", chunk_nodes):
         assert run(cli.main, argv) == run(seed_cli.main, argv)
 
 
@@ -205,4 +214,114 @@ def search(package, receiver, loss_db, nu1, max_iterations):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(optimizer_inputs())
 def test_optimizer_matches_the_seed_code(drawn):
+    assert search(decoylink, *drawn) == search(seed, *drawn)
+
+
+def differing(np_fn, libm_fn, sign, lo, hi):
+    """Sorted arguments x in [lo, hi) at which ``np_fn`` and ``libm_fn`` differ at ``sign * x``.
+
+    The candidates are 20,000 uniform and 20,000 log-uniform draws, so that
+    small arguments occur too; about 2-10 % of them differ.
+    """
+    rng = np.random.default_rng(2005)
+    x = np.concatenate([
+        rng.uniform(lo, hi, 20_000), np.exp(rng.uniform(math.log(lo), math.log(hi), 20_000))
+    ])
+    libm = np.array([libm_fn(v) for v in (sign * x).tolist()])
+    return sorted(set(x[np_fn(sign * x) != libm].tolist()))
+
+
+# The kernel's arguments of exp(nu1), exp(mu) and exp(-mu), expm1(-eta nu1)
+# and expm1(-eta mu), and log1p(-e_det), whose argument is e' at p_ap = 0.
+EXP_NU1 = differing(np.exp, math.exp, 1.0, 1e-3, 0.6)
+EXP_MU = sorted(set(
+    differing(np.exp, math.exp, 1.0, 0.05, 1.5) + differing(np.exp, math.exp, -1.0, 0.05, 1.5)
+))
+EXPM1_ETA = differing(np.expm1, math.expm1, -1.0, 1e-6, 1.5)
+LOG1P_E = differing(np.log1p, math.log1p, -1.0, 1e-4, 0.2)
+
+
+def transmittance_for(product, intensity):
+    """An eta <= 1 whose float product with ``intensity`` is ``product``, or None."""
+    eta = product / intensity
+    for candidate in (eta, math.nextafter(eta, 0.0), math.nextafter(eta, 2.0)):
+        if candidate * intensity == product and candidate <= 1.0:
+            return candidate
+    return None
+
+
+@st.composite
+def differing_links(draw, intensity):
+    """(p_ap, e', p_dc, eta) with eta * ``intensity`` in EXPM1_ETA and e' in LOG1P_E."""
+    products = [x for x in EXPM1_ETA if x <= intensity]
+    assume(products)
+    eta = transmittance_for(draw(st.sampled_from(products)), intensity)
+    assume(eta is not None)
+    p_ap = draw(st.one_of(st.just(0.0), numbers(0.0, 0.3)))
+    p_dc = draw(st.one_of(st.just(0.0), numbers(0.0, 1e-4)))
+    return p_ap, draw(st.sampled_from(LOG1P_E)), p_dc, eta
+
+
+@st.composite
+def differing_nodes(draw):
+    """(p_ap, e', p_dc, eta, mu, nu1) of one link_table node, at 0 dB."""
+    mu = draw(st.sampled_from(EXP_MU))
+    below = [v for v in EXP_NU1 if v < mu]
+    assume(below)
+    nu1 = draw(st.sampled_from(below))
+    return (*draw(differing_links(mu)), mu, nu1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(differing_nodes(), min_size=1, max_size=8))
+def test_kernel_matches_the_scalar_model_where_numpy_and_libm_differ(nodes):
+    table = link_table(*map(np.array, zip(*nodes)), 0.5, model.ProtocolParams())
+    for i, (p_ap, e_prime, p_dc, eta, mu, nu1) in enumerate(nodes):
+        receiver = model.ReceiverModel(
+            detectors=(model.DetectorUnit(p_ap),), dark_count_prob_total=p_dc,
+            intrinsic_error=e_prime, detector_efficiency=eta,
+        )
+        try:
+            metrics = evaluate_link(
+                receiver, model.ChannelModel(transmission_loss_db=0.0),
+                model.IntensitySet(mu, nu1), model.ProtocolParams(),
+            )
+        except DecoyLinkError as exc:
+            assert table.domain_error[i]
+            assert str(table.error(i)) == str(exc)
+            continue
+        assert not table.domain_error[i]
+        assert table.infeasible[i] == (metrics.reason is not None)
+        estimate = metrics.estimate
+        expected = {
+            "y0": metrics.y0_measured, "q_mu": metrics.q_mu, "e_mu": metrics.e_mu,
+            "q_nu1": metrics.q_nu1, "e_nu1": metrics.e_nu1, "skr_lower": metrics.skr_lower,
+            "skr_approx": metrics.skr_approx,
+        }
+        if estimate is not None:
+            expected.update(
+                y1_lower=estimate.y1_lower, e1_upper=estimate.e1_upper,
+                q1_lower=estimate.q1_lower, skr_raw=metrics.skr_raw,
+            )
+        for name, value in expected.items():
+            assert float(table.values[name][i]).hex() == float(value).hex(), name
+
+
+@st.composite
+def differing_searches(draw):
+    """The arguments of ``search`` at 0 dB, with nu1 in EXP_NU1 and eta nu1 in EXPM1_ETA."""
+    nu1 = draw(st.sampled_from(EXP_NU1))
+    p_ap, e_prime, p_dc, eta = draw(differing_links(nu1))
+    receiver = {
+        "detectors": [(p_ap, 0.0)],
+        "dark_count_prob_total": p_dc,
+        "intrinsic_error": e_prime,
+        "detector_efficiency": eta,
+    }
+    return receiver, 0.0, nu1, draw(st.integers(1, 200))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(differing_searches())
+def test_optimizer_matches_the_seed_code_where_numpy_and_libm_differ(drawn):
     assert search(decoylink, *drawn) == search(seed, *drawn)

@@ -232,7 +232,7 @@ class TestRunSweep:
         # must come out in lexicographic order and equal a one-node
         # evaluate_link exactly
         block_nodes = 100
-        monkeypatch.setattr(sweep, "BLOCK_NODES", block_nodes)
+        monkeypatch.setattr(sweep, "SLAB_NODES", block_nodes)
         mu_axis = Axis("signal_mu", 0.1, 6.0, 17)
         loss_axis = Axis("loss_db", 0.0, 45.0, 16)
         assert mu_axis.count * loss_axis.count > 2 * block_nodes
