@@ -7,15 +7,16 @@ and ``evaluate_link`` runs the scalar functions at one operating point.
 for the sweeps and the intensity optimizer, in two stages, so that a search
 over the signal intensity computes the terms that do not depend on it once.
 ``Grid`` turns the value types and a grid's axis values into the inputs of
-``link_table``, shaped so that each term is computed once per distinct
-value of the axes it depends on.
+``link_table`` and of the optimizer, a box of nodes (a slab) at a time,
+shaped so that each term is computed once per distinct value of the axes it
+depends on.
 """
 from __future__ import annotations
 
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -330,14 +331,6 @@ class LinkTable:
             return self.domain_error
         return np.zeros(self.shape, dtype=bool)
 
-    def reshape(self, shape: tuple[int, ...]) -> LinkTable:
-        """This table of a 1-D array of nodes, with the nodes laid out in ``shape``, row-major."""
-        arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "values"}
-        return LinkTable(
-            values={name: np.reshape(v, shape) for name, v in self.values.items()},
-            **{name: np.reshape(v, shape) for name, v in arrays.items()},
-        )
-
 
 def link_table(
     p_ap: np.ndarray,
@@ -529,7 +522,7 @@ def boxes(shape: tuple[int, ...], max_nodes: int) -> Iterator[tuple[range, ...]]
             yield (*(range(i, i + 1) for i in outer), run, *whole[split + 1:])
 
 
-# A slab of a Grid: (axis value indices, kernel inputs); see ``Grid.slabs``.
+# The nodes of a box of a Grid: (axis value indices, kernel inputs); see ``Grid.slab``.
 Slab = tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]
 
 
@@ -541,7 +534,7 @@ class Grid:
     nodes are the points of the axes' product in row-major order (first axis
     outermost), one node for no axes. Each axis sets the kernel input that
     ``AXES`` names, computed once per axis value; the other inputs come from
-    the value types. ``slabs`` hands them out over sub-boxes of the grid.
+    the value types. ``slab`` hands them out over a sub-box of the grid.
     Axis values that the model's value types reject are kept with the
     validator's message.
     """
@@ -594,21 +587,18 @@ class Grid:
                     int(i): str(raised(build, values[i])) for i in np.flatnonzero(bad)
                 })
 
-    def slabs(self, max_nodes: int) -> Iterator[Slab]:
-        """The grid's nodes as slabs, one per box of ``boxes(self.shape, max_nodes)``.
+    def slab(self, box: tuple[range, ...] | None = None) -> Slab:
+        """The nodes of ``box``, one range of axis value indices per axis (None: the grid).
 
-        Each slab is (index, inputs). ``index[k]`` holds the slab's value
+        The slab is (index, inputs). ``index[k]`` holds the box's value
         indices on axis k, shaped to vary along axis k only. ``inputs`` maps
-        each kernel input to its values, shaped to broadcast over the slab:
+        each kernel input to its values, shaped to broadcast over the box:
         an axis's input varies along that axis only, and an input no axis
-        sets has size 1. A slab's nodes are the points of its box in
-        row-major order.
+        sets has size 1. The slab's nodes are the points of its box in
+        row-major order; ``boxes`` cuts a grid into boxes.
         """
-        for box in boxes(self.shape, max_nodes):
-            yield self._slab(box)
-
-    def _slab(self, box: tuple[range, ...]) -> Slab:
-        """The slab of the axis value ranges ``box``, one range per axis."""
+        if box is None:
+            box = tuple(range(n) for n in self.shape)
         ones = (1,) * len(box)
         index = tuple(
             np.arange(r.start, r.stop).reshape(ones[:k] + (-1,) + ones[k + 1:])
@@ -622,7 +612,7 @@ class Grid:
     def rejections(self, index: tuple[np.ndarray, ...]) -> dict[int, str]:
         """Node -> message of its first axis, in ``AXES`` order, whose value the model rejects.
 
-        ``index`` is a slab's, as ``slabs`` yields it; a node is keyed by its
+        ``index`` is a slab's, as ``slab`` gives it; a node is keyed by its
         row-major position in the slab.
         """
         shape = tuple(i.size for i in index)
@@ -645,12 +635,6 @@ def per_node(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     nodes = np.empty(shape, dtype=values.dtype)
     nodes[...] = values
     return nodes.ravel()
-
-
-def node_values(index: tuple[np.ndarray, ...], inputs: dict[str, np.ndarray]) -> dict:
-    """A slab's ``inputs`` as 1-D arrays of one value per node, in row-major order."""
-    shape = tuple(i.size for i in index)
-    return {name: per_node(values, shape) for name, values in inputs.items()}
 
 
 def evaluate_link(

@@ -1,4 +1,4 @@
-"""Scenario configuration: YAML schema, defaults, parsing, serialization.
+"""Scenario configuration: YAML schema, defaults and parsing.
 
 Sections and field names are the stable contract documented in the README;
 ``FIELDS`` lists each section's fields with their kinds and defaults, and
@@ -7,7 +7,7 @@ every section is read by ``_read``. Parse errors always carry the
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import yaml
 
@@ -260,39 +260,3 @@ def load_scenario(path: str) -> Scenario:
     except yaml.YAMLError as exc:
         raise ValidationError(f"config: not valid YAML: {exc}") from exc
     return parse_scenario(cfg)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize a scenario back into its configuration mapping."""
-    receiver = scenario.receiver
-    channel = scenario.channel
-    cfg: dict = {
-        "receiver": {
-            "detectors": [asdict(det) for det in receiver.detectors],
-            "dark_count_prob_total": receiver.dark_count_prob_total,
-            "intrinsic_error": receiver.intrinsic_error,
-            "background_error": receiver.background_error,
-            "detector_efficiency": receiver.detector_efficiency,
-        },
-        "intensities": asdict(scenario.intensities),
-        "protocol": asdict(scenario.protocol),
-    }
-    channel_cfg: dict = {}
-    if channel.attenuation_db_per_km is not None:
-        channel_cfg["attenuation_db_per_km"] = channel.attenuation_db_per_km
-    if channel.transmission_loss_db is not None:
-        channel_cfg["loss_db"] = channel.transmission_loss_db
-    else:
-        channel_cfg["distance_km"] = channel.distance_km
-    cfg["channel"] = channel_cfg
-    if scenario.sweep is not None:
-        cfg["sweep"] = {
-            "axes": [asdict(ax) for ax in scenario.sweep.axes],
-            "outputs": list(scenario.sweep.outputs),
-            "mu_policy": scenario.sweep.mu_policy,
-        }
-    return cfg
-
-
-def scenario_to_yaml(scenario: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model
 from .bounds import (
-    Grid, LinkTable, binary_entropy, mu_stage, node_stage, node_values, per_node, raised,
+    Grid, LinkTable, binary_entropy, mu_stage, node_stage, per_node, raised,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -20,9 +20,11 @@ DARK_COUNT_CAP = 0.1
 MU_BRACKET_MARGIN = 1e-6
 MU_BRACKET_MAX = 1.5
 _GRID_SEED_POINTS = 64
-# Points per seed-grid kernel call: whole nodes of _GRID_SEED_POINTS points
-# each, at least one. Bounds the kernel's temporaries however many nodes
-# search together.
+# Most points per kernel call of the intensity search's probes: a seed-grid
+# call takes whole nodes of _GRID_SEED_POINTS points each (at least one), a
+# golden-section step runs of this many nodes. Bounds the kernel's
+# temporaries however many nodes search together; the final table at the
+# optimum is one call per slab, as a fixed-mu link_table call is.
 _SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
@@ -80,13 +82,14 @@ class MaximizeResult:
 
 @dataclass(frozen=True)
 class MuSearch:
-    """Outcome of the lockstep key-rate maximization at a 1-D array of nodes.
+    """Outcome of the lockstep key-rate maximization at the nodes of a shape.
 
+    Each array has the nodes' shape, the broadcast shape of the inputs.
     ``skr`` is the objective at ``mu``: the key-rate lower bound, 0 where
     decoy estimation is infeasible, -inf where the link model rejects the
-    node. ``table`` holds every metric at ``mu``. ``errors`` maps the nodes
-    whose search raised, as ``maximize_skr_over_mu`` would, to the
-    exception; their other entries are meaningless.
+    node. ``table`` holds every metric at ``mu``. ``errors`` maps the nodes,
+    by row-major position, whose search raised, as ``maximize_skr_over_mu``
+    would, to the exception; their other entries are meaningless.
     """
 
     mu: np.ndarray
@@ -208,18 +211,23 @@ def maximize_nodes(
     protocol: model.ProtocolParams,
     config: SolverConfig = SolverConfig(),
 ) -> MuSearch:
-    """``maximize_skr_over_mu`` at every node of 1-D input arrays, in lockstep.
+    """``maximize_skr_over_mu`` at every node of arrays that broadcast together, in lockstep.
 
-    The arguments are those of ``link_table`` without the signal intensity.
-    ``bounds.node_stage`` computes the nodes' terms that do not depend on mu
-    once, and each probe runs ``bounds.mu_stage`` alone. The nodes share the
-    ``mu_stage`` calls: the 64-point seed grid is evaluated as (nodes, 64)
-    in slices of whole nodes, at most _SEED_SLICE_ROWS points per call, and
-    each golden-section step is one call over all the nodes whose bracket is
-    still wider than the tolerance. Each node follows the same arithmetic as
-    a search of its own, so its result does not depend on the other nodes or
-    on the slicing.
+    The arguments, and so the nodes, are those of ``link_table`` without the
+    signal intensity. ``bounds.node_stage`` computes the terms that do not
+    depend on mu once, at the arguments' shapes; the search spreads them to
+    one entry per node, and each probe runs ``bounds.mu_stage`` alone, in
+    calls of at most _SEED_SLICE_ROWS points: the 64-point seed grid as
+    (nodes, 64) in slices of whole nodes, then each golden-section step over
+    the nodes whose bracket is still wider than the tolerance in runs of
+    nodes. The final table is one call on the unspread terms. Each node
+    follows the same arithmetic as a search of its own, so its result does
+    not depend on the other nodes, on the slicing or on the shapes.
     """
+    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
+    shape = np.broadcast_shapes(*(v.shape for v in terms.values()))
+    spread = {name: per_node(values, shape) for name, values in terms.items()}
+    nu1 = spread["nu1"]
     n = len(nu1)
     nodes = np.arange(n)
     if config.bracket is None:
@@ -235,12 +243,8 @@ def maximize_nodes(
     failed = np.zeros(n, dtype=bool)
     failed[list(errors)] = True
 
-    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
-
-    def objective(rows: np.ndarray, mu: np.ndarray) -> tuple[LinkTable, np.ndarray]:
-        """The table and objective at ``mu``, an array that the node indices ``rows`` broadcast to."""
-        at_rows = {name: values[rows] for name, values in terms.items()}
-        table = mu_stage(mu, background_error, protocol, **at_rows)
+    def objective(table: LinkTable, rows: np.ndarray) -> np.ndarray:
+        """The objective at ``table``'s points, whose node indices ``rows`` broadcast to."""
         # A decoy pair outside 0 < nu1 < mu ends that node's search with the
         # exception, at the first point evaluated in search order.
         decoy_errors = np.flatnonzero(table.decoy_error)
@@ -250,7 +254,18 @@ def maximize_nodes(
             if node not in errors:
                 errors[node] = table.error(j)
                 failed[node] = True
-        return table, np.where(table.gain_error, -np.inf, table.values["skr_lower"])
+        return np.where(table.gain_error, -np.inf, table.values["skr_lower"])
+
+    def probe(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """The objective at ``mu``, an array that the node indices ``rows`` broadcast to."""
+        at_rows = {name: values[rows] for name, values in spread.items()}
+        return objective(mu_stage(mu, background_error, protocol, **at_rows), rows)
+
+    def probes(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """``probe`` at 1-D ``rows`` and ``mu``, in runs of at most _SEED_SLICE_ROWS."""
+        size = _SEED_SLICE_ROWS
+        f = [probe(rows[i:i + size], mu[i:i + size]) for i in range(0, len(rows), size)]
+        return f[0] if len(f) == 1 else np.concatenate(f)
 
     points = _GRID_SEED_POINTS
 
@@ -265,7 +280,7 @@ def maximize_nodes(
     step = max(1, _SEED_SLICE_ROWS // points)
     for start in range(0, n, step):
         rows = nodes[start:start + step, None]
-        _, grid = objective(rows, seed_points(rows, np.arange(points, dtype=float)))
+        grid = probe(rows, seed_points(rows, np.arange(points, dtype=float)))
         best[rows[:, 0]] = np.argmax(grid, axis=1)
     lo, hi = (
         seed_points(nodes, np.maximum(best - 1, 0)),
@@ -274,7 +289,7 @@ def maximize_nodes(
 
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    _, f = objective(np.concatenate([nodes, nodes]), np.concatenate([c, d]))
+    f = probes(np.concatenate([nodes, nodes]), np.concatenate([c, d]))
     fc, fd = f[:n], f[n:]
     iterations = np.zeros(n, dtype=int)
     for _ in range(config.max_iterations):
@@ -287,20 +302,20 @@ def maximize_nodes(
         c[up] = hi[up] - _INVPHI * (hi[up] - lo[up])
         lo[down], c[down], fc[down] = c[down], d[down], fd[down]
         d[down] = lo[down] + _INVPHI * (hi[down] - lo[down])
-        _, f = objective(np.concatenate([up, down]), np.concatenate([c[up], d[down]]))
+        f = probes(np.concatenate([up, down]), np.concatenate([c[up], d[down]]))
         fc[up] = f[: len(up)]
         fd[down] = f[len(up):]
         iterations[active] += 1
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = 0.5 * (lo + hi)
-    table, skr = objective(nodes, mu)
+        mu = (0.5 * (lo + hi)).reshape(shape)
+    table = mu_stage(mu, background_error, protocol, **terms)
     return MuSearch(
         mu=mu,
-        skr=skr,
+        skr=objective(table, nodes.reshape(shape)),
         table=table,
         errors=errors,
-        converged=hi - lo <= config.abs_tolerance,
-        iterations=iterations,
+        converged=(hi - lo <= config.abs_tolerance).reshape(shape),
+        iterations=iterations.reshape(shape),
     )
 
 
@@ -318,17 +333,16 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
-    (slab,) = Grid(receiver, channel, {"nu1": nu1}, ()).slabs(1)
+    _, inputs = Grid(receiver, channel, {"nu1": nu1}, ()).slab()
     search = maximize_nodes(
-        **node_values(*slab), background_error=receiver.background_error, protocol=protocol,
-        config=config,
+        **inputs, background_error=receiver.background_error, protocol=protocol, config=config
     )
     if search.errors:
         raise search.errors[0]
-    mu = float(search.mu[0])
-    skr = float(search.skr[0])
-    converged = bool(search.converged[0])
-    iterations = int(search.iterations[0])
+    mu = float(search.mu)
+    skr = float(search.skr)
+    converged = bool(search.converged)
+    iterations = int(search.iterations)
     if not skr > 0.0:
         return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY, converged, iterations)
     return MaximizeResult(mu, skr, None, converged, iterations)
@@ -366,8 +380,8 @@ def threshold_nodes(
         (("p_ap", p_ap_values), ("intrinsic_error", intrinsic_error_values)),
     )
     detected = -math.expm1(-grid.base["eta"] * mean_photon)
-    ((index, inputs),) = grid.slabs(grid.size)
-    x = node_values(index, inputs)
+    index, inputs = grid.slab()
+    x = {name: per_node(inputs[name], grid.shape) for name in ("p_ap", "e_prime")}
     rejected = grid.rejections(index)
     e0 = receiver_template.background_error
     # a rejected node's inputs can be inf or nan

@@ -20,7 +20,6 @@ from .bounds import (
     Slab,
     boxes,
     link_table,
-    node_values,
     per_node,
     raised,
 )
@@ -30,7 +29,8 @@ from .optimize import NO_POSITIVE_KEY, maximize_nodes
 MAX_GRID_POINTS = 1_000_000
 
 # Most grid nodes per slab: per link_table call, or per lockstep optimizer
-# run (whose seed grid optimize._SEED_SLICE_ROWS bounds). A slab holds
+# run, which takes the slab as link_table does (optimize._SEED_SLICE_ROWS
+# bounds its probes' calls; its final table is one call). A slab holds
 # float64 arrays, not CSV cells, which the CLI formats in smaller chunks
 # (cli.CHUNK_NODES); so slabs can be large enough for the per-call overhead
 # to stop mattering: every 81 x 81 grid is one slab.
@@ -170,7 +170,7 @@ def _with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """A box of grid nodes (a slab of ``Grid.slabs``, or a chunk of one) as columns.
+    """A box of grid nodes (a slab of ``grid_blocks``, or a chunk of one) as columns.
 
     ``axis_index[k]`` holds the box's value indices on axis k, shaped to
     vary along axis k only; ``axis_values`` holds every value of each axis,
@@ -293,14 +293,13 @@ def _block(
             model.IntensitySet, at(x["mu"], i), at(x["nu1"], i)
         ))
     if mu_policy == "optimize-per-point":
-        flat = node_values(index, x)
         search = maximize_nodes(
-            flat["p_ap"], flat["e_prime"], flat["p_dc"], flat["eta"], flat["nu1"], e0, protocol
+            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, protocol
         )
         fail(search.errors, search.errors.__getitem__)
         # A node the link model alone rejects keeps its mu_opt.
-        mu_missing = failed.copy()
-        table = search.table.reshape(shape)
+        mu_missing = failed.reshape(shape).copy()
+        table = search.table
     else:
         table = link_table(**x, background_error=e0, protocol=protocol)
     if link_model:
@@ -320,13 +319,13 @@ def _block(
     for i in np.flatnonzero(infeasible).tolist():
         reasons[i] = ESTIMATION_INFEASIBLE
     if search is not None:
-        for i in np.flatnonzero(~(search.skr > 0.0) & ~failed & ~infeasible).tolist():
+        for i in np.flatnonzero(~(search.skr.ravel() > 0.0) & ~failed & ~infeasible).tolist():
             reasons[i] = NO_POSITIVE_KEY
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
-        mu_opt=None if search is None else (search.mu.reshape(shape), mu_missing.reshape(shape)),
+        mu_opt=None if search is None else (search.mu, mu_missing),
         statuses=_STATUSES[2 * failed + infeasible].tolist(),
         reasons=reasons,
     )
@@ -338,12 +337,14 @@ def grid_blocks(
 ) -> Iterator[SweepBlock]:
     """The nodes of ``grid`` as columns of the ``outputs``, one slab at a time.
 
-    Each slab holds at most SLAB_NODES nodes and is one ``link_table`` call,
-    or under optimize-per-point one lockstep optimizer run. The grid must
-    give every node both intensities.
+    The slabs are the ``boxes`` of at most SLAB_NODES nodes, as
+    ``Grid.slab`` gives them. Each is one ``link_table`` call, or under
+    optimize-per-point one lockstep optimizer run; both take the slab's
+    inputs at their own shapes. The grid must give every node both
+    intensities.
     """
-    for slab in grid.slabs(SLAB_NODES):
-        yield _block(grid, protocol, background_error, outputs, mu_policy, slab)
+    for box in boxes(grid.shape, SLAB_NODES):
+        yield _block(grid, protocol, background_error, outputs, mu_policy, grid.slab(box))
 
 
 def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
@@ -360,7 +361,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
 
     Nodes are evaluated with numpy, a slab of at most SLAB_NODES nodes per
     ``link_table`` call, or per lockstep optimizer run under
-    optimize-per-point (whose seed grid is evaluated in slices; see
+    optimize-per-point (whose probes run in calls of bounded size; see
     ``maximize_nodes``). Per-node failures are recorded in the node's status
     and never abort the sweep.
     """

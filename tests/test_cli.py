@@ -16,12 +16,10 @@ from decoylink import (
     SweepSpec,
     load_scenario,
     parse_scenario,
-    scenario_to_dict,
 )
 from decoylink import cli, optimize, sweep
 from decoylink.bounds import mu_stage
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
-from decoylink.config import scenario_to_yaml
 from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
 from decoylink.sweep import NU1_BY_LOSS_DB
@@ -369,67 +367,6 @@ class TestConfig:
         )
         assert scenario.sweep.axes[0].name == "p_ap"
 
-    def test_round_trip(self):
-        cfg = {
-            "receiver": {
-                "detectors": [
-                    {"afterpulse_prob": 0.01, "bias": 0.25},
-                    {"afterpulse_prob": 0.02, "bias": -0.25},
-                ],
-                "dark_count_prob_total": 5e-7,
-                "intrinsic_error": 0.015,
-            },
-            "channel": {"attenuation_db_per_km": 0.21, "distance_km": 50.0},
-            "intensities": {"signal_mu": 0.5, "weak_decoy_nu1": 0.05},
-            "protocol": {"ec_efficiency": 1.2},
-            "sweep": {
-                "axes": [
-                    {"name": "p_ap", "min": 1e-4, "max": 0.1, "count": 7, "spacing": "log"}
-                ],
-                "outputs": ["skr_lower", "e_mu"],
-                "mu_policy": "optimize-per-point",
-            },
-        }
-        scenario = parse_scenario(cfg)
-        assert parse_scenario(scenario_to_dict(scenario)) == scenario
-        assert parse_scenario(yaml.safe_load(scenario_to_yaml(scenario))) == scenario
-        assert scenario_to_yaml(scenario) == ROUND_TRIP_YAML
-
-
-ROUND_TRIP_YAML = """\
-receiver:
-  detectors:
-  - afterpulse_prob: 0.01
-    bias: 0.25
-  - afterpulse_prob: 0.02
-    bias: -0.25
-  dark_count_prob_total: 5.0e-07
-  intrinsic_error: 0.015
-  background_error: 0.5
-  detector_efficiency: 0.1
-intensities:
-  signal_mu: 0.5
-  weak_decoy_nu1: 0.05
-  vacuum_decoy: 0.0
-protocol:
-  sifting_factor: 0.5
-  ec_efficiency: 1.2
-channel:
-  attenuation_db_per_km: 0.21
-  distance_km: 50.0
-sweep:
-  axes:
-  - name: p_ap
-    min: 0.0001
-    max: 0.1
-    count: 7
-    spacing: log
-  outputs:
-  - skr_lower
-  - e_mu
-  mu_policy: optimize-per-point
-"""
-
 
 class TestReport:
     def test_defaults_give_positive_key(self, capsys):
@@ -678,6 +615,36 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: io:")
         assert "/no/such/dir/x.csv" in err
+
+    def test_golden_section_calls_take_at_most_the_row_budget(self, tmp_path, monkeypatch):
+        # 60 nodes in one slab. With a budget of 64 points the seed grid takes
+        # one node per call, and the first golden-section step, which probes
+        # both inner points of every bracket (120 points), takes two calls.
+        config = write_config(tmp_path, """\
+sweep:
+  axes:
+    - {name: loss_db, min: 0.0, max: 40.0, count: 5}
+    - {name: p_ap, min: 1.0e-4, max: 0.2, count: 12, spacing: log}
+  outputs: [skr_lower, e1_upper]
+  mu_policy: optimize-per-point
+""")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        expected = out.read_bytes()
+        points = []
+
+        def counted(mu, *args, **terms):
+            points.append(np.size(mu))
+            return mu_stage(mu, *args, **terms)
+
+        monkeypatch.setattr(optimize, "mu_stage", counted)
+        monkeypatch.setattr(optimize, "_SEED_SLICE_ROWS", 64)
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+        # every probe within the budget; the last call is the final table
+        assert max(points[:-1]) <= 64
+        assert points[-1] == 60
+        assert sum(points[:-1]) >= 60 * (optimize._GRID_SEED_POINTS + 2)
 
 
 # Grids for the byte-identity gate, each with a check that it holds the case

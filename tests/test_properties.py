@@ -33,7 +33,7 @@ from decoylink import (
     yield_i,
 )
 from decoylink import cli, model, optimize, sweep
-from decoylink.bounds import METRIC_NAMES, Grid, boxes, link_table
+from decoylink.bounds import METRIC_NAMES, Grid, boxes, link_table, per_node
 from decoylink.cli import main
 from decoylink.optimize import _GRID_SEED_POINTS, DARK_COUNT_CAP, maximize_nodes
 from decoylink.sweep import MU_POLICIES
@@ -326,7 +326,7 @@ def slab_inputs(draw):
     """(shape, inputs): ``link_table`` inputs over a slab of 1-3 axes.
 
     Each input varies along one axis, or none and has size 1, as
-    ``Grid.slabs`` shapes them; an axis no input varies along has length 1.
+    ``Grid.slab`` shapes them; an axis no input varies along has length 1.
     """
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     inputs = {}
@@ -353,25 +353,67 @@ def slab_inputs(draw):
 ))
 def test_kernel_on_a_slab_equals_kernel_on_its_flat_nodes(drawn):
     shape, inputs = drawn
-
-    def nodes(values):
-        return np.broadcast_to(values, shape).ravel()
-
     slab = link_table(**inputs, background_error=0.5, protocol=ProtocolParams())
     flat = link_table(
-        **{name: nodes(values) for name, values in inputs.items()},
+        **{name: per_node(values, shape) for name, values in inputs.items()},
         background_error=0.5, protocol=ProtocolParams(),
     )
+    assert_same_nodes(shape, slab, flat)
+
+
+def bits(values):
+    """The bits of float ``values``, every NaN as one value: NaN equals NaN, -0.0 differs from 0.0.
+
+    numpy sets a NaN's sign by the element's place in its vector loop, so
+    the same node can give NaN or -NaN in differently shaped arrays.
+    """
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+def assert_same_nodes(shape, slab, flat):
+    """``slab``, a LinkTable at ``shape``, equals ``flat``, a table of its nodes, bit for bit."""
     assert slab.shape == shape
-    # bits, so that NaN equals NaN and -0.0 differs from 0.0
     for name in METRIC_NAMES:
-        assert np.array_equal(
-            nodes(slab.values[name]).view(np.int64), flat.values[name].view(np.int64)
-        ), name
+        slab_values = per_node(slab.values[name], shape)
+        assert np.array_equal(bits(slab_values), bits(flat.values[name])), name
     for mask in ("gain_error", "decoy_error", "domain_error", "infeasible", "clamped"):
-        assert np.array_equal(nodes(getattr(slab, mask)), getattr(flat, mask)), mask
+        assert np.array_equal(per_node(getattr(slab, mask), shape), getattr(flat, mask)), mask
     for i in np.flatnonzero(flat.domain_error).tolist():
         assert str(slab.error(i)) == str(flat.error(i))
+
+
+@DETERMINISTIC
+@given(slab_inputs())
+@example((
+    # a positive key, gains above 1 in a bracket, a rejected decoy pair and an empty bracket
+    (2, 3),
+    {
+        "p_ap": np.array([[0.01], [1.2]]),
+        "e_prime": np.full((1, 1), 0.02),
+        "p_dc": np.full((1, 1), 1e-6),
+        "eta": np.array([[0.1], [1.0]]),
+        "mu": np.full((1, 1), 0.5),
+        "nu1": np.array([[0.05, 0.0, 1.5]]),
+    },
+))
+def test_search_on_a_slab_equals_search_on_its_flat_nodes(drawn):
+    shape, inputs = drawn
+    del inputs["mu"]
+
+    def search(**inputs):
+        return maximize_nodes(**inputs, background_error=0.5, protocol=ProtocolParams())
+
+    slab = search(**inputs)
+    flat = search(**{name: per_node(values, shape) for name, values in inputs.items()})
+    for name in ("mu", "skr"):
+        assert getattr(slab, name).shape == shape
+        assert np.array_equal(bits(getattr(slab, name).ravel()), bits(getattr(flat, name))), name
+    for name in ("converged", "iterations"):
+        assert np.array_equal(getattr(slab, name).ravel(), getattr(flat, name)), name
+    assert_same_nodes(shape, slab.table, flat.table)
+    assert {i: (type(e), str(e)) for i, e in slab.errors.items()} == {
+        i: (type(e), str(e)) for i, e in flat.errors.items()
+    }
 
 
 @DETERMINISTIC
@@ -381,8 +423,15 @@ def test_slabs_tile_the_grid_in_row_major_order(lengths, max_nodes):
     axes = [(name, np.linspace(0.0, 0.1, n)) for name, n in zip(names, lengths)]
     receiver = ReceiverModel.identical(2, dark_count_prob_total=6e-7, intrinsic_error=0.02)
     grid = Grid(receiver, ChannelModel(transmission_loss_db=5.0), {"mu": 0.5, "nu1": 0.1}, axes)
+    whole_index, whole_inputs = grid.slab()
+    (whole,) = boxes(grid.shape, grid.size)
+    index, inputs = grid.slab(whole)
+    assert list(map(np.ndarray.tolist, whole_index)) == list(map(np.ndarray.tolist, index))
+    assert {k: v.tolist() for k, v in whole_inputs.items()} == {
+        k: v.tolist() for k, v in inputs.items()
+    }
     covered = []
-    for index, inputs in grid.slabs(max_nodes):
+    for index, inputs in map(grid.slab, boxes(grid.shape, max_nodes)):
         shape = tuple(i.size for i in index)
         assert math.prod(shape) <= max_nodes
         for k, i in enumerate(index):
