@@ -5,11 +5,12 @@ numpy arrays. The scalar functions run them on floats after their checks,
 and ``evaluate_link`` runs the scalar functions at one operating point.
 ``link_table`` runs the same closed forms over arrays of operating points
 for the sweeps and the intensity optimizer, in two stages, so that a search
-over the signal intensity computes the terms that do not depend on it once.
-``Grid`` turns the value types and a grid's axis values into the inputs of
-``link_table`` and of the optimizer, a box of nodes (a slab) at a time,
-shaped so that each term is computed once per distinct value of the axes it
-depends on.
+over the signal intensity computes the terms that do not depend on it once;
+the search's probes run only ``mu_core``, the part of the second stage its
+objective reads. ``Grid`` turns the value types and a grid's axis values
+into the inputs of ``link_table`` and of the optimizer, a box of nodes (a
+slab) at a time, shaped so that each term is computed once per distinct
+value of the axes it depends on.
 """
 from __future__ import annotations
 
@@ -101,19 +102,21 @@ def estimate_single_photon(
     finite, or gains or a bound too small (subnormal) to keep any precision.
     """
     check_decoy_pair(mu, nu1)
-    exp_nu1 = _libm_or_nan(math.exp, nu1)
+    nu2, q_exp_nu1, e1_numerator = _nu1_terms(
+        q_nu1, e_nu1, y0, nu1, e0, _libm_or_nan(math.exp, nu1)
+    )
     try:
-        y1 = _y1_bound(q_mu, q_nu1, y0, mu, nu1, _libm_or_nan(math.exp, mu), exp_nu1)
+        y1 = _y1_bound(q_mu, y0, mu, nu1, _libm_or_nan(math.exp, mu), nu2, q_exp_nu1)
     except ZeroDivisionError:
         # a nu1 so small that mu nu1 - nu1^2 underflows to 0 leaves the bound undefined
         y1 = math.nan
     y1_lower = min(y1, 1.0)
-    if not _resolvable(q_mu, q_nu1, y1, y1_lower, nu1):
+    if not _resolvable(q_mu, q_nu1 >= sys.float_info.min, y1, y1_lower, nu1):
         raise EstimationInfeasibleError(
             f"single-photon yield bound {y1!r} is not positive and finite, or it, "
             "y1 nu1 or a gain is subnormal; link too noisy or lossy, or weak decoy too faint"
         )
-    e1 = _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1)
+    e1 = _e1_bound(e1_numerator, y1_lower, nu1)
     return SinglePhotonEstimate(
         y1_lower=y1_lower,
         e1_upper=min(max(e1, 0.0), 1.0),
@@ -251,27 +254,32 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
     return np.where((x > 0.0) & (x < 1.0), _entropy(x, _libm), 0.0)
 
 
-def _y1_bound(q_mu, q_nu1, y0, mu, nu1, exp_mu, exp_nu1):
-    """The lower bound on Y1, unclamped; ``exp_mu`` = e^mu, ``exp_nu1`` = e^nu1."""
+def _nu1_terms(q_nu1, e_nu1, y0, nu1, e0, exp_nu1):
+    """The Y1 and e1 bounds' mu-free parts: nu1^2, Q_nu1 e^nu1 and e1's numerator."""
+    return nu1 * nu1, q_nu1 * exp_nu1, e_nu1 * q_nu1 * exp_nu1 - e0 * y0
+
+
+def _y1_bound(q_mu, y0, mu, nu1, exp_mu, nu2, q_exp_nu1):
+    """The lower bound on Y1, unclamped; ``exp_mu`` = e^mu, the rest as ``_nu1_terms``."""
     mu2 = mu * mu
-    nu2 = nu1 * nu1
     return (mu / (mu * nu1 - nu2)) * (
-        q_nu1 * exp_nu1 - q_mu * exp_mu * nu2 / mu2 - (mu2 - nu2) / mu2 * y0
+        q_exp_nu1 - q_mu * exp_mu * nu2 / mu2 - (mu2 - nu2) / mu2 * y0
     )
 
 
-def _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1):
-    """The upper bound on e1 from the clamped Y1 bound, unclamped."""
-    return (e_nu1 * q_nu1 * exp_nu1 - e0 * y0) / (y1_lower * nu1)
+def _e1_bound(numerator, y1_lower, nu1):
+    """The upper bound on e1 from the clamped Y1 bound and ``_nu1_terms``' numerator, unclamped."""
+    return numerator / (y1_lower * nu1)
 
 
-def _resolvable(q_mu, q_nu1, y1, y1_lower, nu1):
+def _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1):
     """Whether the yield bound is finite and it, y1 nu1 and the gains are normal floats.
 
-    A subnormal value has lost its relative precision; nan fails every test.
+    ``q_nu1_normal`` is ``q_nu1 >= sys.float_info.min``. A subnormal value
+    has lost its relative precision; nan fails every test.
     """
     tiny = sys.float_info.min
-    normal = (y1_lower >= tiny) & (y1_lower * nu1 >= tiny) & (q_mu >= tiny) & (q_nu1 >= tiny)
+    normal = (y1_lower >= tiny) & (y1_lower * nu1 >= tiny) & (q_mu >= tiny) & q_nu1_normal
     return (y1 < math.inf) & normal
 
 
@@ -356,8 +364,8 @@ def link_table(
     ``estimate_single_photon``, ``skr_lower_bound``, ``skr_approx``) run on
     floats, so the results equal theirs bit for bit.
     """
-    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
-    return mu_stage(mu, background_error, protocol, **terms)
+    terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
+    return mu_stage(mu, background_error, protocol, terms, outputs)
 
 
 def node_stage(
@@ -367,8 +375,12 @@ def node_stage(
     eta: np.ndarray,
     nu1: np.ndarray,
     background_error: float,
-) -> dict[str, np.ndarray]:
-    """The first stage of ``link_table``: the arguments of ``mu_stage`` that do not depend on mu."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The first stage of ``link_table``: the terms that do not depend on mu.
+
+    Returns (terms, outputs): the arguments of ``mu_core``, and the metrics
+    that only ``mu_stage``'s table adds.
+    """
     e0 = background_error
     with np.errstate(all="ignore"):
         amp = 1.0 + p_ap
@@ -378,70 +390,78 @@ def node_stage(
         q_nu1, e_nu1 = model.gain_and_qber(
             y0, detected_nu1 * amp, signal_error * detected_nu1, e0
         )
+        nu2, q_exp_nu1, e1_numerator = _nu1_terms(q_nu1, e_nu1, y0, nu1, e0, _libm(math.exp, nu1))
         e_det = model.e_detector(e_prime, e0, p_ap)
         return dict(
-            p_ap=p_ap, eta=eta, nu1=nu1, amp=amp, y0=y0, signal_error=signal_error,
-            q_nu1=q_nu1, e_nu1=e_nu1, exp_nu1=_libm(math.exp, nu1), e_det=e_det,
-            h_det=_binary_entropy(e_det), change=model.relative_change(e_prime, e0, p_ap),
+            eta=eta, nu1=nu1, amp=amp, y0=y0, signal_error=signal_error, nu2=nu2,
+            q_exp_nu1=q_exp_nu1, e1_numerator=e1_numerator,
+            q_nu1_error=(q_nu1 > 1.0) | (q_nu1 <= 0.0), q_nu1_normal=q_nu1 >= sys.float_info.min,
+        ), dict(
+            p_ap=p_ap, e_detector=e_det, visibility=1.0 - 2.0 * e_det, h_det=_binary_entropy(e_det),
+            baseline_error_change=model.relative_change(e_prime, e0, p_ap), q_nu1=q_nu1,
+            e_nu1=e_nu1,
         )
+
+
+def mu_core(
+    mu: np.ndarray,
+    background_error: float,
+    protocol: model.ProtocolParams,
+    *,
+    eta, nu1, amp, y0, signal_error, nu2, q_exp_nu1, e1_numerator, q_nu1_error, q_nu1_normal,
+) -> dict[str, np.ndarray]:
+    """What the intensity search reads of ``mu_stage``, from ``mu`` and ``node_stage``'s terms.
+
+    That is ``skr_lower``, ``gain_error`` and ``decoy_error``; the dict also
+    holds the arrays computed on the way, from which ``mu_stage`` builds its table.
+    """
+    e0 = background_error
+    with np.errstate(all="ignore"):
+        detected_mu = -_libm(math.expm1, -eta * mu)
+        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
+        exp_neg_mu = _libm(math.exp, -mu)
+        y1 = _y1_bound(q_mu, y0, mu, nu1, _libm(math.exp, mu), nu2, q_exp_nu1)
+        y1_lower = np.minimum(y1, 1.0)
+        e1 = _e1_bound(e1_numerator, y1_lower, nu1)
+        e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
+        q1_lower = y1_lower * mu * exp_neg_mu
+        skr_raw = _key_rate(
+            q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
+            _binary_entropy(e1_upper), protocol.sifting_factor, protocol.ec_efficiency,
+        )
+        resolvable = _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1)
+
+    gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | q_nu1_error
+    decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
+    infeasible = ~(gain_error | decoy_error) & ~resolvable
+    return dict(
+        q_mu=q_mu, e_mu=e_mu, exp_neg_mu=exp_neg_mu, y1=y1, y1_lower=y1_lower, e1=e1,
+        e1_upper=e1_upper, q1_lower=q1_lower, skr_raw=skr_raw,
+        skr_lower=np.where(~infeasible & (skr_raw > 0.0), skr_raw, 0.0),
+        gain_error=gain_error, decoy_error=decoy_error, infeasible=infeasible,
+    )
 
 
 def mu_stage(
     mu: np.ndarray,
     background_error: float,
     protocol: model.ProtocolParams,
-    *,
-    p_ap, eta, nu1, amp, y0, signal_error, q_nu1, e_nu1, exp_nu1, e_det, h_det, change,
+    terms: dict[str, np.ndarray],
+    outputs: dict[str, np.ndarray],
 ) -> LinkTable:
-    """The second stage of ``link_table``: its table from ``mu`` and the terms of ``node_stage``."""
-    e0 = background_error
-    f = protocol.ec_efficiency
+    """The second stage of ``link_table``: ``mu_core`` plus the metrics only the table reports."""
+    core = mu_core(mu, background_error, protocol, **terms)
     with np.errstate(all="ignore"):
-        detected_mu = -_libm(math.expm1, -eta * mu)
-        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
-        exp_neg_mu = _libm(math.exp, -mu)
-        y1 = _y1_bound(q_mu, q_nu1, y0, mu, nu1, _libm(math.exp, mu), exp_nu1)
-        y1_lower = np.minimum(y1, 1.0)
-        e1 = _e1_bound(e_nu1, q_nu1, y0, y1_lower, nu1, e0, exp_nu1)
-        e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
-        q1_lower = y1_lower * mu * exp_neg_mu
-        skr_raw = _key_rate(
-            q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
-            _binary_entropy(e1_upper), protocol.sifting_factor, f,
+        skr_approx = _skr_approx(
+            terms["eta"], mu, terms["amp"], protocol.ec_efficiency, outputs["h_det"],
+            core["exp_neg_mu"],
         )
-        skr_approx = _skr_approx(eta, mu, amp, f, h_det, exp_neg_mu)
-        resolvable = _resolvable(q_mu, q_nu1, y1, y1_lower, nu1)
-
-    gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | (q_nu1 > 1.0) | (q_nu1 <= 0.0)
-    decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
-    domain_error = gain_error | decoy_error
-    infeasible = ~domain_error & ~resolvable
-    values = {
-        "p_ap": p_ap,
-        "e_detector": e_det,
-        "baseline_error_change": change,
-        "visibility": 1.0 - 2.0 * e_det,
-        "y0": y0,
-        "q_mu": q_mu,
-        "e_mu": e_mu,
-        "q_nu1": q_nu1,
-        "e_nu1": e_nu1,
-        "y1_lower": y1_lower,
-        "e1_upper": e1_upper,
-        "q1_lower": q1_lower,
-        "skr_raw": skr_raw,
-        "skr_lower": np.where(~infeasible & (skr_raw > 0.0), skr_raw, 0.0),
-        "skr_approx": skr_approx,
-    }
+    found = {**outputs, **core, "y0": terms["y0"], "skr_approx": skr_approx}
+    gain_error, decoy_error = core["gain_error"], core["decoy_error"]
     return LinkTable(
-        values=values,
-        mu=mu,
-        nu1=nu1,
-        gain_error=gain_error,
-        decoy_error=decoy_error,
-        domain_error=domain_error,
-        infeasible=infeasible,
-        clamped=(y1 > 1.0) | (e1 != e1_upper),
+        {name: found[name] for name in METRIC_NAMES}, mu, terms["nu1"], gain_error, decoy_error,
+        gain_error | decoy_error, core["infeasible"],
+        clamped=(core["y1"] > 1.0) | (core["e1"] != core["e1_upper"]),
     )
 
 
@@ -520,6 +540,17 @@ def boxes(shape: tuple[int, ...], max_nodes: int) -> Iterator[tuple[range, ...]]
         for start in range(0, shape[split], step):
             run = range(start, min(start + step, shape[split]))
             yield (*(range(i, i + 1) for i in outer), run, *whole[split + 1:])
+
+
+def cut(values: np.ndarray, box: tuple[range, ...]) -> np.ndarray:
+    """``values``, which broadcasts over a shape, cut to ``box``, a sub-box of that shape.
+
+    The result is a view; an axis along which ``values`` has length 1 stays whole.
+    """
+    return values[(..., *(
+        slice(r.start, r.stop) if n > 1 else slice(None)
+        for r, n in zip(box[len(box) - values.ndim:], values.shape)
+    ))]
 
 
 # The nodes of a box of a Grid: (axis value indices, kernel inputs); see ``Grid.slab``.

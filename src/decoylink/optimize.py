@@ -8,7 +8,8 @@ import numpy as np
 
 from . import model
 from .bounds import (
-    Grid, LinkTable, binary_entropy, mu_stage, node_stage, per_node, raised,
+    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage,
+    node_stage, per_node, raised,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -20,11 +21,12 @@ DARK_COUNT_CAP = 0.1
 MU_BRACKET_MARGIN = 1e-6
 MU_BRACKET_MAX = 1.5
 _GRID_SEED_POINTS = 64
-# Most points per kernel call of the intensity search's probes: a seed-grid
-# call takes whole nodes of _GRID_SEED_POINTS points each (at least one), a
-# golden-section step runs of this many nodes. Bounds the kernel's
-# temporaries however many nodes search together; the final table at the
-# optimum is one call per slab, as a fixed-mu link_table call is.
+# Most points per probe (one bounds.mu_core call) of the intensity search: a
+# seed-grid probe takes a bounds.boxes box of whole nodes of
+# _GRID_SEED_POINTS points each (at least one node), a golden-section step
+# runs of this many nodes. Bounds the kernel's temporaries however many
+# nodes search together; the final table at the optimum is one
+# bounds.mu_stage call per slab, as a fixed-mu link_table call is.
 _SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
@@ -215,27 +217,28 @@ def maximize_nodes(
 
     The arguments, and so the nodes, are those of ``link_table`` without the
     signal intensity. ``bounds.node_stage`` computes the terms that do not
-    depend on mu once, at the arguments' shapes; the search spreads them to
-    one entry per node, and each probe runs ``bounds.mu_stage`` alone, in
-    calls of at most _SEED_SLICE_ROWS points: the 64-point seed grid as
-    (nodes, 64) in slices of whole nodes, then each golden-section step over
-    the nodes whose bracket is still wider than the tolerance in runs of
-    nodes. The final table is one call on the unspread terms. Each node
-    follows the same arithmetic as a search of its own, so its result does
-    not depend on the other nodes, on the slicing or on the shapes.
+    depend on mu once, at the arguments' shapes, and each probe runs only
+    ``bounds.mu_core``, in calls of at most _SEED_SLICE_ROWS points. The
+    64-point seed grid runs over the ``bounds.boxes`` of at most
+    _SEED_SLICE_ROWS // 64 nodes, with the terms at their own shapes and a
+    trailing axis of 64 points, so that a term of mu alone is computed once
+    per distinct seed point. Each golden-section step runs over the nodes
+    whose bracket is still wider than the tolerance, in runs of nodes, on
+    the terms spread to one entry per node. The final table is one
+    ``bounds.mu_stage`` call on the unspread terms. Each node follows the
+    same arithmetic as a search of its own, so its result does not depend
+    on the other nodes, on the slicing or on the shapes.
     """
-    terms = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
-    shape = np.broadcast_shapes(*(v.shape for v in terms.values()))
-    spread = {name: per_node(values, shape) for name, values in terms.items()}
-    nu1 = spread["nu1"]
-    n = len(nu1)
+    terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
+    shape = np.broadcast_shapes(*(v.shape for v in (*terms.values(), *outputs.values())))
+    n = math.prod(shape)
     nodes = np.arange(n)
+    # The bracket, at nu1's shape or as 0-d arrays
     if config.bracket is None:
-        lo = nu1 + MU_BRACKET_MARGIN
-        hi = np.full(n, MU_BRACKET_MAX)
+        bracket = (terms["nu1"] + MU_BRACKET_MARGIN, np.array(MU_BRACKET_MAX))
     else:
-        lo = np.full(n, float(config.bracket[0]))
-        hi = np.full(n, float(config.bracket[1]))
+        bracket = tuple(np.array(float(b)) for b in config.bracket)
+    nu1, lo, hi = (per_node(a, shape) for a in (terms["nu1"], *bracket))
     errors: dict[int, DecoyLinkError] = {
         int(i): raised(_check_mu_bracket, nu1[i], lo[i], hi[i])
         for i in np.flatnonzero(~(nu1 < lo) | ~(lo < hi))
@@ -243,49 +246,59 @@ def maximize_nodes(
     failed = np.zeros(n, dtype=bool)
     failed[list(errors)] = True
 
-    def objective(table: LinkTable, rows: np.ndarray) -> np.ndarray:
-        """The objective at ``table``'s points, whose node indices ``rows`` broadcast to."""
-        # A decoy pair outside 0 < nu1 < mu ends that node's search with the
-        # exception, at the first point evaluated in search order.
-        decoy_errors = np.flatnonzero(table.decoy_error)
-        at = per_node(rows, table.shape) if decoy_errors.size else rows
-        for j in decoy_errors:
-            node = int(at[j])
+    def record(decoy_error, rows, mu, nu1) -> None:
+        """End each node of ``rows`` at its first point in search order outside 0 < nu1 < mu."""
+        if not decoy_error.any():
+            return
+        shape = np.broadcast_shapes(decoy_error.shape, rows.shape, mu.shape, nu1.shape)
+        at_rows, at_mu, at_nu1 = (per_node(a, shape) for a in (rows, mu, nu1))
+        for j in np.flatnonzero(per_node(decoy_error, shape)).tolist():
+            node = int(at_rows[j])
             if node not in errors:
-                errors[node] = table.error(j)
+                errors[node] = raised(check_decoy_pair, at_mu[j], at_nu1[j])
                 failed[node] = True
-        return np.where(table.gain_error, -np.inf, table.values["skr_lower"])
 
-    def probe(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """The objective at ``mu``, an array that the node indices ``rows`` broadcast to."""
-        at_rows = {name: values[rows] for name, values in spread.items()}
-        return objective(mu_stage(mu, background_error, protocol, **at_rows), rows)
-
-    def probes(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """``probe`` at 1-D ``rows`` and ``mu``, in runs of at most _SEED_SLICE_ROWS."""
-        size = _SEED_SLICE_ROWS
-        f = [probe(rows[i:i + size], mu[i:i + size]) for i in range(0, len(rows), size)]
-        return f[0] if len(f) == 1 else np.concatenate(f)
+    def objective(rows: np.ndarray, mu: np.ndarray, at: dict[str, np.ndarray]) -> np.ndarray:
+        """The objective at ``mu`` on the terms ``at`` of nodes ``rows``, broadcast together."""
+        core = mu_core(mu, background_error, protocol, **at)
+        record(core["decoy_error"], rows, mu, at["nu1"])
+        return np.where(core["gain_error"], -np.inf, core["skr_lower"])
 
     points = _GRID_SEED_POINTS
 
-    def seed_points(rows, k):
-        """Points ``k`` of the seed grids of nodes ``rows``, which broadcast together."""
+    def seed_points(lo, hi, k):
+        """Points ``k`` of the seed grids of the brackets (``lo``, ``hi``), broadcast together."""
         # A rejected bracket can overflow here and below; its node's result is never used.
         with np.errstate(over="ignore", invalid="ignore"):
-            return lo[rows] + (hi[rows] - lo[rows]) * k / (points - 1)
+            return lo + (hi - lo) * k / (points - 1)
 
-    # Each slice's grid is built in its turn, so no (nodes, 64) array is held.
+    # Each box's grid is built in its turn, so no (nodes, 64) array is held.
     best = np.empty(n, dtype=int)
-    step = max(1, _SEED_SLICE_ROWS // points)
-    for start in range(0, n, step):
-        rows = nodes[start:start + step, None]
-        grid = probe(rows, seed_points(rows, np.arange(points, dtype=float)))
-        best[rows[:, 0]] = np.argmax(grid, axis=1)
+    start = 0
+    for box in boxes(shape, max(1, _SEED_SLICE_ROWS // points)):
+        box_shape = tuple(map(len, box))
+        size = math.prod(box_shape)
+        rows = np.arange(start, start + size).reshape(box_shape + (1,))
+        mu = seed_points(*(cut(a, box)[..., None] for a in bracket), np.arange(points, dtype=float))
+        grid = objective(rows, mu, {name: cut(v, box)[..., None] for name, v in terms.items()})
+        best[start:start + size] = np.argmax(
+            per_node(grid, box_shape + (points,)).reshape(size, points), axis=1
+        )
+        start += size
     lo, hi = (
-        seed_points(nodes, np.maximum(best - 1, 0)),
-        seed_points(nodes, np.minimum(best + 1, points - 1)),
+        seed_points(lo, hi, np.maximum(best - 1, 0)),
+        seed_points(lo, hi, np.minimum(best + 1, points - 1)),
     )
+
+    # Only what the probes read is spread to one entry per node.
+    spread = {name: per_node(values, shape) for name, values in terms.items()}
+
+    def probes(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """The objective at 1-D ``rows`` and ``mu``, in runs of at most _SEED_SLICE_ROWS."""
+        size = _SEED_SLICE_ROWS
+        runs = [(rows[i:i + size], mu[i:i + size]) for i in range(0, len(rows), size)]
+        f = [objective(r, m, {name: v[r] for name, v in spread.items()}) for r, m in runs]
+        return f[0] if len(f) == 1 else np.concatenate(f)
 
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
@@ -308,10 +321,11 @@ def maximize_nodes(
         iterations[active] += 1
     with np.errstate(over="ignore", invalid="ignore"):
         mu = (0.5 * (lo + hi)).reshape(shape)
-    table = mu_stage(mu, background_error, protocol, **terms)
+    table = mu_stage(mu, background_error, protocol, terms, outputs)
+    record(table.decoy_error, nodes.reshape(shape), mu, table.nu1)
     return MuSearch(
         mu=mu,
-        skr=objective(table, nodes.reshape(shape)),
+        skr=np.where(table.gain_error, -np.inf, table.values["skr_lower"]),
         table=table,
         errors=errors,
         converged=(hi - lo <= config.abs_tolerance).reshape(shape),

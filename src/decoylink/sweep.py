@@ -19,6 +19,7 @@ from .bounds import (
     Grid,
     Slab,
     boxes,
+    cut,
     link_table,
     per_node,
     raised,
@@ -29,11 +30,12 @@ from .optimize import NO_POSITIVE_KEY, maximize_nodes
 MAX_GRID_POINTS = 1_000_000
 
 # Most grid nodes per slab: per link_table call, or per lockstep optimizer
-# run, which takes the slab as link_table does (optimize._SEED_SLICE_ROWS
-# bounds its probes' calls; its final table is one call). A slab holds
-# float64 arrays, not CSV cells, which the CLI formats in smaller chunks
-# (cli.CHUNK_NODES); so slabs can be large enough for the per-call overhead
-# to stop mattering: every 81 x 81 grid is one slab.
+# run, which takes the slab as link_table does (its probes run only
+# bounds.mu_core, on at most optimize._SEED_SLICE_ROWS points each; its
+# final table is one mu_stage call). A slab holds float64 arrays, not CSV
+# cells, which the CLI formats in smaller chunks (cli.CHUNK_NODES); so slabs
+# can be large enough for the per-call overhead to stop mattering: every
+# 81 x 81 grid is one slab.
 SLAB_NODES = 8192
 
 # Optimized weak-decoy intensities are only tabulated for these losses; any
@@ -207,22 +209,15 @@ class SweepBlock:
         """
         shape = self.shape
         for box in boxes(shape, max_nodes):
-            def cut(values: np.ndarray) -> np.ndarray:
-                """``values``, which broadcasts over the block, cut to the box."""
-                return values[(..., *(
-                    slice(r.start, r.stop) if n > 1 else slice(None)
-                    for r, n in zip(box[len(box) - values.ndim:], values.shape)
-                ))]
-
             start = 0
             for r, n in zip(box, shape):
                 start = start * n + r.start
             stop = start + math.prod(map(len, box))
             yield SweepBlock(
                 axis_values=self.axis_values,
-                axis_index=tuple(map(cut, self.axis_index)),
-                outputs=tuple((cut(v), cut(m)) for v, m in self.outputs),
-                mu_opt=None if self.mu_opt is None else tuple(map(cut, self.mu_opt)),
+                axis_index=tuple(cut(i, box) for i in self.axis_index),
+                outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
+                mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
                 statuses=self.statuses[start:stop],
                 reasons=self.reasons[start:stop],
             )

@@ -18,7 +18,7 @@ from decoylink import (
     parse_scenario,
 )
 from decoylink import cli, optimize, sweep
-from decoylink.bounds import mu_stage
+from decoylink.bounds import mu_core, mu_stage
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
 from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
@@ -38,6 +38,28 @@ sweep:
     - {name: p_ap, min: 0.0, max: 0.1, count: 2}
     - {name: intrinsic_error, min: 0.01, max: 0.02, count: 2}
 """
+
+
+def count_kernel_points(monkeypatch):
+    """Record the points of the optimizer's kernel calls: (probes, final tables).
+
+    A probe is one ``mu_core`` call; its points are its arguments' broadcast
+    size, nodes x seed points for a seed-grid box. A final table is one
+    ``mu_stage`` call, at the slab's nodes.
+    """
+    probes, tables = [], []
+
+    def core(mu, *args, **terms):
+        probes.append(math.prod(np.broadcast_shapes(np.shape(mu), *map(np.shape, terms.values()))))
+        return mu_core(mu, *args, **terms)
+
+    def stage(mu, *args):
+        tables.append(np.size(mu))
+        return mu_stage(mu, *args)
+
+    monkeypatch.setattr(optimize, "mu_core", core)
+    monkeypatch.setattr(optimize, "mu_stage", stage)
+    return probes, tables
 
 
 def parse_pretty(output):
@@ -631,20 +653,14 @@ sweep:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", config, "--output", str(out)]) == 0
         expected = out.read_bytes()
-        points = []
-
-        def counted(mu, *args, **terms):
-            points.append(np.size(mu))
-            return mu_stage(mu, *args, **terms)
-
-        monkeypatch.setattr(optimize, "mu_stage", counted)
+        probes, tables = count_kernel_points(monkeypatch)
         monkeypatch.setattr(optimize, "_SEED_SLICE_ROWS", 64)
         assert main(["sweep", "--config", config, "--output", str(out)]) == 0
         assert out.read_bytes() == expected
-        # every probe within the budget; the last call is the final table
-        assert max(points[:-1]) <= 64
-        assert points[-1] == 60
-        assert sum(points[:-1]) >= 60 * (optimize._GRID_SEED_POINTS + 2)
+        # every probe within the budget; one final table at the slab's nodes
+        assert max(probes) <= 64
+        assert tables == [60]
+        assert sum(probes) >= 60 * (optimize._GRID_SEED_POINTS + 2)
 
 
 # Grids for the byte-identity gate, each with a check that it holds the case
@@ -1003,19 +1019,19 @@ class TestPresetCommand:
 
     def test_one_lockstep_run_with_bounded_seed_slices(self, tmp_path, monkeypatch):
         # 30 points per curve: the 180 nodes fit in one block, whose seed
-        # grid takes 6 slices and whose golden-section search about 44 calls
-        points = []
-
-        def counted(mu, *args, **terms):
-            points.append(np.size(mu))
-            return mu_stage(mu, *args, **terms)
-
-        monkeypatch.setattr(optimize, "mu_stage", counted)
+        # grid takes 6 boxes of one curve and whose golden-section search
+        # about 44 probes
         out = tmp_path / "curves.csv"
-        assert main(["skr-vs-afterpulse", "--points", "30", "--output", str(out)]) == 0
-        assert len(points) <= 60
-        assert max(points) <= optimize._SEED_SLICE_ROWS == 2048
-        assert sum(points) >= 180 * optimize._GRID_SEED_POINTS
+        argv = ["skr-vs-afterpulse", "--points", "30", "--output", str(out)]
+        assert main(argv) == 0
+        expected = out.read_bytes()
+        probes, tables = count_kernel_points(monkeypatch)
+        assert main(argv) == 0
+        assert out.read_bytes() == expected
+        assert len(probes) <= 60
+        assert max(probes) <= optimize._SEED_SLICE_ROWS == 2048
+        assert tables == [180]
+        assert sum(probes) >= 180 * (optimize._GRID_SEED_POINTS + 2)
 
     @pytest.mark.parametrize(
         "argv, config",

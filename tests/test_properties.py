@@ -8,6 +8,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,9 @@ from decoylink import (
     yield_i,
 )
 from decoylink import cli, model, optimize, sweep
-from decoylink.bounds import METRIC_NAMES, Grid, boxes, link_table, per_node
+from decoylink.bounds import (
+    METRIC_NAMES, Grid, boxes, link_table, mu_core, mu_stage, node_stage, per_node,
+)
 from decoylink.cli import main
 from decoylink.optimize import _GRID_SEED_POINTS, DARK_COUNT_CAP, maximize_nodes
 from decoylink.sweep import MU_POLICIES
@@ -322,15 +325,15 @@ KERNEL_VALUES = {
 
 
 @st.composite
-def slab_inputs(draw):
-    """(shape, inputs): ``link_table`` inputs over a slab of 1-3 axes.
+def slab_inputs(draw, kernel_values=KERNEL_VALUES):
+    """(shape, inputs): ``link_table`` inputs, drawn from ``kernel_values``, over a slab of 1-3 axes.
 
     Each input varies along one axis, or none and has size 1, as
     ``Grid.slab`` shapes them; an axis no input varies along has length 1.
     """
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     inputs = {}
-    for name, values in KERNEL_VALUES.items():
+    for name, values in kernel_values.items():
         axis = draw(st.sampled_from([None, *range(len(lengths))]))
         dims = tuple(n if k == axis else 1 for k, n in enumerate(lengths))
         drawn = draw(st.lists(values, min_size=math.prod(dims), max_size=math.prod(dims)))
@@ -382,6 +385,60 @@ def assert_same_nodes(shape, slab, flat):
         assert str(slab.error(i)) == str(flat.error(i))
 
 
+# Kernel values that also reach subnormal gains (a subnormal eta with no
+# dark counts) and an infinite mu, with more nodes of a positive key.
+CORE_VALUES = {
+    **KERNEL_VALUES,
+    "e_prime": st.one_of(st.floats(0.0, 0.05), KERNEL_VALUES["e_prime"]),
+    "eta": st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(5e-324, 1e-300)),
+    "mu": st.one_of(st.floats(0.0, 2.0), st.just(math.nan), st.just(math.inf)),
+}
+
+
+@DETERMINISTIC
+@given(slab_inputs(CORE_VALUES))
+@example((
+    # q_nu1 > 1, nu1 = 0, nu1 >= mu, subnormal gains, an inf and a nan mu, and
+    # a positive key at 4 values of mu, two where numpy's exp rounds otherwise
+    (10, 3),
+    {
+        "p_ap": np.array([[1.5], *[[0.01]] * 9]),
+        "e_prime": np.full((1, 1), 0.02),
+        "p_dc": np.array([[1e-6], [1e-6], [1e-6], [0.0], *[[1e-6]] * 6]),
+        "eta": np.array([[1.0], [0.1], [0.1], [1e-310], *[[0.1]] * 6]),
+        "mu": np.array([[0.5], [0.5], [0.05], [0.5], [math.inf], [math.nan],
+                        [0.246], [0.2945], [0.77], [1.3]]),
+        "nu1": np.array([[0.6, 0.0, 0.05]]),
+    },
+))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_search_core_agrees_with_the_table(drawn):
+    # The probes' layout: the node terms spread to one entry per node; the
+    # table's: every term at its own shape.
+    shape, inputs = drawn
+    protocol = ProtocolParams()
+    mu = inputs["mu"]
+    terms, outputs = node_stage(
+        *(inputs[name] for name in ("p_ap", "e_prime", "p_dc", "eta", "nu1")), 0.5
+    )
+    table = mu_stage(mu, 0.5, protocol, terms, outputs)
+    spread = {name: per_node(values, shape) for name, values in terms.items()}
+    core = mu_core(per_node(mu, shape), 0.5, protocol, **spread)
+    objective = np.where(table.gain_error, -np.inf, table.values["skr_lower"])
+    assert np.where(core["gain_error"], -np.inf, core["skr_lower"]).tobytes() == (
+        per_node(objective, shape).tobytes()
+    )
+    assert core["decoy_error"].tobytes() == per_node(table.decoy_error, shape).tobytes()
+
+
+# Seed-grid boxes of 32 nodes (the default), of 1 node and of 3 nodes, which
+# cut a slab's axes mid-way; the default bracket and a fixed one.
+@pytest.mark.parametrize("seed_rows, config", [
+    (optimize._SEED_SLICE_ROWS, SolverConfig()),
+    (_GRID_SEED_POINTS, SolverConfig()),
+    (3 * _GRID_SEED_POINTS, SolverConfig()),
+    (3 * _GRID_SEED_POINTS, SolverConfig(bracket=(0.2, 1.2))),
+])
 @DETERMINISTIC
 @given(slab_inputs())
 @example((
@@ -396,12 +453,29 @@ def assert_same_nodes(shape, slab, flat):
         "nu1": np.array([[0.05, 0.0, 1.5]]),
     },
 ))
-def test_search_on_a_slab_equals_search_on_its_flat_nodes(drawn):
-    shape, inputs = drawn
-    del inputs["mu"]
+@example((
+    # 3-node boxes take one eta each and cut the nu1 axis after 3 values; a
+    # rejected decoy pair at nu1 = 0 and, under the fixed bracket, a rejected
+    # bracket at nu1 = 0.3
+    (2, 4),
+    {
+        "p_ap": np.full((1, 1), 0.01),
+        "e_prime": np.full((1, 1), 0.02),
+        "p_dc": np.full((1, 1), 1e-6),
+        "eta": np.array([[0.1], [0.003]]),
+        "mu": np.full((1, 1), 0.5),
+        "nu1": np.array([[0.0, 0.05, 0.1, 0.3]]),
+    },
+))
+def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, config, drawn):
+    inputs = {name: values for name, values in drawn[1].items() if name != "mu"}
+    shape = np.broadcast_shapes(*(v.shape for v in inputs.values()))
 
     def search(**inputs):
-        return maximize_nodes(**inputs, background_error=0.5, protocol=ProtocolParams())
+        with patch.object(optimize, "_SEED_SLICE_ROWS", seed_rows):
+            return maximize_nodes(
+                **inputs, background_error=0.5, protocol=ProtocolParams(), config=config
+            )
 
     slab = search(**inputs)
     flat = search(**{name: per_node(values, shape) for name, values in inputs.items()})
