@@ -222,17 +222,15 @@ def maximize_nodes(
     64-point seed grid runs over the ``bounds.boxes`` of at most
     _SEED_SLICE_ROWS // 64 nodes, with the terms at their own shapes and a
     trailing axis of 64 points, so that a term of mu alone is computed once
-    per distinct seed point. Each golden-section step runs over the nodes
-    whose bracket is still wider than the tolerance, in runs of nodes, on
-    the terms spread to one entry per node. The final table is one
-    ``bounds.mu_stage`` call on the unspread terms. Each node follows the
-    same arithmetic as a search of its own, so its result does not depend
-    on the other nodes, on the slicing or on the shapes.
+    per distinct seed point. The golden-section phase holds one entry per
+    node still searching; each step is one ``np.where`` per array and one
+    probe of slices of it. The final table is one ``bounds.mu_stage`` call.
+    Each node follows the same arithmetic as a search of its own, so its
+    result does not depend on the other nodes, on the slicing or on the shapes.
     """
     terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
     shape = np.broadcast_shapes(*(v.shape for v in (*terms.values(), *outputs.values())))
     n = math.prod(shape)
-    nodes = np.arange(n)
     # The bracket, at nu1's shape or as 0-d arrays
     if config.bracket is None:
         bracket = (terms["nu1"] + MU_BRACKET_MARGIN, np.array(MU_BRACKET_MAX))
@@ -285,50 +283,52 @@ def maximize_nodes(
             per_node(grid, box_shape + (points,)).reshape(size, points), axis=1
         )
         start += size
-    lo, hi = (
-        seed_points(lo, hi, np.maximum(best - 1, 0)),
-        seed_points(lo, hi, np.minimum(best + 1, points - 1)),
-    )
+    low = seed_points(lo, hi, np.maximum(best - 1, 0))
+    high = seed_points(lo, hi, np.minimum(best + 1, points - 1))
 
-    # Only what the probes read is spread to one entry per node.
-    spread = {name: per_node(values, shape) for name, values in terms.items()}
+    # The golden-section phase holds only the nodes still searching, as
+    # threshold_nodes does: their numbers, terms, brackets, inner points and
+    # the objective there. A node whose bracket is within the tolerance, or
+    # that failed, has its bracket and step count written back and is dropped.
+    node = np.flatnonzero(~failed)
+    live = {name: per_node(values, shape)[node] for name, values in terms.items()}
+    lo, hi = low[node], high[node]
 
-    def probes(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """The objective at 1-D ``rows`` and ``mu``, in runs of at most _SEED_SLICE_ROWS."""
-        size = _SEED_SLICE_ROWS
-        runs = [(rows[i:i + size], mu[i:i + size]) for i in range(0, len(rows), size)]
-        f = [objective(r, m, {name: v[r] for name, v in spread.items()}) for r, m in runs]
+    def probe(mu: np.ndarray) -> np.ndarray:
+        """The objective at the live nodes' points ``mu``, in runs of at most _SEED_SLICE_ROWS."""
+        # (one empty run when no node is live)
+        runs = [slice(i, i + _SEED_SLICE_ROWS) for i in range(0, len(mu) or 1, _SEED_SLICE_ROWS)]
+        f = [objective(node[r], mu[r], {name: v[r] for name, v in live.items()}) for r in runs]
         return f[0] if len(f) == 1 else np.concatenate(f)
 
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    f = probes(np.concatenate([nodes, nodes]), np.concatenate([c, d]))
-    fc, fd = f[:n], f[n:]
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = probe(c), probe(d)
     iterations = np.zeros(n, dtype=int)
-    for _ in range(config.max_iterations):
-        active = ~failed & ~(hi - lo <= config.abs_tolerance)
-        if not active.any():
+    for step in range(config.max_iterations):
+        done = failed[node] | (hi - lo <= config.abs_tolerance)
+        if np.count_nonzero(done):
+            ended = node[done]
+            low[ended], high[ended], iterations[ended] = lo[done], hi[done], step
+            node, lo, hi, c, d, fc, fd = (a[~done] for a in (node, lo, hi, c, d, fc, fd))
+            live = {name: v[~done] for name, v in live.items()}
+        if not len(node):
             break
-        up = np.flatnonzero(active & (fc > fd))
-        down = np.flatnonzero(active & ~(fc > fd))
-        hi[up], d[up], fd[up] = d[up], c[up], fc[up]
-        c[up] = hi[up] - _INVPHI * (hi[up] - lo[up])
-        lo[down], c[down], fc[down] = c[down], d[down], fd[down]
-        d[down] = lo[down] + _INVPHI * (hi[down] - lo[down])
-        f = probes(np.concatenate([up, down]), np.concatenate([c[up], d[down]]))
-        fc[up] = f[: len(up)]
-        fd[down] = f[len(up):]
-        iterations[active] += 1
+        up = fc > fd
+        lo, hi = np.where(up, lo, c), np.where(up, d, hi)
+        c, d = np.where(up, hi - _INVPHI * (hi - lo), d), np.where(up, c, lo + _INVPHI * (hi - lo))
+        f = probe(np.where(up, c, d))
+        fc, fd = np.where(up, f, fd), np.where(up, fc, f)
+    low[node], high[node], iterations[node] = lo, hi, config.max_iterations
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = (0.5 * (lo + hi)).reshape(shape)
+        mu = (0.5 * (low + high)).reshape(shape)
     table = mu_stage(mu, background_error, protocol, terms, outputs)
-    record(table.decoy_error, nodes.reshape(shape), mu, table.nu1)
+    record(table.decoy_error, np.arange(n).reshape(shape), mu, table.nu1)
     return MuSearch(
         mu=mu,
         skr=np.where(table.gain_error, -np.inf, table.values["skr_lower"]),
         table=table,
         errors=errors,
-        converged=(hi - lo <= config.abs_tolerance).reshape(shape),
+        converged=(high - low <= config.abs_tolerance).reshape(shape),
         iterations=iterations.reshape(shape),
     )
 

@@ -4,6 +4,8 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoylink import (
     ChannelModel,
@@ -184,6 +186,76 @@ class TestMaximizeSkr:
             maximize_skr_over_mu(
                 receiver(), ChannelModel(transmission_loss_db=5.0), 2.0, PROTOCOL
             )
+
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(r, ch, nu1, max_iterations, tol=1e-10):
+    """A scalar reference of ``maximize_skr_over_mu``: (mu, skr, converged, iterations).
+
+    Plain floats: the 64-point seed grid over (nu1 + 1e-6, 1.5), the bracket
+    of the grid points either side of the first best one, then golden-section
+    steps until the bracket is within ``tol``. The objective is
+    ``evaluate_link``'s skr_lower, -inf where the link model raises.
+    """
+    def skr(mu):
+        try:
+            return evaluate_link(r, ch, IntensitySet(mu, nu1), PROTOCOL).skr_lower
+        except ModelDomainError:
+            return -math.inf
+
+    lo, hi = nu1 + 1e-6, 1.5
+    grid = [lo + (hi - lo) * k / 63 for k in range(64)]
+    values = [skr(mu) for mu in grid]
+    best = values.index(max(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, 63)]
+    c, d = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
+    fc, fd = skr(c), skr(d)
+    for step in range(max_iterations):
+        if hi - lo <= tol:
+            break
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - INVPHI * (hi - lo)
+            fc = skr(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INVPHI * (hi - lo)
+            fd = skr(d)
+    else:
+        step = max_iterations
+    mu = 0.5 * (lo + hi)
+    key = skr(mu)
+    return mu, key if key > 0.0 else 0.0, hi - lo <= tol, step
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+# Links from lossless ones whose gain passes 1 in the bracket (the -inf
+# objective) to ones with no positive key; step budgets either side of the
+# ~40 steps a search takes to converge.
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.integers(1, 4), finite(0.0, 0.6), finite(0.0, 1e-5), finite(0.0, 0.1), finite(0.01, 1.0),
+    finite(0.0, 30.0), finite(1e-100, 0.6), st.one_of(st.integers(1, 60), st.integers(35, 60)),
+)
+def test_search_equals_a_scalar_golden_section(
+    detectors, p_ap, p_dc, e_prime, eta_bob, loss_db, nu1, max_iterations
+):
+    r = ReceiverModel.identical(
+        detectors, p_ap, dark_count_prob_total=p_dc, intrinsic_error=e_prime,
+        detector_efficiency=eta_bob,
+    )
+    ch = ChannelModel(transmission_loss_db=loss_db)
+    config = SolverConfig(max_iterations=max_iterations)
+    result = maximize_skr_over_mu(r, ch, nu1, PROTOCOL, config)
+    mu, skr, converged, iterations = golden_section(r, ch, nu1, max_iterations)
+    assert (result.mu.hex(), result.skr.hex(), result.converged, result.iterations) == (
+        mu.hex(), skr.hex(), converged, iterations
+    )
 
 
 def closed_form_threshold(loss_db, p_ap, e_prime, mean_photon, target, eta_bob=0.1, e0=0.5):

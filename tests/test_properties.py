@@ -223,8 +223,10 @@ def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
         )
 
     alone = [outcome_at(search(*(c[i:i + 1] for c in columns)), 0) for i in range(len(nodes))]
-    # seed-grid slices of one node, and of more nodes than the search holds
-    for rows in (_GRID_SEED_POINTS, _GRID_SEED_POINTS * (len(nodes) + 1)):
+    # golden-section runs of 1 and 3 nodes, which split the live nodes and
+    # lose some mid-run; seed-grid slices of one node, and of more nodes
+    # than the search holds
+    for rows in (1, 3, _GRID_SEED_POINTS, _GRID_SEED_POINTS * (len(nodes) + 1)):
         with patch.object(optimize, "_SEED_SLICE_ROWS", rows):
             together = search(*columns)
         assert [outcome_at(together, i) for i in range(len(nodes))] == alone

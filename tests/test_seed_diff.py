@@ -8,8 +8,10 @@ and writes them in chunks, each of a drawn size. Inputs whose output changed
 on purpose (non-finite or NaN numbers, ``null`` fields, subnormal values,
 intensities so small that ``mu*nu1 - nu1*nu1`` underflows, a repeated key)
 are not drawn here; CHANGES.md lists them and they keep tests of their own.
-A second strategy runs ``maximize_skr_over_mu`` of both trees at random
-receivers and links. Two more tests draw intensities, transmittances and
+``SEED_CASES`` is a fixed table of CLI cases compared the same way, with
+any ``--output`` file, and ``python -m decoylink`` runs once in a process of
+its own on each tree. A second strategy runs ``maximize_skr_over_mu`` of
+both trees at random receivers and links. Two more tests draw intensities, transmittances and
 error rates where numpy's vectorized exp, expm1 and log1p round differently
 from the C library's: one compares ``link_table`` with ``evaluate_link``,
 the other the optimizer with the seed code, bit for bit, so the array
@@ -19,6 +21,8 @@ import importlib
 import importlib.util
 import io
 import math
+import os
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,6 +30,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +40,10 @@ from decoylink import cli, model, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES, evaluate_link, link_table
 from decoylink.errors import DecoyLinkError
 
-SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
+REPO = Path(__file__).resolve().parents[1]
+SEED_PACKAGE = REPO / "benchmarks" / "reference" / "decoylink"
+sys.path.append(str(REPO / "benchmarks"))
+import workloads  # noqa: E402
 
 
 def _load_seed_package():
@@ -325,3 +333,245 @@ def differing_searches(draw):
 @given(differing_searches())
 def test_optimizer_matches_the_seed_code_where_numpy_and_libm_differ(drawn):
     assert search(decoylink, *drawn) == search(seed, *drawn)
+
+
+# The CLI cases compared byte for byte with the seed code, label -> (scenario
+# YAML or None, argv). CONFIG and OUTPUT stand for the scenario file and an
+# output file of each tree's own.
+CONFIG, OUTPUT = "{config}", "{output}"
+EVERY_FIELD = """\
+receiver:
+  detectors:
+    - {afterpulse_prob: 0.01, bias: 0.25}
+    - {afterpulse_prob: 0.02, bias: -0.25}
+  dark_count_prob_per_detector: 3.0e-7
+  intrinsic_error: 0.015
+  background_error: 0.5
+  detector_efficiency: 0.12
+channel: {attenuation_db_per_km: 0.2, distance_km: 40.0}
+intensities: {signal_mu: 0.5, weak_decoy_nu1: 0.05, vacuum_decoy: 0.0}
+protocol: {sifting_factor: 0.5, ec_efficiency: 1.2}
+sweep:
+  axes:
+    - {name: p_AP, min: 1.0e-4, max: 0.05, count: 4, spacing: log}
+    - {name: distance_km, min: 0.0, max: 60.0, count: 3, spacing: linear}
+  outputs: [skr_lower, e_mu, q_mu]
+  mu_policy: optimize-per-point
+"""
+# identical detectors with per-detector dark counts over a distance
+IDENTICAL = """\
+receiver: {num_detectors: 4, afterpulse_prob: 0.008, dark_count_prob_per_detector: 1.5e-7}
+channel: {distance_km: 25.0}
+"""
+WORKLOADS = [workloads.generate(name, 1) for name in workloads.NAMES]
+SEED_CASES = {
+    "report.default": (None, ["report"]),
+    "report-csv.default": (None, ["report", "--format", "csv"]),
+    "optimal-mu.default": (None, ["optimal-mu"]),
+    # an overdriven signal at 40 dB: decoy estimation is infeasible
+    **{label: ("""\
+receiver: {num_detectors: 2, afterpulse_prob: 0.05, dark_count_prob_total: 6.0e-7}
+channel: {loss_db: 40.0}
+intensities: {signal_mu: 6.0, weak_decoy_nu1: 0.05}
+""", argv) for label, argv in (
+        ("report.infeasible", ["report", "--config", CONFIG]),
+        ("report-csv.infeasible", ["report", "--format", "csv", "--config", CONFIG]),
+    )},
+    # the preset at its defaults: 360 nodes, one slab of the lockstep optimizer
+    "preset.default": (None, ["skr-vs-afterpulse"]),
+    # one slab of 1800 nodes, written in 6 chunks of one curve each, with p_ap > 1
+    # rejected
+    "preset.blocks": (None, ["skr-vs-afterpulse", "--points", "300", "--pap-max", "1.5"]),
+    # p_ap values where the detectors' weighted afterpulse sum overflows
+    "preset.huge-pap": (None, ["skr-vs-afterpulse", "--pap-max", "1e308", "--points", "3"]),
+    "sweep.huge-pap": ("""\
+sweep:
+  axes:
+    - {name: p_ap, min: 0.5, max: 1.0e+308, count: 3, spacing: log}
+""", ["sweep", "--config", CONFIG]),
+    # the optimizer's bracket and the seed grid overflow at the rejected nu1 nodes
+    "sweep.huge-nu1": ("""\
+sweep:
+  axes:
+    - {name: weak_decoy_nu1, min: 0.0, max: 1.0e+308, count: 3}
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # attenuation times distance overflows to an infinite loss
+    "sweep.huge-loss": ("""\
+channel: {attenuation_db_per_km: 1.0e+300}
+sweep:
+  axes:
+    - {name: distance_km, min: 0.0, max: 1.0e+10, count: 3}
+""", ["sweep", "--config", CONFIG]),
+    # nodes rejected on several axes read the first of p_ap, intrinsic_error,
+    # dark_count_prob, whatever the order of the sweep's axes
+    "sweep.mixed-fixed": ("""\
+sweep:
+  axes:
+    - {name: dark_count_prob, min: 0.0, max: 1.0, count: 3}
+    - {name: intrinsic_error, min: 0.0, max: 1.0, count: 3}
+    - {name: p_ap, min: 0.0, max: 1.5, count: 4}
+  outputs: [visibility, baseline_error_change, q_mu, skr_raw]
+""", ["sweep", "--config", CONFIG]),
+    "sweep.mixed-optimize": ("""\
+sweep:
+  axes:
+    - {name: weak_decoy_nu1, min: 0.0, max: 0.6, count: 7}
+    - {name: dark_count_prob, min: 0.0, max: 1.0, count: 3}
+    - {name: p_ap, min: 0.0, max: 1.5, count: 4}
+  outputs: [p_ap, baseline_error_change, skr_lower, e_mu]
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # every rung of the first-failure ladder: e' = 0 with baseline_error_change
+    # requested, p_ap = 1.5, nu1 >= mu, and the optimizer's decoy pair at nu1 = 0
+    "sweep.ladder": ("""\
+intensities: {signal_mu: 0.5, weak_decoy_nu1: 0.038}
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.04, count: 3}
+    - {name: p_ap, min: 0.0, max: 1.5, count: 4}
+    - {name: weak_decoy_nu1, min: 0.0, max: 0.6, count: 4}
+  outputs: [visibility, baseline_error_change, e_detector, skr_lower, y1_lower]
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # all 15 outputs under the optimizer: 135 nodes, one slab whose seed grid takes
+    # 5 slices of 32 nodes, the last partial; p_ap > 1 rejected, the decoy pair
+    # rejected at nu1 = 0, and gains above 1 at seed points of the lossless nodes
+    "sweep.optimize-15": ("""\
+receiver: {detector_efficiency: 1.0}
+intensities: {signal_mu: 1.0, weak_decoy_nu1: 0.1}
+sweep:
+  axes:
+    - {name: loss_db, min: 0.0, max: 40.0, count: 5}
+    - {name: p_ap, min: 0.0, max: 1.5, count: 9}
+    - {name: weak_decoy_nu1, min: 0.0, max: 0.4, count: 3}
+  outputs: [p_ap, e_detector, baseline_error_change, visibility, y0, q_mu, e_mu,
+            q_nu1, e_nu1, y1_lower, e1_upper, q1_lower, skr_raw, skr_lower, skr_approx]
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # 2100 nodes under the optimizer, p_ap > 1 rejected: each golden-section step
+    # probes the inner point of every live node, more than optimize._SEED_SLICE_ROWS
+    # (2048) until nodes converge, so it runs in two kernel calls
+    "sweep.optimize-split": ("""\
+sweep:
+  axes:
+    - {name: loss_db, min: 0.0, max: 40.0, count: 30}
+    - {name: p_ap, min: 1.0e-4, max: 1.5, count: 70, spacing: log}
+  outputs: [skr_lower, e1_upper, baseline_error_change]
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # 1200 nodes under the optimizer, whose seed-grid boxes of 1 x 10 x 3 nodes cut
+    # the weak_decoy_nu1 axis; the decoy pair is rejected at the 30 nodes with nu1 = 0
+    "sweep.optimize-nu1-boxes": ("""\
+sweep:
+  axes:
+    - {name: p_ap, min: 1.0e-4, max: 0.2, count: 10, spacing: log}
+    - {name: weak_decoy_nu1, min: 0.0, max: 0.3, count: 40}
+    - {name: loss_db, min: 0.0, max: 40.0, count: 3}
+  outputs: [skr_lower, e1_upper, q1_lower]
+  mu_policy: optimize-per-point
+""", ["sweep", "--config", CONFIG]),
+    # all 15 outputs at fixed mu over 3 axes whose inner two hold 600 nodes, more
+    # than cli.CHUNK_NODES (512): one slab, written in chunks of 25 and 5 p_ap values
+    # that split the middle axis, with e' = 0 and p_ap > 1 rejected
+    "sweep.slabs-3d": ("""\
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.04, count: 3}
+    - {name: p_ap, min: 1.0e-4, max: 1.5, count: 30, spacing: log}
+    - {name: loss_db, min: 0.0, max: 60.0, count: 20}
+  outputs: [p_ap, e_detector, baseline_error_change, visibility, y0, q_mu, e_mu,
+            q_nu1, e_nu1, y1_lower, e1_upper, q1_lower, skr_raw, skr_lower, skr_approx]
+""", ["sweep", "--config", CONFIG]),
+    # all 15 outputs at fixed mu over 15,000 nodes, more than sweep.SLAB_NODES
+    # (8192): slabs of 2, 2 and 1 intrinsic_error values split the outer axis, each
+    # written in chunks of 10 p_ap values; e' = 0 and p_ap > 1 rejected
+    "sweep.slabs-15k": ("""\
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.04, count: 5}
+    - {name: p_ap, min: 1.0e-4, max: 1.5, count: 60, spacing: log}
+    - {name: loss_db, min: 0.0, max: 60.0, count: 50}
+  outputs: [p_ap, e_detector, baseline_error_change, visibility, y0, q_mu, e_mu,
+            q_nu1, e_nu1, y1_lower, e1_upper, q1_lower, skr_raw, skr_lower, skr_approx]
+""", ["sweep", "--config", CONFIG]),
+    # one axis of 1300 nodes: one slab, written in chunks of 512, 512 and 276
+    "sweep.slabs-1d": ("""\
+sweep:
+  axes:
+    - {name: loss_db, min: 0.0, max: 80.0, count: 1300}
+  outputs: [skr_lower, e_mu, y1_lower, visibility]
+""", ["sweep", "--config", CONFIG]),
+    # 1600 contour nodes in 4 write chunks, 1042 of them infeasible
+    "contour.40x40": ("""\
+receiver: {intrinsic_error: 0.02}
+channel: {loss_db: 10.5}
+sweep:
+  axes:
+    - {name: p_ap, min: 0.0, max: 0.1, count: 40}
+    - {name: intrinsic_error, min: 0.0, max: 0.08, count: 40}
+""", ["contour", "--config", CONFIG, "--target-qber", "0.05"]),
+    # a loss_db cell of -0, the axes listed intrinsic_error first, a one-value
+    # p_ap axis and a biased two-detector array
+    "contour.edge": ("""\
+receiver:
+  detectors:
+    - {afterpulse_prob: 0.03, bias: 0.4}
+    - {afterpulse_prob: 0.01, bias: -0.4}
+channel: {loss_db: -0.0}
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.08, count: 5}
+    - {name: p_ap, min: 0.0, max: 0.0, count: 1}
+""", ["contour", "--config", CONFIG, "--target-qber", "0.05"]),
+    # every config field, with values no benchmark workload sets
+    "sweep.every-field": (EVERY_FIELD, ["sweep", "--config", CONFIG]),
+    # each scenario's report, report as CSV and optimal mu
+    **{f"{command}.{name}": (text, argv) for name, text in (
+        ("every-field", EVERY_FIELD),
+        ("identical", IDENTICAL),
+        *((w.name, w.config_text()) for w in WORKLOADS),
+    ) for command, argv in (
+        ("report", ["report", "--config", CONFIG]),
+        ("report-csv", ["report", "--format", "csv", "--config", CONFIG]),
+        ("optimal-mu", ["optimal-mu", "--config", CONFIG]),
+    )},
+    # the benchmark's workloads at seed 1, written with --output
+    **{w.name: (w.config_text(), w.argv(CONFIG, OUTPUT)) for w in WORKLOADS},
+}
+
+
+@pytest.mark.parametrize("label", SEED_CASES)
+def test_case_matches_the_seed_code(tmp_path, label):
+    """Exit code, stdout, stderr, warnings and any --output file, as both trees give them.
+
+    This tree may raise no warning, as under ``PYTHONWARNINGS=error::RuntimeWarning``.
+    """
+    text, argv = SEED_CASES[label]
+    config = tmp_path / "scenario.yaml"
+    if text is not None:
+        config.write_text(text)
+
+    def outcome(tree, main):
+        output = tmp_path / f"{tree}.out"
+        args = [str(config) if a == CONFIG else str(output) if a == OUTPUT else a for a in argv]
+        return run(main, args), output.read_bytes() if OUTPUT in argv else None
+
+    (code, out, err, caught), written = outcome("src", cli.main)
+    assert ((code, out, err, caught), written) == outcome("seed", seed_cli.main)
+    assert caught == []
+
+
+def test_python_m_decoylink_matches_the_seed_code():
+    """``python -m decoylink report`` in a process of its own on each tree: the same result."""
+    ours, theirs = (
+        subprocess.run(
+            [sys.executable, "-m", "decoylink", "report"], capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / tree),
+                 "PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        for tree in ("src", "benchmarks/reference")
+    )
+    assert ours.returncode == 0
+    assert (ours.stdout, ours.stderr) == (theirs.stdout, theirs.stderr)
+    assert theirs.returncode == 0
