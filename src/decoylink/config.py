@@ -253,10 +253,12 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse a scenario from a YAML file; a key given twice in one mapping is an error."""
+    """Parse a scenario from a UTF-8 YAML file; a key given twice in one mapping is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.load(fh, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config: not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("config: nested too deeply to read") from exc
     return parse_scenario(cfg)

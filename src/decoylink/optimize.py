@@ -30,23 +30,10 @@ _GRID_SEED_POINTS = 64
 _SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    abs_tolerance: float = 1e-10
-    max_iterations: int = 200
-    bracket: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.abs_tolerance <= 0.0:
-            raise ValidationError(f"abs_tolerance must be > 0, got {self.abs_tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not lo < hi:
-                raise ValidationError(f"bracket lower bound must be below upper, got {self.bracket!r}")
+# Every solver stops within ABS_TOLERANCE (its residual, or its bracket's
+# width) or after MAX_ITERATIONS steps; both are read at each call.
+ABS_TOLERANCE = 1e-10
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,9 @@ class MuSearch:
     ``skr`` is the objective at ``mu``: the key-rate lower bound, 0 where
     decoy estimation is infeasible, -inf where the link model rejects the
     node. ``table`` holds every metric at ``mu``. ``errors`` maps the nodes,
-    by row-major position, whose search raised, as ``maximize_skr_over_mu``
-    would, to the exception; their other entries are meaningless.
+    by row-major position, whose bracket or decoy pair is rejected, as
+    ``maximize_skr_over_mu`` would raise, to the exception; their other
+    entries are meaningless.
     """
 
     mu: np.ndarray
@@ -140,17 +128,14 @@ def _mu_condition(mu: float) -> float:
     return (1.0 - mu) * math.exp(-mu)
 
 
-def solve_optimal_mu(
-    e_detector: float,
-    protocol: model.ProtocolParams,
-    config: SolverConfig = SolverConfig(),
-) -> OptimalMu:
+def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> OptimalMu:
     """Solve (1 - mu) e^-mu = f H2(e) / (1 - H2(e)) for the signal intensity.
 
     The left side falls strictly from 1 to 0 on (0, 1), so any right side in
-    (0, 1) has exactly one root there, found by bisection to the configured
-    residual tolerance. Raises NoSolutionError when the right side reaches 1
-    (error rate too high for a positive-rate optimum below saturation).
+    (0, 1) has exactly one root there, found by bisection of (0, 1) until
+    the residual is below ABS_TOLERANCE or MAX_ITERATIONS steps have run.
+    Raises NoSolutionError when the right side reaches 1 (error rate too
+    high for a positive-rate optimum below saturation).
     """
     h = binary_entropy(e_detector)
     if h >= 1.0:
@@ -165,16 +150,12 @@ def solve_optimal_mu(
         )
     if rhs <= 0.0:
         return OptimalMu(mu=1.0, residual=abs(_mu_condition(1.0) - rhs), boundary=True)
-    lo, hi = config.bracket if config.bracket is not None else (0.0, 1.0)
-    if _mu_condition(lo) < rhs or _mu_condition(hi) > rhs:
-        raise ValidationError(
-            f"bracket ({lo!r}, {hi!r}) does not enclose the root for rhs={rhs:g}"
-        )
+    lo, hi = 0.0, 1.0
     mid = 0.5 * (lo + hi)
     residual = _mu_condition(mid) - rhs
     iterations = 0
-    for _ in range(config.max_iterations):
-        if abs(residual) < config.abs_tolerance:
+    for _ in range(MAX_ITERATIONS):
+        if abs(residual) < ABS_TOLERANCE:
             break
         if residual > 0.0:
             lo = mid
@@ -186,7 +167,7 @@ def solve_optimal_mu(
     return OptimalMu(
         mu=mid,
         residual=abs(residual),
-        converged=abs(residual) < config.abs_tolerance,
+        converged=abs(residual) < ABS_TOLERANCE,
         iterations=iterations,
     )
 
@@ -211,7 +192,6 @@ def maximize_nodes(
     nu1: np.ndarray,
     background_error: float,
     protocol: model.ProtocolParams,
-    config: SolverConfig = SolverConfig(),
 ) -> MuSearch:
     """``maximize_skr_over_mu`` at every node of arrays that broadcast together, in lockstep.
 
@@ -227,40 +207,31 @@ def maximize_nodes(
     probe of slices of it. The final table is one ``bounds.mu_stage`` call.
     Each node follows the same arithmetic as a search of its own, so its
     result does not depend on the other nodes, on the slicing or on the shapes.
+
+    A node's errors are decided before the golden-section phase: its bracket
+    (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX) first, then its decoy pair at
+    the first seed point, mu = nu1 + MU_BRACKET_MARGIN. For inputs with
+    p_ap > -1 and p_dc, eta >= 0, as ``bounds.Grid`` gives, that point
+    decides it: every later point has a larger mu, the decoy pair fails
+    only where nu1 <= 0, and a gain outside (0, 1] there stays outside,
+    since the signal gain never falls as mu grows and the weak-decoy gain
+    is at most the signal gain at the first point.
     """
     terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
     shape = np.broadcast_shapes(*(v.shape for v in (*terms.values(), *outputs.values())))
     n = math.prod(shape)
-    # The bracket, at nu1's shape or as 0-d arrays
-    if config.bracket is None:
-        bracket = (terms["nu1"] + MU_BRACKET_MARGIN, np.array(MU_BRACKET_MAX))
-    else:
-        bracket = tuple(np.array(float(b)) for b in config.bracket)
+    # The bracket, at nu1's shape
+    bracket = (terms["nu1"] + MU_BRACKET_MARGIN, np.array(MU_BRACKET_MAX))
     nu1, lo, hi = (per_node(a, shape) for a in (terms["nu1"], *bracket))
+    failed = ~(nu1 < lo) | ~(lo < hi)
     errors: dict[int, DecoyLinkError] = {
-        int(i): raised(_check_mu_bracket, nu1[i], lo[i], hi[i])
-        for i in np.flatnonzero(~(nu1 < lo) | ~(lo < hi))
+        int(i): raised(_check_mu_bracket, nu1[i], lo[i], hi[i]) for i in np.flatnonzero(failed)
     }
-    failed = np.zeros(n, dtype=bool)
-    failed[list(errors)] = True
 
-    def record(decoy_error, rows, mu, nu1) -> None:
-        """End each node of ``rows`` at its first point in search order outside 0 < nu1 < mu."""
-        if not decoy_error.any():
-            return
-        shape = np.broadcast_shapes(decoy_error.shape, rows.shape, mu.shape, nu1.shape)
-        at_rows, at_mu, at_nu1 = (per_node(a, shape) for a in (rows, mu, nu1))
-        for j in np.flatnonzero(per_node(decoy_error, shape)).tolist():
-            node = int(at_rows[j])
-            if node not in errors:
-                errors[node] = raised(check_decoy_pair, at_mu[j], at_nu1[j])
-                failed[node] = True
-
-    def objective(rows: np.ndarray, mu: np.ndarray, at: dict[str, np.ndarray]) -> np.ndarray:
-        """The objective at ``mu`` on the terms ``at`` of nodes ``rows``, broadcast together."""
+    def objective(mu: np.ndarray, at: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The objective at ``mu`` on the terms ``at``, and where the decoy pair fails there."""
         core = mu_core(mu, background_error, protocol, **at)
-        record(core["decoy_error"], rows, mu, at["nu1"])
-        return np.where(core["gain_error"], -np.inf, core["skr_lower"])
+        return np.where(core["gain_error"], -np.inf, core["skr_lower"]), core["decoy_error"]
 
     points = _GRID_SEED_POINTS
 
@@ -272,24 +243,29 @@ def maximize_nodes(
 
     # Each box's grid is built in its turn, so no (nodes, 64) array is held.
     best = np.empty(n, dtype=int)
+    decoy_error = np.empty(n, dtype=bool)
     start = 0
     for box in boxes(shape, max(1, _SEED_SLICE_ROWS // points)):
         box_shape = tuple(map(len, box))
         size = math.prod(box_shape)
-        rows = np.arange(start, start + size).reshape(box_shape + (1,))
         mu = seed_points(*(cut(a, box)[..., None] for a in bracket), np.arange(points, dtype=float))
-        grid = objective(rows, mu, {name: cut(v, box)[..., None] for name, v in terms.items()})
+        grid, decoy = objective(mu, {name: cut(v, box)[..., None] for name, v in terms.items()})
         best[start:start + size] = np.argmax(
             per_node(grid, box_shape + (points,)).reshape(size, points), axis=1
         )
+        decoy_error[start:start + size] = per_node(decoy[..., 0], box_shape)
         start += size
+    # seed point 0 is lo itself at every node whose bracket holds
+    for i in np.flatnonzero(decoy_error & ~failed).tolist():
+        errors[i] = raised(check_decoy_pair, lo[i], nu1[i])
+    failed |= decoy_error
     low = seed_points(lo, hi, np.maximum(best - 1, 0))
     high = seed_points(lo, hi, np.minimum(best + 1, points - 1))
 
     # The golden-section phase holds only the nodes still searching, as
     # threshold_nodes does: their numbers, terms, brackets, inner points and
-    # the objective there. A node whose bracket is within the tolerance, or
-    # that failed, has its bracket and step count written back and is dropped.
+    # the objective there. A node whose bracket is within the tolerance has
+    # its bracket and step count written back and is dropped.
     node = np.flatnonzero(~failed)
     live = {name: per_node(values, shape)[node] for name, values in terms.items()}
     lo, hi = low[node], high[node]
@@ -298,14 +274,14 @@ def maximize_nodes(
         """The objective at the live nodes' points ``mu``, in runs of at most _SEED_SLICE_ROWS."""
         # (one empty run when no node is live)
         runs = [slice(i, i + _SEED_SLICE_ROWS) for i in range(0, len(mu) or 1, _SEED_SLICE_ROWS)]
-        f = [objective(node[r], mu[r], {name: v[r] for name, v in live.items()}) for r in runs]
+        f = [objective(mu[r], {name: v[r] for name, v in live.items()})[0] for r in runs]
         return f[0] if len(f) == 1 else np.concatenate(f)
 
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
     fc, fd = probe(c), probe(d)
     iterations = np.zeros(n, dtype=int)
-    for step in range(config.max_iterations):
-        done = failed[node] | (hi - lo <= config.abs_tolerance)
+    for step in range(MAX_ITERATIONS):
+        done = hi - lo <= ABS_TOLERANCE
         if np.count_nonzero(done):
             ended = node[done]
             low[ended], high[ended], iterations[ended] = lo[done], hi[done], step
@@ -318,17 +294,16 @@ def maximize_nodes(
         c, d = np.where(up, hi - _INVPHI * (hi - lo), d), np.where(up, c, lo + _INVPHI * (hi - lo))
         f = probe(np.where(up, c, d))
         fc, fd = np.where(up, f, fd), np.where(up, fc, f)
-    low[node], high[node], iterations[node] = lo, hi, config.max_iterations
+    low[node], high[node], iterations[node] = lo, hi, MAX_ITERATIONS
     with np.errstate(over="ignore", invalid="ignore"):
         mu = (0.5 * (low + high)).reshape(shape)
     table = mu_stage(mu, background_error, protocol, terms, outputs)
-    record(table.decoy_error, np.arange(n).reshape(shape), mu, table.nu1)
     return MuSearch(
         mu=mu,
         skr=np.where(table.gain_error, -np.inf, table.values["skr_lower"]),
         table=table,
         errors=errors,
-        converged=(high - low <= config.abs_tolerance).reshape(shape),
+        converged=(high - low <= ABS_TOLERANCE).reshape(shape),
         iterations=iterations.reshape(shape),
     )
 
@@ -338,7 +313,6 @@ def maximize_skr_over_mu(
     channel: model.ChannelModel,
     nu1: float,
     protocol: model.ProtocolParams,
-    config: SolverConfig = SolverConfig(),
 ) -> MaximizeResult:
     """Maximize the key-rate lower bound over the signal intensity.
 
@@ -348,9 +322,7 @@ def maximize_skr_over_mu(
     result carries skr = 0 and a reason, never an exception.
     """
     _, inputs = Grid(receiver, channel, {"nu1": nu1}, ()).slab()
-    search = maximize_nodes(
-        **inputs, background_error=receiver.background_error, protocol=protocol, config=config
-    )
+    search = maximize_nodes(**inputs, background_error=receiver.background_error, protocol=protocol)
     if search.errors:
         raise search.errors[0]
     mu = float(search.mu)
@@ -369,7 +341,6 @@ def threshold_nodes(
     target_qber: float,
     receiver_template: model.ReceiverModel,
     mean_photon: float,
-    config: SolverConfig = SolverConfig(),
 ) -> ThresholdSearch:
     """The dark-count threshold bisection on every node of a (p_ap, intrinsic_error) grid.
 
@@ -432,8 +403,8 @@ def threshold_nodes(
     hi = np.full(len(rows), DARK_COUNT_CAP)
     mid = 0.5 * (lo + hi)
     _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
-    for step in range(config.max_iterations):
-        done = np.abs(qber - target_qber) < config.abs_tolerance
+    for step in range(MAX_ITERATIONS):
+        done = np.abs(qber - target_qber) < ABS_TOLERANCE
         if np.count_nonzero(done):
             finished = rows[done]
             dark_count[finished], achieved[finished] = mid[done], qber[done]
@@ -449,12 +420,12 @@ def threshold_nodes(
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
         _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
-    dark_count[rows], achieved[rows], iterations[rows] = mid, qber, config.max_iterations
+    dark_count[rows], achieved[rows], iterations[rows] = mid, qber, MAX_ITERATIONS
     return ThresholdSearch(
         dark_count=dark_count,
         achieved=achieved,
         feasible=~infeasible,
-        converged=np.abs(achieved - target_qber) < config.abs_tolerance,
+        converged=np.abs(achieved - target_qber) < ABS_TOLERANCE,
         iterations=iterations,
     )
 
@@ -466,7 +437,6 @@ def trace_iso_qber_surface(
     target_qber: float,
     receiver_template: model.ReceiverModel,
     mean_photon: float,
-    config: SolverConfig = SolverConfig(),
 ) -> list[ContourPoint]:
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
@@ -478,7 +448,7 @@ def trace_iso_qber_surface(
     """
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
     search = threshold_nodes(
-        p_values, e_values, loss_db, target_qber, receiver_template, mean_photon, config
+        p_values, e_values, loss_db, target_qber, receiver_template, mean_photon
     )
     nodes = zip(
         ((p, e) for p in p_values for e in e_values),
@@ -503,7 +473,6 @@ def dark_count_threshold(
     target_qber: float,
     receiver_template: model.ReceiverModel,
     mean_photon: float,
-    config: SolverConfig = SolverConfig(),
 ) -> ContourPoint:
     """Largest dark-count probability that keeps the total QBER at the target.
 
@@ -514,7 +483,6 @@ def dark_count_threshold(
     that the cap cannot reach it is a parameter error.
     """
     (point,) = trace_iso_qber_surface(
-        (p_ap,), (intrinsic_error,), loss_db, target_qber, receiver_template, mean_photon,
-        config,
+        (p_ap,), (intrinsic_error,), loss_db, target_qber, receiver_template, mean_photon
     )
     return point

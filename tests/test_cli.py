@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import decoylink
 from decoylink import (
     Axis,
     ChannelModel,
@@ -478,6 +479,31 @@ class TestReport:
         code, kind = (2, "config") if issubclass(error, ValidationError) else (3, "model-domain")
         assert main(["report"]) == code
         assert capsys.readouterr().err == f"error: {kind}: boom\n"
+
+    # Bytes that the YAML reader cannot turn into a document are config
+    # errors, not tracebacks.
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                b"receiver:\n  intrinsic_error: 0.02 \xff\n",
+                "config: not valid YAML: 'utf-8' codec can't decode byte 0xff in position "
+                "34: invalid start byte",
+            ),
+            (
+                b"receiver: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+                "config: nested too deeply to read",
+            ),
+        ],
+        ids=["not_utf8", "nested_5000_deep"],
+    )
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(data)
+        assert main(["report", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {message}\n"
+        assert captured.out == ""
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["report", "--config", "/nonexistent/x.yaml"]) == 4
@@ -1105,3 +1131,12 @@ def test_no_command_builds_a_record(tmp_path, capsys, monkeypatch, argv, text):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count("\n") > 2
+
+
+# A name left in __all__ after its object is gone breaks ``import *``.
+def test_every_public_name_is_exported():
+    names = {}
+    exec("from decoylink import *", names)
+    assert len(set(decoylink.__all__)) == len(decoylink.__all__)
+    for name in decoylink.__all__:
+        assert names[name] is getattr(decoylink, name)

@@ -2,6 +2,7 @@
 import math
 import re
 import warnings
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from decoylink import (
     NoSolutionError,
     ProtocolParams,
     ReceiverModel,
-    SolverConfig,
     ValidationError,
     dark_count_threshold,
     evaluate_link,
@@ -25,6 +25,7 @@ from decoylink import (
     solve_optimal_mu,
     trace_iso_qber_surface,
 )
+from decoylink import optimize
 
 PROTOCOL = ProtocolParams()
 
@@ -76,7 +77,8 @@ class TestSolveOptimalMu:
         assert abs(result.mu - oracle_root(0.03)) < 1e-6
 
     def test_running_out_of_iterations_is_reported(self):
-        short = solve_optimal_mu(0.03, PROTOCOL, SolverConfig(max_iterations=3))
+        with patch.object(optimize, "MAX_ITERATIONS", 3):
+            short = solve_optimal_mu(0.03, PROTOCOL)
         assert not short.converged
         assert short.iterations == 3
         assert short.residual > 1e-3
@@ -109,24 +111,6 @@ class TestSolveOptimalMu:
         with pytest.raises(NoSolutionError):
             solve_optimal_mu(e_boundary * 1.001, PROTOCOL)
         assert solve_optimal_mu(e_boundary * 0.999, PROTOCOL).mu > 0.0
-
-    def test_same_root_from_any_enclosing_bracket(self):
-        reference = solve_optimal_mu(0.03, PROTOCOL).mu
-        for bracket in ((0.0, 1.0), (1e-9, 1.0), (-0.5, 1.4)):
-            result = solve_optimal_mu(0.03, PROTOCOL, SolverConfig(bracket=bracket))
-            assert abs(result.mu - reference) <= 1e-10
-
-    def test_bracket_not_enclosing_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_optimal_mu(0.03, PROTOCOL, SolverConfig(bracket=(0.9, 1.0)))
-
-    def test_solver_config_validation(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(abs_tolerance=0.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            SolverConfig(bracket=(1.0, 0.0))
 
 
 class TestMaximizeSkr:
@@ -170,19 +154,20 @@ class TestMaximizeSkr:
         result = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
         assert result.converged
         assert 30 < result.iterations < 60
-        short = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL, SolverConfig(max_iterations=3))
+        with patch.object(optimize, "MAX_ITERATIONS", 3):
+            short = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
         assert not short.converged
         assert short.iterations == 3
 
     def test_bracket_must_clear_weak_decoy(self):
-        with pytest.raises(ValidationError):
+        # nu1 + MU_BRACKET_MARGIN rounds to nu1
+        with pytest.raises(ValidationError, match="must exceed the weak-decoy intensity 1e"):
             maximize_skr_over_mu(
-                receiver(), ChannelModel(transmission_loss_db=5.0), 0.05, PROTOCOL,
-                SolverConfig(bracket=(0.04, 1.0)),
+                receiver(), ChannelModel(transmission_loss_db=5.0), 1e300, PROTOCOL
             )
 
     def test_weak_decoy_above_bracket_top_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="empty signal-intensity bracket"):
             maximize_skr_over_mu(
                 receiver(), ChannelModel(transmission_loss_db=5.0), 2.0, PROTOCOL
             )
@@ -250,8 +235,8 @@ def test_search_equals_a_scalar_golden_section(
         detector_efficiency=eta_bob,
     )
     ch = ChannelModel(transmission_loss_db=loss_db)
-    config = SolverConfig(max_iterations=max_iterations)
-    result = maximize_skr_over_mu(r, ch, nu1, PROTOCOL, config)
+    with patch.object(optimize, "MAX_ITERATIONS", max_iterations):
+        result = maximize_skr_over_mu(r, ch, nu1, PROTOCOL)
     mu, skr, converged, iterations = golden_section(r, ch, nu1, max_iterations)
     assert (result.mu.hex(), result.skr.hex(), result.converged, result.iterations) == (
         mu.hex(), skr.hex(), converged, iterations
@@ -291,9 +276,8 @@ class TestDarkCountThreshold:
         # three bisection steps leave the QBER far from the target; the
         # point stays feasible but must say that it did not converge
         r = receiver(0.01)
-        point = dark_count_threshold(
-            0.01, 0.02, 21.0, 0.09, r, 0.48, SolverConfig(max_iterations=3)
-        )
+        with patch.object(optimize, "MAX_ITERATIONS", 3):
+            point = dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, 0.48)
         assert point.feasible
         assert point.achieved_qber == pytest.approx(0.473, abs=1e-3)
         assert not point.converged
@@ -305,9 +289,8 @@ class TestDarkCountThreshold:
 
     def test_running_out_of_iterations_matches_scalar_search(self):
         # generated from the scalar per-node bisection
-        point = dark_count_threshold(
-            0.01, 0.02, 21.0, 0.09, receiver(0.01), 0.48, SolverConfig(max_iterations=3)
-        )
+        with patch.object(optimize, "MAX_ITERATIONS", 3):
+            point = dark_count_threshold(0.01, 0.02, 21.0, 0.09, receiver(0.01), 0.48)
         assert point == ContourPoint(
             p_ap=0.01,
             intrinsic_error=0.02,

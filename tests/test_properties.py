@@ -22,7 +22,6 @@ from decoylink import (
     ModelDomainError,
     ProtocolParams,
     ReceiverModel,
-    SolverConfig,
     ValidationError,
     evaluate_link,
     gain_total,
@@ -76,7 +75,7 @@ def test_qber_non_decreasing_in_dark_counts(r, ch, mu, dark_counts):
     assert low <= high
 
 
-def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, config):
+def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, steps, tol=1e-10):
     """Reference: the per-node bisection over ``qber_total``, one receiver per evaluation."""
     channel = ChannelModel(transmission_loss_db=loss_db)
 
@@ -99,8 +98,8 @@ def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, config):
     mid = 0.5 * (lo + hi)
     achieved = qber_at(mid)
     iterations = 0
-    for _ in range(config.max_iterations):
-        if abs(achieved - target) < config.abs_tolerance:
+    for _ in range(steps):
+        if abs(achieved - target) < tol:
             break
         if achieved < target:
             lo = mid
@@ -109,7 +108,7 @@ def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, config):
         mid = 0.5 * (lo + hi)
         achieved = qber_at(mid)
         iterations += 1
-    converged = abs(achieved - target) < config.abs_tolerance
+    converged = abs(achieved - target) < tol
     return ContourPoint(p_ap, e_prime, loss_db, mid, achieved, True, converged, iterations)
 
 
@@ -131,17 +130,17 @@ def outcome(solve):
     st.integers(1, 60),
 )
 def test_surface_equals_scalar_bisection(r, p_values, e_values, loss_db, target, mu, steps):
-    config = SolverConfig(max_iterations=steps)
     expected = outcome(
         lambda: [
-            scalar_threshold(p, e, loss_db, target, r, mu, config)
+            scalar_threshold(p, e, loss_db, target, r, mu, steps)
             for p in p_values
             for e in e_values
         ]
     )
-    assert outcome(
-        lambda: trace_iso_qber_surface(p_values, e_values, loss_db, target, r, mu, config)
-    ) == expected
+    with patch.object(optimize, "MAX_ITERATIONS", steps):
+        assert outcome(
+            lambda: trace_iso_qber_surface(p_values, e_values, loss_db, target, r, mu)
+        ) == expected
 
 
 @DETERMINISTIC
@@ -205,11 +204,11 @@ search_nodes = st.tuples(
 @DETERMINISTIC
 @given(st.lists(search_nodes, min_size=1, max_size=6), st.integers(1, 60))
 def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
-    config = SolverConfig(max_iterations=steps)
     columns = [np.array(column) for column in zip(*nodes)]
 
     def search(*inputs):
-        return maximize_nodes(*inputs, 0.5, ProtocolParams(), config)
+        with patch.object(optimize, "MAX_ITERATIONS", steps):
+            return maximize_nodes(*inputs, 0.5, ProtocolParams())
 
     def outcome_at(result, i):
         # bytes, so that NaN equals NaN and -0.0 differs from 0.0
@@ -434,12 +433,9 @@ def test_search_core_agrees_with_the_table(drawn):
 
 
 # Seed-grid boxes of 32 nodes (the default), of 1 node and of 3 nodes, which
-# cut a slab's axes mid-way; the default bracket and a fixed one.
-@pytest.mark.parametrize("seed_rows, config", [
-    (optimize._SEED_SLICE_ROWS, SolverConfig()),
-    (_GRID_SEED_POINTS, SolverConfig()),
-    (3 * _GRID_SEED_POINTS, SolverConfig()),
-    (3 * _GRID_SEED_POINTS, SolverConfig(bracket=(0.2, 1.2))),
+# cut a slab's axes mid-way.
+@pytest.mark.parametrize("seed_rows", [
+    optimize._SEED_SLICE_ROWS, _GRID_SEED_POINTS, 3 * _GRID_SEED_POINTS,
 ])
 @DETERMINISTIC
 @given(slab_inputs())
@@ -457,8 +453,7 @@ def test_search_core_agrees_with_the_table(drawn):
 ))
 @example((
     # 3-node boxes take one eta each and cut the nu1 axis after 3 values; a
-    # rejected decoy pair at nu1 = 0 and, under the fixed bracket, a rejected
-    # bracket at nu1 = 0.3
+    # rejected decoy pair at nu1 = 0
     (2, 4),
     {
         "p_ap": np.full((1, 1), 0.01),
@@ -469,15 +464,13 @@ def test_search_core_agrees_with_the_table(drawn):
         "nu1": np.array([[0.0, 0.05, 0.1, 0.3]]),
     },
 ))
-def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, config, drawn):
+def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, drawn):
     inputs = {name: values for name, values in drawn[1].items() if name != "mu"}
     shape = np.broadcast_shapes(*(v.shape for v in inputs.values()))
 
     def search(**inputs):
         with patch.object(optimize, "_SEED_SLICE_ROWS", seed_rows):
-            return maximize_nodes(
-                **inputs, background_error=0.5, protocol=ProtocolParams(), config=config
-            )
+            return maximize_nodes(**inputs, background_error=0.5, protocol=ProtocolParams())
 
     slab = search(**inputs)
     flat = search(**{name: per_node(values, shape) for name, values in inputs.items()})

@@ -32,11 +32,11 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decoylink
-from decoylink import cli, model, sweep
+from decoylink import cli, model, optimize, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES, evaluate_link, link_table
 from decoylink.errors import DecoyLinkError
 
@@ -187,40 +187,65 @@ def test_cli_matches_the_seed_code(tmp_path_factory, drawn, slab_nodes, chunk_no
 
 @st.composite
 def optimizer_inputs(draw):
-    """(``ReceiverModel`` fields, loss in dB, nu1, max_iterations) of one search."""
+    """(``ReceiverModel`` fields, loss in dB, nu1, max_iterations) of one search.
+
+    nu1 = 0 reaches the decoy-pair rejection, and p_ap = 1 at the last
+    detector or p_dc near 0.5 gains above 1.
+    """
     raw = draw(st.lists(numbers(-0.3, 0.3), max_size=3))
+    p_ap = [draw(numbers(0.0, 0.3)) for _ in raw]
+    p_ap.append(draw(st.one_of(numbers(0.0, 0.3), st.just(1.0))))
     receiver = {
-        "detectors": [(draw(numbers(0.0, 0.3)), bias) for bias in raw + [-math.fsum(raw)]],
-        "dark_count_prob_total": draw(numbers(0.0, 1e-4)),
+        "detectors": list(zip(p_ap, raw + [-math.fsum(raw)])),
+        "dark_count_prob_total": draw(
+            st.one_of(numbers(0.0, 1e-4), st.just(0.0), numbers(0.4999, 0.5))
+        ),
         "intrinsic_error": draw(numbers(0.0, 0.2)),
         "detector_efficiency": draw(numbers(0.01, 1.0)),
     }
-    nu1 = draw(numbers(1e-100, 0.6))
+    nu1 = draw(st.one_of(numbers(1e-100, 0.6), st.just(0.0)))
     return receiver, draw(numbers(0.0, 60.0)), nu1, draw(st.integers(1, 200))
 
 
 def search(package, receiver, loss_db, nu1, max_iterations):
     """``maximize_skr_over_mu`` of ``package``: (mu, skr, reason) with the floats as
-    bits, or the exception as (type, message)."""
+    bits, or the exception as (type, message). The seed code takes the step
+    limit as a ``SolverConfig``, this tree as ``optimize.MAX_ITERATIONS``."""
     types = package.model
+    limit = ()
+    if package is seed:
+        limit = (package.optimize.SolverConfig(max_iterations=max_iterations),)
     try:
-        result = package.optimize.maximize_skr_over_mu(
-            types.ReceiverModel(**{
-                **receiver,
-                "detectors": [types.DetectorUnit(p, bias) for p, bias in receiver["detectors"]],
-            }),
-            types.ChannelModel(transmission_loss_db=loss_db),
-            nu1,
-            types.ProtocolParams(),
-            package.optimize.SolverConfig(max_iterations=max_iterations),
-        )
+        with patch.object(optimize, "MAX_ITERATIONS", max_iterations):
+            result = package.optimize.maximize_skr_over_mu(
+                types.ReceiverModel(**{
+                    **receiver,
+                    "detectors": [types.DetectorUnit(p, b) for p, b in receiver["detectors"]],
+                }),
+                types.ChannelModel(transmission_loss_db=loss_db),
+                nu1,
+                types.ProtocolParams(),
+                *limit,
+            )
     except package.errors.DecoyLinkError as exc:
         return type(exc).__name__, str(exc)
     return result.mu.hex(), result.skr.hex(), result.reason
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# About a third of the draws have a positive key and one in eight a rejected
+# decoy pair; 200 examples keep as many ordinary links as the narrower draw
+# gave at 100.
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(optimizer_inputs())
+@example((
+    # the gain is above 1 at the first seed point, so the decoy pair at
+    # nu1 = 0 is never reached: no_positive_key, not a rejection
+    {
+        "detectors": [(1.0, 0.0)], "dark_count_prob_total": 0.4999995,
+        "intrinsic_error": 0.02, "detector_efficiency": 1.0,
+    },
+    0.0, 0.0, 200,
+))
 def test_optimizer_matches_the_seed_code(drawn):
     assert search(decoylink, *drawn) == search(seed, *drawn)
 
