@@ -86,6 +86,16 @@ class TestSolveOptimalMu:
         assert full.converged
         assert 3 < full.iterations < 200
 
+    def test_tolerance_is_read_at_each_call(self):
+        with patch.object(optimize, "ABS_TOLERANCE", 1e-3):
+            coarse = solve_optimal_mu(0.03, PROTOCOL)
+        full = solve_optimal_mu(0.03, PROTOCOL)
+        assert coarse.converged and full.converged
+        assert coarse.residual < 1e-3
+        assert full.residual < 1e-10
+        assert coarse.iterations < full.iterations
+        assert abs(coarse.mu - full.mu) < 1e-2
+
     def test_zero_error_boundary(self):
         result = solve_optimal_mu(0.0, PROTOCOL)
         assert result.boundary
@@ -158,6 +168,17 @@ class TestMaximizeSkr:
             short = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
         assert not short.converged
         assert short.iterations == 3
+
+    def test_tolerance_is_read_at_each_call(self):
+        # the search stops once its bracket is no wider than ABS_TOLERANCE
+        r = receiver(0.004)
+        ch = ChannelModel(transmission_loss_db=10.0)
+        with patch.object(optimize, "ABS_TOLERANCE", 1e-3):
+            coarse = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
+        full = maximize_skr_over_mu(r, ch, 0.05, PROTOCOL)
+        assert coarse.converged and full.converged
+        assert coarse.iterations < full.iterations
+        assert abs(coarse.mu - full.mu) < 1e-3
 
     def test_bracket_must_clear_weak_decoy(self):
         # nu1 + MU_BRACKET_MARGIN rounds to nu1
