@@ -139,20 +139,16 @@ def skr_lower_bound(
     q1_lower: float,
     e1_upper: float,
     protocol: model.ProtocolParams,
-    *,
-    ec_efficiency_fn: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
     """Secure-key-rate lower bound in bits per pulse.
 
-    raw = q { -f(E_mu) Q_mu H2(E_mu) + Q1 [1 - H2(e1)] }, floored at zero.
-    The single-photon term is dropped when e1 >= 1/2, where the entropy
-    saturates and single photons carry no key. ``ec_efficiency_fn`` may map
-    the observed error rate to an error-correction efficiency; by default the
-    protocol's constant is used. Returns (floored, raw).
+    raw = q { -f Q_mu H2(E_mu) + Q1 [1 - H2(e1)] }, floored at zero, with f
+    the protocol's error-correction efficiency. The single-photon term is
+    dropped when e1 >= 1/2, where the entropy saturates and single photons
+    carry no key. Returns (floored, raw).
     """
-    f = protocol.ec_efficiency if ec_efficiency_fn is None else ec_efficiency_fn(e_mu)
     q1, h1 = (q1_lower, binary_entropy(e1_upper)) if e1_upper < 0.5 else (0.0, 0.0)
-    raw = _key_rate(q_mu, binary_entropy(e_mu), q1, h1, protocol.sifting_factor, f)
+    raw = _key_rate(q_mu, binary_entropy(e_mu), q1, h1, protocol)
     return max(0.0, raw), raw
 
 
@@ -162,12 +158,11 @@ def skr_approx(
     mu: float,
     protocol: model.ProtocolParams,
     *,
-    ec_efficiency_fn: Callable[[float], float] | None = None,
     warn: bool = True,
 ) -> float:
     """Closed-form key-rate approximation for low background and small transmittance.
 
-    -eta mu (1 + p_ap) f(e_det) H2(e_det) + eta mu e^-mu (1 + p_ap) [1 - H2(e_det)]
+    -eta mu (1 + p_ap) f H2(e_det) + eta mu e^-mu (1 + p_ap) [1 - H2(e_det)]
     with e_det the afterpulse-corrected baseline error rate. No sifting factor
     is applied. Outside the validity region (background yield comparable to
     the transmittance, or transmittance not small) a RuntimeWarning is issued.
@@ -185,10 +180,8 @@ def skr_approx(
     e_det = model.effective_baseline_error(
         receiver.intrinsic_error, receiver.background_error, p_ap
     )
-    f = protocol.ec_efficiency if ec_efficiency_fn is None else ec_efficiency_fn(e_det)
-    return _skr_approx(
-        eta, mu, 1.0 + p_ap, f, binary_entropy(e_det), _libm_or_nan(math.exp, -mu)
-    )
+    h = binary_entropy(e_det)
+    return _skr_approx(eta, mu, 1.0 + p_ap, protocol.ec_efficiency, h, _libm_or_nan(math.exp, -mu))
 
 
 @dataclass(frozen=True)
@@ -283,9 +276,9 @@ def _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1):
     return (y1 < math.inf) & normal
 
 
-def _key_rate(q_mu, h_mu, q1, h1, sifting, f):
+def _key_rate(q_mu, h_mu, q1, h1, protocol):
     """Raw key rate q [-f Q_mu H2(E_mu) + Q1 (1 - H2(e1))], from the entropies."""
-    return sifting * (-f * q_mu * h_mu + q1 * (1.0 - h1))
+    return protocol.sifting_factor * (-protocol.ec_efficiency * q_mu * h_mu + q1 * (1.0 - h1))
 
 
 def _skr_approx(eta, mu, amp, f, h, exp_neg_mu):
@@ -427,7 +420,7 @@ def mu_core(
         q1_lower = y1_lower * mu * exp_neg_mu
         skr_raw = _key_rate(
             q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
-            _binary_entropy(e1_upper), protocol.sifting_factor, protocol.ec_efficiency,
+            _binary_entropy(e1_upper), protocol,
         )
         resolvable = _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1)
 
@@ -487,17 +480,20 @@ def raised(check: Callable, *args) -> DecoyLinkError:
 def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
     """``aggregate_afterpulse`` of the receiver with every detector set to each value of ``p``.
 
-    Where the weighted sum overflows (values near the float maximum, which
-    the model rejects anyway), the mean weight times the value stands in.
+    Where the weighted sum overflows for a finite value (near the float
+    maximum, which the model rejects anyway), the mean weight times it stands in.
     """
     weights = [1.0 + det.bias for det in receiver.detectors]
     n = len(weights)
 
     def mean(v: float) -> float:
         try:
-            return math.fsum(w * v for w in weights) / n
+            total = math.fsum(w * v for w in weights) / n
         except OverflowError:
-            return math.fsum(w / n for w in weights) * v
+            total = math.inf
+        if math.isinf(total) and math.isfinite(v):
+            total = math.fsum(w / n for w in weights) * v
+        return total
 
     return np.array([mean(v) for v in p.tolist()])
 

@@ -91,25 +91,18 @@ class ReceiverModel:
         num_detectors: int,
         afterpulse_prob: float = 0.0,
         *,
-        dark_count_prob_total: float | None = None,
-        dark_count_prob_per_detector: float | None = None,
+        dark_count_prob_total: float,
         intrinsic_error: float,
         background_error: float = 0.5,
         detector_efficiency: float = 0.1,
     ) -> "ReceiverModel":
         """Build an unbiased array of identical detectors.
 
-        Dark counts may be given either as the per-gate total across the array
-        or per detector (which is multiplied by the array size).
+        ``dark_count_prob_total`` is the per-gate dark-count probability of
+        the whole array.
         """
         if num_detectors < 1:
             raise ValidationError(f"num_detectors must be >= 1, got {num_detectors!r}")
-        if (dark_count_prob_total is None) == (dark_count_prob_per_detector is None):
-            raise ValidationError(
-                "give exactly one of dark_count_prob_total or dark_count_prob_per_detector"
-            )
-        if dark_count_prob_total is None:
-            dark_count_prob_total = num_detectors * dark_count_prob_per_detector
         units = tuple(DetectorUnit(afterpulse_prob) for _ in range(num_detectors))
         return cls(
             detectors=units,

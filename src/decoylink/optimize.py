@@ -73,17 +73,14 @@ class MaximizeResult:
 class MuSearch:
     """Outcome of the lockstep key-rate maximization at the nodes of a shape.
 
-    Each array has the nodes' shape, the broadcast shape of the inputs.
-    ``skr`` is the objective at ``mu``: the key-rate lower bound, 0 where
-    decoy estimation is infeasible, -inf where the link model rejects the
-    node. ``table`` holds every metric at ``mu``. ``errors`` maps the nodes,
-    by row-major position, whose bracket or decoy pair is rejected, as
+    ``table`` holds every metric at the optimal intensity ``table.mu``, which
+    has the nodes' shape, the broadcast shape of the inputs, as do
+    ``converged`` and ``iterations``. ``errors`` maps the nodes, by row-major
+    position, whose bracket or decoy pair is rejected, as
     ``maximize_skr_over_mu`` would raise, to the exception; their other
     entries are meaningless.
     """
 
-    mu: np.ndarray
-    skr: np.ndarray
     table: LinkTable
     errors: dict[int, DecoyLinkError]
     converged: np.ndarray
@@ -172,14 +169,14 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
     )
 
 
-def _check_mu_bracket(nu1: float, lo: float, hi: float) -> None:
+def _check_mu_bracket(nu1: float, lo: float) -> None:
     if not nu1 < lo:
         raise ValidationError(
             f"bracket lower bound {lo!r} must exceed the weak-decoy intensity {nu1!r}"
         )
-    if not lo < hi:
+    if not lo < MU_BRACKET_MAX:
         raise ValidationError(
-            f"empty signal-intensity bracket ({lo!r}, {hi!r}); the weak-decoy "
+            f"empty signal-intensity bracket ({lo!r}, {MU_BRACKET_MAX!r}); the weak-decoy "
             "intensity leaves no room below the bracket top"
         )
 
@@ -204,9 +201,10 @@ def maximize_nodes(
     trailing axis of 64 points, so that a term of mu alone is computed once
     per distinct seed point. The golden-section phase holds one entry per
     node still searching; each step is one ``np.where`` per array and one
-    probe of slices of it. The final table is one ``bounds.mu_stage`` call.
-    Each node follows the same arithmetic as a search of its own, so its
-    result does not depend on the other nodes, on the slicing or on the shapes.
+    probe of slices of it. The result's table, whose ``mu`` is the optimal
+    intensity, is one ``bounds.mu_stage`` call. Each node follows the same
+    arithmetic as a search of its own, so its result does not depend on the
+    other nodes, on the slicing or on the shapes.
 
     A node's errors are decided before the golden-section phase: its bracket
     (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX) first, then its decoy pair at
@@ -220,12 +218,12 @@ def maximize_nodes(
     terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
     shape = np.broadcast_shapes(*(v.shape for v in (*terms.values(), *outputs.values())))
     n = math.prod(shape)
-    # The bracket, at nu1's shape
-    bracket = (terms["nu1"] + MU_BRACKET_MARGIN, np.array(MU_BRACKET_MAX))
-    nu1, lo, hi = (per_node(a, shape) for a in (terms["nu1"], *bracket))
-    failed = ~(nu1 < lo) | ~(lo < hi)
+    # The bracket's bottom, at nu1's shape; its top is MU_BRACKET_MAX
+    bottom = terms["nu1"] + MU_BRACKET_MARGIN
+    nu1, lo = per_node(terms["nu1"], shape), per_node(bottom, shape)
+    failed = ~(nu1 < lo) | ~(lo < MU_BRACKET_MAX)
     errors: dict[int, DecoyLinkError] = {
-        int(i): raised(_check_mu_bracket, nu1[i], lo[i], hi[i]) for i in np.flatnonzero(failed)
+        int(i): raised(_check_mu_bracket, nu1[i], lo[i]) for i in np.flatnonzero(failed)
     }
 
     def objective(mu: np.ndarray, at: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +233,11 @@ def maximize_nodes(
 
     points = _GRID_SEED_POINTS
 
-    def seed_points(lo, hi, k):
-        """Points ``k`` of the seed grids of the brackets (``lo``, ``hi``), broadcast together."""
+    def seed_points(lo, k):
+        """Points ``k`` of the seed grids of the brackets (``lo``, MU_BRACKET_MAX), broadcast."""
         # A rejected bracket can overflow here and below; its node's result is never used.
         with np.errstate(over="ignore", invalid="ignore"):
-            return lo + (hi - lo) * k / (points - 1)
+            return lo + (MU_BRACKET_MAX - lo) * k / (points - 1)
 
     # Each box's grid is built in its turn, so no (nodes, 64) array is held.
     best = np.empty(n, dtype=int)
@@ -248,7 +246,7 @@ def maximize_nodes(
     for box in boxes(shape, max(1, _SEED_SLICE_ROWS // points)):
         box_shape = tuple(map(len, box))
         size = math.prod(box_shape)
-        mu = seed_points(*(cut(a, box)[..., None] for a in bracket), np.arange(points, dtype=float))
+        mu = seed_points(cut(bottom, box)[..., None], np.arange(points, dtype=float))
         grid, decoy = objective(mu, {name: cut(v, box)[..., None] for name, v in terms.items()})
         best[start:start + size] = np.argmax(
             per_node(grid, box_shape + (points,)).reshape(size, points), axis=1
@@ -259,8 +257,8 @@ def maximize_nodes(
     for i in np.flatnonzero(decoy_error & ~failed).tolist():
         errors[i] = raised(check_decoy_pair, lo[i], nu1[i])
     failed |= decoy_error
-    low = seed_points(lo, hi, np.maximum(best - 1, 0))
-    high = seed_points(lo, hi, np.minimum(best + 1, points - 1))
+    low = seed_points(lo, np.maximum(best - 1, 0))
+    high = seed_points(lo, np.minimum(best + 1, points - 1))
 
     # The golden-section phase holds only the nodes still searching, as
     # threshold_nodes does: their numbers, terms, brackets, inner points and
@@ -297,11 +295,8 @@ def maximize_nodes(
     low[node], high[node], iterations[node] = lo, hi, MAX_ITERATIONS
     with np.errstate(over="ignore", invalid="ignore"):
         mu = (0.5 * (low + high)).reshape(shape)
-    table = mu_stage(mu, background_error, protocol, terms, outputs)
     return MuSearch(
-        mu=mu,
-        skr=np.where(table.gain_error, -np.inf, table.values["skr_lower"]),
-        table=table,
+        table=mu_stage(mu, background_error, protocol, terms, outputs),
         errors=errors,
         converged=(high - low <= ABS_TOLERANCE).reshape(shape),
         iterations=iterations.reshape(shape),
@@ -325,11 +320,11 @@ def maximize_skr_over_mu(
     search = maximize_nodes(**inputs, background_error=receiver.background_error, protocol=protocol)
     if search.errors:
         raise search.errors[0]
-    mu = float(search.mu)
-    skr = float(search.skr)
-    converged = bool(search.converged)
-    iterations = int(search.iterations)
-    if not skr > 0.0:
+    table = search.table
+    mu, skr = float(table.mu), float(table.values["skr_lower"])
+    converged, iterations = bool(search.converged), int(search.iterations)
+    # a gain outside (0, 1] at the optimum is no key
+    if table.gain_error or not skr > 0.0:
         return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY, converged, iterations)
     return MaximizeResult(mu, skr, None, converged, iterations)
 

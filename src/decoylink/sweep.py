@@ -237,13 +237,6 @@ class SweepBlock:
         ]
 
 
-def distance_to_loss(distance_km: float, attenuation_db_per_km: float) -> float:
-    """Fiber loss budget in dB for a span of the given length."""
-    return model.ChannelModel(
-        attenuation_db_per_km=attenuation_db_per_km, distance_km=distance_km
-    ).loss_db
-
-
 def _block(
     grid: Grid, protocol: model.ProtocolParams, e0: float, outputs: tuple[str, ...],
     mu_policy: str, slab: Slab,
@@ -310,17 +303,19 @@ def _block(
         columns.append((table.values[name], missing))
 
     # A reason other than the ledger's: estimation_infeasible, else
-    # no_positive_key where the optimizer found no key.
+    # no_positive_key where the optimizer found no key (a node whose gain
+    # fails is in the ledger).
     for i in np.flatnonzero(infeasible).tolist():
         reasons[i] = ESTIMATION_INFEASIBLE
     if search is not None:
-        for i in np.flatnonzero(~(search.skr.ravel() > 0.0) & ~failed & ~infeasible).tolist():
+        no_key = ~(per_node(table.values["skr_lower"], shape) > 0.0)
+        for i in np.flatnonzero(no_key & ~failed & ~infeasible).tolist():
             reasons[i] = NO_POSITIVE_KEY
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
-        mu_opt=None if search is None else (search.mu, mu_missing),
+        mu_opt=None if search is None else (table.mu, mu_missing),
         statuses=_STATUSES[2 * failed + infeasible].tolist(),
         reasons=reasons,
     )

@@ -246,14 +246,6 @@ class TestSkrLowerBound:
             assert floored == (raw if raw > 0.0 else 0.0)
             assert floored >= 0.0
 
-    def test_custom_ec_efficiency_function(self):
-        table = lambda e: 1.3 if e > 0.03 else 1.1
-        _, raw_low = skr_lower_bound(0.01, 0.02, 0.004, 0.02, self.PROTOCOL,
-                                     ec_efficiency_fn=table)
-        _, raw_high = skr_lower_bound(0.01, 0.04, 0.004, 0.02, self.PROTOCOL,
-                                      ec_efficiency_fn=table)
-        assert raw_low > raw_high
-
 
 class TestSkrApprox:
     PROTOCOL = ProtocolParams()

@@ -130,19 +130,6 @@ class TestReceiverValidation:
         with pytest.raises(ValidationError):
             ReceiverModel(detectors=(), dark_count_prob_total=1e-6, intrinsic_error=0.01)
 
-    def test_per_detector_dark_counts_scale_with_array(self):
-        r = ReceiverModel.identical(
-            4, dark_count_prob_per_detector=1e-7, intrinsic_error=0.02
-        )
-        assert r.dark_count_prob_total == pytest.approx(4e-7)
-        with pytest.raises(ValidationError):
-            ReceiverModel.identical(
-                2,
-                dark_count_prob_total=1e-7,
-                dark_count_prob_per_detector=1e-7,
-                intrinsic_error=0.02,
-            )
-
 
 class TestChannel:
     def test_distance_form(self):

@@ -3,25 +3,29 @@
 The oracle is ``benchmarks/oracle.py``: PAPER.md's closed forms recomputed
 with mpmath, sharing no code with the package. The draws cover the model's
 whole domain: losses to 4000 dB, weak decoys from the smallest subnormal to
-just below the signal, no dark counts, afterpulse probabilities past 1.
+just below the signal, no dark counts, afterpulse probabilities past 1, and
+arrays of 1 to 8 biased detectors, whose aggregate afterpulse probability
+the tests compute at 50 digits.
 """
 import math
 import sys
 from pathlib import Path
 
 import mpmath
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decoylink import (
     Axis,
     ChannelModel,
     DecoyLinkError,
+    DetectorUnit,
     IntensitySet,
     ProtocolParams,
     ReceiverModel,
     SinglePhotonEstimate,
     SweepSpec,
+    aggregate_afterpulse,
     evaluate_link,
     run_sweep,
 )
@@ -38,6 +42,9 @@ PROTOCOL = ProtocolParams()
 TOL = 1e-10
 TINY = sys.float_info.min
 SUBNORMAL = 5e-324
+# Agreement of an aggregate afterpulse probability with the 50-digit mean:
+# relative, plus what underflowing products lose.
+MEAN_TOL = 4e-16
 
 
 @st.composite
@@ -198,3 +205,68 @@ def test_ok_nodes_agree_with_oracle_and_one_node_call(node):
     for name, value in cells.items():
         error = abs(mpmath.mpf(value) - exact[name])
         assert error <= allowed[name], (name, value, exact[name], allowed[name])
+
+
+@st.composite
+def arrays(draw):
+    """(afterpulse probabilities, biases) of 1-8 detectors; biases in [-1, N - 1], summing to 0."""
+    n = draw(st.integers(1, 8))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    raw = draw(st.lists(st.floats(-1.0, n - 1.0), min_size=n - 1, max_size=n - 1))
+    last = -math.fsum(raw)
+    assume(-1.0 <= last <= n - 1.0)
+    return probs, raw + [last]
+
+
+def array_receiver(array, p_dc=0.0, e_prime=0.02, efficiency=0.1):
+    probs, biases = array
+    return ReceiverModel(tuple(map(DetectorUnit, probs, biases)), p_dc, e_prime,
+                         detector_efficiency=efficiency)
+
+
+def exact_mean(probs, biases):
+    """The aggregate afterpulse probability sum_m (1 + r_m) p_m / N, at 50 digits."""
+    with mpmath.workdps(oracle.DIGITS):
+        terms = [(1 + mpmath.mpf(r)) * mpmath.mpf(p) for p, r in zip(probs, biases)]
+        return mpmath.fsum(terms) / len(terms)
+
+
+def assert_mean(value, exact):
+    assert abs(mpmath.mpf(value) - exact) <= MEAN_TOL * exact + SUBNORMAL, (value, exact)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(arrays(), nodes())
+def test_detector_arrays_agree_with_oracle(array, node):
+    receiver = array_receiver(array, node["p_dc"], node["e_prime"], node["efficiency"])
+    p_ap = exact_mean(*array)
+    assert_mean(aggregate_afterpulse(receiver), p_ap)
+    try:
+        metrics = evaluate_link(
+            receiver, ChannelModel(transmission_loss_db=node["loss_db"]),
+            IntensitySet(node["mu"], node["nu1"]), PROTOCOL,
+        )
+    except DecoyLinkError:
+        return
+    if metrics.reason:
+        return
+    node = {**node, "p_ap": p_ap}
+    exact, scales, status = oracle.precise(**node)
+    assert status == "ok"
+    allowed = allowed_errors(node, exact, scales)
+    for name, value in one_node_values(metrics).items():
+        error = abs(mpmath.mpf(value) - exact[name])
+        assert error <= allowed[name], (name, value, exact[name], allowed[name])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(arrays(), st.one_of(st.floats(0.0, 1.0), st.floats(1e300, 1.7e308)))
+# a weight 1 + r above 1 times a value near the float maximum overflows
+@example(([0.03, 0.01], [0.4, -0.4]), 1.7e308)
+def test_p_ap_axis_is_the_array_mean(array, value):
+    """A p_ap axis sets every detector to its value; the p_ap output is the array's mean."""
+    spec = SweepSpec(array_receiver(array), ChannelModel(transmission_loss_db=0.0),
+                     IntensitySet(0.48, 0.05), PROTOCOL, (Axis("p_ap", value, value, 1),),
+                     ("p_ap",))
+    [record] = run_sweep(spec)
+    assert_mean(record.values[0], exact_mean([value] * len(array[1]), array[1]))

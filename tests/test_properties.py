@@ -189,6 +189,11 @@ def test_domain_error_exactly_when_gain_exceeds_one(r, ch, aimed_gain, decoy_fra
         assert not any(exceeds)
 
 
+def objective(table):
+    """The intensity search's objective in its result ``table``: -inf at a gain error."""
+    return np.where(table.gain_error, -np.inf, table.values["skr_lower"])
+
+
 # Kernel inputs (p_ap, e_prime, p_dc, eta, nu1) of one node of the intensity
 # search, reaching past the model's domain: p_ap > 1 gives gains above 1,
 # nu1 = 0 a rejected decoy pair and nu1 near the bracket top an empty bracket.
@@ -214,8 +219,8 @@ def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
         # bytes, so that NaN equals NaN and -0.0 differs from 0.0
         exc = result.errors.get(i)
         return (
-            result.mu[i:i + 1].tobytes(),
-            result.skr[i:i + 1].tobytes(),
+            result.table.mu[i:i + 1].tobytes(),
+            objective(result.table)[i:i + 1].tobytes(),
             bool(result.converged[i]),
             int(result.iterations[i]),
             None if exc is None else (type(exc), str(exc)),
@@ -474,9 +479,9 @@ def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, drawn):
 
     slab = search(**inputs)
     flat = search(**{name: per_node(values, shape) for name, values in inputs.items()})
-    for name in ("mu", "skr"):
-        assert getattr(slab, name).shape == shape
-        assert np.array_equal(bits(getattr(slab, name).ravel()), bits(getattr(flat, name))), name
+    for name, value in (("mu", lambda table: table.mu), ("objective", objective)):
+        assert value(slab.table).shape == shape
+        assert np.array_equal(bits(value(slab.table).ravel()), bits(value(flat.table))), name
     for name in ("converged", "iterations"):
         assert np.array_equal(getattr(slab, name).ravel(), getattr(flat, name)), name
     assert_same_nodes(shape, slab.table, flat.table)

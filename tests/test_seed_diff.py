@@ -414,6 +414,17 @@ sweep:
   axes:
     - {name: p_ap, min: 0.5, max: 1.0e+308, count: 3, spacing: log}
 """, ["sweep", "--config", CONFIG]),
+    # a weight 1 + bias above 1 times a p_ap near the float maximum overflows
+    "sweep.huge-pap-biased": ("""\
+receiver:
+  detectors:
+    - {afterpulse_prob: 0.03, bias: 0.4}
+    - {afterpulse_prob: 0.01, bias: -0.4}
+sweep:
+  axes:
+    - {name: p_ap, min: 1.0e+300, max: 1.7e+308, count: 4, spacing: log}
+  outputs: [p_ap, e_detector, visibility, baseline_error_change]
+""", ["sweep", "--config", CONFIG]),
     # the optimizer's bracket and the seed grid overflow at the rejected nu1 nodes
     "sweep.huge-nu1": ("""\
 sweep:

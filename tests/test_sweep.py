@@ -14,7 +14,6 @@ from decoylink import (
     SinglePhotonEstimate,
     SweepSpec,
     ValidationError,
-    distance_to_loss,
     evaluate_link,
     maximize_skr_over_mu,
     run_sweep,
@@ -473,18 +472,21 @@ class TestRunSweep:
 
 
 class TestDistanceToLoss:
+    """The loss budget of a fiber span, as ``ChannelModel.loss_db`` gives it."""
+
     def test_values(self):
-        assert distance_to_loss(0.0, 0.21) == 0.0
-        assert distance_to_loss(100.0, 0.21) == pytest.approx(21.0)
-        assert distance_to_loss(50.0, 0.21) == pytest.approx(10.5)
+        assert ChannelModel(attenuation_db_per_km=0.21, distance_km=0.0).loss_db == 0.0
+        for distance, loss in ((100.0, 21.0), (50.0, 10.5)):
+            channel = ChannelModel(attenuation_db_per_km=0.21, distance_km=distance)
+            assert channel.loss_db == pytest.approx(loss)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError, match=r"^distance_km must be >= 0, got -1.0$"):
-            distance_to_loss(-1.0, 0.21)
+            ChannelModel(attenuation_db_per_km=0.21, distance_km=-1.0)
         with pytest.raises(ValidationError, match=r"^attenuation_db_per_km must be >= 0"):
-            distance_to_loss(1.0, -0.21)
+            ChannelModel(attenuation_db_per_km=-0.21, distance_km=1.0)
         with pytest.raises(ValidationError, match=r"^attenuation_db_per_km must be >= 0"):
-            distance_to_loss(-1.0, -0.21)
+            ChannelModel(attenuation_db_per_km=-0.21, distance_km=-1.0)
 
     # Each would be a NaN loss; ChannelModel rejects them all.
     @pytest.mark.parametrize(
@@ -498,5 +500,5 @@ class TestDistanceToLoss:
     )
     def test_nan_loss_rejected(self, distance, attenuation, message):
         with pytest.raises(ValidationError) as excinfo:
-            distance_to_loss(distance, attenuation)
+            ChannelModel(attenuation_db_per_km=attenuation, distance_km=distance)
         assert str(excinfo.value) == message
