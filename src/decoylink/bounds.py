@@ -325,12 +325,10 @@ class LinkTable:
         return raised(_check_link, *(np.broadcast_to(a, shape).flat[i] for a in args))
 
     def missing(self, name: str) -> np.ndarray:
-        """Mask of the nodes where metric ``name`` has no value."""
+        """Mask of the nodes where link metric ``name`` has no value."""
         if name in _ESTIMATE_METRICS:
             return self.domain_error | self.infeasible
-        if name in LINK_METRICS:
-            return self.domain_error
-        return np.zeros(self.shape, dtype=bool)
+        return self.domain_error
 
 
 def link_table(

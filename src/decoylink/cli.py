@@ -99,13 +99,10 @@ def cmd_sweep(args) -> int:
     if scenario.sweep is None:
         raise ValidationError("sweep: section required for the sweep command")
     spec = scenario.sweep
-    header = list(spec.axis_names)
-    if spec.mu_policy == "optimize-per-point":
-        header.append("mu_opt")
-    header.extend(spec.outputs)
-    header.extend(("status", "reason"))
-    axis_cells = [(k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)]
-    _write_csv(args.output, header, _chunk_columns(iter_blocks(spec), axis_cells))
+    axis_cells = [
+        (ax.name, k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)
+    ]
+    _write_blocks(args.output, axis_cells, spec.outputs, spec.mu_policy, iter_blocks(spec))
     return 0
 
 
@@ -146,32 +143,40 @@ def _write_csv(path: str | None, header, blocks) -> None:
         fh.writelines(map(_rows, blocks))
 
 
-def _chunk_columns(blocks, axis_cells: list[tuple[int, np.ndarray]]):
-    """CSV columns of each chunk of at most CHUNK_NODES nodes of the SweepBlocks ``blocks``."""
-    for block in blocks:
-        for chunk in block.chunks(CHUNK_NODES):
-            yield _block_columns(chunk, axis_cells)
+def _write_blocks(path: str | None, axis_cells: list, outputs, mu_policy: str, blocks) -> None:
+    """Write the SweepBlocks ``blocks`` as CSV, a chunk of at most CHUNK_NODES nodes at a time.
+
+    Each (name, axis position, cells) triple of ``axis_cells`` is a leading
+    column: ``cells`` holds one CSV cell per value of that axis, formatted
+    once per run. Then come mu_opt under optimize-per-point, the ``outputs``,
+    status and reason.
+    """
+    header = [name for name, _, _ in axis_cells]
+    if mu_policy == "optimize-per-point":
+        header.append("mu_opt")
+    header.extend((*outputs, "status", "reason"))
+    chunks = (chunk for block in blocks for chunk in block.chunks(CHUNK_NODES))
+    _write_csv(path, header, (_block_columns(chunk, axis_cells) for chunk in chunks))
 
 
-def _block_columns(block: SweepBlock, axis_cells: list[tuple[int, np.ndarray]]) -> list:
-    """CSV columns of the block's nodes.
+def _block_columns(block: SweepBlock, axis_cells: list) -> list:
+    """CSV columns of the block's nodes, with ``axis_cells`` as ``_write_blocks`` takes them.
 
-    Each (axis position, cells) pair of ``axis_cells`` is a leading column:
-    ``cells`` holds one CSV cell per value of that axis, formatted once per
-    run, and each node gets the cell of its value. Each output is formatted
-    at the shape it was computed at, once per distinct value of the axes it
+    Each node gets the cell of its axis value. Each output is formatted at
+    the shape it was computed at, once per distinct value of the axes it
     depends on, and then spread over the block's nodes.
     """
-    columns = [block.nodes(cells[block.axis_index[k]]).tolist() for k, cells in axis_cells]
+    columns = [block.nodes(cells[block.axis_index[k]]).tolist() for _, k, cells in axis_cells]
     if block.mu_opt is not None:
         columns.append(block.nodes(_float_cells(*block.mu_opt)).tolist())
     columns.extend(
         block.nodes(_float_cells(values, missing)).tolist() for values, missing in block.outputs
     )
     # The statuses are fixed words that need no quoting.
-    columns.append(block.statuses)
-    quoted = {reason: _csv_field(reason) for reason in set(block.reasons)}
-    columns.append([quoted[reason] for reason in block.reasons])
+    columns.append(block.nodes(block.statuses).tolist())
+    reasons = block.nodes(block.reasons).tolist()
+    quoted = {reason: _csv_field(reason) for reason in set(reasons)}
+    columns.append([quoted[reason] for reason in reasons])
     return columns
 
 
@@ -252,15 +257,12 @@ def cmd_skr_vs_afterpulse(args) -> int:
     # mu is optimized at every node; this base value only feeds the nu1 < mu check.
     grid = Grid(scenario.receiver, scenario.channel, {"mu": 1.0}, axes)
     grid.inputs["nu1"] = (0, nu1)
-    header = (
-        "loss_db", "weak_decoy_nu1", "intrinsic_error", "p_ap", "mu_opt", "skr_lower",
-        "status", "reason",
-    )
-    cells = [_float_cells(values) for values in grid.values]
-    axis_cells = [(0, cells[0]), (0, _float_cells(nu1)), (1, cells[1]), (2, cells[2])]
+    axis_cells = [(name, k, _float_cells(grid.values[k])) for k, (name, _) in enumerate(axes)]
+    axis_cells.insert(1, ("weak_decoy_nu1", 0, _float_cells(nu1)))
     e0 = scenario.receiver.background_error
-    blocks = grid_blocks(grid, scenario.protocol, e0, ("skr_lower",), "optimize-per-point")
-    _write_csv(args.output, header, _chunk_columns(blocks, axis_cells))
+    outputs, mu_policy = ("skr_lower",), "optimize-per-point"
+    blocks = grid_blocks(grid, scenario.protocol, e0, outputs, mu_policy)
+    _write_blocks(args.output, axis_cells, outputs, mu_policy, blocks)
     return 0
 
 

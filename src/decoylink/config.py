@@ -15,8 +15,12 @@ from . import model
 from .errors import ValidationError
 from .sweep import Axis, SweepSpec
 
+# The default of a field that must be given.
+REQUIRED = object()
+
 # section -> field -> (kind, default). A default of None means the field has
-# none. Fields are listed in the order unknown-field messages name them.
+# none, and REQUIRED that it must be given. Fields are listed in the order
+# unknown-field messages name them.
 FIELDS = {
     "receiver": {
         "detectors": ("list", None),
@@ -28,7 +32,7 @@ FIELDS = {
         "background_error": ("number", 0.5),
         "detector_efficiency": ("number", 0.1),
     },
-    "detector": {"afterpulse_prob": ("number", None), "bias": ("number", 0.0)},
+    "detector": {"afterpulse_prob": ("number", REQUIRED), "bias": ("number", 0.0)},
     "channel": {
         "attenuation_db_per_km": ("number", 0.21),
         "distance_km": ("number", 0.0),
@@ -46,10 +50,10 @@ FIELDS = {
         "mu_policy": ("string", "fixed"),
     },
     "axis": {
-        "name": ("string", None),
-        "min": ("number", None),
-        "max": ("number", None),
-        "count": ("integer", None),
+        "name": ("string", REQUIRED),
+        "min": ("number", REQUIRED),
+        "max": ("number", REQUIRED),
+        "count": ("integer", REQUIRED),
         "spacing": ("string", "linear"),
     },
 }
@@ -94,7 +98,8 @@ def _mapping(value, path: str, keys) -> dict:
 
 def _read(value, path: str, fields: dict) -> dict:
     """Every field of a section: its default if absent or ``null``, else its
-    checked value (numbers as float)."""
+    checked value (numbers as float). A REQUIRED field left out is an error,
+    raised after every given value has passed its check."""
     section = _mapping(value, path, fields)
     out = {}
     for key, (kind, default) in fields.items():
@@ -106,6 +111,9 @@ def _read(value, path: str, fields: dict) -> dict:
         if not check(given):
             raise ValidationError(f"{path}.{key}: expected {expected}, got {given!r}")
         out[key] = float(given) if kind == "number" else given
+    for key, value in out.items():
+        if value is REQUIRED:
+            raise ValidationError(f"{path}.{key}: required")
     return out
 
 
@@ -125,13 +133,14 @@ def _parse_receiver(cfg: dict) -> model.ReceiverModel:
     path = "receiver"
     section = cfg.get(path)
     fields = _read(section, path, FIELDS[path])
-    per_det = fields["dark_count_prob_per_detector"]
+    per_det = fields.pop("dark_count_prob_per_detector")
     if per_det is not None and _given(section, "dark_count_prob_total"):
         raise ValidationError(
             f"{path}.dark_count_prob_total: give either the total or the "
             "per-detector dark count probability, not both"
         )
-    entries = fields["detectors"]
+    entries = fields.pop("detectors")
+    num, afterpulse_prob = fields.pop("num_detectors"), fields.pop("afterpulse_prob")
     if entries is not None:
         for key in ("num_detectors", "afterpulse_prob"):
             if _given(section, key):
@@ -144,26 +153,14 @@ def _parse_receiver(cfg: dict) -> model.ReceiverModel:
         for idx, entry in enumerate(entries):
             entry_path = f"{path}.detectors[{idx}]"
             entry = _read(entry, entry_path, FIELDS["detector"])
-            if entry["afterpulse_prob"] is None:
-                raise ValidationError(f"{entry_path}.afterpulse_prob: required")
             units.append(_wrap(entry_path, lambda: model.DetectorUnit(**entry)))
+        num = len(units)
+        build = lambda: model.ReceiverModel(detectors=tuple(units), **fields)
     else:
-        num = fields["num_detectors"]
-        if num < 1:
-            raise ValidationError(f"{path}: num_detectors must be >= 1, got {num!r}")
-        units = [_wrap(path, lambda: model.DetectorUnit(fields["afterpulse_prob"]))] * num
+        build = lambda: model.ReceiverModel.identical(num, afterpulse_prob, **fields)
     if per_det is not None:
-        fields["dark_count_prob_total"] = len(units) * per_det
-    return _wrap(
-        path,
-        lambda: model.ReceiverModel(
-            detectors=tuple(units),
-            dark_count_prob_total=fields["dark_count_prob_total"],
-            intrinsic_error=fields["intrinsic_error"],
-            background_error=fields["background_error"],
-            detector_efficiency=fields["detector_efficiency"],
-        ),
-    )
+        fields["dark_count_prob_total"] = num * per_det
+    return _wrap(path, build)
 
 
 def _parse_channel(cfg: dict) -> model.ChannelModel:
@@ -194,12 +191,7 @@ def _parse_fields(cfg: dict, path: str, build):
 
 def _parse_axis(entry, path: str) -> Axis:
     fields = _read(entry, path, FIELDS["axis"])
-    name = fields["name"]
-    if name is None:
-        raise ValidationError(f"{path}.name: expected a string, got None")
-    fields["name"] = {"p_AP": "p_ap"}.get(name, name)
-    if fields["min"] is None or fields["max"] is None or fields["count"] is None:
-        raise ValidationError(f"{path}: min, max and count are required")
+    fields["name"] = {"p_AP": "p_ap"}.get(fields["name"], fields["name"])
     return _wrap(path, lambda: Axis(**fields))
 
 

@@ -181,16 +181,16 @@ class SweepBlock:
     at the shape it was computed at, which broadcasts over the box;
     ``mu_opt`` is the same pair under optimize-per-point and None
     otherwise. Values under a mask are meaningless. ``statuses`` and
-    ``reasons`` hold one entry per node. ``nodes`` gives any of these arrays
-    one entry per node, in row-major order.
+    ``reasons`` are object arrays of the box's shape. ``nodes`` gives any of
+    these arrays one entry per node, in row-major order.
     """
 
     axis_values: tuple[np.ndarray, ...]
     axis_index: tuple[np.ndarray, ...]
     outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
     mu_opt: tuple[np.ndarray, np.ndarray] | None
-    statuses: list[str]
-    reasons: list[str | None]
+    statuses: np.ndarray
+    reasons: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -204,27 +204,21 @@ class SweepBlock:
     def chunks(self, max_nodes: int) -> Iterator[SweepBlock]:
         """The block as the ``boxes`` of at most ``max_nodes`` nodes, each a SweepBlock.
 
-        A chunk's arrays are views of the block's; its nodes are consecutive
-        in the block, so its statuses and reasons are a slice of the block's.
+        A chunk's arrays are views of the block's.
         """
-        shape = self.shape
-        for box in boxes(shape, max_nodes):
-            start = 0
-            for r, n in zip(box, shape):
-                start = start * n + r.start
-            stop = start + math.prod(map(len, box))
+        for box in boxes(self.shape, max_nodes):
             yield SweepBlock(
                 axis_values=self.axis_values,
                 axis_index=tuple(cut(i, box) for i in self.axis_index),
                 outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
                 mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
-                statuses=self.statuses[start:stop],
-                reasons=self.reasons[start:stop],
+                statuses=cut(self.statuses, box),
+                reasons=cut(self.reasons, box),
             )
 
     def records(self) -> list[ResultRecord]:
         """The block's nodes as ResultRecords, with None for masked values."""
-        n = len(self.statuses)
+        n = self.statuses.size
         axis_values = (
             zip(*(self.nodes(v[i]).tolist() for v, i in zip(self.axis_values, self.axis_index)))
             if self.axis_values else [()] * n
@@ -233,7 +227,10 @@ class SweepBlock:
         mu_opt = [None] * n if self.mu_opt is None else _with_none(*map(self.nodes, self.mu_opt))
         return [
             ResultRecord(*node)
-            for node in zip(axis_values, values, mu_opt, self.statuses, self.reasons)
+            for node in zip(
+                axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
+                self.nodes(self.reasons).tolist(),
+            )
         ]
 
 
@@ -255,7 +252,7 @@ def _block(
     # output order, the axis overrides, the mu optimizer, then the link
     # model; the first failure is kept.
     failed = np.zeros(n, dtype=bool)
-    reasons: list[str | None] = [None] * n
+    reasons = np.full(n, None, dtype=object)
 
     def fail(found: Iterable[int], message: Callable[[int], object]) -> None:
         """Fail each node position ``i`` of ``found`` not yet failed, as ``str(message(i))``."""
@@ -305,19 +302,17 @@ def _block(
     # A reason other than the ledger's: estimation_infeasible, else
     # no_positive_key where the optimizer found no key (a node whose gain
     # fails is in the ledger).
-    for i in np.flatnonzero(infeasible).tolist():
-        reasons[i] = ESTIMATION_INFEASIBLE
+    reasons[infeasible] = ESTIMATION_INFEASIBLE
     if search is not None:
         no_key = ~(per_node(table.values["skr_lower"], shape) > 0.0)
-        for i in np.flatnonzero(no_key & ~failed & ~infeasible).tolist():
-            reasons[i] = NO_POSITIVE_KEY
+        reasons[no_key & ~failed & ~infeasible] = NO_POSITIVE_KEY
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
         mu_opt=None if search is None else (table.mu, mu_missing),
-        statuses=_STATUSES[2 * failed + infeasible].tolist(),
-        reasons=reasons,
+        statuses=_STATUSES[2 * failed + infeasible].reshape(shape),
+        reasons=reasons.reshape(shape),
     )
 
 

@@ -202,6 +202,12 @@ class TestConfig:
                 "dark_count_prob_per_detector: 2.0}",
                 "receiver: dark_count_prob_total must be in [0, 1), got 2.0",
             ),
+            ("receiver: 3", "receiver: expected a mapping, got int"),
+            (
+                "receiver: {dark_count_prob_total: 1.0e-7, dark_count_prob_per_detector: 1.0e-7}",
+                "receiver.dark_count_prob_total: give either the total or the "
+                "per-detector dark count probability, not both",
+            ),
             ("channel: {distance_km: -1}", "channel: distance_km must be >= 0, got -1.0"),
             (
                 "channel: {attenuation_db_per_km: -1, loss_db: 3}",
@@ -210,7 +216,8 @@ class TestConfig:
         ],
         ids=[
             "no_detectors", "no_detectors_bad_afterpulse", "bad_afterpulse",
-            "per_detector_dark_counts", "detector_list_dark_counts", "negative_distance",
+            "per_detector_dark_counts", "detector_list_dark_counts", "not_a_mapping",
+            "total_and_per_detector_dark_counts", "negative_distance",
             "negative_attenuation_with_loss",
         ],
     )
@@ -337,6 +344,23 @@ class TestConfig:
         config = write_config(tmp_path, text + "\n")
         assert main(["report", "--config", config]) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    # A required field left out, or given as null, names its own path.
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("receiver: {detectors: [{bias: 0.0}]}", "receiver.detectors[0].afterpulse_prob"),
+            ("sweep: {axes: [{min: 0, max: 1, count: 2}]}", "sweep.axes[0].name"),
+            ("sweep: {axes: [{name: p_ap, max: 1, count: 2}]}", "sweep.axes[0].min"),
+            ("sweep: {axes: [{name: p_ap, min: 0, count: 2}]}", "sweep.axes[0].max"),
+            ("sweep: {axes: [{name: p_ap, min: 0, max: 1, count: null}]}", "sweep.axes[0].count"),
+        ],
+        ids=["afterpulse_prob", "name", "min", "max", "count"],
+    )
+    def test_required_field_lines(self, tmp_path, capsys, text, path):
+        config = write_config(tmp_path, text + "\n")
+        assert main(["report", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config: {path}: required\n"
 
     # A key given twice in one mapping is an error, at any depth: YAML itself
     # would keep the last value and drop the first without a word.
@@ -654,8 +678,13 @@ class TestSweepCommand:
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         config = write_config(tmp_path, "receiver:\n  intrinsic_error: 0.02\n")
-        assert main(["sweep", "--config", config]) == 2
-        assert "sweep" in capsys.readouterr().err
+        for command in ("sweep", "contour"):
+            assert main([command, "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: config: sweep: section required for the {command} command\n"
+            )
+            assert captured.out == ""
 
     def test_unwritable_output(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)

@@ -316,6 +316,11 @@ class TestGainAndQber:
         with pytest.raises(ModelDomainError):
             gain_total(r, channel(0.0), 1.5)
 
+    def test_negative_mean_photon_rejected(self):
+        with pytest.raises(ValidationError) as excinfo:
+            gain_total(receiver_two(0.0), channel(21.0), -0.1)
+        assert str(excinfo.value) == "mean_photon must be >= 0, got -0.1"
+
     def test_qber_background_dominated_limit(self):
         r = receiver_two(0.008)
         assert qber_total(r, channel(21.0), 0.0) == r.background_error
@@ -378,6 +383,12 @@ class TestBaselineError:
         for e_prime, p_ap in ((0.0, 0.01), (5e-324, 0.01), (2e-309, 0.0)):
             with pytest.raises(DegenerateInputError):
                 baseline_error_change(e_prime, 0.5, p_ap)
+
+    @pytest.mark.parametrize("function", [effective_baseline_error, baseline_error_change])
+    def test_negative_afterpulsing_rejected(self, function):
+        with pytest.raises(ValidationError) as excinfo:
+            function(0.02, 0.5, -0.01)
+        assert str(excinfo.value) == "afterpulse_prob must be >= 0, got -0.01"
 
     def test_monotone_in_afterpulsing(self):
         grid = [k / 100.0 for k in range(101)]
