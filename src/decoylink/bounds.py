@@ -662,6 +662,14 @@ def per_node(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return nodes.ravel()
 
 
+def with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
+    """``values``, a 1-D array, as a list, with None where ``missing``."""
+    column = values.tolist()
+    for i in np.flatnonzero(missing).tolist():
+        column[i] = None
+    return column
+
+
 def evaluate_link(
     receiver: model.ReceiverModel,
     channel: model.ChannelModel,

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import model
 from .bounds import (
     Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage,
-    node_stage, per_node, raised,
+    node_stage, per_node, raised, with_none,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -91,7 +92,7 @@ class MuSearch:
 class ThresholdSearch:
     """Outcome of the lockstep dark-count bisection at a 1-D array of nodes.
 
-    ``dark_count`` and ``achieved`` are NaN at infeasible nodes.
+    ``dark_count`` and ``achieved`` are NaN, and ``iterations`` 0, at infeasible nodes.
     """
 
     dark_count: np.ndarray
@@ -101,13 +102,13 @@ class ThresholdSearch:
     iterations: np.ndarray
 
 
-@dataclass(frozen=True)
-class ContourPoint:
+class ContourPoint(NamedTuple):
     """One node of an iso-QBER surface: the dark-count level meeting the target.
 
-    Infeasible nodes (target unreachable even without dark counts) carry None
-    in ``dark_count_prob`` and ``achieved_qber``. ``converged`` is False when
-    the bisection ran out of iterations before ``achieved_qber`` met the
+    An immutable NamedTuple. Infeasible nodes (target unreachable even without
+    dark counts) carry None in ``dark_count_prob`` and ``achieved_qber``,
+    ``converged`` True and 0 ``iterations``. Elsewhere ``converged`` is False
+    when the bisection ran out of iterations before ``achieved_qber`` met the
     target within the tolerance; ``iterations`` counts its steps.
     """
 
@@ -436,29 +437,26 @@ def trace_iso_qber_surface(
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
     Nodes are returned in row-major order (p_ap outer, intrinsic_error
-    inner): ``threshold_nodes``' arrays as one ``ContourPoint`` per node. A
-    node the scalar model rejects raises its exception, and the first such
-    node in row-major order is the one reported (at one node, a rejected p_ap
-    before a rejected intrinsic_error).
+    inner), built from ``threshold_nodes``' arrays as one column per
+    ``ContourPoint`` field. A node the scalar model rejects raises its
+    exception, and the first such node in row-major order is the one
+    reported (at one node, a rejected p_ap before a rejected intrinsic_error).
     """
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
     search = threshold_nodes(
         p_values, e_values, loss_db, target_qber, receiver_template, mean_photon
     )
-    nodes = zip(
-        ((p, e) for p in p_values for e in e_values),
+    infeasible = ~search.feasible
+    return list(map(ContourPoint._make, zip(
+        [p for p in p_values for _ in e_values],
+        e_values * len(p_values),
+        [loss_db] * len(infeasible),
+        with_none(search.dark_count, infeasible),
+        with_none(search.achieved, infeasible),
         search.feasible.tolist(),
-        search.dark_count.tolist(),
-        search.achieved.tolist(),
-        search.converged.tolist(),
+        (search.converged | infeasible).tolist(),
         search.iterations.tolist(),
-    )
-    return [
-        ContourPoint(p, e, loss_db, dark_count, achieved, True, converged, iterations)
-        if feasible
-        else ContourPoint(p, e, loss_db, None, None, False)
-        for (p, e), feasible, dark_count, achieved, converged, iterations in nodes
-    ]
+    )))
 
 
 def dark_count_threshold(

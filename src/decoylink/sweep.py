@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .bounds import (
     link_table,
     per_node,
     raised,
+    with_none,
 )
 from .errors import ValidationError
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
@@ -151,23 +152,14 @@ class SweepSpec:
         return tuple(ax.name for ax in self.axes)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One grid node: axis values, requested metrics, and a status."""
+class ResultRecord(NamedTuple):
+    """One grid node, an immutable NamedTuple: axis values, requested metrics, and a status."""
 
     axis_values: tuple[float, ...]
     values: tuple[float | None, ...]
     mu_opt: float | None
     status: str
     reason: str | None = None
-
-
-def _with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
-    """``values`` as a list, with None where ``missing``."""
-    column = values.tolist()
-    for i in np.flatnonzero(missing).tolist():
-        column[i] = None
-    return column
 
 
 @dataclass(frozen=True)
@@ -217,21 +209,18 @@ class SweepBlock:
             )
 
     def records(self) -> list[ResultRecord]:
-        """The block's nodes as ResultRecords, with None for masked values."""
+        """The block's nodes as ResultRecords, built by columns, with None for masked values."""
         n = self.statuses.size
         axis_values = (
             zip(*(self.nodes(v[i]).tolist() for v, i in zip(self.axis_values, self.axis_index)))
             if self.axis_values else [()] * n
         )
-        values = zip(*(_with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
-        mu_opt = [None] * n if self.mu_opt is None else _with_none(*map(self.nodes, self.mu_opt))
-        return [
-            ResultRecord(*node)
-            for node in zip(
-                axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
-                self.nodes(self.reasons).tolist(),
-            )
-        ]
+        values = zip(*(with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
+        mu_opt = [None] * n if self.mu_opt is None else with_none(*map(self.nodes, self.mu_opt))
+        return list(map(ResultRecord._make, zip(
+            axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
+            self.nodes(self.reasons).tolist(),
+        )))
 
 
 def _block(

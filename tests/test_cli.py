@@ -1055,6 +1055,23 @@ class TestOptimalMuCommand:
         assert err.startswith("error: model-domain:")
         assert "too high" in err
 
+    def test_bisection_out_of_iterations_is_model_domain_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # three steps leave the residual far above ABS_TOLERANCE
+        path = write_config(
+            tmp_path,
+            "receiver:\n  afterpulse_prob: 0.008\n  intrinsic_error: 0.02\n",
+        )
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        assert main(["optimal-mu", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: model-domain: optimal-mu bisection did not converge in 3 steps "
+            "(residual 0.0244928)\n"
+        )
+        assert captured.out == ""
+
 
 class TestPresetCommand:
     def test_curve_layout(self, tmp_path):
@@ -1150,11 +1167,18 @@ class TestPresetCommand:
     ids=["contour", "sweep_fixed", "sweep_optimize", "preset"],
 )
 def test_no_command_builds_a_record(tmp_path, capsys, monkeypatch, argv, text):
-    def record(*args, **kwargs):
-        raise AssertionError("a CLI command built a per-node record")
+    class Record:
+        """A record type that fails the test when built, by call or by ``_make``."""
 
-    monkeypatch.setattr(optimize, "ContourPoint", record)
-    monkeypatch.setattr(sweep, "ResultRecord", record)
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a CLI command built a per-node record")
+
+        @classmethod
+        def _make(cls, iterable):
+            raise AssertionError("a CLI command built a per-node record")
+
+    monkeypatch.setattr(optimize, "ContourPoint", Record)
+    monkeypatch.setattr(sweep, "ResultRecord", Record)
     config = write_config(tmp_path, text)
     assert main([*argv, "--config", config]) == 0
     captured = capsys.readouterr()

@@ -362,6 +362,21 @@ class TestDarkCountThreshold:
             dark_count_threshold(0.0, 0.02, 10.5, 0.09, receiver(), 0.0)
 
 
+class TestContourPoint:
+    def test_fields_and_defaults(self):
+        assert ContourPoint._fields == (
+            "p_ap", "intrinsic_error", "loss_db", "dark_count_prob", "achieved_qber",
+            "feasible", "converged", "iterations",
+        )
+        assert ContourPoint._field_defaults == {"converged": True, "iterations": 0}
+
+    def test_fields_cannot_be_set(self):
+        point = dark_count_threshold(0.008, 0.02, 10.5, 0.09, receiver(), 0.48)
+        with pytest.raises(AttributeError):
+            point.dark_count_prob = 0.0
+        assert point._replace(dark_count_prob=0.0).dark_count_prob == 0.0
+
+
 class TestTraceIsoQberSurface:
     def test_all_infeasible_grid(self):
         points = trace_iso_qber_surface(
@@ -370,10 +385,43 @@ class TestTraceIsoQberSurface:
         assert len(points) == 4
         assert all(not p.feasible for p in points)
 
-    def test_single_node_matches_threshold_op(self):
-        [point] = trace_iso_qber_surface((0.008,), (0.02,), 10.5, 0.09, receiver(), 0.48)
-        direct = dark_count_threshold(0.008, 0.02, 10.5, 0.09, receiver(), 0.48)
-        assert point == direct
+    # (feasible, converged): a feasible node, an infeasible one, one out of steps
+    @pytest.mark.parametrize(
+        "p_ap, e_prime, steps, kind",
+        [(0.008, 0.02, 200, (True, True)), (0.0, 0.2, 200, (False, True)),
+         (0.008, 0.02, 3, (True, False))],
+    )
+    def test_single_node_matches_threshold_op(self, p_ap, e_prime, steps, kind):
+        with patch.object(optimize, "MAX_ITERATIONS", steps):
+            [point] = trace_iso_qber_surface((p_ap,), (e_prime,), 10.5, 0.09, receiver(), 0.48)
+            direct = dark_count_threshold(p_ap, e_prime, 10.5, 0.09, receiver(), 0.48)
+        assert repr(point) == repr(direct)
+        assert (point.feasible, point.converged) == kind
+
+    @pytest.mark.parametrize("steps", [3, 200])
+    def test_points_are_the_threshold_arrays_node_for_node(self, steps):
+        # e' = 0.1 is infeasible at every p_ap; three steps converge no feasible node
+        p_values, e_values = (0.0, 0.01, 0.4), (0.0, 0.02, 0.1)
+        args = (p_values, e_values, 21.0, 0.09, receiver(0.01), 0.48)
+        with patch.object(optimize, "MAX_ITERATIONS", steps):
+            points = trace_iso_qber_surface(*args)
+            search = optimize.threshold_nodes(*args)
+        expected = []
+        for k in range(9):
+            feasible = bool(search.feasible[k])
+            expected.append(ContourPoint(
+                p_values[k // 3], e_values[k % 3], 21.0,
+                float(search.dark_count[k]) if feasible else None,
+                float(search.achieved[k]) if feasible else None,
+                feasible,
+                bool(search.converged[k]) if feasible else True,
+                int(search.iterations[k]) if feasible else 0,
+            ))
+        # repr tells a Python float from a numpy scalar
+        assert repr(points) == repr(expected)
+        assert {(p.feasible, p.converged) for p in points} == {
+            (True, steps == 200), (False, True)
+        }
 
     def test_row_major_order_and_monotonicity(self):
         p_values = [0.1 * k / 9.0 for k in range(10)]

@@ -156,6 +156,49 @@ class TestSweepSpecValidation:
         base_spec([Axis("p_ap", 0.0, 0.01, 1000), Axis("loss_db", 0.0, 5.0, 1000)])
 
 
+class TestResultRecord:
+    def test_fields_and_defaults(self):
+        assert sweep.ResultRecord._fields == (
+            "axis_values", "values", "mu_opt", "status", "reason"
+        )
+        assert sweep.ResultRecord._field_defaults == {"reason": None}
+
+    def test_fields_cannot_be_set(self):
+        [record] = run_sweep(base_spec([]))
+        with pytest.raises(AttributeError):
+            record.status = "infeasible"
+        assert record._replace(status="infeasible").status == "infeasible"
+
+    def test_records_are_the_block_columns_node_for_node(self):
+        # per-point optimization, with a rejected p_ap and a node with no key
+        spec = base_spec(
+            [Axis("p_ap", 0.0, 1.5, 4), Axis("loss_db", 0.0, 60.0, 3)],
+            outputs=("p_ap", "e_mu", "skr_lower"), mu_policy="optimize-per-point",
+        )
+        records = run_sweep(spec)
+        [block] = sweep.iter_blocks(spec)
+        nodes = block.nodes
+        axis_values = [
+            nodes(v[i]).tolist() for v, i in zip(block.axis_values, block.axis_index)
+        ]
+        outputs = [(nodes(v).tolist(), nodes(m).tolist()) for v, m in block.outputs]
+        mu, mu_missing = map(nodes, block.mu_opt)
+        expected = [
+            sweep.ResultRecord(
+                tuple(column[k] for column in axis_values),
+                tuple(None if m[k] else v[k] for v, m in outputs),
+                None if mu_missing[k] else float(mu[k]),
+                nodes(block.statuses)[k],
+                nodes(block.reasons)[k],
+            )
+            for k in range(12)
+        ]
+        # repr tells a Python float from a numpy scalar
+        assert repr(records) == repr(expected)
+        assert {r.status for r in records} == {"ok", "model-domain-error"}
+        assert {r.reason for r in records} >= {None, "no_positive_key"}
+
+
 class TestRunSweep:
     def test_single_point_matches_direct_evaluation(self):
         outputs = ("y0", "q_mu", "e_mu", "q_nu1", "e_nu1", "y1_lower", "e1_upper",
