@@ -5,12 +5,13 @@ numpy arrays. The scalar functions run them on floats after their checks,
 and ``evaluate_link`` runs the scalar functions at one operating point.
 ``link_table`` runs the same closed forms over arrays of operating points
 for the sweeps and the intensity optimizer, in two stages, so that a search
-over the signal intensity computes the terms that do not depend on it once;
-the search's probes run only ``mu_core``, the part of the second stage its
-objective reads. ``Grid`` turns the value types and a grid's axis values
-into the inputs of ``link_table`` and of the optimizer, a box of nodes (a
-slab) at a time, shaped so that each term is computed once per distinct
-value of the axes it depends on.
+over the signal intensity computes the terms that do not depend on it once.
+Each of the search's probes is one ``mu_core`` call: the second stage's
+closed forms and its objective, without the table's decoy-pair test and
+extra metrics. ``Grid`` turns the value types and a grid's axis values into
+the inputs of ``link_table`` and of the optimizer, a box of nodes (a slab)
+at a time, shaped so that each term is computed once per distinct value of
+the axes it depends on.
 """
 from __future__ import annotations
 
@@ -216,13 +217,14 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     library in the last bit for a few percent of arguments. Near the optimum
     the intensity search compares key rates that differ by less than that,
     so the kernel calls the C library, as the scalar functions do. The
-    result has the shape of ``x``.
+    elements reach ``fn`` through a memoryview, one float at a time, so no
+    list of them is held. The result has the shape of ``x``.
     """
-    values = x.ravel().tolist()
+    values = x.ravel()
     try:
-        y = np.fromiter(map(fn, values), dtype=float, count=len(values))
+        y = np.fromiter(map(fn, memoryview(values)), dtype=float, count=values.size)
     except (OverflowError, ValueError):
-        y = np.array([_libm_or_nan(fn, v) for v in values])
+        y = np.array([_libm_or_nan(fn, v) for v in values.tolist()])
     return y.reshape(x.shape)
 
 
@@ -295,10 +297,10 @@ class LinkTable:
     kernel's inputs, numbered in row-major order. Each value and mask has
     the broadcast shape of the inputs it depends on, which broadcasts to
     ``shape``. The scalar metrics hold at every node. The link metrics hold
-    only where the scalar closed forms return: ``gain_error`` and
-    ``decoy_error`` mark the nodes where ``gain_total``, ``qber_total`` or
-    ``estimate_single_photon`` raise (a gain outside (0, 1], or a decoy pair
-    outside 0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
+    only where the scalar closed forms return: ``domain_error`` marks the
+    nodes where ``gain_total``, ``qber_total`` or ``estimate_single_photon``
+    raise (``gain_error``, a gain outside (0, 1], or a decoy pair outside
+    0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
     ``infeasible`` nodes ``estimate_single_photon`` raises
     EstimationInfeasibleError: the estimate metrics and ``skr_raw`` are
     undefined and ``skr_lower`` is 0. ``clamped`` marks bounds clipped into [0, 1].
@@ -308,7 +310,6 @@ class LinkTable:
     mu: np.ndarray
     nu1: np.ndarray
     gain_error: np.ndarray
-    decoy_error: np.ndarray
     domain_error: np.ndarray
     infeasible: np.ndarray
     clamped: np.ndarray
@@ -400,36 +401,35 @@ def mu_core(
     protocol: model.ProtocolParams,
     *,
     eta, nu1, amp, y0, signal_error, nu2, q_exp_nu1, e1_numerator, q_nu1_error, q_nu1_normal,
-) -> dict[str, np.ndarray]:
-    """What the intensity search reads of ``mu_stage``, from ``mu`` and ``node_stage``'s terms.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The intensity search's objective at ``mu`` from ``node_stage``'s terms, and the parts.
 
-    That is ``skr_lower``, ``gain_error`` and ``decoy_error``; the dict also
-    holds the arrays computed on the way, from which ``mu_stage`` builds its table.
+    The objective is ``skr_lower`` (0 where the bounds are not ``resolvable``),
+    or -inf at a ``gain_error``. It does not test the decoy pair: the search
+    probes only 0 < nu1 < mu, and ``mu_stage`` tests it for the table it
+    builds from the parts, the arrays computed on the way. Callers enter
+    ``np.errstate(all="ignore")`` once per search or table, not per call.
     """
     e0 = background_error
-    with np.errstate(all="ignore"):
-        detected_mu = -_libm(math.expm1, -eta * mu)
-        q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
-        exp_neg_mu = _libm(math.exp, -mu)
-        y1 = _y1_bound(q_mu, y0, mu, nu1, _libm(math.exp, mu), nu2, q_exp_nu1)
-        y1_lower = np.minimum(y1, 1.0)
-        e1 = _e1_bound(e1_numerator, y1_lower, nu1)
-        e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
-        q1_lower = y1_lower * mu * exp_neg_mu
-        skr_raw = _key_rate(
-            q_mu, _binary_entropy(e_mu), np.where(e1_upper < 0.5, q1_lower, 0.0),
-            _binary_entropy(e1_upper), protocol,
-        )
-        resolvable = _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1)
-
+    detected_mu = -_libm(math.expm1, -eta * mu)
+    q_mu, e_mu = model.gain_and_qber(y0, detected_mu * amp, signal_error * detected_mu, e0)
+    exp_neg_mu = _libm(math.exp, -mu)
+    y1 = _y1_bound(q_mu, y0, mu, nu1, _libm(math.exp, mu), nu2, q_exp_nu1)
+    y1_lower = np.minimum(y1, 1.0)
+    e1 = _e1_bound(e1_numerator, y1_lower, nu1)
+    e1_upper = np.minimum(np.maximum(e1, 0.0), 1.0)
+    q1_lower = y1_lower * mu * exp_neg_mu
+    # both entropies in one pass, each at its own shape
+    h = _binary_entropy(np.concatenate((e_mu.ravel(), e1_upper.ravel())))
+    h_mu, h1 = h[:e_mu.size].reshape(e_mu.shape), h[e_mu.size:].reshape(e1_upper.shape)
+    skr_raw = _key_rate(q_mu, h_mu, np.where(e1_upper < 0.5, q1_lower, 0.0), h1, protocol)
+    resolvable = _resolvable(q_mu, q_nu1_normal, y1, y1_lower, nu1)
     gain_error = (q_mu > 1.0) | (q_mu <= 0.0) | q_nu1_error
-    decoy_error = ~gain_error & ~((0.0 < nu1) & (nu1 < mu))
-    infeasible = ~(gain_error | decoy_error) & ~resolvable
-    return dict(
+    skr_lower = np.where(resolvable & (skr_raw > 0.0), skr_raw, 0.0)
+    return np.where(gain_error, -np.inf, skr_lower), dict(
         q_mu=q_mu, e_mu=e_mu, exp_neg_mu=exp_neg_mu, y1=y1, y1_lower=y1_lower, e1=e1,
-        e1_upper=e1_upper, q1_lower=q1_lower, skr_raw=skr_raw,
-        skr_lower=np.where(~infeasible & (skr_raw > 0.0), skr_raw, 0.0),
-        gain_error=gain_error, decoy_error=decoy_error, infeasible=infeasible,
+        e1_upper=e1_upper, q1_lower=q1_lower, skr_raw=skr_raw, skr_lower=skr_lower,
+        resolvable=resolvable, gain_error=gain_error,
     )
 
 
@@ -440,18 +440,19 @@ def mu_stage(
     terms: dict[str, np.ndarray],
     outputs: dict[str, np.ndarray],
 ) -> LinkTable:
-    """The second stage of ``link_table``: ``mu_core`` plus the metrics only the table reports."""
-    core = mu_core(mu, background_error, protocol, **terms)
+    """The second stage of ``link_table``: ``mu_core``'s parts, the decoy-pair test and the rest."""
     with np.errstate(all="ignore"):
-        skr_approx = _skr_approx(
+        _, core = mu_core(mu, background_error, protocol, **terms)
+        core["skr_approx"] = _skr_approx(
             terms["eta"], mu, terms["amp"], protocol.ec_efficiency, outputs["h_det"],
             core["exp_neg_mu"],
         )
-    found = {**outputs, **core, "y0": terms["y0"], "skr_approx": skr_approx}
-    gain_error, decoy_error = core["gain_error"], core["decoy_error"]
+    found = {**outputs, **core, "y0": terms["y0"]}
+    nu1, gain_error = terms["nu1"], core["gain_error"]
+    domain_error = gain_error | ~((0.0 < nu1) & (nu1 < mu))
     return LinkTable(
-        {name: found[name] for name in METRIC_NAMES}, mu, terms["nu1"], gain_error, decoy_error,
-        gain_error | decoy_error, core["infeasible"],
+        {name: found[name] for name in METRIC_NAMES}, mu, nu1, gain_error, domain_error,
+        ~domain_error & ~core["resolvable"],
         clamped=(core["y1"] > 1.0) | (core["e1"] != core["e1_upper"]),
     )
 

@@ -195,26 +195,27 @@ def maximize_nodes(
 
     The arguments, and so the nodes, are those of ``link_table`` without the
     signal intensity. ``bounds.node_stage`` computes the terms that do not
-    depend on mu once, at the arguments' shapes, and each probe runs only
-    ``bounds.mu_core``, in calls of at most _SEED_SLICE_ROWS points. The
-    64-point seed grid runs over the ``bounds.boxes`` of at most
-    _SEED_SLICE_ROWS // 64 nodes, with the terms at their own shapes and a
-    trailing axis of 64 points, so that a term of mu alone is computed once
-    per distinct seed point. The golden-section phase holds one entry per
-    node still searching; each step is one ``np.where`` per array and one
-    probe of slices of it. The result's table, whose ``mu`` is the optimal
-    intensity, is one ``bounds.mu_stage`` call. Each node follows the same
-    arithmetic as a search of its own, so its result does not depend on the
-    other nodes, on the slicing or on the shapes.
+    depend on mu once, at the arguments' shapes; each probe is one
+    ``bounds.mu_core`` call of at most _SEED_SLICE_ROWS points, all under one
+    ``np.errstate``. The 64-point seed grid runs over the ``bounds.boxes`` of
+    at most _SEED_SLICE_ROWS // 64 nodes, with the terms at their own shapes
+    and a trailing axis of 64 points, so that a term of mu alone is computed
+    once per distinct seed point. The golden-section phase holds one entry
+    per node still searching: its first probe takes both inner points of
+    every node, each later step one. The result's table, at the optimal
+    intensity ``table.mu``, is one ``bounds.mu_stage`` call. Each node
+    follows the same arithmetic as a search of its own, so its result does
+    not depend on the other nodes, on the runs or on the shapes.
 
     A node's errors are decided before the golden-section phase: its bracket
     (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX) first, then its decoy pair at
     the first seed point, mu = nu1 + MU_BRACKET_MARGIN. For inputs with
     p_ap > -1 and p_dc, eta >= 0, as ``bounds.Grid`` gives, that point
-    decides it: every later point has a larger mu, the decoy pair fails
-    only where nu1 <= 0, and a gain outside (0, 1] there stays outside,
-    since the signal gain never falls as mu grows and the weak-decoy gain
-    is at most the signal gain at the first point.
+    decides it: every later point has a larger mu, so ``mu_core``, which
+    does not test the decoy pair, runs past it only where 0 < nu1 < mu; and
+    a gain outside (0, 1] there stays outside, since the signal gain never
+    falls as mu grows and the weak-decoy gain is at most the signal gain at
+    the first point.
     """
     terms, outputs = node_stage(p_ap, e_prime, p_dc, eta, nu1, background_error)
     shape = np.broadcast_shapes(*(v.shape for v in (*terms.values(), *outputs.values())))
@@ -227,81 +228,76 @@ def maximize_nodes(
         int(i): raised(_check_mu_bracket, nu1[i], lo[i]) for i in np.flatnonzero(failed)
     }
 
-    def objective(mu: np.ndarray, at: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """The objective at ``mu`` on the terms ``at``, and where the decoy pair fails there."""
-        core = mu_core(mu, background_error, protocol, **at)
-        return np.where(core["gain_error"], -np.inf, core["skr_lower"]), core["decoy_error"]
+    def probe(mu: np.ndarray, at: dict[str, np.ndarray]) -> np.ndarray:
+        """The objective at 1-D points ``mu`` on the terms ``at``, in runs of _SEED_SLICE_ROWS."""
+        if len(mu) <= _SEED_SLICE_ROWS:
+            return mu_core(mu, background_error, protocol, **at)[0]
+        runs = [slice(i, i + _SEED_SLICE_ROWS) for i in range(0, len(mu), _SEED_SLICE_ROWS)]
+        return np.concatenate([probe(mu[r], {name: v[r] for name, v in at.items()}) for r in runs])
 
     points = _GRID_SEED_POINTS
 
     def seed_points(lo, k):
         """Points ``k`` of the seed grids of the brackets (``lo``, MU_BRACKET_MAX), broadcast."""
-        # A rejected bracket can overflow here and below; its node's result is never used.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return lo + (MU_BRACKET_MAX - lo) * k / (points - 1)
+        return lo + (MU_BRACKET_MAX - lo) * k / (points - 1)
 
-    # Each box's grid is built in its turn, so no (nodes, 64) array is held.
-    best = np.empty(n, dtype=int)
-    decoy_error = np.empty(n, dtype=bool)
-    start = 0
-    for box in boxes(shape, max(1, _SEED_SLICE_ROWS // points)):
-        box_shape = tuple(map(len, box))
-        size = math.prod(box_shape)
-        mu = seed_points(cut(bottom, box)[..., None], np.arange(points, dtype=float))
-        grid, decoy = objective(mu, {name: cut(v, box)[..., None] for name, v in terms.items()})
-        best[start:start + size] = np.argmax(
-            per_node(grid, box_shape + (points,)).reshape(size, points), axis=1
-        )
-        decoy_error[start:start + size] = per_node(decoy[..., 0], box_shape)
-        start += size
-    # seed point 0 is lo itself at every node whose bracket holds
-    for i in np.flatnonzero(decoy_error & ~failed).tolist():
-        errors[i] = raised(check_decoy_pair, lo[i], nu1[i])
-    failed |= decoy_error
-    low = seed_points(lo, np.maximum(best - 1, 0))
-    high = seed_points(lo, np.minimum(best + 1, points - 1))
+    # A rejected bracket can overflow from here on; its node's result is never used.
+    with np.errstate(all="ignore"):
+        # Each box's grid is built in its turn, so no (nodes, 64) array is held.
+        best, first = np.empty(n, dtype=int), np.empty(n)
+        start = 0
+        for box in boxes(shape, max(1, _SEED_SLICE_ROWS // points)):
+            box_shape = tuple(map(len, box))
+            size = math.prod(box_shape)
+            mu = seed_points(cut(bottom, box)[..., None], np.arange(points, dtype=float))
+            at = {name: cut(v, box)[..., None] for name, v in terms.items()}
+            grid = mu_core(mu, background_error, protocol, **at)[0]
+            grid = per_node(grid, box_shape + (points,)).reshape(size, points)
+            best[start:start + size], first[start:start + size] = grid.argmax(axis=1), grid[:, 0]
+            start += size
+        # Seed point 0 is lo itself at every node whose bracket holds; a gain
+        # outside (0, 1] there (an objective of -inf) is reported, not the decoy pair.
+        decoy_error = ~failed & ~((0.0 < nu1) & (nu1 < lo)) & (first > -np.inf)
+        for i in np.flatnonzero(decoy_error).tolist():
+            errors[i] = raised(check_decoy_pair, lo[i], nu1[i])
+        failed |= decoy_error
+        low = seed_points(lo, np.maximum(best - 1, 0))
+        high = seed_points(lo, np.minimum(best + 1, points - 1))
 
-    # The golden-section phase holds only the nodes still searching, as
-    # threshold_nodes does: their numbers, terms, brackets, inner points and
-    # the objective there. A node whose bracket is within the tolerance has
-    # its bracket and step count written back and is dropped.
-    node = np.flatnonzero(~failed)
-    live = {name: per_node(values, shape)[node] for name, values in terms.items()}
-    lo, hi = low[node], high[node]
-
-    def probe(mu: np.ndarray) -> np.ndarray:
-        """The objective at the live nodes' points ``mu``, in runs of at most _SEED_SLICE_ROWS."""
-        # (one empty run when no node is live)
-        runs = [slice(i, i + _SEED_SLICE_ROWS) for i in range(0, len(mu) or 1, _SEED_SLICE_ROWS)]
-        f = [objective(mu[r], {name: v[r] for name, v in live.items()})[0] for r in runs]
-        return f[0] if len(f) == 1 else np.concatenate(f)
-
-    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = probe(c), probe(d)
-    iterations = np.zeros(n, dtype=int)
-    for step in range(MAX_ITERATIONS):
-        done = hi - lo <= ABS_TOLERANCE
-        if np.count_nonzero(done):
-            ended = node[done]
-            low[ended], high[ended], iterations[ended] = lo[done], hi[done], step
-            node, lo, hi, c, d, fc, fd = (a[~done] for a in (node, lo, hi, c, d, fc, fd))
-            live = {name: v[~done] for name, v in live.items()}
-        if not len(node):
-            break
-        up = fc > fd
-        lo, hi = np.where(up, lo, c), np.where(up, d, hi)
-        c, d = np.where(up, hi - _INVPHI * (hi - lo), d), np.where(up, c, lo + _INVPHI * (hi - lo))
-        f = probe(np.where(up, c, d))
-        fc, fd = np.where(up, f, fd), np.where(up, fc, f)
-    low[node], high[node], iterations[node] = lo, hi, MAX_ITERATIONS
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = (0.5 * (low + high)).reshape(shape)
-    return MuSearch(
-        table=mu_stage(mu, background_error, protocol, terms, outputs),
-        errors=errors,
-        converged=(high - low <= ABS_TOLERANCE).reshape(shape),
-        iterations=iterations.reshape(shape),
-    )
+        # The golden-section phase holds only the nodes still searching, as
+        # threshold_nodes does. A node whose bracket is within the tolerance
+        # has its bracket and step count written back and is dropped.
+        node = np.flatnonzero(~failed)
+        iterations = np.zeros(n, dtype=int)
+        if len(node):
+            live = {name: per_node(values, shape)[node] for name, values in terms.items()}
+            lo, hi = low[node], high[node]
+            width = hi - lo
+            c, d = hi - _INVPHI * width, lo + _INVPHI * width
+            both = {name: np.concatenate((v, v)) for name, v in live.items()}
+            fc, fd = probe(np.concatenate((c, d)), both).reshape(2, -1)
+            for step in range(MAX_ITERATIONS):
+                done = width <= ABS_TOLERANCE
+                if np.count_nonzero(done):
+                    ended, keep = node[done], ~done
+                    low[ended], high[ended], iterations[ended] = lo[done], hi[done], step
+                    node, lo, hi, width, c, d, fc, fd = (
+                        a[keep] for a in (node, lo, hi, width, c, d, fc, fd)
+                    )
+                    if not len(node):
+                        break
+                    live = {name: v[keep] for name, v in live.items()}
+                up = fc > fd
+                lo, hi = np.where(up, lo, c), np.where(up, d, hi)
+                width = hi - lo
+                inner = _INVPHI * width
+                c, d = np.where(up, hi - inner, d), np.where(up, c, lo + inner)
+                f = probe(np.where(up, c, d), live)
+                fc, fd = np.where(up, f, fd), np.where(up, fc, f)
+            low[node], high[node], iterations[node] = lo, hi, MAX_ITERATIONS
+        mu, converged = (0.5 * (low + high)).reshape(shape), high - low <= ABS_TOLERANCE
+    table = mu_stage(mu, background_error, protocol, terms, outputs)
+    return MuSearch(table, errors, converged.reshape(shape), iterations.reshape(shape))
 
 
 def maximize_skr_over_mu(

@@ -45,8 +45,8 @@ NU1_BY_LOSS_DB = {0.0: 0.038, 5.0: 0.05, 21.0: 0.12}
 
 MU_POLICIES = ("fixed", "optimize-per-point")
 
-# A node's status by 2 * (model-domain error) + (infeasible).
-_STATUSES = np.array(["ok", "infeasible", "model-domain-error"], dtype=object)
+# A node's status by 2 * (model-domain error) + (infeasible), or 3: out of search steps.
+_STATUSES = np.array(["ok", "infeasible", "model-domain-error", "not-converged"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -292,15 +292,18 @@ def _block(
     # no_positive_key where the optimizer found no key (a node whose gain
     # fails is in the ledger).
     reasons[infeasible] = ESTIMATION_INFEASIBLE
+    status = 2 * failed + infeasible
     if search is not None:
         no_key = ~(per_node(table.values["skr_lower"], shape) > 0.0)
         reasons[no_key & ~failed & ~infeasible] = NO_POSITIVE_KEY
+        # a search that ran out of steps outranks ok and infeasible; its reason stays
+        status[~failed & ~per_node(search.converged, shape)] = 3
     return SweepBlock(
         axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
         mu_opt=None if search is None else (table.mu, mu_missing),
-        statuses=_STATUSES[2 * failed + infeasible].reshape(shape),
+        statuses=_STATUSES[status].reshape(shape),
         reasons=reasons.reshape(shape),
     )
 

@@ -584,6 +584,27 @@ class TestSweepCommand:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
+    def test_search_out_of_steps_is_not_converged(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, """\
+sweep:
+  axes:
+    - {name: p_ap, min: 0.001, max: 1.5, count: 3}
+  outputs: [skr_lower]
+  mu_policy: optimize-per-point
+""")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        assert [row["status"] for row in csv.DictReader(out.open())] == [
+            "ok", "ok", "model-domain-error"
+        ]
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["status"] for row in rows] == [
+            "not-converged", "not-converged", "model-domain-error"
+        ]
+        assert rows[0]["mu_opt"] and rows[0]["skr_lower"]
+
     def test_non_finite_axis_endpoint_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path, "sweep:\n  axes:\n    - {name: loss_db, min: 0.0, max: .inf, count: 3}\n"
@@ -695,8 +716,9 @@ class TestSweepCommand:
 
     def test_golden_section_calls_take_at_most_the_row_budget(self, tmp_path, monkeypatch):
         # 75 nodes in one slab. With a budget of 64 points the seed grid takes
-        # one node per call, and each golden-section probe, one point per
-        # node still searching (75 until they converge), takes two calls.
+        # one node per call, the first golden-section probe (both inner
+        # points of each node, 150) three calls, and each later probe, one
+        # point per node still searching (75 until they converge), two.
         config = write_config(tmp_path, """\
 sweep:
   axes:
@@ -714,7 +736,7 @@ sweep:
         assert out.read_bytes() == expected
         # every probe within the budget; one final table at the slab's nodes
         assert max(probes) <= 64
-        assert 75 - 64 in probes
+        assert 75 - 64 in probes and 150 - 2 * 64 in probes
         assert tables == [75]
         assert sum(probes) >= 75 * (optimize._GRID_SEED_POINTS + 2)
 
@@ -1090,10 +1112,18 @@ class TestPresetCommand:
         assert losses == ["0"] * 4 + ["5"] * 4 + ["21"] * 4
         assert all(float(row[5]) > 0.0 for row in rows[1:])
 
+    def test_search_out_of_steps_is_not_converged(self, tmp_path, monkeypatch):
+        out = tmp_path / "curves.csv"
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        assert main(["skr-vs-afterpulse", "--points", "2", "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 12
+        assert {row["status"] for row in rows} == {"not-converged"}
+
     def test_one_lockstep_run_with_bounded_seed_slices(self, tmp_path, monkeypatch):
         # 30 points per curve: the 180 nodes fit in one block, whose seed
         # grid takes 6 boxes of one curve and whose golden-section search
-        # about 44 probes
+        # about 43 probes, the first of them at both inner points of each node
         out = tmp_path / "curves.csv"
         argv = ["skr-vs-afterpulse", "--points", "30", "--output", str(out)]
         assert main(argv) == 0
@@ -1101,8 +1131,9 @@ class TestPresetCommand:
         probes, tables = count_kernel_points(monkeypatch)
         assert main(argv) == 0
         assert out.read_bytes() == expected
-        assert len(probes) <= 60
+        assert len(probes) <= 59
         assert max(probes) <= optimize._SEED_SLICE_ROWS == 2048
+        assert probes[6] == 2 * 180
         assert tables == [180]
         assert sum(probes) >= 180 * (optimize._GRID_SEED_POINTS + 2)
 

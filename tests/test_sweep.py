@@ -2,7 +2,9 @@
 import itertools
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from decoylink import (
@@ -18,7 +20,9 @@ from decoylink import (
     maximize_skr_over_mu,
     run_sweep,
 )
-from decoylink import sweep
+from decoylink import optimize, sweep
+from decoylink.bounds import link_table, mu_core, node_stage
+from decoylink.optimize import maximize_nodes
 
 PROTOCOL = ProtocolParams()
 
@@ -545,3 +549,102 @@ class TestDistanceToLoss:
         with pytest.raises(ValidationError) as excinfo:
             ChannelModel(attenuation_db_per_km=attenuation, distance_km=distance)
         assert str(excinfo.value) == message
+
+
+class TestNoWarningEscapes:
+    """The kernels overflow on inputs past the model's domain, and each entry point
+    silences numpy's warnings around them, once per call, not once per probe.
+
+    The inputs: p_ap past 1 and near the float maximum, an infinite loss (a
+    transmittance of 0), a subnormal transmittance and nu1 = 0.
+    """
+
+    P_AP = np.array([[[0.01]], [[1.5]], [[1e308]]])
+    ETA = np.array([[[0.1], [0.0], [1e-310]]])
+    NU1 = np.array([[[0.05, 0.0]]])
+
+    def test_the_inputs_overflow_in_the_kernel(self):
+        terms, _ = node_stage(self.P_AP, 0.02, 6e-7, self.ETA, self.NU1, 0.5)
+        with pytest.warns(RuntimeWarning):
+            mu_core(np.full((1, 1, 1), 0.5), 0.5, PROTOCOL, **terms)
+
+    def test_link_table(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = link_table(
+                self.P_AP, np.full((1, 1, 1), 0.02), np.full((1, 1, 1), 6e-7), self.ETA,
+                np.full((1, 1, 1), 0.5), self.NU1, 0.5, PROTOCOL,
+            )
+        assert table.domain_error.any() and not table.domain_error.all()
+
+    def test_maximize_nodes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            search = maximize_nodes(
+                self.P_AP, np.full((1, 1, 1), 0.02), np.full((1, 1, 1), 6e-7), self.ETA,
+                self.NU1, 0.5, PROTOCOL,
+            )
+        assert search.errors and (search.table.values["skr_lower"] > 0.0).any()
+
+    @pytest.mark.parametrize("mu_policy", sweep.MU_POLICIES)
+    @pytest.mark.parametrize("loss_axis, attenuation", [
+        # the last loss gives a subnormal transmittance, about 1e-310
+        (Axis("loss_db", 0.0, 3090.0, 3), None),
+        # 10 dB/km over 1e308 km overflows to an infinite loss
+        (Axis("distance_km", 0.0, 1e308, 3), 10.0),
+    ])
+    def test_run_sweep(self, mu_policy, loss_axis, attenuation):
+        spec = base_spec(
+            [Axis("p_ap", 0.01, 1e308, 3, "log"), loss_axis, Axis("weak_decoy_nu1", 0.0, 0.05, 2)],
+            outputs=sweep.METRIC_NAMES, mu_policy=mu_policy, attenuation=attenuation,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_sweep(spec)
+        assert {"ok", "model-domain-error"} <= {r.status for r in records}
+
+
+class TestNotConverged:
+    """Under optimize-per-point, a node whose search ran out of steps is ``not-converged``."""
+
+    SPEC = base_spec(
+        [Axis("p_ap", 1e-4, 1.5, 4, "log"), Axis("loss_db", 0.0, 60.0, 3)],
+        mu_policy="optimize-per-point",
+    )
+
+    def test_status_follows_each_nodes_search(self, monkeypatch):
+        # The searches here take 41 or 42 steps: a cap of 41 stops some of
+        # them, and leaves the others' records as they are.
+        full = run_sweep(self.SPEC)
+        assert "not-converged" not in {r.status for r in full}
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 41)
+        capped = run_sweep(self.SPEC)
+        statuses = []
+        for record, before in zip(capped, full):
+            statuses.append(record.status)
+            p_ap, loss_db = record.axis_values
+            if p_ap > 1.0:  # rejected before any search
+                assert record == before
+                continue
+            receiver = ReceiverModel.identical(
+                2, p_ap, dark_count_prob_total=6e-7, intrinsic_error=0.02
+            )
+            result = maximize_skr_over_mu(
+                receiver, ChannelModel(transmission_loss_db=loss_db), 0.05, PROTOCOL
+            )
+            if result.converged:
+                assert record == before
+            else:
+                assert record.status == "not-converged"
+                assert record.mu_opt == result.mu
+        assert {"ok", "model-domain-error", "not-converged"} <= set(statuses)
+
+    def test_model_domain_error_outranks_it(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        statuses = [r.status for r in run_sweep(self.SPEC)]
+        assert statuses == ["not-converged"] * 9 + ["model-domain-error"] * 3
+
+    def test_fixed_mu_has_no_search(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 0)
+        spec = base_spec([Axis("p_ap", 1e-4, 1e-2, 3, "log")])
+        assert {r.status for r in run_sweep(spec)} == {"ok"}
