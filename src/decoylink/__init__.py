@@ -1,103 +1,47 @@
-"""Decoy-state QKD link performance model for afterpulsing SPAD receiver arrays."""
+"""Decoy-state QKD link performance model for afterpulsing SPAD receiver arrays.
 
-from .bounds import (
-    LinkMetrics,
-    SinglePhotonEstimate,
-    binary_entropy,
-    estimate_single_photon,
-    evaluate_link,
-    skr_approx,
-    skr_lower_bound,
-)
-from .config import Scenario, load_scenario, parse_scenario
-from .errors import (
-    DecoyLinkError,
-    DegenerateInputError,
-    EstimationInfeasibleError,
-    ModelDomainError,
-    NoSolutionError,
-    ValidationError,
-)
-from .model import (
-    ChannelModel,
-    DetectorUnit,
-    IntensitySet,
-    ProtocolParams,
-    ReceiverModel,
-    aggregate_afterpulse,
-    baseline_error_change,
-    effective_baseline_error,
-    gain_total,
-    multi_photon_transmittance,
-    qber_i,
-    qber_total,
-    transmittance,
-    visibility,
-    yield_background,
-    yield_i,
-)
-from .optimize import (
-    ContourPoint,
-    MaximizeResult,
-    OptimalMu,
-    dark_count_threshold,
-    maximize_skr_over_mu,
-    solve_optimal_mu,
-    trace_iso_qber_surface,
-)
-from .sweep import (
-    NU1_BY_LOSS_DB,
-    Axis,
-    ResultRecord,
-    SweepSpec,
-    run_sweep,
-)
+The public names load their module on first use (PEP 562): ``import
+decoylink`` loads no submodule, and ``load_scenario`` loads neither numpy nor
+the array engine.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "ChannelModel",
-    "ContourPoint",
-    "DecoyLinkError",
-    "DegenerateInputError",
-    "DetectorUnit",
-    "EstimationInfeasibleError",
-    "IntensitySet",
-    "LinkMetrics",
-    "MaximizeResult",
-    "ModelDomainError",
-    "NU1_BY_LOSS_DB",
-    "NoSolutionError",
-    "OptimalMu",
-    "ProtocolParams",
-    "ReceiverModel",
-    "ResultRecord",
-    "Scenario",
-    "SinglePhotonEstimate",
-    "SweepSpec",
-    "ValidationError",
-    "aggregate_afterpulse",
-    "baseline_error_change",
-    "binary_entropy",
-    "dark_count_threshold",
-    "effective_baseline_error",
-    "estimate_single_photon",
-    "evaluate_link",
-    "gain_total",
-    "load_scenario",
-    "maximize_skr_over_mu",
-    "multi_photon_transmittance",
-    "parse_scenario",
-    "qber_i",
-    "qber_total",
-    "run_sweep",
-    "skr_approx",
-    "skr_lower_bound",
-    "solve_optimal_mu",
-    "trace_iso_qber_surface",
-    "transmittance",
-    "visibility",
-    "yield_background",
-    "yield_i",
-]
+# Public name -> the module that defines it.
+_HOME = {
+    **dict.fromkeys((
+        "LinkMetrics", "SinglePhotonEstimate", "binary_entropy", "estimate_single_photon",
+        "evaluate_link", "skr_approx", "skr_lower_bound",
+    ), "bounds"),
+    **dict.fromkeys(("Scenario", "load_scenario", "parse_scenario"), "config"),
+    **dict.fromkeys((
+        "DecoyLinkError", "DegenerateInputError", "EstimationInfeasibleError",
+        "ModelDomainError", "NoSolutionError", "ValidationError",
+    ), "errors"),
+    **dict.fromkeys((
+        "Axis", "ChannelModel", "DetectorUnit", "IntensitySet", "ProtocolParams",
+        "ReceiverModel", "SweepSpec", "aggregate_afterpulse", "baseline_error_change",
+        "effective_baseline_error", "gain_total", "multi_photon_transmittance", "qber_i",
+        "qber_total", "transmittance", "visibility", "yield_background", "yield_i",
+    ), "model"),
+    **dict.fromkeys((
+        "ContourPoint", "MaximizeResult", "OptimalMu", "dark_count_threshold",
+        "maximize_skr_over_mu", "solve_optimal_mu", "trace_iso_qber_surface",
+    ), "optimize"),
+    **dict.fromkeys(("NU1_BY_LOSS_DB", "ResultRecord", "run_sweep"), "sweep"),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

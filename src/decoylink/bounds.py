@@ -25,26 +25,11 @@ import numpy as np
 
 from . import model
 from .errors import DecoyLinkError, EstimationInfeasibleError, ValidationError
+# The name tables live in ``model``; they are importable from here too.
+from .model import AXES, AXIS_NAMES, LINK_METRICS, METRIC_NAMES, SCALAR_METRICS
 
 _LN2 = math.log(2.0)
 
-# Metrics computable from (intrinsic_error, background_error, p_ap) alone;
-# these stay valid for afterpulse values beyond the per-detector range.
-SCALAR_METRICS = ("p_ap", "e_detector", "baseline_error_change", "visibility")
-LINK_METRICS = (
-    "y0",
-    "q_mu",
-    "e_mu",
-    "q_nu1",
-    "e_nu1",
-    "y1_lower",
-    "e1_upper",
-    "q1_lower",
-    "skr_raw",
-    "skr_lower",
-    "skr_approx",
-)
-METRIC_NAMES = SCALAR_METRICS + LINK_METRICS
 # Link metrics that exist only when decoy estimation is feasible.
 _ESTIMATE_METRICS = ("y1_lower", "e1_upper", "q1_lower", "skr_raw")
 # Reason reported when decoy estimation cannot resolve a positive single-photon yield.
@@ -495,20 +480,6 @@ def _afterpulse_at(receiver: model.ReceiverModel, p: np.ndarray) -> np.ndarray:
         return total
 
     return np.array([mean(v) for v in p.tolist()])
-
-
-# Axis name -> (kernel input it sets, lowest and highest value a sweep axis
-# may span, None = unbounded), in the order ``Grid.rejections`` reports them.
-AXES = {
-    "p_ap": ("p_ap", 0.0, None),
-    "loss_db": ("eta", 0.0, None),
-    "distance_km": ("eta", 0.0, None),
-    "intrinsic_error": ("e_prime", 0.0, 1.0),
-    "dark_count_prob": ("p_dc", 0.0, 1.0),
-    "signal_mu": ("mu", 0.0, None),
-    "weak_decoy_nu1": ("nu1", 0.0, None),
-}
-AXIS_NAMES = tuple(AXES)
 
 
 def boxes(shape: tuple[int, ...], max_nodes: int) -> Iterator[tuple[range, ...]]:

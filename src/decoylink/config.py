@@ -13,7 +13,6 @@ import yaml
 
 from . import model
 from .errors import ValidationError
-from .sweep import Axis, SweepSpec
 
 # The default of a field that must be given.
 REQUIRED = object()
@@ -79,7 +78,7 @@ class Scenario:
     channel: model.ChannelModel
     intensities: model.IntensitySet
     protocol: model.ProtocolParams
-    sweep: SweepSpec | None = None
+    sweep: model.SweepSpec | None = None
 
 
 def _mapping(value, path: str, keys) -> dict:
@@ -189,13 +188,13 @@ def _parse_fields(cfg: dict, path: str, build):
     return _wrap(path, lambda: build(**fields))
 
 
-def _parse_axis(entry, path: str) -> Axis:
+def _parse_axis(entry, path: str) -> model.Axis:
     fields = _read(entry, path, FIELDS["axis"])
     fields["name"] = {"p_AP": "p_ap"}.get(fields["name"], fields["name"])
-    return _wrap(path, lambda: Axis(**fields))
+    return _wrap(path, lambda: model.Axis(**fields))
 
 
-def _parse_sweep(cfg: dict, scenario_parts) -> SweepSpec | None:
+def _parse_sweep(cfg: dict, scenario_parts) -> model.SweepSpec | None:
     path = "sweep"
     if cfg.get(path) is None:
         return None
@@ -206,7 +205,7 @@ def _parse_sweep(cfg: dict, scenario_parts) -> SweepSpec | None:
     receiver, channel, intensities, protocol = scenario_parts
     return _wrap(
         path,
-        lambda: SweepSpec(
+        lambda: model.SweepSpec(
             receiver=receiver,
             channel=channel,
             intensities=intensities,

@@ -6,7 +6,9 @@ gains and error rates then follow from the usual weak-coherent-pulse channel
 model with every detection term inflated by (1 + p_ap).
 
 Everything in this module is a pure function of frozen value types, so it is
-safe to call concurrently from any number of threads.
+safe to call concurrently from any number of threads. The module also holds
+the sweep specs (``Axis``, ``SweepSpec`` and the metric and axis name tables),
+and imports no numpy: a scenario parses without loading the array engine.
 """
 from __future__ import annotations
 
@@ -390,3 +392,148 @@ def visibility(
         intrinsic_error, background_error, afterpulse_prob
     )
 
+
+# The sweep specs: the metric and axis name tables, Axis and SweepSpec. They
+# live here, with no numpy, so that parsing a scenario loads no array code.
+
+# Metrics computable from (intrinsic_error, background_error, p_ap) alone;
+# these stay valid for afterpulse values beyond the per-detector range.
+SCALAR_METRICS = ("p_ap", "e_detector", "baseline_error_change", "visibility")
+LINK_METRICS = (
+    "y0",
+    "q_mu",
+    "e_mu",
+    "q_nu1",
+    "e_nu1",
+    "y1_lower",
+    "e1_upper",
+    "q1_lower",
+    "skr_raw",
+    "skr_lower",
+    "skr_approx",
+)
+METRIC_NAMES = SCALAR_METRICS + LINK_METRICS
+
+# Axis name -> (kernel input it sets, lowest and highest value a sweep axis
+# may span, None = unbounded), in the order ``bounds.Grid.rejections`` reports them.
+AXES = {
+    "p_ap": ("p_ap", 0.0, None),
+    "loss_db": ("eta", 0.0, None),
+    "distance_km": ("eta", 0.0, None),
+    "intrinsic_error": ("e_prime", 0.0, 1.0),
+    "dark_count_prob": ("p_dc", 0.0, 1.0),
+    "signal_mu": ("mu", 0.0, None),
+    "weak_decoy_nu1": ("nu1", 0.0, None),
+}
+AXIS_NAMES = tuple(AXES)
+
+MAX_GRID_POINTS = 1_000_000
+
+MU_POLICIES = ("fixed", "optimize-per-point")
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One swept parameter: an inclusive range with linear or log spacing."""
+
+    name: str
+    min: float
+    max: float
+    count: int
+    spacing: str = "linear"
+
+    def __post_init__(self) -> None:
+        if self.name not in AXES:
+            raise ValidationError(
+                f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
+            )
+        if self.count < 1:
+            raise ValidationError(f"axis {self.name}: count must be >= 1, got {self.count!r}")
+        if self.spacing not in ("linear", "log"):
+            raise ValidationError(
+                f"axis {self.name}: spacing must be 'linear' or 'log', got {self.spacing!r}"
+            )
+        if not self.min <= self.max:
+            raise ValidationError(
+                f"axis {self.name}: min {self.min!r} must not exceed max {self.max!r}"
+            )
+        if self.spacing == "log" and self.min <= 0.0:
+            raise ValidationError(
+                f"axis {self.name}: log spacing needs positive endpoints, got min={self.min!r}"
+            )
+        _, lo, hi = AXES[self.name]
+        if self.min < lo or (hi is not None and self.max > hi):
+            domain = f"[{lo:g}, {hi:g}]" if hi is not None else f"[{lo:g}, inf)"
+            raise ValidationError(
+                f"axis {self.name}: bounds outside the physical domain {domain}"
+            )
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValidationError(
+                f"axis {self.name}: endpoints must be finite, "
+                f"got min={self.min!r} max={self.max!r}"
+            )
+
+    def values(self) -> tuple[float, ...]:
+        # numpy loads here, not with the module; a pure-Python logspace
+        # would not give numpy's last bits.
+        import numpy as np
+
+        if self.spacing == "log":
+            points = np.logspace(np.log10(self.min), np.log10(self.max), self.count)
+        else:
+            points = np.linspace(self.min, self.max, self.count)
+        return tuple(float(v) for v in points)
+
+
+def check_grid_size(points: int) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS nodes."""
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"grid has {points} points, above the cap of {MAX_GRID_POINTS}")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A base operating point plus up to three axes to sweep over it."""
+
+    receiver: ReceiverModel
+    channel: ChannelModel
+    intensities: IntensitySet
+    protocol: ProtocolParams
+    axes: tuple[Axis, ...]
+    outputs: tuple[str, ...] = ("skr_lower",)
+    mu_policy: str = "fixed"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if len(self.axes) > 3:
+            raise ValidationError(f"at most 3 axes supported, got {len(self.axes)}")
+        names = [ax.name for ax in self.axes]
+        if len(set(names)) != len(names):
+            raise ValidationError(f"duplicate axis names: {names}")
+        if "loss_db" in names and "distance_km" in names:
+            raise ValidationError("loss_db and distance_km axes are mutually exclusive")
+        if "distance_km" in names and self.channel.attenuation_db_per_km is None:
+            raise ValidationError(
+                "distance_km axis requires channel.attenuation_db_per_km"
+            )
+        if "signal_mu" in names and self.mu_policy == "optimize-per-point":
+            raise ValidationError(
+                "a signal_mu axis is incompatible with mu_policy optimize-per-point"
+            )
+        if not self.outputs:
+            raise ValidationError("outputs must name at least one metric")
+        for name in self.outputs:
+            if name not in METRIC_NAMES:
+                raise ValidationError(
+                    f"unknown output metric {name!r}; expected one of {', '.join(METRIC_NAMES)}"
+                )
+        if self.mu_policy not in MU_POLICIES:
+            raise ValidationError(
+                f"mu_policy must be one of {MU_POLICIES}, got {self.mu_policy!r}"
+            )
+        check_grid_size(math.prod(ax.count for ax in self.axes))
+
+    @property
+    def axis_names(self) -> tuple[str, ...]:
+        return tuple(ax.name for ax in self.axes)

@@ -5,14 +5,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+# The package before numpy: see the note in cli.py.
 from . import model
 from .bounds import (
     Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage,
     node_stage, per_node, raised, with_none,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -6,29 +6,19 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
+# optimize before bounds, and the package before numpy: see the note in cli.py.
 from . import model
-from .bounds import (
-    AXES,
-    AXIS_NAMES,
-    ESTIMATION_INFEASIBLE,
-    LINK_METRICS,
-    METRIC_NAMES,
-    SCALAR_METRICS,
-    Grid,
-    Slab,
-    boxes,
-    cut,
-    link_table,
-    per_node,
-    raised,
-    with_none,
-)
-from .errors import ValidationError
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
+from .bounds import (
+    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, cut, link_table, per_node, raised, with_none,
+)
+# The spec types and name tables live in ``model``; they are importable from here too.
+from .model import (
+    LINK_METRICS, MAX_GRID_POINTS, METRIC_NAMES, MU_POLICIES, SCALAR_METRICS, Axis, SweepSpec,
+    check_grid_size,
+)
 
-MAX_GRID_POINTS = 1_000_000
+import numpy as np
 
 # Most grid nodes per slab: per link_table call, or per lockstep optimizer
 # run, which takes the slab as link_table does (its probes run only
@@ -43,113 +33,8 @@ SLAB_NODES = 8192
 # other loss requires an explicit weak_decoy_nu1 (no interpolation).
 NU1_BY_LOSS_DB = {0.0: 0.038, 5.0: 0.05, 21.0: 0.12}
 
-MU_POLICIES = ("fixed", "optimize-per-point")
-
 # A node's status by 2 * (model-domain error) + (infeasible), or 3: out of search steps.
 _STATUSES = np.array(["ok", "infeasible", "model-domain-error", "not-converged"], dtype=object)
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One swept parameter: an inclusive range with linear or log spacing."""
-
-    name: str
-    min: float
-    max: float
-    count: int
-    spacing: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.name not in AXES:
-            raise ValidationError(
-                f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
-            )
-        if self.count < 1:
-            raise ValidationError(f"axis {self.name}: count must be >= 1, got {self.count!r}")
-        if self.spacing not in ("linear", "log"):
-            raise ValidationError(
-                f"axis {self.name}: spacing must be 'linear' or 'log', got {self.spacing!r}"
-            )
-        if not self.min <= self.max:
-            raise ValidationError(
-                f"axis {self.name}: min {self.min!r} must not exceed max {self.max!r}"
-            )
-        if self.spacing == "log" and self.min <= 0.0:
-            raise ValidationError(
-                f"axis {self.name}: log spacing needs positive endpoints, got min={self.min!r}"
-            )
-        _, lo, hi = AXES[self.name]
-        if self.min < lo or (hi is not None and self.max > hi):
-            domain = f"[{lo:g}, {hi:g}]" if hi is not None else f"[{lo:g}, inf)"
-            raise ValidationError(
-                f"axis {self.name}: bounds outside the physical domain {domain}"
-            )
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValidationError(
-                f"axis {self.name}: endpoints must be finite, "
-                f"got min={self.min!r} max={self.max!r}"
-            )
-
-    def values(self) -> tuple[float, ...]:
-        if self.spacing == "log":
-            points = np.logspace(np.log10(self.min), np.log10(self.max), self.count)
-        else:
-            points = np.linspace(self.min, self.max, self.count)
-        return tuple(float(v) for v in points)
-
-
-def check_grid_size(points: int) -> None:
-    """Reject a grid of more than MAX_GRID_POINTS nodes."""
-    if points > MAX_GRID_POINTS:
-        raise ValidationError(f"grid has {points} points, above the cap of {MAX_GRID_POINTS}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A base operating point plus up to three axes to sweep over it."""
-
-    receiver: model.ReceiverModel
-    channel: model.ChannelModel
-    intensities: model.IntensitySet
-    protocol: model.ProtocolParams
-    axes: tuple[Axis, ...]
-    outputs: tuple[str, ...] = ("skr_lower",)
-    mu_policy: str = "fixed"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if len(self.axes) > 3:
-            raise ValidationError(f"at most 3 axes supported, got {len(self.axes)}")
-        names = [ax.name for ax in self.axes]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate axis names: {names}")
-        if "loss_db" in names and "distance_km" in names:
-            raise ValidationError("loss_db and distance_km axes are mutually exclusive")
-        if "distance_km" in names and self.channel.attenuation_db_per_km is None:
-            raise ValidationError(
-                "distance_km axis requires channel.attenuation_db_per_km"
-            )
-        if "signal_mu" in names and self.mu_policy == "optimize-per-point":
-            raise ValidationError(
-                "a signal_mu axis is incompatible with mu_policy optimize-per-point"
-            )
-        if not self.outputs:
-            raise ValidationError("outputs must name at least one metric")
-        for name in self.outputs:
-            if name not in METRIC_NAMES:
-                raise ValidationError(
-                    f"unknown output metric {name!r}; expected one of {', '.join(METRIC_NAMES)}"
-                )
-        if self.mu_policy not in MU_POLICIES:
-            raise ValidationError(
-                f"mu_policy must be one of {MU_POLICIES}, got {self.mu_policy!r}"
-            )
-        check_grid_size(math.prod(ax.count for ax in self.axes))
-
-    @property
-    def axis_names(self) -> tuple[str, ...]:
-        return tuple(ax.name for ax in self.axes)
 
 
 class ResultRecord(NamedTuple):

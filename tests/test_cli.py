@@ -995,6 +995,31 @@ class TestContourCommand:
             if row[5] == "infeasible":
                 assert row[3] == "" and row[4] == ""
 
+    def test_bisection_out_of_steps_is_not_converged(self, tmp_path, capsys, monkeypatch):
+        # three bisection steps leave the QBER far from the target; a node
+        # whose floor QBER is above the target stays infeasible
+        config = write_config(
+            tmp_path,
+            "channel:\n  loss_db: 0.0\n"
+            "sweep:\n  axes:\n"
+            "    - {name: p_ap, min: 0.001, max: 0.01, count: 2}\n"
+            "    - {name: intrinsic_error, min: 0.01, max: 0.2, count: 2}\n",
+        )
+        argv = ["contour", "--config", config, "--target-qber", "0.05"]
+        assert main(argv) == 0
+        full = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[5] for row in full] == ["ok", "infeasible"] * 2
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[5] for row in rows] == ["not-converged", "infeasible"] * 2
+        assert rows[0] == ["0.001", "0.01", "0", "0.00625", "0.06808850694", "not-converged"]
+        for row, converged in zip(rows, full):
+            if row[5] == "not-converged":
+                assert abs(float(row[4]) - 0.05) > 0.01
+            else:
+                assert row == converged
+
 
     # Exit codes and messages generated from the scalar per-node bisection
     # that the lockstep solver replaced. The last case fails at p_ap = 1 (a
