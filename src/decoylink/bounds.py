@@ -153,6 +153,8 @@ def skr_approx(
     is applied. Outside the validity region (background yield comparable to
     the transmittance, or transmittance not small) a RuntimeWarning is issued.
     """
+    if not mu >= 0.0:  # rejects NaN too
+        raise ValidationError(f"mu must be >= 0, got {mu!r}")
     eta = model.transmittance(receiver, channel)
     y0 = model.yield_background(receiver)
     if warn and (eta > _APPROX_ETA_MAX or y0 > _APPROX_BACKGROUND_FRACTION * eta):
@@ -527,13 +529,14 @@ class Grid:
     """Value types and axis values turned into the inputs of ``link_table``.
 
     ``intensities`` maps those of ``mu`` and ``nu1`` the caller needs to their
-    base values, and ``axes`` is a sequence of (axis name, values) pairs. The
-    nodes are the points of the axes' product in row-major order (first axis
-    outermost), one node for no axes. Each axis sets the kernel input that
-    ``AXES`` names, computed once per axis value; the other inputs come from
-    the value types. ``slab`` hands them out over a sub-box of the grid.
-    Axis values that the model's value types reject are kept with the
-    validator's message.
+    base values, and ``axes`` is a sequence of (axis name, values[, coupled])
+    tuples. The nodes are the points of the axes' product in row-major order
+    (first axis outermost), one node for no axes. Each axis sets the kernel
+    input that ``AXES`` names, computed once per axis value, and the inputs
+    that ``coupled`` maps to one value per axis value (the preset's loss sets
+    nu1); the other inputs and ``background_error`` come from the value
+    types. ``slab`` hands them out over a sub-box of the grid. Axis values
+    that the model's value types reject are kept with the validator's message.
     """
 
     def __init__(
@@ -541,14 +544,15 @@ class Grid:
         receiver: model.ReceiverModel,
         channel: model.ChannelModel,
         intensities: dict[str, float],
-        axes: Iterable[tuple[str, Iterable[float]]],
+        axes: Iterable[tuple],
     ) -> None:
         axes = tuple(axes)
-        self.values = tuple(np.asarray(values, dtype=float) for _, values in axes)
+        self.values = tuple(np.asarray(values, dtype=float) for _, values, *_ in axes)
         self.shape = tuple(len(v) for v in self.values)
         self.size = math.prod(self.shape)
+        self.background_error = receiver.background_error
         # kernel input name -> its value at every node no axis sets
-        self.base = {
+        self._base = {
             "p_ap": model.aggregate_afterpulse(receiver),
             "e_prime": receiver.intrinsic_error,
             "p_dc": receiver.dark_count_prob_total,
@@ -556,10 +560,10 @@ class Grid:
             **intensities,
         }
         # kernel input name -> (axis position, value per axis value)
-        self.inputs: dict[str, tuple[int, np.ndarray]] = {}
+        self._inputs: dict[str, tuple[int, np.ndarray]] = {}
         # axis name -> (axis position, {axis value index: validation message})
-        self.rejected: dict[str, tuple[int, dict[int, str]]] = {}
-        for pos, ((name, _), values) in enumerate(zip(axes, self.values)):
+        self._rejected: dict[str, tuple[int, dict[int, str]]] = {}
+        for pos, ((name, _, *coupled), values) in enumerate(zip(axes, self.values)):
             per_value, bad = values, None
             if name == "p_ap":
                 per_value = _afterpulse_at(receiver, values)
@@ -578,9 +582,10 @@ class Grid:
                     model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
                     for loss in losses.tolist()
                 ])
-            self.inputs[AXES[name][0]] = (pos, per_value)
+            for key, per_key in {AXES[name][0]: per_value, **dict(*coupled)}.items():
+                self._inputs[key] = (pos, np.asarray(per_key, dtype=float))
             if bad is not None:
-                self.rejected[name] = (pos, {
+                self._rejected[name] = (pos, {
                     int(i): str(raised(build, values[i])) for i in np.flatnonzero(bad)
                 })
 
@@ -596,13 +601,9 @@ class Grid:
         """
         if box is None:
             box = tuple(range(n) for n in self.shape)
-        ones = (1,) * len(box)
-        index = tuple(
-            np.arange(r.start, r.stop).reshape(ones[:k] + (-1,) + ones[k + 1:])
-            for k, r in enumerate(box)
-        )
-        inputs = {name: np.full(ones, value) for name, value in self.base.items()}
-        for name, (pos, per_value) in self.inputs.items():
+        index = np.ix_(*box)
+        inputs = {name: np.full((1,) * len(box), value) for name, value in self._base.items()}
+        for name, (pos, per_value) in self._inputs.items():
             inputs[name] = per_value[index[pos]]
         return index, inputs
 
@@ -615,8 +616,8 @@ class Grid:
         shape = tuple(i.size for i in index)
         found: dict[int, str] = {}
         for name in AXES:
-            if name in self.rejected:
-                pos, texts = self.rejected[name]
+            if name in self._rejected:
+                pos, texts = self._rejected[name]
                 at = per_node(index[pos], shape)
                 for i in np.flatnonzero(np.isin(at, list(texts))).tolist():
                     found.setdefault(i, texts[int(at[i])])

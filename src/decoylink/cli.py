@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import config as config_mod
 from . import model
 from .errors import DecoyLinkError, ValidationError
-from .sweep import NU1_BY_LOSS_DB, SweepBlock, grid_blocks, iter_blocks
+from .sweep import NU1_BY_LOSS_DB, SweepBlock, grid_blocks, spec_grid
 from .bounds import Grid, SinglePhotonEstimate, boxes, evaluate_link
 from .optimize import solve_optimal_mu, threshold_nodes
 
@@ -107,10 +107,9 @@ def cmd_sweep(args) -> int:
     if scenario.sweep is None:
         raise ValidationError("sweep: section required for the sweep command")
     spec = scenario.sweep
-    axis_cells = [
-        (ax.name, k, _float_cells(np.asarray(ax.values()))) for k, ax in enumerate(spec.axes)
-    ]
-    _write_blocks(args.output, axis_cells, spec.outputs, spec.mu_policy, iter_blocks(spec))
+    grid = spec_grid(spec)
+    axis_cells = [(ax.name, k, _float_cells(grid.values[k])) for k, ax in enumerate(spec.axes)]
+    _write_grid(args.output, axis_cells, grid, spec.protocol, spec.outputs, spec.mu_policy)
     return 0
 
 
@@ -151,8 +150,10 @@ def _write_csv(path: str | None, header, blocks) -> None:
         fh.writelines(map(_rows, blocks))
 
 
-def _write_blocks(path: str | None, axis_cells: list, outputs, mu_policy: str, blocks) -> None:
-    """Write the SweepBlocks ``blocks`` as CSV, a chunk of at most CHUNK_NODES nodes at a time.
+def _write_grid(
+    path: str | None, axis_cells: list, grid: Grid, protocol, outputs, mu_policy: str
+) -> None:
+    """Write ``grid_blocks`` of the grid as CSV, a chunk of at most CHUNK_NODES nodes at a time.
 
     Each (name, axis position, cells) triple of ``axis_cells`` is a leading
     column: ``cells`` holds one CSV cell per value of that axis, formatted
@@ -163,12 +164,13 @@ def _write_blocks(path: str | None, axis_cells: list, outputs, mu_policy: str, b
     if mu_policy == "optimize-per-point":
         header.append("mu_opt")
     header.extend((*outputs, "status", "reason"))
+    blocks = grid_blocks(grid, protocol, outputs, mu_policy)
     chunks = (chunk for block in blocks for chunk in block.chunks(CHUNK_NODES))
     _write_csv(path, header, (_block_columns(chunk, axis_cells) for chunk in chunks))
 
 
 def _block_columns(block: SweepBlock, axis_cells: list) -> list:
-    """CSV columns of the block's nodes, with ``axis_cells`` as ``_write_blocks`` takes them.
+    """CSV columns of the block's nodes, with ``axis_cells`` as ``_write_grid`` takes them.
 
     Each node gets the cell of its axis value. Each output is formatted at
     the shape it was computed at, once per distinct value of the axes it
@@ -262,22 +264,19 @@ def cmd_skr_vs_afterpulse(args) -> int:
     model.check_grid_size(args.points)
     losses = sorted(NU1_BY_LOSS_DB)
     nu1 = np.array([NU1_BY_LOSS_DB[loss] for loss in losses])
-    # All six curves are one grid, so each block is one lockstep optimizer
-    # run; its loss_db axis also sets nu1.
+    # All six curves are one grid, so each block is one lockstep optimizer run.
     axes = (
-        ("loss_db", losses),
+        ("loss_db", losses, {"nu1": nu1}),
         ("intrinsic_error", PRESET_INTRINSIC_ERRORS),
         ("p_ap", axis.values()),
     )
     # mu is optimized at every node; this base value only feeds the nu1 < mu check.
     grid = Grid(scenario.receiver, scenario.channel, {"mu": 1.0}, axes)
-    grid.inputs["nu1"] = (0, nu1)
-    axis_cells = [(name, k, _float_cells(grid.values[k])) for k, (name, _) in enumerate(axes)]
+    axis_cells = [(name, k, _float_cells(grid.values[k])) for k, (name, *_) in enumerate(axes)]
     axis_cells.insert(1, ("weak_decoy_nu1", 0, _float_cells(nu1)))
-    e0 = scenario.receiver.background_error
-    outputs, mu_policy = ("skr_lower",), "optimize-per-point"
-    blocks = grid_blocks(grid, scenario.protocol, e0, outputs, mu_policy)
-    _write_blocks(args.output, axis_cells, outputs, mu_policy, blocks)
+    _write_grid(
+        args.output, axis_cells, grid, scenario.protocol, ("skr_lower",), "optimize-per-point"
+    )
     return 0
 
 

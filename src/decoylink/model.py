@@ -283,7 +283,7 @@ def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
     Y0 + (1 - exp(-eta mu)) (1 + p_ap). At mean_photon = 0 this is exactly the
     background yield, i.e. the vacuum-decoy measurement.
     """
-    if mean_photon < 0.0:
+    if not mean_photon >= 0.0:  # rejects NaN too
         raise ValidationError(f"mean_photon must be >= 0, got {mean_photon!r}")
     detected = -math.expm1(-transmittance(receiver, channel) * mean_photon)
     background, signal, _ = _gain_terms(receiver, detected)
@@ -347,11 +347,16 @@ def effective_baseline_error(
     the background error, saturating toward e0 as p_ap grows. ``afterpulse_prob``
     accepts any value >= 0 so the large-p_ap saturation can be studied.
     """
-    _check_prob("intrinsic_error", intrinsic_error)
-    _check_prob("background_error", background_error)
-    if afterpulse_prob < 0.0:
-        raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
+    _check_baseline(intrinsic_error, background_error, afterpulse_prob)
     return e_detector(intrinsic_error, background_error, afterpulse_prob)
+
+
+def _check_baseline(e_prime: float, e0: float, p_ap: float) -> None:
+    """Reject error rates outside [0, 1] and an afterpulse probability below 0, NaN included."""
+    _check_prob("intrinsic_error", e_prime)
+    _check_prob("background_error", e0)
+    if not p_ap >= 0.0:
+        raise ValidationError(f"afterpulse_prob must be >= 0, got {p_ap!r}")
 
 
 def e_detector(e_prime, e0, p_ap):
@@ -367,10 +372,7 @@ def baseline_error_change(
     (e_detector - e') / e' = (e0/e' - 1) p_ap / (1 + p_ap), undefined for an
     intrinsic error of 0 or below the smallest normal float.
     """
-    _check_prob("intrinsic_error", intrinsic_error)
-    _check_prob("background_error", background_error)
-    if afterpulse_prob < 0.0:
-        raise ValidationError(f"afterpulse_prob must be >= 0, got {afterpulse_prob!r}")
+    _check_baseline(intrinsic_error, background_error, afterpulse_prob)
     # below the smallest normal float e0/e' overflows (inf, or nan at p_ap = 0)
     if intrinsic_error < sys.float_info.min:
         raise DegenerateInputError(

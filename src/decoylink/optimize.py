@@ -314,8 +314,9 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
-    _, inputs = Grid(receiver, channel, {"nu1": nu1}, ()).slab()
-    search = maximize_nodes(**inputs, background_error=receiver.background_error, protocol=protocol)
+    grid = Grid(receiver, channel, {"nu1": nu1}, ())
+    _, inputs = grid.slab()
+    search = maximize_nodes(**inputs, background_error=grid.background_error, protocol=protocol)
     if search.errors:
         raise search.errors[0]
     table = search.table
@@ -349,7 +350,7 @@ def threshold_nodes(
     """
     if not 0.0 < target_qber < 0.5:
         raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
-    if mean_photon <= 0.0:
+    if not mean_photon > 0.0:
         raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
     grid = Grid(
         receiver_template,
@@ -357,11 +358,11 @@ def threshold_nodes(
         {},
         (("p_ap", p_ap_values), ("intrinsic_error", intrinsic_error_values)),
     )
-    detected = -math.expm1(-grid.base["eta"] * mean_photon)
     index, inputs = grid.slab()
+    detected = -math.expm1(-inputs["eta"].item() * mean_photon)
     x = {name: per_node(inputs[name], grid.shape) for name in ("p_ap", "e_prime")}
     rejected = grid.rejections(index)
-    e0 = receiver_template.background_error
+    e0 = grid.background_error
     # a rejected node's inputs can be inf or nan
     with np.errstate(all="ignore"):
         one_p = 1.0 + x["p_ap"]

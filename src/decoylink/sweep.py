@@ -52,8 +52,7 @@ class SweepBlock:
     """A box of grid nodes (a slab of ``grid_blocks``, or a chunk of one) as columns.
 
     ``axis_index[k]`` holds the box's value indices on axis k, shaped to
-    vary along axis k only; ``axis_values`` holds every value of each axis,
-    the same arrays in every block. ``outputs`` holds, per requested metric,
+    vary along axis k only. ``outputs`` holds, per requested metric,
     its float64 values and the mask of the nodes where it has no value, each
     at the shape it was computed at, which broadcasts over the box;
     ``mu_opt`` is the same pair under optimize-per-point and None
@@ -62,7 +61,6 @@ class SweepBlock:
     these arrays one entry per node, in row-major order.
     """
 
-    axis_values: tuple[np.ndarray, ...]
     axis_index: tuple[np.ndarray, ...]
     outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
     mu_opt: tuple[np.ndarray, np.ndarray] | None
@@ -85,7 +83,6 @@ class SweepBlock:
         """
         for box in boxes(self.shape, max_nodes):
             yield SweepBlock(
-                axis_values=self.axis_values,
                 axis_index=tuple(cut(i, box) for i in self.axis_index),
                 outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
                 mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
@@ -93,12 +90,12 @@ class SweepBlock:
                 reasons=cut(self.reasons, box),
             )
 
-    def records(self) -> list[ResultRecord]:
-        """The block's nodes as ResultRecords, built by columns, with None for masked values."""
+    def records(self, axis_values: tuple[np.ndarray, ...]) -> list[ResultRecord]:
+        """The nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``."""
         n = self.statuses.size
         axis_values = (
-            zip(*(self.nodes(v[i]).tolist() for v, i in zip(self.axis_values, self.axis_index)))
-            if self.axis_values else [()] * n
+            zip(*(self.nodes(v[i]).tolist() for v, i in zip(axis_values, self.axis_index)))
+            if axis_values else [()] * n
         )
         values = zip(*(with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
         mu_opt = [None] * n if self.mu_opt is None else with_none(*map(self.nodes, self.mu_opt))
@@ -109,8 +106,8 @@ class SweepBlock:
 
 
 def _block(
-    grid: Grid, protocol: model.ProtocolParams, e0: float, outputs: tuple[str, ...],
-    mu_policy: str, slab: Slab,
+    grid: Grid, protocol: model.ProtocolParams, outputs: tuple[str, ...], mu_policy: str,
+    slab: Slab,
 ) -> SweepBlock:
     index, x = slab
     shape = tuple(i.size for i in index)
@@ -142,7 +139,7 @@ def _block(
     first_change = outputs.index("baseline_error_change") if changes else len(outputs)
     scalar_failed = changes & (x["e_prime"] < sys.float_info.min)
     fail(np.flatnonzero(per_node(scalar_failed, shape)), lambda i: raised(
-        model.baseline_error_change, at(x["e_prime"], i), e0, at(x["p_ap"], i)
+        model.baseline_error_change, at(x["e_prime"], i), grid.background_error, at(x["p_ap"], i)
     ))
     search = None
     if link_model:
@@ -153,14 +150,14 @@ def _block(
         ))
     if mu_policy == "optimize-per-point":
         search = maximize_nodes(
-            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], e0, protocol
+            x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], grid.background_error, protocol
         )
         fail(search.errors, search.errors.__getitem__)
         # A node the link model alone rejects keeps its mu_opt.
         mu_missing = failed.reshape(shape).copy()
         table = search.table
     else:
-        table = link_table(**x, background_error=e0, protocol=protocol)
+        table = link_table(**x, background_error=grid.background_error, protocol=protocol)
     if link_model:
         fail(np.flatnonzero(per_node(table.domain_error, shape)), table.error)
     infeasible = link_model & per_node(table.infeasible, shape) & ~failed
@@ -184,7 +181,6 @@ def _block(
         # a search that ran out of steps outranks ok and infeasible; its reason stays
         status[~failed & ~per_node(search.converged, shape)] = 3
     return SweepBlock(
-        axis_values=grid.values,
         axis_index=index,
         outputs=tuple(columns),
         mu_opt=None if search is None else (table.mu, mu_missing),
@@ -194,8 +190,7 @@ def _block(
 
 
 def grid_blocks(
-    grid: Grid, protocol: model.ProtocolParams, background_error: float,
-    outputs: tuple[str, ...], mu_policy: str,
+    grid: Grid, protocol: model.ProtocolParams, outputs: tuple[str, ...], mu_policy: str,
 ) -> Iterator[SweepBlock]:
     """The nodes of ``grid`` as columns of the ``outputs``, one slab at a time.
 
@@ -206,16 +201,14 @@ def grid_blocks(
     intensities.
     """
     for box in boxes(grid.shape, SLAB_NODES):
-        yield _block(grid, protocol, background_error, outputs, mu_policy, grid.slab(box))
+        yield _block(grid, protocol, outputs, mu_policy, grid.slab(box))
 
 
-def iter_blocks(spec: SweepSpec) -> Iterator[SweepBlock]:
-    """The grid nodes of ``run_sweep`` as columns: ``grid_blocks`` of the spec's grid."""
+def spec_grid(spec: SweepSpec) -> Grid:
+    """The grid of ``run_sweep``: the spec's value types, base intensities and axis values."""
     intensities = {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1}
     axes = ((ax.name, ax.values()) for ax in spec.axes)
-    grid = Grid(spec.receiver, spec.channel, intensities, axes)
-    e0 = spec.receiver.background_error
-    return grid_blocks(grid, spec.protocol, e0, spec.outputs, spec.mu_policy)
+    return Grid(spec.receiver, spec.channel, intensities, axes)
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
@@ -227,4 +220,6 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     ``maximize_nodes``). Per-node failures are recorded in the node's status
     and never abort the sweep.
     """
-    return [record for block in iter_blocks(spec) for record in block.records()]
+    grid = spec_grid(spec)
+    blocks = grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
+    return [record for block in blocks for record in block.records(grid.values)]

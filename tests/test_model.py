@@ -15,11 +15,14 @@ from decoylink import (
     ValidationError,
     aggregate_afterpulse,
     baseline_error_change,
+    dark_count_threshold,
     effective_baseline_error,
     gain_total,
     multi_photon_transmittance,
     qber_i,
     qber_total,
+    skr_approx,
+    trace_iso_qber_surface,
     transmittance,
     visibility,
     yield_background,
@@ -481,3 +484,33 @@ class TestDecoyConsistency:
             ch = channel(rng.uniform(0.0, 50.0))
             x = rng.choice((rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.01)))
             self.assert_mixture(poisson_mixture, r, ch, x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r, c: gain_total(r, c, math.nan), "mean_photon must be >= 0, got nan"),
+        (lambda r, c: qber_total(r, c, math.nan), "mean_photon must be >= 0, got nan"),
+        (lambda r, c: effective_baseline_error(0.02, 0.5, math.nan),
+         "afterpulse_prob must be >= 0, got nan"),
+        (lambda r, c: baseline_error_change(0.02, 0.5, math.nan),
+         "afterpulse_prob must be >= 0, got nan"),
+        (lambda r, c: visibility(0.02, 0.5, math.nan), "afterpulse_prob must be >= 0, got nan"),
+        (lambda r, c: skr_approx(r, c, -1.0, ProtocolParams(), warn=False),
+         "mu must be >= 0, got -1.0"),
+        (lambda r, c: skr_approx(r, c, math.nan, ProtocolParams(), warn=False),
+         "mu must be >= 0, got nan"),
+        (lambda r, c: trace_iso_qber_surface((0.01,), (0.02,), 21.0, 0.09, r, math.nan),
+         "mean_photon must be > 0, got nan"),
+        (lambda r, c: dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, math.nan),
+         "mean_photon must be > 0, got nan"),
+    ],
+    ids=["gain_total", "qber_total", "effective_baseline_error", "baseline_error_change",
+         "visibility", "skr_approx_negative", "skr_approx_nan", "trace_iso_qber_surface",
+         "dark_count_threshold"],
+)
+def test_nan_and_negative_scalar_inputs_rejected(call, message):
+    """A NaN, or a negative intensity, is a validation error, never a nan or a wrong answer."""
+    with pytest.raises(ValidationError) as excinfo:
+        call(receiver_two(0.008), channel(21.0))
+    assert str(excinfo.value) == message

@@ -3,9 +3,10 @@
 The oracle is ``benchmarks/oracle.py``: PAPER.md's closed forms recomputed
 with mpmath, sharing no code with the package. The draws cover the model's
 whole domain: losses to 4000 dB, weak decoys from the smallest subnormal to
-just below the signal, no dark counts, afterpulse probabilities past 1, and
-arrays of 1 to 8 biased detectors, whose aggregate afterpulse probability
-the tests compute at 50 digits.
+just below the signal, no dark counts, afterpulse probabilities past 1,
+background error rates across [0, 1], and arrays of 1 to 8 biased
+detectors, whose aggregate afterpulse probability the tests compute at 50
+digits.
 """
 import math
 import sys
@@ -69,7 +70,7 @@ def nodes(draw):
         "p_ap": draw(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True))),
         "p_dc": draw(st.one_of(st.just(0.0), st.floats(-12.0, -2.0).map(lambda k: 10.0 ** k))),
         "e_prime": draw(st.floats(0.0, 0.5)),
-        "e0": 0.5,
+        "e0": draw(st.one_of(st.just(0.5), st.floats(0.0, 1.0))),
         "efficiency": efficiency,
         "loss_db": loss_db,
         "mu": mu,
@@ -165,7 +166,8 @@ def test_ok_nodes_agree_with_oracle_and_one_node_call(node):
     p_ap = node["p_ap"]
     receiver = ReceiverModel.identical(
         2, min(p_ap, 1.0), dark_count_prob_total=node["p_dc"],
-        intrinsic_error=node["e_prime"], detector_efficiency=node["efficiency"],
+        intrinsic_error=node["e_prime"], background_error=node["e0"],
+        detector_efficiency=node["efficiency"],
     )
     channel = ChannelModel(transmission_loss_db=node["loss_db"])
     intensities = IntensitySet(node["mu"], node["nu1"])
@@ -218,9 +220,9 @@ def arrays(draw):
     return probs, raw + [last]
 
 
-def array_receiver(array, p_dc=0.0, e_prime=0.02, efficiency=0.1):
+def array_receiver(array, p_dc=0.0, e_prime=0.02, efficiency=0.1, e0=0.5):
     probs, biases = array
-    return ReceiverModel(tuple(map(DetectorUnit, probs, biases)), p_dc, e_prime,
+    return ReceiverModel(tuple(map(DetectorUnit, probs, biases)), p_dc, e_prime, e0,
                          detector_efficiency=efficiency)
 
 
@@ -238,7 +240,9 @@ def assert_mean(value, exact):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(arrays(), nodes())
 def test_detector_arrays_agree_with_oracle(array, node):
-    receiver = array_receiver(array, node["p_dc"], node["e_prime"], node["efficiency"])
+    receiver = array_receiver(
+        array, node["p_dc"], node["e_prime"], node["efficiency"], node["e0"]
+    )
     p_ap = exact_mean(*array)
     assert_mean(aggregate_afterpulse(receiver), p_ap)
     try:

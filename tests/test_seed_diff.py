@@ -103,6 +103,7 @@ def receivers(draw):
     dark = draw(st.sampled_from(["dark_count_prob_total", "dark_count_prob_per_detector"]))
     section[dark] = draw(numbers(0.0, 1e-4))
     section["intrinsic_error"] = draw(numbers(0.0, 0.2))
+    section["background_error"] = draw(st.one_of(st.just(0.5), numbers(0.0, 1.0)))
     section["detector_efficiency"] = draw(numbers(0.01, 1.0))
     return section
 
@@ -418,6 +419,10 @@ receiver: {num_detectors: 4, afterpulse_prob: 0.008, dark_count_prob_per_detecto
 channel: {distance_km: 25.0}
 """
 WORKLOADS = [workloads.generate(name, 1) for name in workloads.NAMES]
+E0_RECEIVER = """\
+receiver: {num_detectors: 2, afterpulse_prob: 0.01, dark_count_prob_total: 6.0e-7,
+           intrinsic_error: 0.02, background_error: 0.27}
+"""
 SEED_CASES = {
     "report.default": (None, ["report"]),
     "report-csv.default": (None, ["report", "--format", "csv"]),
@@ -603,6 +608,25 @@ sweep:
     )},
     # the benchmark's workloads at seed 1, written with --output
     **{w.name: (w.config_text(), w.argv(CONFIG, OUTPUT)) for w in WORKLOADS},
+    # a background error other than 1/2 through every engine path
+    **{f"e0.{policy}": (E0_RECEIVER + f"""\
+sweep:
+  axes:
+    - {{name: p_ap, min: 0.0, max: 1.5, count: 5}}
+    - {{name: loss_db, min: 0.0, max: 40.0, count: 3}}
+  outputs: [e_detector, baseline_error_change, visibility, e_mu, e1_upper, skr_lower]
+  mu_policy: {policy}
+""", ["sweep", "--config", CONFIG]) for policy in model.MU_POLICIES},
+    "e0.contour": (E0_RECEIVER + """\
+channel: {loss_db: 10.5}
+sweep:
+  axes:
+    - {name: p_ap, min: 0.0, max: 0.1, count: 6}
+    - {name: intrinsic_error, min: 0.0, max: 0.08, count: 6}
+""", ["contour", "--config", CONFIG]),
+    **{f"e0.{argv[0]}": (E0_RECEIVER, [*argv, "--config", CONFIG]) for argv in (
+        ["report"], ["optimal-mu"], ["skr-vs-afterpulse", "--points", "8"],
+    )},
 }
 
 

@@ -21,7 +21,7 @@ from decoylink import (
     run_sweep,
 )
 from decoylink import optimize, sweep
-from decoylink.bounds import link_table, mu_core, node_stage
+from decoylink.bounds import Grid, boxes, link_table, mu_core, node_stage
 from decoylink.optimize import maximize_nodes
 
 PROTOCOL = ProtocolParams()
@@ -160,6 +160,32 @@ class TestSweepSpecValidation:
         base_spec([Axis("p_ap", 0.0, 0.01, 1000), Axis("loss_db", 0.0, 5.0, 1000)])
 
 
+class TestGrid:
+    def test_coupled_input_varies_along_its_axis_only(self):
+        # the preset's grid: its loss_db axis also sets nu1
+        losses = sorted(sweep.NU1_BY_LOSS_DB)
+        nu1 = np.array([sweep.NU1_BY_LOSS_DB[loss] for loss in losses])
+        axes = (
+            ("loss_db", losses, {"nu1": nu1}),
+            ("intrinsic_error", (0.005, 0.02)),
+            ("p_ap", (0.0, 0.01, 0.1)),
+        )
+        receiver = ReceiverModel.identical(
+            2, dark_count_prob_total=6e-7, intrinsic_error=0.02, background_error=0.27
+        )
+        grid = Grid(receiver, ChannelModel(transmission_loss_db=5.0), {"mu": 1.0}, axes)
+        assert grid.background_error == 0.27
+        seen = []
+        for box in boxes(grid.shape, 4):
+            index, inputs = grid.slab(box)
+            assert inputs["nu1"].shape == (index[0].size, 1, 1)
+            assert inputs["nu1"].ravel().tolist() == [
+                sweep.NU1_BY_LOSS_DB[losses[i]] for i in index[0].ravel().tolist()
+            ]
+            seen += inputs["nu1"].ravel().tolist()
+        assert set(seen) == set(sweep.NU1_BY_LOSS_DB.values())
+
+
 class TestResultRecord:
     def test_fields_and_defaults(self):
         assert sweep.ResultRecord._fields == (
@@ -180,11 +206,10 @@ class TestResultRecord:
             outputs=("p_ap", "e_mu", "skr_lower"), mu_policy="optimize-per-point",
         )
         records = run_sweep(spec)
-        [block] = sweep.iter_blocks(spec)
+        grid = sweep.spec_grid(spec)
+        [block] = sweep.grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
         nodes = block.nodes
-        axis_values = [
-            nodes(v[i]).tolist() for v, i in zip(block.axis_values, block.axis_index)
-        ]
+        axis_values = [nodes(v[i]).tolist() for v, i in zip(grid.values, block.axis_index)]
         outputs = [(nodes(v).tolist(), nodes(m).tolist()) for v, m in block.outputs]
         mu, mu_missing = map(nodes, block.mu_opt)
         expected = [
