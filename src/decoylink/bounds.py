@@ -88,6 +88,7 @@ def estimate_single_photon(
     finite, or gains or a bound too small (subnormal) to keep any precision.
     """
     check_decoy_pair(mu, nu1)
+    model.check_nonnegative(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1, y0=y0, e0=e0)
     nu2, q_exp_nu1, e1_numerator = _nu1_terms(
         q_nu1, e_nu1, y0, nu1, e0, _libm_or_nan(math.exp, nu1)
     )
@@ -133,6 +134,7 @@ def skr_lower_bound(
     dropped when e1 >= 1/2, where the entropy saturates and single photons
     carry no key. Returns (floored, raw).
     """
+    model.check_nonnegative(q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower, e1_upper=e1_upper)
     q1, h1 = (q1_lower, binary_entropy(e1_upper)) if e1_upper < 0.5 else (0.0, 0.0)
     raw = _key_rate(q_mu, binary_entropy(e_mu), q1, h1, protocol)
     return max(0.0, raw), raw
@@ -153,8 +155,7 @@ def skr_approx(
     is applied. Outside the validity region (background yield comparable to
     the transmittance, or transmittance not small) a RuntimeWarning is issued.
     """
-    if not mu >= 0.0:  # rejects NaN too
-        raise ValidationError(f"mu must be >= 0, got {mu!r}")
+    model.check_nonnegative(mu=mu)
     eta = model.transmittance(receiver, channel)
     y0 = model.yield_background(receiver)
     if warn and (eta > _APPROX_ETA_MAX or y0 > _APPROX_BACKGROUND_FRACTION * eta):

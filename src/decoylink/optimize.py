@@ -32,8 +32,9 @@ _GRID_SEED_POINTS = 64
 _SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
-# Every solver stops within ABS_TOLERANCE (its residual, or its bracket's
-# width) or after MAX_ITERATIONS steps; both are read at each call.
+# The intensity search and the dark-count bisection each stop within
+# ABS_TOLERANCE (the search's bracket width, the bisection's distance from
+# the target QBER) or after MAX_ITERATIONS steps; both are read at each call.
 ABS_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
 
@@ -44,15 +45,11 @@ class OptimalMu:
 
     ``boundary`` marks the degenerate zero-error case where the condition's
     right side vanishes and the optimum sits at the interval edge mu = 1.
-    ``converged`` is False when the bisection ran out of iterations before
-    the residual fell below the tolerance; ``iterations`` counts its steps.
     """
 
     mu: float
     residual: float
     boundary: bool = False
-    converged: bool = True
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,18 +120,30 @@ class ContourPoint(NamedTuple):
     iterations: int = 0
 
 
-def _mu_condition(mu: float) -> float:
-    return (1.0 - mu) * math.exp(-mu)
+def _lambert_w0(x: float) -> float:
+    """W0(x) for x >= 0: the root w >= 0 of w e^w = x, in floats.
+
+    Six Halley steps from log1p(x) (Corless et al., Adv. Comput. Math. 5,
+    1996). Each step about triples the correct digits, and log1p(x) is
+    within 0.32 of the root for x up to e, so six reach the float's last bit.
+    """
+    w = math.log1p(x)
+    for _ in range(6):
+        ew = math.exp(w)
+        f = w * ew - x
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
 def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> OptimalMu:
-    """Solve (1 - mu) e^-mu = f H2(e) / (1 - H2(e)) for the signal intensity.
+    """Solve (1 - mu) e^-mu = r, r = f H2(e) / (1 - H2(e)), for the signal intensity.
 
-    The left side falls strictly from 1 to 0 on (0, 1), so any right side in
-    (0, 1) has exactly one root there, found by bisection of (0, 1) until
-    the residual is below ABS_TOLERANCE or MAX_ITERATIONS steps have run.
-    Raises NoSolutionError when the right side reaches 1 (error rate too
-    high for a positive-rate optimum below saturation).
+    The left side falls strictly from 1 to 0 on [0, 1], so any r in [0, 1)
+    has exactly one root there. With t = 1 - mu the condition reads
+    t e^t = e r, so the root is mu = 1 - W0(e r): r = 0 (a zero error rate)
+    puts it at the edge mu = 1, marked ``boundary``. Raises NoSolutionError
+    when r is not below 1 (error rate too high for a positive-rate optimum
+    below saturation).
     """
     h = binary_entropy(e_detector)
     if h >= 1.0:
@@ -142,33 +151,13 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
             f"binary entropy saturates at e_detector={e_detector!r}; no optimum exists"
         )
     rhs = protocol.ec_efficiency * h / (1.0 - h)
-    if rhs >= 1.0:
+    if not rhs < 1.0:  # rejects NaN too
         raise NoSolutionError(
             f"error rate too high (e_detector={e_detector!r}): the condition's right "
             f"side is {rhs:g} >= 1, outside the solvable range"
         )
-    if rhs <= 0.0:
-        return OptimalMu(mu=1.0, residual=abs(_mu_condition(1.0) - rhs), boundary=True)
-    lo, hi = 0.0, 1.0
-    mid = 0.5 * (lo + hi)
-    residual = _mu_condition(mid) - rhs
-    iterations = 0
-    for _ in range(MAX_ITERATIONS):
-        if abs(residual) < ABS_TOLERANCE:
-            break
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        residual = _mu_condition(mid) - rhs
-        iterations += 1
-    return OptimalMu(
-        mu=mid,
-        residual=abs(residual),
-        converged=abs(residual) < ABS_TOLERANCE,
-        iterations=iterations,
-    )
+    mu = 1.0 - _lambert_w0(math.e * rhs)
+    return OptimalMu(mu, abs((1.0 - mu) * math.exp(-mu) - rhs), boundary=rhs <= 0.0)
 
 
 def _check_mu_bracket(nu1: float, lo: float) -> None:

@@ -1,0 +1,153 @@
+"""The CLI outputs that differ from the seed code's on purpose, and the check each must pass.
+
+``benchmarks/reference/decoylink`` is the seed code, loaded here as
+``seed`` under the package name ``decoylink_seed``. The differential tests
+of ``test_seed_diff.py`` run the CLI of both trees on the same argv and
+``compare`` the outcomes. They must be equal, except where a row of
+``ROWS`` applies to the argv and the seed code exits 0: there the row's
+check judges this tree's stdout against the seed code's, and everything
+else (exit code, stderr, warnings, any ``--output`` file) must still be
+equal. Each row names the CHANGES.md entry that made its change, and no
+row accepts a value without an oracle or a property of the seed's own
+full-precision result behind it.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from argparse import Namespace
+from dataclasses import dataclass
+from decimal import Context, Decimal
+from pathlib import Path
+from typing import Callable
+
+import mpmath
+
+from decoylink.optimize import ABS_TOLERANCE
+
+SEED_PACKAGE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "decoylink"
+
+
+def _load_seed_package():
+    spec = importlib.util.spec_from_file_location(
+        "decoylink_seed", SEED_PACKAGE / "__init__.py",
+        submodule_search_locations=[str(SEED_PACKAGE)],
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+seed = _load_seed_package()
+seed_cli = importlib.import_module("decoylink_seed.cli")
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """One intended change of the CLI's stdout.
+
+    ``applies(argv)`` tells whether the change can show in a run of
+    ``argv``; ``check(ours, theirs, args)`` asserts that this tree's stdout
+    ``ours`` is right, given the seed code's stdout ``theirs`` and ``args``,
+    the run's arguments as the seed CLI parses them (``args.config`` is the
+    scenario path, or None).
+    """
+
+    name: str
+    change: str
+    applies: Callable[[list[str]], bool]
+    check: Callable[[str, str, Namespace], None]
+
+
+def unconverged_contour(out: str, args: Namespace) -> str:
+    """The seed code's ``contour`` stdout ``out``, with status ``not-converged`` at each
+    node whose seed bisection ended more than ABS_TOLERANCE from the target.
+
+    The seed code prints ``ok`` there; this tree says the bisection ran out
+    of steps, and prints every other cell as the seed code does.
+    """
+    scenario = seed_cli._load_scenario(args)
+    axes = {ax.name: ax.values() for ax in scenario.sweep.axes}
+    points = seed.optimize.trace_iso_qber_surface(
+        axes["p_ap"], axes["intrinsic_error"], scenario.channel.loss_db, args.target_qber,
+        scenario.receiver, scenario.intensities.signal_mu,
+    )
+    header, *rows = out.splitlines(keepends=True)
+    for i, point in enumerate(points):
+        if point.feasible and not abs(point.achieved_qber - args.target_qber) < ABS_TOLERANCE:
+            assert rows[i].endswith(",ok\n")
+            rows[i] = rows[i][:-len("ok\n")] + "not-converged\n"
+    return header + "".join(rows)
+
+
+def _check_contour(ours: str, theirs: str, args: Namespace) -> None:
+    assert ours == unconverged_contour(theirs, args)
+
+
+def optimal_mu_root(e_detector: float, ec_efficiency: float) -> Decimal:
+    """1 - W0(e r), r = f H2(e_det) / (1 - H2(e_det)), at 50 digits from the floats given."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(e_detector)
+        h = 0 if e == 0 else -(e * mpmath.log(e) + (1 - e) * mpmath.log1p(-e)) / mpmath.log(2)
+        root = 1 - mpmath.lambertw(mpmath.e * mpmath.mpf(ec_efficiency) * h / (1 - h)).real
+        return Decimal(mpmath.nstr(root, 50))
+
+
+def printed(root: Decimal) -> str:
+    """``root`` correctly rounded to 10 significant digits, as the CLI prints a float."""
+    return format(float(Context(prec=10).plus(root)), ".10g")
+
+
+def _check_optimal_mu(ours: str, theirs: str, args: Namespace) -> None:
+    """``e_detector`` and ``boundary`` as the seed code prints them; ``mu`` the 50-digit
+    root of the seed's own e_det, correctly rounded; ``residual`` at most 2^-50."""
+    scenario = seed_cli._load_scenario(args)
+    receiver = scenario.receiver
+    e_det = seed.model.effective_baseline_error(
+        receiver.intrinsic_error, receiver.background_error,
+        seed.model.aggregate_afterpulse(receiver),
+    )
+    mu = printed(optimal_mu_root(e_det, scenario.protocol.ec_efficiency))
+    lines, seed_lines = ours.splitlines(keepends=True), theirs.splitlines(keepends=True)
+    assert len(lines) == len(seed_lines)
+    for line, seed_line in zip(lines, seed_lines):
+        label, value = line[:22], line[22:-1]
+        assert label == seed_line[:22] and line.endswith("\n")
+        if label.rstrip() == "mu":
+            assert value == mu
+        elif label.rstrip() == "residual":
+            assert float(value) <= 2.0 ** -50
+        else:
+            assert line == seed_line
+
+
+ROWS = (
+    Divergence(
+        "unconverged_contour",
+        "`import decoylink` loads no submodule, ... `contour` prints `not-converged` where its "
+        "bisection ran out of steps",
+        lambda argv: argv[0] == "contour" and "--output" not in argv,
+        _check_contour,
+    ),
+    Divergence(
+        "optimal_mu_closed_form",
+        "`optimal-mu` is the closed form mu = 1 - W0(e r): ...",
+        lambda argv: argv[0] == "optimal-mu" and "--output" not in argv,
+        _check_optimal_mu,
+    ),
+)
+
+
+def compare(ours: tuple, theirs: tuple, argv: list[str]) -> None:
+    """Assert that two CLI outcomes, (exit code, stdout, stderr, warnings), agree.
+
+    They must be equal, except the stdout of a run that a row of ``ROWS``
+    applies to and the seed code completed: that row's check judges it.
+    """
+    row = next((row for row in ROWS if row.applies(argv)), None)
+    if row is not None and theirs[0] == 0:
+        row.check(ours[1], theirs[1], seed_cli.build_parser().parse_args(argv))
+        ours, theirs = (ours[0], *ours[2:]), (theirs[0], *theirs[2:])
+    assert ours == theirs

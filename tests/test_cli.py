@@ -248,10 +248,11 @@ class TestConfig:
                 "channel: distance_km must be finite when attenuation_db_per_km is 0, got inf",
             ),
             ("protocol: {ec_efficiency: .nan}", "protocol: ec_efficiency must be >= 1, got nan"),
+            ("protocol: {ec_efficiency: .inf}", "protocol: ec_efficiency must be finite, got inf"),
         ],
         ids=[
             "nan_loss", "nan_distance", "nan_attenuation", "inf_attenuation",
-            "zero_attenuation_inf_distance", "nan_ec",
+            "zero_attenuation_inf_distance", "nan_ec", "inf_ec",
         ],
     )
     def test_nan_settings_and_infinite_attenuation_are_config_errors(
@@ -1088,6 +1089,24 @@ class TestOptimalMuCommand:
         assert float(values["residual"]) < 1e-10
         assert values["boundary"] == "false"
 
+    def test_prints_the_correctly_rounded_root(self, tmp_path, capsys):
+        # e_det = e' = 0.02; the 50-digit root is 0.638224651478...
+        path = write_config(tmp_path, "receiver: {afterpulse_prob: 0.0, intrinsic_error: 0.02}\n")
+        assert main(["optimal-mu", "--config", path]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "mu                    0.6382246515"
+
+    def test_infinite_ec_efficiency_is_a_config_error(self, tmp_path, capsys):
+        # f H2(0) would be inf * 0, NaN: the command never prints mu nan
+        path = write_config(
+            tmp_path,
+            "receiver: {afterpulse_prob: 0.0, intrinsic_error: 0.0}\n"
+            "protocol: {ec_efficiency: .inf}\n",
+        )
+        assert main(["optimal-mu", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config: protocol: ec_efficiency must be finite, got inf\n"
+        assert captured.out == ""
+
     def test_zero_error_boundary(self, tmp_path, capsys):
         path = write_config(tmp_path, "receiver:\n  intrinsic_error: 0.0\n")
         assert main(["optimal-mu", "--config", path]) == 0
@@ -1101,23 +1120,6 @@ class TestOptimalMuCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: model-domain:")
         assert "too high" in err
-
-    def test_bisection_out_of_iterations_is_model_domain_error(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # three steps leave the residual far above ABS_TOLERANCE
-        path = write_config(
-            tmp_path,
-            "receiver:\n  afterpulse_prob: 0.008\n  intrinsic_error: 0.02\n",
-        )
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
-        assert main(["optimal-mu", "--config", path]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: model-domain: optimal-mu bisection did not converge in 3 steps "
-            "(residual 0.0244928)\n"
-        )
-        assert captured.out == ""
 
 
 class TestPresetCommand:

@@ -17,11 +17,13 @@ from decoylink import (
     baseline_error_change,
     dark_count_threshold,
     effective_baseline_error,
+    estimate_single_photon,
     gain_total,
     multi_photon_transmittance,
     qber_i,
     qber_total,
     skr_approx,
+    skr_lower_bound,
     trace_iso_qber_surface,
     transmittance,
     visibility,
@@ -207,6 +209,9 @@ class TestIntensityAndProtocol:
         with pytest.raises(ValidationError) as excinfo:
             ProtocolParams(ec_efficiency=math.nan)
         assert str(excinfo.value) == "ec_efficiency must be >= 1, got nan"
+        with pytest.raises(ValidationError) as excinfo:
+            ProtocolParams(ec_efficiency=math.inf)
+        assert str(excinfo.value) == "ec_efficiency must be finite, got inf"
 
 
 class TestYields:
@@ -504,13 +509,32 @@ class TestDecoyConsistency:
          "mean_photon must be > 0, got nan"),
         (lambda r, c: dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, math.nan),
          "mean_photon must be > 0, got nan"),
+        # a negative gain gave a positive key, 0.00125, and a NaN one (0.0, nan)
+        (lambda r, c: skr_lower_bound(-0.01, 0.02, 0.001, 0.02, ProtocolParams()),
+         "q_mu must be >= 0, got -0.01"),
+        (lambda r, c: skr_lower_bound(math.nan, 0.02, 0.001, 0.02, ProtocolParams()),
+         "q_mu must be >= 0, got nan"),
+        # the two NaNs gave e1_upper nan with clamped False
+        (lambda r, c: estimate_single_photon(0.01, 0.02, 0.001, math.nan, 1e-6, 0.5, 0.05),
+         "e_nu1 must be >= 0, got nan"),
+        (lambda r, c: estimate_single_photon(0.01, 0.02, 0.001, 0.02, 1e-6, 0.5, 0.05, math.nan),
+         "e0 must be >= 0, got nan"),
+        (lambda r, c: estimate_single_photon(0.01, 0.02, 0.001, 0.02, -1e-6, 0.5, 0.05),
+         "y0 must be >= 0, got -1e-06"),
+        # these gave -1.25, -0.111 and nan
+        (lambda r, c: multi_photon_transmittance(-0.5, 2), "eta must be >= 0, got -0.5"),
+        (lambda r, c: multi_photon_transmittance(0.1, -1), "i must be >= 0, got -1"),
+        (lambda r, c: multi_photon_transmittance(math.nan, 2), "eta must be >= 0, got nan"),
     ],
     ids=["gain_total", "qber_total", "effective_baseline_error", "baseline_error_change",
          "visibility", "skr_approx_negative", "skr_approx_nan", "trace_iso_qber_surface",
-         "dark_count_threshold"],
+         "dark_count_threshold", "skr_lower_bound_negative_gain", "skr_lower_bound_nan_gain",
+         "estimate_nan_e_nu1", "estimate_nan_e0", "estimate_negative_y0",
+         "multi_photon_negative_eta", "multi_photon_negative_i", "multi_photon_nan_eta"],
 )
 def test_nan_and_negative_scalar_inputs_rejected(call, message):
-    """A NaN, or a negative intensity, is a validation error, never a nan or a wrong answer."""
+    """A NaN, or a negative intensity, gain, error rate or transmittance, is a validation
+    error, never a nan or a wrong answer."""
     with pytest.raises(ValidationError) as excinfo:
         call(receiver_two(0.008), channel(21.0))
     assert str(excinfo.value) == message

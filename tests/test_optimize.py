@@ -2,8 +2,11 @@
 import math
 import re
 import warnings
+from decimal import Decimal
+from types import SimpleNamespace
 from unittest.mock import patch
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from decoylink import (
     trace_iso_qber_surface,
 )
 from decoylink import optimize
+from divergences import optimal_mu_root, printed
 
 PROTOCOL = ProtocolParams()
 
@@ -76,30 +80,38 @@ class TestSolveOptimalMu:
         assert abs(result.mu - 0.526242256991736) < 1e-6
         assert abs(result.mu - oracle_root(0.03)) < 1e-6
 
-    def test_running_out_of_iterations_is_reported(self):
-        with patch.object(optimize, "MAX_ITERATIONS", 3):
-            short = solve_optimal_mu(0.03, PROTOCOL)
-        assert not short.converged
-        assert short.iterations == 3
-        assert short.residual > 1e-3
-        full = solve_optimal_mu(0.03, PROTOCOL)
-        assert full.converged
-        assert 3 < full.iterations < 200
-
-    def test_tolerance_is_read_at_each_call(self):
-        with patch.object(optimize, "ABS_TOLERANCE", 1e-3):
-            coarse = solve_optimal_mu(0.03, PROTOCOL)
-        full = solve_optimal_mu(0.03, PROTOCOL)
-        assert coarse.converged and full.converged
-        assert coarse.residual < 1e-3
-        assert full.residual < 1e-10
-        assert coarse.iterations < full.iterations
-        assert abs(coarse.mu - full.mu) < 1e-2
+    def test_agrees_with_the_50_digit_lambert_w_root(self):
+        """Within 1e-13 root + 2^-52 of 1 - W0(e r) on 400 error rates and at the
+        solvability edge, where mu -> 0; the 400 print as the root's rounded 10 digits."""
+        f = PROTOCOL.ec_efficiency
+        with mpmath.workdps(50):
+            # r = f H2(e) / (1 - H2(e)) reaches 1 where H2(e) = 1 / (1 + f)
+            e_boundary = float(mpmath.findroot(
+                lambda x: -(x * mpmath.log(x) + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
+                - 1 / (1 + mpmath.mpf(f)), 0.1,
+            ))
+        grid = [0.001 + (0.09 - 0.001) * k / 399 for k in range(400)]
+        edge = [e_boundary * (1.0 - 10.0 ** -k) for k in range(3, 16)]
+        for e_det in grid + edge:
+            result = solve_optimal_mu(e_det, PROTOCOL)
+            root = optimal_mu_root(e_det, f)
+            assert abs(Decimal(result.mu) - root) <= Decimal(1e-13) * root + Decimal(2.0 ** -52)
+            assert result.residual <= 2.0 ** -50
+            assert not result.boundary
+            if e_det in grid:
+                assert format(result.mu, ".10g") == printed(root)
+        assert solve_optimal_mu(edge[-1], PROTOCOL).mu < 1e-14
 
     def test_zero_error_boundary(self):
         result = solve_optimal_mu(0.0, PROTOCOL)
         assert result.boundary
         assert result.mu == 1.0
+        assert result.residual == 0.0
+
+    def test_a_nan_right_side_has_no_solution(self):
+        # f H2(0) with an infinite f is NaN: no optimum, never a NaN mu
+        with pytest.raises(NoSolutionError):
+            solve_optimal_mu(0.0, SimpleNamespace(ec_efficiency=math.inf))
 
     def test_error_rate_too_high(self):
         with pytest.raises(NoSolutionError):

@@ -1,17 +1,18 @@
 """Differential tests: the CLI and the intensity optimizer against the frozen seed code.
 
-``benchmarks/reference/decoylink`` is the seed code, loaded here under the
-package name ``decoylink_seed``. A derandomized strategy writes scenario
+``benchmarks/reference/decoylink`` is the seed code, which ``divergences``
+loads under the package name ``decoylink_seed``. A derandomized strategy writes scenario
 files, and each example runs ``cli.main`` of both trees on the same argv and
 compares the exit code, stdout and stderr; this tree runs its grids in slabs
 and writes them in chunks, each of a drawn size. Inputs whose output changed
 on purpose (non-finite or NaN numbers, ``null`` fields, subnormal values,
 intensities so small that ``mu*nu1 - nu1*nu1`` underflows, a repeated key)
 are not drawn here; CHANGES.md lists them and they keep tests of their own.
-A drawn ``contour`` node whose seed bisection ran out of steps away from the
-target is ``ok`` in the seed code's output and ``not-converged`` in this
-tree's; ``unconverged_contour`` marks it so in the seed code's output, after
-checking that node's seed result at full precision.
+The outputs that changed on purpose where the seed code's answer was wrong
+(a ``contour`` node whose bisection ran out of steps, the digits of
+``optimal-mu``) are rows of ``divergences.ROWS``: ``divergences.compare``
+judges such a stdout by the row's check, and every other part of the
+outcome by equality.
 ``SEED_CASES`` is a fixed table of CLI cases compared the same way, with
 any ``--output`` file, and ``python -m decoylink`` runs once in a process of
 its own on each tree. A second strategy runs ``maximize_skr_over_mu`` of
@@ -21,8 +22,6 @@ from the C library's: one compares ``link_table`` with ``evaluate_link``,
 the other the optimizer with the seed code, bit for bit, so the array
 kernel must call the C library as the scalar model does.
 """
-import importlib
-import importlib.util
 import io
 import math
 import os
@@ -44,25 +43,11 @@ from decoylink import cli, model, optimize, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES, evaluate_link, link_table
 from decoylink.errors import DecoyLinkError
 
+from divergences import compare, seed, seed_cli
+
 REPO = Path(__file__).resolve().parents[1]
-SEED_PACKAGE = REPO / "benchmarks" / "reference" / "decoylink"
 sys.path.append(str(REPO / "benchmarks"))
 import workloads  # noqa: E402
-
-
-def _load_seed_package():
-    spec = importlib.util.spec_from_file_location(
-        "decoylink_seed", SEED_PACKAGE / "__init__.py",
-        submodule_search_locations=[str(SEED_PACKAGE)],
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    return package
-
-
-seed = _load_seed_package()
-seed_cli = importlib.import_module("decoylink_seed.cli")
 
 
 def numbers(lo, hi):
@@ -188,31 +173,7 @@ def test_cli_matches_the_seed_code(tmp_path_factory, drawn, slab_nodes, chunk_no
     with patch.object(sweep, "SLAB_NODES", slab_nodes), \
             patch.object(cli, "CHUNK_NODES", chunk_nodes):
         ours = run(cli.main, argv)
-    theirs = run(seed_cli.main, argv)
-    if argv[0] == "contour" and theirs[0] == 0:
-        theirs = (theirs[0], unconverged_contour(theirs[1], path, float(argv[2])), *theirs[2:])
-    assert ours == theirs
-
-
-def unconverged_contour(out, path, target):
-    """The seed code's ``contour`` stdout ``out``, with status ``not-converged`` at each
-    node whose seed bisection ended more than ABS_TOLERANCE from the target.
-
-    The seed code prints ``ok`` there; this tree says the bisection ran out
-    of steps, and prints every other cell as the seed code does.
-    """
-    scenario = seed.config.load_scenario(str(path))
-    axes = {ax.name: ax.values() for ax in scenario.sweep.axes}
-    points = seed.optimize.trace_iso_qber_surface(
-        axes["p_ap"], axes["intrinsic_error"], scenario.channel.loss_db, target,
-        scenario.receiver, scenario.intensities.signal_mu,
-    )
-    header, *rows = out.splitlines(keepends=True)
-    for i, point in enumerate(points):
-        if point.feasible and not abs(point.achieved_qber - target) < optimize.ABS_TOLERANCE:
-            assert rows[i].endswith(",ok\n")
-            rows[i] = rows[i][:-len("ok\n")] + "not-converged\n"
-    return header + "".join(rows)
+    compare(ours, run(seed_cli.main, argv), argv)
 
 
 @st.composite
@@ -632,7 +593,8 @@ sweep:
 
 @pytest.mark.parametrize("label", SEED_CASES)
 def test_case_matches_the_seed_code(tmp_path, label):
-    """Exit code, stdout, stderr, warnings and any --output file, as both trees give them.
+    """Exit code, stdout, stderr, warnings and any --output file, as both trees give them,
+    with the stdout of a case that a row of ``divergences.ROWS`` covers judged by its check.
 
     This tree may raise no warning, as under ``PYTHONWARNINGS=error::RuntimeWarning``.
     """
@@ -644,11 +606,52 @@ def test_case_matches_the_seed_code(tmp_path, label):
     def outcome(tree, main):
         output = tmp_path / f"{tree}.out"
         args = [str(config) if a == CONFIG else str(output) if a == OUTPUT else a for a in argv]
-        return run(main, args), output.read_bytes() if OUTPUT in argv else None
+        return args, run(main, args), output.read_bytes() if OUTPUT in argv else None
 
-    (code, out, err, caught), written = outcome("src", cli.main)
-    assert ((code, out, err, caught), written) == outcome("seed", seed_cli.main)
-    assert caught == []
+    _, ours, written = outcome("src", cli.main)
+    args, theirs, seed_written = outcome("seed", seed_cli.main)
+    compare(ours, theirs, args)
+    assert written == seed_written
+    assert ours[3] == []
+
+
+# e_det = e' = 0.02 exactly: the seed code prints mu 0.6382246516, where the
+# 50-digit root is 0.638224651478...
+E_DET_002 = "receiver: {afterpulse_prob: 0.0, intrinsic_error: 0.02}\n"
+
+
+def _replace_line(out, label, text):
+    """``out`` with the line labelled ``label`` replaced by ``text``."""
+    return "".join(
+        text if line[:22].rstrip() == label else line for line in out.splitlines(keepends=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [
+        # a last-digit change of a line the optimal-mu row keeps byte-equal
+        ("optimal-mu", lambda ours, theirs: ours.replace("0.02\n", "0.03\n", 1)),
+        # the seed code's own mu line, one unit off in its last digit
+        ("optimal-mu", lambda ours, theirs: _replace_line(
+            ours, "mu", [line for line in theirs.splitlines(keepends=True)
+                         if line.startswith("mu ")][0])),
+        # a report line, which no row covers
+        ("report", lambda ours, theirs: _replace_line(ours, "q_mu", "q_mu".ljust(22) + "0\n")),
+    ],
+    ids=["e_detector-last-digit", "seed-mu-line", "report-line"],
+)
+def test_divergence_rows_reject_a_mutant(tmp_path, command, mutate):
+    """``compare`` accepts this tree's outcome and fails on one mutated stdout line."""
+    config = tmp_path / "scenario.yaml"
+    config.write_text(E_DET_002)
+    argv = [command, "--config", str(config)]
+    ours, theirs = run(cli.main, argv), run(seed_cli.main, argv)
+    compare(ours, theirs, argv)
+    mutant = (ours[0], mutate(ours[1], theirs[1]), *ours[2:])
+    assert mutant[1] != ours[1]
+    with pytest.raises(AssertionError):
+        compare(mutant, theirs, argv)
 
 
 def test_python_m_decoylink_matches_the_seed_code():
