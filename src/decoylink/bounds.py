@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import model
-from .errors import DecoyLinkError, EstimationInfeasibleError, ValidationError
+from .errors import DecoyLinkError, EstimationInfeasibleError, ModelDomainError, ValidationError
 # The name tables live in ``model``; they are importable from here too.
 from .model import AXES, AXIS_NAMES, LINK_METRICS, METRIC_NAMES, SCALAR_METRICS
 
@@ -82,13 +82,15 @@ def estimate_single_photon(
                                    - (mu^2 - nu1^2)/mu^2 y0]
         e1 <= [E_nu1 Q_nu1 e^nu1 - e0 y0] / (Y1_lower nu1)
 
-    and Q1_lower = Y1_lower mu e^-mu. Bounds outside [0, 1] are clamped and
+    and Q1_lower = Y1_lower mu e^-mu, from gains, error rates and y0 in
+    [0, 1] and intensities 0 < nu1 < mu. Bounds outside [0, 1] are clamped and
     flagged. EstimationInfeasibleError is raised where the bounds cannot be
     resolved (``_resolvable``): a yield bound that is not positive and
     finite, or gains or a bound too small (subnormal) to keep any precision.
     """
     check_decoy_pair(mu, nu1)
     model.check_nonnegative(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1, y0=y0, e0=e0)
+    model.check_at_most_one(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1, y0=y0, e0=e0)
     nu2, q_exp_nu1, e1_numerator = _nu1_terms(
         q_nu1, e_nu1, y0, nu1, e0, _libm_or_nan(math.exp, nu1)
     )
@@ -132,9 +134,11 @@ def skr_lower_bound(
     raw = q { -f Q_mu H2(E_mu) + Q1 [1 - H2(e1)] }, floored at zero, with f
     the protocol's error-correction efficiency. The single-photon term is
     dropped when e1 >= 1/2, where the entropy saturates and single photons
-    carry no key. Returns (floored, raw).
+    carry no key. The gains and error rates are in [0, 1]. Returns (floored, raw).
     """
     model.check_nonnegative(q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower, e1_upper=e1_upper)
+    # binary_entropy rejects an e_mu above 1
+    model.check_at_most_one(q_mu=q_mu, q1_lower=q1_lower, e1_upper=e1_upper)
     q1, h1 = (q1_lower, binary_entropy(e1_upper)) if e1_upper < 0.5 else (0.0, 0.0)
     raw = _key_rate(q_mu, binary_entropy(e_mu), q1, h1, protocol)
     return max(0.0, raw), raw
@@ -154,6 +158,8 @@ def skr_approx(
     with e_det the afterpulse-corrected baseline error rate. No sifting factor
     is applied. Outside the validity region (background yield comparable to
     the transmittance, or transmittance not small) a RuntimeWarning is issued.
+    An approximation that is not finite (mu infinite, or so large that it
+    overflows) raises ModelDomainError.
     """
     model.check_nonnegative(mu=mu)
     eta = model.transmittance(receiver, channel)
@@ -170,7 +176,10 @@ def skr_approx(
         receiver.intrinsic_error, receiver.background_error, p_ap
     )
     h = binary_entropy(e_det)
-    return _skr_approx(eta, mu, 1.0 + p_ap, protocol.ec_efficiency, h, _libm_or_nan(math.exp, -mu))
+    rate = _skr_approx(eta, mu, 1.0 + p_ap, protocol.ec_efficiency, h, _libm_or_nan(math.exp, -mu))
+    if not abs(rate) < math.inf:  # rejects NaN too
+        raise ModelDomainError(f"key-rate approximation {rate!r} at mu={mu!r} is not finite")
+    return rate
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,20 @@ def check_nonnegative(**values: float) -> None:
             raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
 
+def check_finite(**values: float) -> None:
+    """Reject the first of the named ``values`` that is inf; ``check_nonnegative`` goes first."""
+    for name, value in values.items():
+        if value == math.inf:
+            raise ValidationError(f"{name} must be finite, got inf")
+
+
+def check_at_most_one(**values: float) -> None:
+    """Reject the first of the named ``values`` above 1, or NaN."""
+    for name, value in values.items():
+        if not value <= 1.0:  # rejects NaN too
+            raise ValidationError(f"{name} must be <= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorUnit:
     """One SPAD of the receiver array.
@@ -141,8 +155,7 @@ class ChannelModel:
         # infinite distance.
         if self.attenuation_db_per_km is not None:
             check_nonnegative(attenuation_db_per_km=self.attenuation_db_per_km)
-        if self.attenuation_db_per_km == math.inf:
-            raise ValidationError("attenuation_db_per_km must be finite, got inf")
+            check_finite(attenuation_db_per_km=self.attenuation_db_per_km)
         if self.transmission_loss_db is None:
             if self.attenuation_db_per_km is None or self.distance_km is None:
                 raise ValidationError(
@@ -217,8 +230,7 @@ class ProtocolParams:
             raise ValidationError(
                 f"ec_efficiency must be >= 1, got {self.ec_efficiency!r}"
             )
-        if self.ec_efficiency == math.inf:
-            raise ValidationError("ec_efficiency must be finite, got inf")
+        check_finite(ec_efficiency=self.ec_efficiency)
 
 
 def aggregate_afterpulse(receiver: ReceiverModel) -> float:
@@ -241,8 +253,14 @@ def transmittance(receiver: ReceiverModel, channel: ChannelModel) -> float:
 
 
 def multi_photon_transmittance(eta: float, i: int) -> float:
-    """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i."""
+    """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i.
+
+    ``eta`` is in [0, 1] and ``i`` a whole number >= 0.
+    """
     check_nonnegative(eta=eta, i=i)
+    check_at_most_one(eta=eta)
+    if i % 1 != 0:  # inf % 1 is NaN
+        raise ValidationError(f"i must be a whole number, got {i!r}")
     if i == 0:
         return 0.0
     if eta >= 1.0:
@@ -284,10 +302,12 @@ def qber_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
 def gain_total(receiver: ReceiverModel, channel: ChannelModel, mean_photon: float) -> float:
     """Total gain of a Poissonian source of the given mean photon number.
 
-    Y0 + (1 - exp(-eta mu)) (1 + p_ap). At mean_photon = 0 this is exactly the
-    background yield, i.e. the vacuum-decoy measurement.
+    Y0 + (1 - exp(-eta mu)) (1 + p_ap), for a finite mean_photon >= 0. At
+    mean_photon = 0 this is exactly the background yield, i.e. the vacuum-decoy
+    measurement.
     """
     check_nonnegative(mean_photon=mean_photon)
+    check_finite(mean_photon=mean_photon)
     detected = -math.expm1(-transmittance(receiver, channel) * mean_photon)
     background, signal, _ = _gain_terms(receiver, detected)
     gain = background + signal
@@ -348,9 +368,10 @@ def effective_baseline_error(
 
     (e' + e0 p_ap) / (1 + p_ap): a weighted mean of the intrinsic error and
     the background error, saturating toward e0 as p_ap grows. ``afterpulse_prob``
-    accepts any value >= 0 so the large-p_ap saturation can be studied.
+    accepts any finite value >= 0 so the large-p_ap saturation can be studied.
     """
     _check_baseline(intrinsic_error, background_error, afterpulse_prob)
+    check_finite(afterpulse_prob=afterpulse_prob)
     return e_detector(intrinsic_error, background_error, afterpulse_prob)
 
 
@@ -380,7 +401,15 @@ def baseline_error_change(
         raise DegenerateInputError(
             f"relative baseline change undefined for intrinsic_error = {intrinsic_error:g}"
         )
-    return relative_change(intrinsic_error, background_error, afterpulse_prob)
+    # after that check, which the sweep's e' = 0 nodes meet at any p_ap, inf included
+    check_finite(afterpulse_prob=afterpulse_prob)
+    change = relative_change(intrinsic_error, background_error, afterpulse_prob)
+    if change == math.inf:
+        # (e0/e' - 1) p_ap overflowed; the change itself is below e0/e'
+        return (background_error / intrinsic_error - 1.0) * (
+            afterpulse_prob / (1.0 + afterpulse_prob)
+        )
+    return change
 
 
 def relative_change(e_prime, e0, p_ap):

@@ -32,9 +32,9 @@ _GRID_SEED_POINTS = 64
 _SEED_SLICE_ROWS = 2048
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
-# The intensity search and the dark-count bisection each stop within
-# ABS_TOLERANCE (the search's bracket width, the bisection's distance from
-# the target QBER) or after MAX_ITERATIONS steps; both are read at each call.
+# The intensity search stops once its bracket is within ABS_TOLERANCE, at most
+# 42 steps; the dark-count bisection stops within ABS_TOLERANCE of the target
+# QBER or after MAX_ITERATIONS steps. Both are read at each call.
 ABS_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
 
@@ -54,18 +54,11 @@ class OptimalMu:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Outcome of the direct key-rate maximization over the signal intensity.
-
-    ``converged`` is False when the golden-section search ran out of
-    iterations before its bracket shrank to the tolerance; ``iterations``
-    counts its steps.
-    """
+    """Outcome of the direct key-rate maximization over the signal intensity."""
 
     mu: float
     skr: float
     reason: str | None = None
-    converged: bool = True
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,17 +66,14 @@ class MuSearch:
     """Outcome of the lockstep key-rate maximization at the nodes of a shape.
 
     ``table`` holds every metric at the optimal intensity ``table.mu``, which
-    has the nodes' shape, the broadcast shape of the inputs, as do
-    ``converged`` and ``iterations``. ``errors`` maps the nodes, by row-major
-    position, whose bracket or decoy pair is rejected, as
-    ``maximize_skr_over_mu`` would raise, to the exception; their other
-    entries are meaningless.
+    has the nodes' shape, the broadcast shape of the inputs. ``errors`` maps
+    the nodes, by row-major position, whose bracket or decoy pair is
+    rejected, as ``maximize_skr_over_mu`` would raise, to the exception;
+    their other entries are meaningless.
     """
 
     table: LinkTable
     errors: dict[int, DecoyLinkError]
-    converged: np.ndarray
-    iterations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,15 +182,17 @@ def maximize_nodes(
     and a trailing axis of 64 points, so that a term of mu alone is computed
     once per distinct seed point. The golden-section phase holds one entry
     per node still searching: its first probe takes both inner points of
-    every node, each later step one. The result's table, at the optimal
-    intensity ``table.mu``, is one ``bounds.mu_stage`` call. Each node
-    follows the same arithmetic as a search of its own, so its result does
-    not depend on the other nodes, on the runs or on the shapes.
+    every node, each later step one, until every bracket is within
+    ABS_TOLERANCE: each step keeps a fraction _INVPHI of a checked, finite
+    bracket whatever the objective returns. The result's table, at the
+    optimal intensity ``table.mu``, is one ``bounds.mu_stage`` call. Each
+    node follows the same arithmetic as a search of its own, so its result
+    does not depend on the other nodes, on the runs or on the shapes.
 
     A node's errors are decided before the golden-section phase: its bracket
     (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX) first, then its decoy pair at
     the first seed point, mu = nu1 + MU_BRACKET_MARGIN. For inputs with
-    p_ap > -1 and p_dc, eta >= 0, as ``bounds.Grid`` gives, that point
+    p_ap > -1 and p_dc, eta, nu1 >= 0, as ``bounds.Grid`` gives, that point
     decides it: every later point has a larger mu, so ``mu_core``, which
     does not test the decoy pair, runs past it only where 0 < nu1 < mu; and
     a gain outside (0, 1] there stays outside, since the signal gain never
@@ -256,9 +248,8 @@ def maximize_nodes(
 
         # The golden-section phase holds only the nodes still searching, as
         # threshold_nodes does. A node whose bracket is within the tolerance
-        # has its bracket and step count written back and is dropped.
+        # has its bracket written back and is dropped.
         node = np.flatnonzero(~failed)
-        iterations = np.zeros(n, dtype=int)
         if len(node):
             live = {name: per_node(values, shape)[node] for name, values in terms.items()}
             lo, hi = low[node], high[node]
@@ -266,11 +257,11 @@ def maximize_nodes(
             c, d = hi - _INVPHI * width, lo + _INVPHI * width
             both = {name: np.concatenate((v, v)) for name, v in live.items()}
             fc, fd = probe(np.concatenate((c, d)), both).reshape(2, -1)
-            for step in range(MAX_ITERATIONS):
+            while True:
                 done = width <= ABS_TOLERANCE
                 if np.count_nonzero(done):
                     ended, keep = node[done], ~done
-                    low[ended], high[ended], iterations[ended] = lo[done], hi[done], step
+                    low[ended], high[ended] = lo[done], hi[done]
                     node, lo, hi, width, c, d, fc, fd = (
                         a[keep] for a in (node, lo, hi, width, c, d, fc, fd)
                     )
@@ -284,10 +275,9 @@ def maximize_nodes(
                 c, d = np.where(up, hi - inner, d), np.where(up, c, lo + inner)
                 f = probe(np.where(up, c, d), live)
                 fc, fd = np.where(up, f, fd), np.where(up, fc, f)
-            low[node], high[node], iterations[node] = lo, hi, MAX_ITERATIONS
-        mu, converged = (0.5 * (low + high)).reshape(shape), high - low <= ABS_TOLERANCE
+        mu = (0.5 * (low + high)).reshape(shape)
     table = mu_stage(mu, background_error, protocol, terms, outputs)
-    return MuSearch(table, errors, converged.reshape(shape), iterations.reshape(shape))
+    return MuSearch(table, errors)
 
 
 def maximize_skr_over_mu(
@@ -303,6 +293,9 @@ def maximize_skr_over_mu(
     against stray local maxima. When no intensity yields a positive key the
     result carries skr = 0 and a reason, never an exception.
     """
+    # IntensitySet's test, after the bracket's lower bound, which -inf and -1e300 fail
+    if nu1 < min(0.0, nu1 + MU_BRACKET_MARGIN):
+        raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {nu1!r}")
     grid = Grid(receiver, channel, {"nu1": nu1}, ())
     _, inputs = grid.slab()
     search = maximize_nodes(**inputs, background_error=grid.background_error, protocol=protocol)
@@ -310,11 +303,10 @@ def maximize_skr_over_mu(
         raise search.errors[0]
     table = search.table
     mu, skr = float(table.mu), float(table.values["skr_lower"])
-    converged, iterations = bool(search.converged), int(search.iterations)
     # a gain outside (0, 1] at the optimum is no key
     if table.gain_error or not skr > 0.0:
-        return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY, converged, iterations)
-    return MaximizeResult(mu, skr, None, converged, iterations)
+        return MaximizeResult(mu, 0.0, NO_POSITIVE_KEY)
+    return MaximizeResult(mu, skr)
 
 
 def threshold_nodes(

@@ -486,6 +486,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: model-domain:")
 
+    # An infinite signal intensity printed skr_approx nan, and an overflowing
+    # approximation -inf; each is now an error before any output.
+    @pytest.mark.parametrize("text, code, message", [
+        ("intensities: {signal_mu: .inf}", 2, "config: mean_photon must be finite, got inf"),
+        (
+            "receiver: {detector_efficiency: 1.0}\nchannel: {loss_db: 0.0}\n"
+            "protocol: {ec_efficiency: 1.0e+308}\nintensities: {signal_mu: 10.0}",
+            3, "model-domain: key-rate approximation -inf at mu=10.0 is not finite",
+        ),
+    ], ids=["infinite_signal", "overflowing_approximation"])
+    def test_non_finite_approximation_is_an_error(self, tmp_path, capsys, text, code, message):
+        assert main(["report", "--config", write_config(tmp_path, text + "\n")]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "receiver:\n  nonsense: 1\n")
         assert main(["report", "--config", path]) == 2
@@ -585,27 +599,6 @@ class TestSweepCommand:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
-    def test_search_out_of_steps_is_not_converged(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, """\
-sweep:
-  axes:
-    - {name: p_ap, min: 0.001, max: 1.5, count: 3}
-  outputs: [skr_lower]
-  mu_policy: optimize-per-point
-""")
-        out = tmp_path / "out.csv"
-        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
-        assert [row["status"] for row in csv.DictReader(out.open())] == [
-            "ok", "ok", "model-domain-error"
-        ]
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
-        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
-        assert [row["status"] for row in rows] == [
-            "not-converged", "not-converged", "model-domain-error"
-        ]
-        assert rows[0]["mu_opt"] and rows[0]["skr_lower"]
-
     def test_non_finite_axis_endpoint_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path, "sweep:\n  axes:\n    - {name: loss_db, min: 0.0, max: .inf, count: 3}\n"
@@ -655,6 +648,31 @@ sweep:
             warnings.simplefilter("error")
             assert main(["sweep", "--config", config]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_zero_intrinsic_error_keeps_its_reason_at_an_infinite_afterpulse(
+        self, tmp_path, capsys
+    ):
+        # Biases that sum to 1e-13 make the aggregate p_ap overflow to inf at
+        # the float maximum; at e' = 0 the baseline change is still undefined
+        # before p_ap is found infinite.
+        config = write_config(tmp_path, """\
+receiver:
+  detectors: [{afterpulse_prob: 0.01, bias: 0.5000000000001}, {afterpulse_prob: 0.01, bias: -0.5}]
+sweep:
+  axes:
+    - {name: intrinsic_error, min: 0.0, max: 0.02, count: 2}
+    - {name: p_ap, min: 1.0e+308, max: 1.7976931348623157e+308, count: 2}
+  outputs: [p_ap, baseline_error_change]
+""")
+        assert main(["sweep", "--config", config]) == 0
+        undefined = "model-domain-error,relative baseline change undefined for intrinsic_error = 0"
+        assert capsys.readouterr().out == (
+            "intrinsic_error,p_ap,p_ap,baseline_error_change,status,reason\n"
+            f"0,1e+308,1e+308,,{undefined}\n"
+            f"0,1.797693135e+308,inf,,{undefined}\n"
+            "0.02,1e+308,1e+308,inf,ok,\n"
+            "0.02,1.797693135e+308,inf,nan,ok,\n"
+        )
 
     # A scalar output repeated after baseline_error_change, at e' = 0: the
     # seed code prints the value it computed before the failure. The
@@ -1138,14 +1156,6 @@ class TestPresetCommand:
         losses = [row[0] for row in rows[1:]]
         assert losses == ["0"] * 4 + ["5"] * 4 + ["21"] * 4
         assert all(float(row[5]) > 0.0 for row in rows[1:])
-
-    def test_search_out_of_steps_is_not_converged(self, tmp_path, monkeypatch):
-        out = tmp_path / "curves.csv"
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
-        assert main(["skr-vs-afterpulse", "--points", "2", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 12
-        assert {row["status"] for row in rows} == {"not-converged"}
 
     def test_one_lockstep_run_with_bounded_seed_slices(self, tmp_path, monkeypatch):
         # 30 points per curve: the 180 nodes fit in one block, whose seed

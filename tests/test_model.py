@@ -392,6 +392,11 @@ class TestBaselineError:
             with pytest.raises(DegenerateInputError):
                 baseline_error_change(e_prime, 0.5, p_ap)
 
+    def test_change_is_finite_where_its_product_overflows(self):
+        # (e0/e' - 1) p_ap overflows, the change (e0/e' - 1) p_ap / (1 + p_ap) does not
+        assert baseline_error_change(0.02, 0.5, 1e308) == 24.0
+        assert baseline_error_change(2.3e-308, 1.0, 1.7e308) == 1.0 / 2.3e-308 - 1.0
+
     @pytest.mark.parametrize("function", [effective_baseline_error, baseline_error_change])
     def test_negative_afterpulsing_rejected(self, function):
         with pytest.raises(ValidationError) as excinfo:
@@ -536,5 +541,47 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
     """A NaN, or a negative intensity, gain, error rate or transmittance, is a validation
     error, never a nan or a wrong answer."""
     with pytest.raises(ValidationError) as excinfo:
+        call(receiver_two(0.008), channel(21.0))
+    assert str(excinfo.value) == message
+
+
+# What each call returned before it was rejected is in its comment.
+@pytest.mark.parametrize("call, error, message", [
+    # (2.1456, 2.1456): more than one bit per pulse
+    (lambda r, c: skr_lower_bound(0.01, 0.02, 5.0, 0.02, ProtocolParams()),
+     ValidationError, "q1_lower must be <= 1, got 5.0"),
+    # nan, three times
+    (lambda r, c: effective_baseline_error(0.02, 0.5, math.inf),
+     ValidationError, "afterpulse_prob must be finite, got inf"),
+    (lambda r, c: visibility(0.02, 0.5, math.inf),
+     ValidationError, "afterpulse_prob must be finite, got inf"),
+    (lambda r, c: baseline_error_change(0.02, 0.5, math.inf),
+     ValidationError, "afterpulse_prob must be finite, got inf"),
+    # 1.0, 0.2316 and its yield
+    (lambda r, c: multi_photon_transmittance(2.0, 3), ValidationError, "eta must be <= 1, got 2.0"),
+    (lambda r, c: multi_photon_transmittance(0.1, 2.5),
+     ValidationError, "i must be a whole number, got 2.5"),
+    (lambda r, c: yield_i(r, c, 2.5), ValidationError, "i must be a whole number, got 2.5"),
+    # bounds in [0, 1] from an error rate of 3 or 2
+    (lambda r, c: estimate_single_photon(0.01, 3.0, 0.001, 0.02, 1e-6, 0.5, 0.05),
+     ValidationError, "e_mu must be <= 1, got 3.0"),
+    (lambda r, c: estimate_single_photon(0.01, 0.02, 0.001, 0.02, 1e-6, 0.5, 0.05, 2.0),
+     ValidationError, "e0 must be <= 1, got 2.0"),
+    # nan, and nan behind an opaque channel
+    (lambda r, c: skr_approx(r, c, math.inf, ProtocolParams(), warn=False),
+     ModelDomainError, "key-rate approximation nan at mu=inf is not finite"),
+    (lambda r, c: gain_total(r, channel(math.inf), math.inf),
+     ValidationError, "mean_photon must be finite, got inf"),
+    # -inf: the rate overflows
+    (lambda r, c: skr_approx(r, channel(0.0), 1e308, ProtocolParams(ec_efficiency=1e3), warn=False),
+     ModelDomainError, "key-rate approximation -inf at mu=1e+308 is not finite"),
+], ids=[
+    "skr_lower_bound", "effective_baseline_error", "visibility", "baseline_error_change",
+    "multi_photon_eta", "multi_photon_i", "yield_i", "estimate_e_mu", "estimate_e0",
+    "skr_approx_inf", "gain_total_opaque_inf", "skr_approx_overflow",
+])
+def test_out_of_range_and_infinite_scalar_inputs_rejected(call, error, message):
+    """An input above its range, or an infinite one, raises, never a nan or a wrong answer."""
+    with pytest.raises(error) as excinfo:
         call(receiver_two(0.008), channel(21.0))
     assert str(excinfo.value) == message

@@ -1,4 +1,5 @@
 """Model invariants over randomised inputs (hypothesis, derandomized)."""
+import inspect
 import itertools
 import math
 import os
@@ -32,6 +33,7 @@ from decoylink import (
     trace_iso_qber_surface,
     yield_i,
 )
+import decoylink
 from decoylink import cli, model, optimize, sweep
 from decoylink.bounds import (
     METRIC_NAMES, Grid, boxes, link_table, mu_core, mu_stage, node_stage, per_node,
@@ -189,6 +191,151 @@ def test_domain_error_exactly_when_gain_exceeds_one(r, ch, aimed_gain, decoy_fra
         assert not any(exceeds)
 
 
+UNIT, HALF_LINE, SIGNED = (0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)
+PHOTONS = "a whole number of photons, >= 0"
+
+
+def inside(domain):
+    """A finite value in ``domain``, its bounds included; about half of them at most 1."""
+    if domain == PHOTONS:
+        return st.integers(0, 40)
+    lo, hi = domain
+    return st.one_of(st.floats(lo, min(hi, 1.0)), st.floats(lo, hi, allow_infinity=False))
+
+
+def outside(domain):
+    """NaN, +-inf, a negative or a value just past a bound, outside ``domain``."""
+    if domain == PHOTONS:
+        return st.sampled_from([-1, 2.5, math.nan, math.inf])
+    lo, hi = domain
+    past = [math.nextafter(lo, -math.inf)]
+    if hi < math.inf:
+        past.append(math.nextafter(hi, math.inf))
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, *past]),
+        st.floats(max_value=-sys.float_info.min, allow_infinity=False),
+    )
+
+
+@st.composite
+def value_types(draw):
+    """A receiver, channel (opaque ones too) and protocol from the whole of their ranges,
+    with about half of the afterpulse and dark-count probabilities and losses typical."""
+    p_ap = st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 1.0))
+    receiver = ReceiverModel(
+        tuple(DetectorUnit(draw(p_ap)) for _ in range(draw(st.integers(1, 3)))),
+        dark_count_prob_total=draw(
+            st.one_of(st.floats(0.0, 1e-5), st.floats(0.0, 1.0, exclude_max=True))
+        ),
+        intrinsic_error=draw(st.floats(0.0, 1.0)),
+        background_error=draw(st.floats(0.0, 1.0)),
+        detector_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    loss_db = draw(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, math.inf)))
+    channel = ChannelModel(transmission_loss_db=loss_db)
+    protocol = ProtocolParams(
+        draw(st.floats(0.0, 1.0, exclude_min=True)), draw(st.floats(1.0, sys.float_info.max))
+    )
+    return receiver, channel, protocol
+
+
+# How a function takes (receiver, channel, protocol) and its float arguments x.
+def alone(f, r, ch, p, x):
+    return f(*x)
+
+
+def on_receiver(f, r, ch, p, x):
+    return f(r)
+
+
+def on_link(f, r, ch, p, x):
+    return f(r, ch, *x)
+
+
+def one(domain):
+    """The reading of a single float result in ``domain``."""
+    return lambda value: [(value, domain)]
+
+
+def estimate_readings(e):
+    return [(e.y1_lower, UNIT), (e.e1_upper, UNIT), (e.q1_lower, UNIT)]
+
+
+def link_readings(m):
+    readings = [(v, UNIT) for v in (m.q_mu, m.e_mu, m.q_nu1, m.e_nu1, m.y0_measured, m.skr_lower)]
+    readings.append((m.skr_approx, SIGNED))
+    if m.estimate is not None:
+        readings += [(m.skr_raw, (-math.inf, 1.0)), *estimate_readings(m.estimate)]
+    return readings
+
+
+# Each public function of ``model`` and ``bounds`` that takes or returns
+# floats -> (how it is called, the domain of each float argument, from its
+# docstring, and its result as (value, documented range) pairs). Neither
+# yield has a check of its own against a yield above 1: yield_background is
+# (1 + p_ap) p_dc, with p_ap <= 1 and p_dc < 1, and yield_i adds at most 1 + p_ap.
+SCALAR_API = {
+    "aggregate_afterpulse": (on_receiver, (), one(UNIT)),
+    "baseline_error_change": (alone, (UNIT, UNIT, HALF_LINE), one((-1.0, math.inf))),
+    "binary_entropy": (alone, (UNIT,), one(UNIT)),
+    "effective_baseline_error": (alone, (UNIT, UNIT, HALF_LINE), one(UNIT)),
+    "estimate_single_photon": (
+        alone, (UNIT, UNIT, UNIT, UNIT, UNIT, HALF_LINE, HALF_LINE, UNIT), estimate_readings
+    ),
+    "evaluate_link": (
+        lambda f, r, ch, p, x: f(r, ch, IntensitySet(*x), p), (HALF_LINE, HALF_LINE),
+        link_readings,
+    ),
+    "gain_total": (on_link, (HALF_LINE,), one(UNIT)),
+    "multi_photon_transmittance": (alone, (UNIT, PHOTONS), one(UNIT)),
+    "qber_i": (on_link, (PHOTONS,), one(UNIT)),
+    "qber_total": (on_link, (HALF_LINE,), one(UNIT)),
+    "skr_approx": (
+        lambda f, r, ch, p, x: f(r, ch, *x, p, warn=False), (HALF_LINE,), one(SIGNED)
+    ),
+    "skr_lower_bound": (
+        lambda f, r, ch, p, x: f(*x, p), (UNIT,) * 4,
+        lambda key: [(key[0], UNIT), (key[1], (-math.inf, 1.0))],
+    ),
+    "transmittance": (on_link, (), one(UNIT)),
+    "visibility": (alone, (UNIT, UNIT, HALF_LINE), one((-1.0, 1.0))),
+    "yield_background": (on_receiver, (), one((0.0, 2.0))),
+    "yield_i": (on_link, (PHOTONS,), one((0.0, 4.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, home in decoylink._HOME.items()
+    if home in ("model", "bounds") and inspect.isfunction(getattr(decoylink, name))
+))
+@settings(DETERMINISTIC, max_examples=200)
+@given(value_types(), st.data())
+def test_public_scalar_functions_raise_or_return_documented_values(name, types, data):
+    # Every argument in its domain, or at most one outside it, which must raise.
+    call, domains, readings = SCALAR_API[name]
+    x = [data.draw(inside(domain)) for domain in domains]
+    k = data.draw(st.none() | (st.integers(0, len(domains) - 1) if domains else st.nothing()))
+    if k is not None:
+        x[k] = data.draw(outside(domains[k]))
+    try:
+        result = call(getattr(decoylink, name), *types, x)
+    except DecoyLinkError:
+        return
+    assert k is None, f"accepted {x[k]!r} outside {domains[k]}"
+    for value, (lo, hi) in readings(result):
+        assert math.isfinite(value) and lo <= value <= hi, (value, result)
+    if name == "estimate_single_photon":
+        # clamped exactly where the docstring's bounds, in its order of
+        # operations, leave [0, 1]
+        q_mu, e_mu, q_nu1, e_nu1, y0, mu, nu1, e0 = x
+        y1 = mu / (mu * nu1 - nu1 * nu1) * (
+            q_nu1 * math.exp(nu1) - q_mu * math.exp(mu) * (nu1 * nu1) / (mu * mu)
+            - (mu * mu - nu1 * nu1) / (mu * mu) * y0
+        )
+        e1 = (e_nu1 * q_nu1 * math.exp(nu1) - e0 * y0) / (result.y1_lower * nu1)
+        assert result.clamped == (y1 > 1.0 or not 0.0 <= e1 <= 1.0)
+
+
 def objective(table):
     """The intensity search's objective in its result ``table``: -inf at a gain error."""
     return np.where(table.gain_error, -np.inf, table.values["skr_lower"])
@@ -207,13 +354,12 @@ search_nodes = st.tuples(
 
 
 @DETERMINISTIC
-@given(st.lists(search_nodes, min_size=1, max_size=6), st.integers(1, 60))
-def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
+@given(st.lists(search_nodes, min_size=1, max_size=6))
+def test_lockstep_search_equals_search_of_each_node_alone(nodes):
     columns = [np.array(column) for column in zip(*nodes)]
 
     def search(*inputs):
-        with patch.object(optimize, "MAX_ITERATIONS", steps):
-            return maximize_nodes(*inputs, 0.5, ProtocolParams())
+        return maximize_nodes(*inputs, 0.5, ProtocolParams())
 
     def outcome_at(result, i):
         # bytes, so that NaN equals NaN and -0.0 differs from 0.0
@@ -221,8 +367,6 @@ def test_lockstep_search_equals_search_of_each_node_alone(nodes, steps):
         return (
             result.table.mu[i:i + 1].tobytes(),
             objective(result.table)[i:i + 1].tobytes(),
-            bool(result.converged[i]),
-            int(result.iterations[i]),
             None if exc is None else (type(exc), str(exc)),
         )
 
@@ -503,8 +647,6 @@ def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, drawn):
     for name, value in (("mu", lambda table: table.mu), ("objective", objective)):
         assert value(slab.table).shape == shape
         assert np.array_equal(bits(value(slab.table).ravel()), bits(value(flat.table))), name
-    for name in ("converged", "iterations"):
-        assert np.array_equal(getattr(slab, name).ravel(), getattr(flat, name)), name
     assert_same_nodes(shape, slab.table, flat.table)
     assert {i: (type(e), str(e)) for i, e in slab.errors.items()} == {
         i: (type(e), str(e)) for i, e in flat.errors.items()

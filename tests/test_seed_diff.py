@@ -39,7 +39,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decoylink
-from decoylink import cli, model, optimize, sweep
+from decoylink import cli, model, sweep
 from decoylink.bounds import AXIS_NAMES, METRIC_NAMES, evaluate_link, link_table
 from decoylink.errors import DecoyLinkError
 
@@ -178,7 +178,7 @@ def test_cli_matches_the_seed_code(tmp_path_factory, drawn, slab_nodes, chunk_no
 
 @st.composite
 def optimizer_inputs(draw):
-    """(``ReceiverModel`` fields, loss in dB, nu1, max_iterations) of one search.
+    """(``ReceiverModel`` fields, loss in dB, nu1) of one search.
 
     nu1 = 0 reaches the decoy-pair rejection, and p_ap = 1 at the last
     detector or p_dc near 0.5 gains above 1.
@@ -195,29 +195,23 @@ def optimizer_inputs(draw):
         "detector_efficiency": draw(numbers(0.01, 1.0)),
     }
     nu1 = draw(st.one_of(numbers(1e-100, 0.6), st.just(0.0)))
-    return receiver, draw(numbers(0.0, 60.0)), nu1, draw(st.integers(1, 200))
+    return receiver, draw(numbers(0.0, 60.0)), nu1
 
 
-def search(package, receiver, loss_db, nu1, max_iterations):
+def search(package, receiver, loss_db, nu1):
     """``maximize_skr_over_mu`` of ``package``: (mu, skr, reason) with the floats as
-    bits, or the exception as (type, message). The seed code takes the step
-    limit as a ``SolverConfig``, this tree as ``optimize.MAX_ITERATIONS``."""
+    bits, or the exception as (type, message)."""
     types = package.model
-    limit = ()
-    if package is seed:
-        limit = (package.optimize.SolverConfig(max_iterations=max_iterations),)
     try:
-        with patch.object(optimize, "MAX_ITERATIONS", max_iterations):
-            result = package.optimize.maximize_skr_over_mu(
-                types.ReceiverModel(**{
-                    **receiver,
-                    "detectors": [types.DetectorUnit(p, b) for p, b in receiver["detectors"]],
-                }),
-                types.ChannelModel(transmission_loss_db=loss_db),
-                nu1,
-                types.ProtocolParams(),
-                *limit,
-            )
+        result = package.optimize.maximize_skr_over_mu(
+            types.ReceiverModel(**{
+                **receiver,
+                "detectors": [types.DetectorUnit(p, b) for p, b in receiver["detectors"]],
+            }),
+            types.ChannelModel(transmission_loss_db=loss_db),
+            nu1,
+            types.ProtocolParams(),
+        )
     except package.errors.DecoyLinkError as exc:
         return type(exc).__name__, str(exc)
     return result.mu.hex(), result.skr.hex(), result.reason
@@ -235,10 +229,23 @@ def search(package, receiver, loss_db, nu1, max_iterations):
         "detectors": [(1.0, 0.0)], "dark_count_prob_total": 0.4999995,
         "intrinsic_error": 0.02, "detector_efficiency": 1.0,
     },
-    0.0, 0.0, 200,
+    0.0, 0.0,
 ))
 def test_optimizer_matches_the_seed_code(drawn):
     assert search(decoylink, *drawn) == search(seed, *drawn)
+
+
+# Negative weak decoys: the seed code's IntensitySet rejects those whose
+# bracket holds, and the bracket rejects -1e300, -inf and NaN first.
+@pytest.mark.parametrize("nu1", [
+    -1.0, -0.5, -1e-3, -1e-7, -1e-300, -0.0, -1e300, -math.inf, math.nan,
+])
+def test_optimizer_rejects_a_negative_weak_decoy_as_the_seed_code_does(nu1):
+    receiver = {
+        "detectors": [(0.01, 0.0)], "dark_count_prob_total": 6e-7,
+        "intrinsic_error": 0.02, "detector_efficiency": 0.1,
+    }
+    assert search(decoylink, receiver, 10.0, nu1) == search(seed, receiver, 10.0, nu1)
 
 
 def differing(np_fn, libm_fn, sign, lo, hi):
@@ -342,7 +349,7 @@ def differing_searches(draw):
         "intrinsic_error": e_prime,
         "detector_efficiency": eta,
     }
-    return receiver, 0.0, nu1, draw(st.integers(1, 200))
+    return receiver, 0.0, nu1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

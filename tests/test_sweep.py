@@ -20,7 +20,7 @@ from decoylink import (
     maximize_skr_over_mu,
     run_sweep,
 )
-from decoylink import optimize, sweep
+from decoylink import sweep
 from decoylink.bounds import Grid, boxes, link_table, mu_core, node_stage
 from decoylink.optimize import maximize_nodes
 
@@ -627,49 +627,3 @@ class TestNoWarningEscapes:
             warnings.simplefilter("error", RuntimeWarning)
             records = run_sweep(spec)
         assert {"ok", "model-domain-error"} <= {r.status for r in records}
-
-
-class TestNotConverged:
-    """Under optimize-per-point, a node whose search ran out of steps is ``not-converged``."""
-
-    SPEC = base_spec(
-        [Axis("p_ap", 1e-4, 1.5, 4, "log"), Axis("loss_db", 0.0, 60.0, 3)],
-        mu_policy="optimize-per-point",
-    )
-
-    def test_status_follows_each_nodes_search(self, monkeypatch):
-        # The searches here take 41 or 42 steps: a cap of 41 stops some of
-        # them, and leaves the others' records as they are.
-        full = run_sweep(self.SPEC)
-        assert "not-converged" not in {r.status for r in full}
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 41)
-        capped = run_sweep(self.SPEC)
-        statuses = []
-        for record, before in zip(capped, full):
-            statuses.append(record.status)
-            p_ap, loss_db = record.axis_values
-            if p_ap > 1.0:  # rejected before any search
-                assert record == before
-                continue
-            receiver = ReceiverModel.identical(
-                2, p_ap, dark_count_prob_total=6e-7, intrinsic_error=0.02
-            )
-            result = maximize_skr_over_mu(
-                receiver, ChannelModel(transmission_loss_db=loss_db), 0.05, PROTOCOL
-            )
-            if result.converged:
-                assert record == before
-            else:
-                assert record.status == "not-converged"
-                assert record.mu_opt == result.mu
-        assert {"ok", "model-domain-error", "not-converged"} <= set(statuses)
-
-    def test_model_domain_error_outranks_it(self, monkeypatch):
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
-        statuses = [r.status for r in run_sweep(self.SPEC)]
-        assert statuses == ["not-converged"] * 9 + ["model-domain-error"] * 3
-
-    def test_fixed_mu_has_no_search(self, monkeypatch):
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 0)
-        spec = base_spec([Axis("p_ap", 1e-4, 1e-2, 3, "log")])
-        assert {r.status for r in run_sweep(spec)} == {"ok"}
