@@ -7,6 +7,7 @@ every section is read by ``_read``. Parse errors always carry the
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -241,6 +242,15 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     raise ValidationError(f"config: line {line}: duplicate key {key!r}")
                 seen.add(key)
         return super().construct_mapping(node, deep)
+
+
+# YAML 1.1 reads a number with an exponent but no decimal point (6e-7), or an
+# unsigned exponent (1.5e7), as a string; the YAML 1.2 core schema reads a float.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -110,30 +110,16 @@ class ReceiverModel:
 
     @classmethod
     def identical(
-        cls,
-        num_detectors: int,
-        afterpulse_prob: float = 0.0,
-        *,
-        dark_count_prob_total: float,
-        intrinsic_error: float,
-        background_error: float = 0.5,
-        detector_efficiency: float = 0.1,
+        cls, num_detectors: int, afterpulse_prob: float = 0.0, **fields: float
     ) -> "ReceiverModel":
         """Build an unbiased array of identical detectors.
 
-        ``dark_count_prob_total`` is the per-gate dark-count probability of
-        the whole array.
+        ``fields`` are the receiver's other fields, by name, as
+        ``ReceiverModel`` takes them.
         """
         if num_detectors < 1:
             raise ValidationError(f"num_detectors must be >= 1, got {num_detectors!r}")
-        units = tuple(DetectorUnit(afterpulse_prob) for _ in range(num_detectors))
-        return cls(
-            detectors=units,
-            dark_count_prob_total=dark_count_prob_total,
-            intrinsic_error=intrinsic_error,
-            background_error=background_error,
-            detector_efficiency=detector_efficiency,
-        )
+        return cls((DetectorUnit(afterpulse_prob),) * num_detectors, **fields)
 
 
 @dataclass(frozen=True)
@@ -255,12 +241,14 @@ def transmittance(receiver: ReceiverModel, channel: ChannelModel) -> float:
 def multi_photon_transmittance(eta: float, i: int) -> float:
     """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i.
 
-    ``eta`` is in [0, 1] and ``i`` a whole number >= 0.
+    ``eta`` is in [0, 1] and ``i`` a whole number >= 0, at most the largest float.
     """
     check_nonnegative(eta=eta, i=i)
     check_at_most_one(eta=eta)
     if i % 1 != 0:  # inf % 1 is NaN
         raise ValidationError(f"i must be a whole number, got {i!r}")
+    if i > sys.float_info.max:  # an int that no float holds
+        raise ValidationError(f"i must be at most {sys.float_info.max!r}, got a larger integer")
     if i == 0:
         return 0.0
     if eta >= 1.0:
@@ -270,12 +258,19 @@ def multi_photon_transmittance(eta: float, i: int) -> float:
 
 
 def yield_background(receiver: ReceiverModel) -> float:
-    """Background yield: dark counts plus the afterpulses they trigger, (1 + p_ap) p_dc."""
+    """Background yield: dark counts plus the afterpulses they trigger, (1 + p_ap) p_dc.
+
+    Afterpulses count as detections, so a yield may exceed 1.
+    """
     return (1.0 + aggregate_afterpulse(receiver)) * receiver.dark_count_prob_total
 
 
 def yield_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
-    """Yield of an i-photon state: Y0 + eta_i (1 + p_ap) for i >= 1, Y0 for i = 0."""
+    """Yield of an i-photon state: Y0 + eta_i (1 + p_ap) for i >= 1, Y0 for i = 0.
+
+    It may exceed 1: it tends to Y0 + 1 + p_ap as i grows. ``gain_total``, their
+    Poisson mixture, is the one checked against 1.
+    """
     if i < 0:
         raise ValidationError(f"photon number must be >= 0, got {i!r}")
     eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
@@ -403,18 +398,12 @@ def baseline_error_change(
         )
     # after that check, which the sweep's e' = 0 nodes meet at any p_ap, inf included
     check_finite(afterpulse_prob=afterpulse_prob)
-    change = relative_change(intrinsic_error, background_error, afterpulse_prob)
-    if change == math.inf:
-        # (e0/e' - 1) p_ap overflowed; the change itself is below e0/e'
-        return (background_error / intrinsic_error - 1.0) * (
-            afterpulse_prob / (1.0 + afterpulse_prob)
-        )
-    return change
+    return relative_change(intrinsic_error, background_error, afterpulse_prob)
 
 
 def relative_change(e_prime, e0, p_ap):
-    """(e0/e' - 1) p_ap / (1 + p_ap), unchecked; floats or arrays."""
-    return (e0 / e_prime - 1.0) * p_ap / (1.0 + p_ap)
+    """(e0/e' - 1) (p_ap / (1 + p_ap)), unchecked; floats or arrays; finite if e0/e', p_ap are."""
+    return (e0 / e_prime - 1.0) * (p_ap / (1.0 + p_ap))
 
 
 def visibility(

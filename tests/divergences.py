@@ -13,8 +13,11 @@ full-precision result behind it.
 """
 from __future__ import annotations
 
+import csv
 import importlib
 import importlib.util
+import io
+import itertools
 import sys
 from argparse import Namespace
 from dataclasses import dataclass
@@ -123,6 +126,44 @@ def _check_optimal_mu(ours: str, theirs: str, args: Namespace) -> None:
             assert line == seed_line
 
 
+def baseline_change_root(e_prime: float, e0: float, p_ap: float) -> Decimal:
+    """(e0/e' - 1) p_ap / (1 + p_ap) at 50 digits from the floats given."""
+    with mpmath.workdps(50):
+        e_prime, e0, p_ap = (mpmath.mpf(v) for v in (e_prime, e0, p_ap))
+        return Decimal(mpmath.nstr((e0 / e_prime - 1) * p_ap / (1 + p_ap), 50))
+
+
+def finite_baseline_change(out: str, args: Namespace) -> str:
+    """The seed code's ``sweep`` stdout ``out``, with each ``baseline_error_change`` cell
+    that reads ``inf`` replaced by the 50-digit change at its node, correctly rounded.
+
+    The seed code multiplies (e0/e' - 1) by p_ap before it divides by
+    1 + p_ap, which overflows where the change itself is finite. A node's
+    e', e0 and p_ap are the scenario's, overridden by its axis values, as
+    the seed's sweep takes them.
+    """
+    scenario = seed_cli._load_scenario(args)
+    receiver, spec = scenario.receiver, scenario.sweep
+    header, *rows = csv.reader(io.StringIO(out))
+    columns = [j for j, name in enumerate(header) if name == "baseline_error_change"]
+    nodes = itertools.product(*(ax.values() for ax in spec.axes))
+    for row, node in zip(rows, nodes, strict=True):
+        at = dict(zip(spec.axis_names, node))
+        for j in columns:
+            if row[j] == "inf":
+                row[j] = printed(baseline_change_root(
+                    at.get("intrinsic_error", receiver.intrinsic_error), receiver.background_error,
+                    at.get("p_ap", seed.model.aggregate_afterpulse(receiver)),
+                ))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
+
+
+def _check_sweep(ours: str, theirs: str, args: Namespace) -> None:
+    assert ours == finite_baseline_change(theirs, args)
+
+
 ROWS = (
     Divergence(
         "unconverged_contour",
@@ -136,6 +177,13 @@ ROWS = (
         "`optimal-mu` is the closed form mu = 1 - W0(e r): ...",
         lambda argv: argv[0] == "optimal-mu" and "--output" not in argv,
         _check_optimal_mu,
+    ),
+    Divergence(
+        "finite_baseline_change",
+        "`model.relative_change` computes (e0/e' - 1) (p_ap / (1 + p_ap)): ... `sweep` prints "
+        "the finite change where it printed `inf`",
+        lambda argv: argv[0] == "sweep" and "--output" not in argv,
+        _check_sweep,
     ),
 )
 

@@ -115,7 +115,7 @@ def test_criterion_1_worked_baseline_change():
 def test_criterion_2_change_specialization():
     with criterion(2, "relative change equals 24 p/(1+p) at e' = 2%, machine precision"):
         for p_ap in (0.001, 0.01, 0.1):
-            assert baseline_error_change(0.02, 0.5, p_ap) == 24.0 * p_ap / (1.0 + p_ap)
+            assert baseline_error_change(0.02, 0.5, p_ap) == 24.0 * (p_ap / (1.0 + p_ap))
 
 
 def test_criterion_3_baseline_error_curve_shapes():

@@ -21,6 +21,7 @@ from decoylink import (
 from decoylink import cli, optimize, sweep
 from decoylink.bounds import mu_core, mu_stage
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
+from decoylink.config import _UniqueKeyLoader
 from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
 from decoylink.sweep import NU1_BY_LOSS_DB
@@ -405,6 +406,33 @@ class TestConfig:
         assert receiver.detectors[0].afterpulse_prob == 0.2
         assert receiver.intrinsic_error == 0.03
 
+    # YAML 1.1 reads a number with an exponent and no decimal point, or an
+    # unsigned exponent, as a string; the loader reads it as YAML 1.2 does,
+    # and every other scalar as before.
+    @pytest.mark.parametrize(
+        "text, value",
+        [*((text, float(text))
+           for text in ("6e-7", "1e-4", "2e5", "-3E+2", "+1e0", "1.5e7", ".5e3")),
+         (".inf", math.inf), ("-.inf", -math.inf), (".nan", math.nan), ("12", 12),
+         ("0x1f", 31), ("1_000", 1000), ("'6e-7'", "6e-7"), ("1e", "1e"), ("6e-7x", "6e-7x")],
+    )
+    def test_scalars_load_as_yaml_1_2_reads_them(self, text, value):
+        loaded = yaml.load(f"value: {text}\n", Loader=_UniqueKeyLoader)["value"]
+        assert type(loaded) is type(value) and repr(loaded) == repr(value)
+
+    def test_dark_count_written_6e_minus_7_is_a_number(self, tmp_path, capsys):
+        runs = []
+        for name, number in (("short.yaml", "6e-7"), ("long.yaml", "6.0e-07")):
+            text = f"receiver: {{dark_count_prob_total: {number}}}\n"
+            runs.append((main(["report", "--config", write_config(tmp_path, text, name)]),
+                         capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        quoted = write_config(tmp_path, "receiver: {dark_count_prob_total: '6e-7'}\n")
+        assert main(["report", "--config", quoted]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: receiver.dark_count_prob_total: expected a number, got '6e-7'\n"
+        )
+
     def test_axis_name_alias(self):
         scenario = parse_scenario(
             {
@@ -670,7 +698,7 @@ sweep:
             "intrinsic_error,p_ap,p_ap,baseline_error_change,status,reason\n"
             f"0,1e+308,1e+308,,{undefined}\n"
             f"0,1.797693135e+308,inf,,{undefined}\n"
-            "0.02,1e+308,1e+308,inf,ok,\n"
+            "0.02,1e+308,1e+308,24,ok,\n"
             "0.02,1.797693135e+308,inf,nan,ok,\n"
         )
 

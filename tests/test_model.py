@@ -562,6 +562,10 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
     (lambda r, c: multi_photon_transmittance(0.1, 2.5),
      ValidationError, "i must be a whole number, got 2.5"),
     (lambda r, c: yield_i(r, c, 2.5), ValidationError, "i must be a whole number, got 2.5"),
+    # OverflowError: int too large to convert to float, three times
+    *((call, ValidationError, "i must be at most 1.7976931348623157e+308, got a larger integer")
+      for call in (lambda r, c: multi_photon_transmittance(0.5, 10**400),
+                   lambda r, c: yield_i(r, c, 10**400), lambda r, c: qber_i(r, c, 10**400))),
     # bounds in [0, 1] from an error rate of 3 or 2
     (lambda r, c: estimate_single_photon(0.01, 3.0, 0.001, 0.02, 1e-6, 0.5, 0.05),
      ValidationError, "e_mu must be <= 1, got 3.0"),
@@ -577,7 +581,8 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
      ModelDomainError, "key-rate approximation -inf at mu=1e+308 is not finite"),
 ], ids=[
     "skr_lower_bound", "effective_baseline_error", "visibility", "baseline_error_change",
-    "multi_photon_eta", "multi_photon_i", "yield_i", "estimate_e_mu", "estimate_e0",
+    "multi_photon_eta", "multi_photon_i", "yield_i", "multi_photon_huge_i", "yield_i_huge",
+    "qber_i_huge", "estimate_e_mu", "estimate_e0",
     "skr_approx_inf", "gain_total_opaque_inf", "skr_approx_overflow",
 ])
 def test_out_of_range_and_infinite_scalar_inputs_rejected(call, error, message):

@@ -206,7 +206,7 @@ def inside(domain):
 def outside(domain):
     """NaN, +-inf, a negative or a value just past a bound, outside ``domain``."""
     if domain == PHOTONS:
-        return st.sampled_from([-1, 2.5, math.nan, math.inf])
+        return st.sampled_from([-1, 2.5, math.nan, math.inf, 10**400])
     lo, hi = domain
     past = [math.nextafter(lo, -math.inf)]
     if hi < math.inf:
@@ -512,6 +512,47 @@ def test_kernel_on_a_slab_equals_kernel_on_its_flat_nodes(drawn):
         background_error=0.5, protocol=ProtocolParams(),
     )
     assert_same_nodes(shape, slab, flat)
+
+
+@DETERMINISTIC
+@given(st.lists(
+    st.tuples(
+        st.floats(sys.float_info.min, 1.0), st.floats(0.0, 1.0),
+        st.one_of(st.floats(0.0, 1.7e308), st.floats(1e306, 1e308)),
+    ),
+    min_size=1, max_size=8,
+))
+@example([(0.02, 0.5, 1e306), (0.02, 0.5, 1e307), (0.02, 0.5, 1e308), (0.02, 0.5, 1.7e308)])
+@example([(2.3e-308, 1.0, 1.7e308), (0.75, 0.5, 1e308), (0.02, 0.0, 1e308), (0.02, 0.5, 0.0)])
+def test_kernel_baseline_change_equals_the_scalar_function(nodes):
+    """``link_table``'s ``baseline_error_change`` is ``model.baseline_error_change``, bit for
+    bit, wherever e' is normal and p_ap finite: the kernel once gave inf at p_ap 1e308 where
+    the scalar function gave 24."""
+    for e0 in {e0 for _, e0, _ in nodes}:
+        at = [(e_prime, p_ap) for e_prime, node_e0, p_ap in nodes if node_e0 == e0]
+        e_prime, p_ap = map(np.array, zip(*at))
+        table = link_table(
+            p_ap, e_prime, np.full(len(at), 1e-6), np.full(len(at), 0.1), np.full(len(at), 0.5),
+            np.full(len(at), 0.05), background_error=e0, protocol=ProtocolParams(),
+        )
+        scalar = np.array([model.baseline_error_change(e, e0, p) for e, p in at])
+        assert (bits(table.values["baseline_error_change"]) == bits(scalar)).all()
+
+
+@DETERMINISTIC
+@given(st.integers(1, 5), st.floats(0.0, 1.0), st.fixed_dictionaries(
+    {"dark_count_prob_total": st.floats(0.0, 1.0, exclude_max=True),
+     "intrinsic_error": st.floats(0.0, 1.0)},
+    optional={"background_error": st.floats(0.0, 1.0),
+              "detector_efficiency": st.floats(0.0, 1.0, exclude_min=True)},
+))
+def test_identical_receiver_is_its_tuple_of_detectors(n, p_ap, fields):
+    """``identical(n, p, **fields)`` passes ``fields`` on as given; the fields left out,
+    the afterpulse probability among them, keep ``ReceiverModel``'s defaults."""
+    assert ReceiverModel.identical(n, p_ap, **fields) == ReceiverModel(
+        (DetectorUnit(p_ap),) * n, **fields
+    )
+    assert ReceiverModel.identical(n, **fields) == ReceiverModel((DetectorUnit(0.0),) * n, **fields)
 
 
 def bits(values):

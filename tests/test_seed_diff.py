@@ -10,7 +10,8 @@ intensities so small that ``mu*nu1 - nu1*nu1`` underflows, a repeated key)
 are not drawn here; CHANGES.md lists them and they keep tests of their own.
 The outputs that changed on purpose where the seed code's answer was wrong
 (a ``contour`` node whose bisection ran out of steps, the digits of
-``optimal-mu``) are rows of ``divergences.ROWS``: ``divergences.compare``
+``optimal-mu``, a ``sweep`` baseline change the seed code printed as ``inf``)
+are rows of ``divergences.ROWS``: ``divergences.compare``
 judges such a stdout by the row's check, and every other part of the
 outcome by equality.
 ``SEED_CASES`` is a fixed table of CLI cases compared the same way, with
@@ -634,24 +635,37 @@ def _replace_line(out, label, text):
     )
 
 
+# Its last row's baseline_error_change reads inf in the seed code's stdout
+# and 24 in this tree's; the rows above read 24 in both.
+HUGE_PAP_BIASED = SEED_CASES["sweep.huge-pap-biased"][0]
+
+
 @pytest.mark.parametrize(
-    "command, mutate",
+    "text, command, mutate",
     [
         # a last-digit change of a line the optimal-mu row keeps byte-equal
-        ("optimal-mu", lambda ours, theirs: ours.replace("0.02\n", "0.03\n", 1)),
+        (E_DET_002, "optimal-mu", lambda ours, theirs: ours.replace("0.02\n", "0.03\n", 1)),
         # the seed code's own mu line, one unit off in its last digit
-        ("optimal-mu", lambda ours, theirs: _replace_line(
+        (E_DET_002, "optimal-mu", lambda ours, theirs: _replace_line(
             ours, "mu", [line for line in theirs.splitlines(keepends=True)
                          if line.startswith("mu ")][0])),
         # a report line, which no row covers
-        ("report", lambda ours, theirs: _replace_line(ours, "q_mu", "q_mu".ljust(22) + "0\n")),
+        (E_DET_002, "report",
+         lambda ours, theirs: _replace_line(ours, "q_mu", "q_mu".ljust(22) + "0\n")),
+        # a baseline_error_change cell the seed code printed finite
+        (HUGE_PAP_BIASED, "sweep",
+         lambda ours, theirs: ours.replace(",24,ok", ",24.00000001,ok", 1)),
+        # a wrong finite value where the seed code printed inf
+        (HUGE_PAP_BIASED, "sweep", lambda ours, theirs: ours.replace(
+            "1.7e+308,0.5,0,24,ok", "1.7e+308,0.5,0,23.99999999,ok")),
     ],
-    ids=["e_detector-last-digit", "seed-mu-line", "report-line"],
+    ids=["e_detector-last-digit", "seed-mu-line", "report-line", "sweep-finite-change-cell",
+         "sweep-inf-change-cell"],
 )
-def test_divergence_rows_reject_a_mutant(tmp_path, command, mutate):
+def test_divergence_rows_reject_a_mutant(tmp_path, text, command, mutate):
     """``compare`` accepts this tree's outcome and fails on one mutated stdout line."""
     config = tmp_path / "scenario.yaml"
-    config.write_text(E_DET_002)
+    config.write_text(text)
     argv = [command, "--config", str(config)]
     ours, theirs = run(cli.main, argv), run(seed_cli.main, argv)
     compare(ours, theirs, argv)
