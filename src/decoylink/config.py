@@ -1,9 +1,10 @@
 """Scenario configuration: YAML schema, defaults and parsing.
 
 Sections and field names are the stable contract documented in the README;
-``FIELDS`` lists each section's fields with their kinds and defaults, and
-every section is read by ``_read``. Parse errors always carry the
-``section.field`` path of the offending entry.
+``FIELDS`` lists each section's fields with their kinds and config defaults,
+and every section is read by ``_read``. A field left out that has no config
+default is not passed on: the value type takes its own. Parse errors always
+carry the ``section.field`` path of the offending entry.
 """
 from __future__ import annotations
 
@@ -18,21 +19,21 @@ from .errors import ValidationError
 # The default of a field that must be given.
 REQUIRED = object()
 
-# section -> field -> (kind, default). A default of None means the field has
-# none, and REQUIRED that it must be given. Fields are listed in the order
-# unknown-field messages name them.
+# section -> field -> (kind, default). REQUIRED means the field must be given;
+# None that the config has no default, so the value type's own applies. Fields
+# are listed in the order unknown-field messages name them.
 FIELDS = {
     "receiver": {
         "detectors": ("list", None),
         "num_detectors": ("integer", 2),
-        "afterpulse_prob": ("number", 0.0),
+        "afterpulse_prob": ("number", None),
         "dark_count_prob_total": ("number", 6e-7),
         "dark_count_prob_per_detector": ("number", None),
         "intrinsic_error": ("number", 0.02),
-        "background_error": ("number", 0.5),
-        "detector_efficiency": ("number", 0.1),
+        "background_error": ("number", None),
+        "detector_efficiency": ("number", None),
     },
-    "detector": {"afterpulse_prob": ("number", REQUIRED), "bias": ("number", 0.0)},
+    "detector": {"afterpulse_prob": ("number", REQUIRED), "bias": ("number", None)},
     "channel": {
         "attenuation_db_per_km": ("number", 0.21),
         "distance_km": ("number", 0.0),
@@ -41,20 +42,20 @@ FIELDS = {
     "intensities": {
         "signal_mu": ("number", 0.48),
         "weak_decoy_nu1": ("number", 0.038),
-        "vacuum_decoy": ("number", 0.0),
+        "vacuum_decoy": ("number", None),
     },
-    "protocol": {"sifting_factor": ("number", 0.5), "ec_efficiency": ("number", 1.16)},
+    "protocol": {"sifting_factor": ("number", None), "ec_efficiency": ("number", None)},
     "sweep": {
         "axes": ("list", ()),
-        "outputs": ("names", ("skr_lower",)),
-        "mu_policy": ("string", "fixed"),
+        "outputs": ("names", None),
+        "mu_policy": ("string", None),
     },
     "axis": {
         "name": ("string", REQUIRED),
         "min": ("number", REQUIRED),
         "max": ("number", REQUIRED),
         "count": ("integer", REQUIRED),
-        "spacing": ("string", "linear"),
+        "spacing": ("string", None),
     },
 }
 
@@ -97,20 +98,27 @@ def _mapping(value, path: str, keys) -> dict:
 
 
 def _read(value, path: str, fields: dict) -> dict:
-    """Every field of a section: its default if absent or ``null``, else its
-    checked value (numbers as float). A REQUIRED field left out is an error,
-    raised after every given value has passed its check."""
+    """The fields of a section: each given one's checked value (numbers as
+    float), else its config default; a field with neither is left out. A
+    REQUIRED field left out is an error, raised after every given value has
+    passed its check."""
     section = _mapping(value, path, fields)
     out = {}
     for key, (kind, default) in fields.items():
         given = section.get(key)
         if given is None:
-            out[key] = default
+            if default is not None:
+                out[key] = default
             continue
         expected, check = _KINDS[kind]
         if not check(given):
             raise ValidationError(f"{path}.{key}: expected {expected}, got {given!r}")
-        out[key] = float(given) if kind == "number" else given
+        try:
+            out[key] = float(given) if kind == "number" else given
+        except OverflowError:
+            raise ValidationError(
+                f"{path}.{key}: expected a number, got an integer outside the float range"
+            ) from None
     for key, value in out.items():
         if value is REQUIRED:
             raise ValidationError(f"{path}.{key}: required")
@@ -133,14 +141,14 @@ def _parse_receiver(cfg: dict) -> model.ReceiverModel:
     path = "receiver"
     section = cfg.get(path)
     fields = _read(section, path, FIELDS[path])
-    per_det = fields.pop("dark_count_prob_per_detector")
+    per_det = fields.pop("dark_count_prob_per_detector", None)
     if per_det is not None and _given(section, "dark_count_prob_total"):
         raise ValidationError(
             f"{path}.dark_count_prob_total: give either the total or the "
             "per-detector dark count probability, not both"
         )
-    entries = fields.pop("detectors")
-    num, afterpulse_prob = fields.pop("num_detectors"), fields.pop("afterpulse_prob")
+    entries = fields.pop("detectors", None)
+    num = fields.pop("num_detectors")
     if entries is not None:
         for key in ("num_detectors", "afterpulse_prob"):
             if _given(section, key):
@@ -157,30 +165,25 @@ def _parse_receiver(cfg: dict) -> model.ReceiverModel:
         num = len(units)
         build = lambda: model.ReceiverModel(detectors=tuple(units), **fields)
     else:
-        build = lambda: model.ReceiverModel.identical(num, afterpulse_prob, **fields)
+        build = lambda: model.ReceiverModel.identical(num, **fields)
     if per_det is not None:
-        fields["dark_count_prob_total"] = num * per_det
+        # identical rejects a num past MAX_DETECTORS before it reads the total,
+        # which would not be a float for a num past the largest float
+        fields["dark_count_prob_total"] = min(num, model.MAX_DETECTORS) * per_det
     return _wrap(path, build)
 
 
 def _parse_channel(cfg: dict) -> model.ChannelModel:
     path = "channel"
     fields = _read(cfg.get(path), path, FIELDS[path])
-    loss = fields["loss_db"]
-    if loss is not None:
+    if "loss_db" in fields:
         if _given(cfg.get(path), "distance_km"):
             raise ValidationError(
                 f"{path}.loss_db: give either loss_db or distance_km, not both"
             )
-        fields["distance_km"] = None
-    return _wrap(
-        path,
-        lambda: model.ChannelModel(
-            attenuation_db_per_km=fields["attenuation_db_per_km"],
-            distance_km=fields["distance_km"],
-            transmission_loss_db=loss,
-        ),
-    )
+        del fields["distance_km"]
+        fields["transmission_loss_db"] = fields.pop("loss_db")
+    return _wrap(path, lambda: model.ChannelModel(**fields))
 
 
 def _parse_fields(cfg: dict, path: str, build):
@@ -200,22 +203,10 @@ def _parse_sweep(cfg: dict, scenario_parts) -> model.SweepSpec | None:
     if cfg.get(path) is None:
         return None
     fields = _read(cfg[path], path, FIELDS[path])
-    axes = tuple(
+    fields["axes"] = tuple(
         _parse_axis(entry, f"{path}.axes[{idx}]") for idx, entry in enumerate(fields["axes"])
     )
-    receiver, channel, intensities, protocol = scenario_parts
-    return _wrap(
-        path,
-        lambda: model.SweepSpec(
-            receiver=receiver,
-            channel=channel,
-            intensities=intensities,
-            protocol=protocol,
-            axes=axes,
-            outputs=tuple(fields["outputs"]),
-            mu_policy=fields["mu_policy"],
-        ),
-    )
+    return _wrap(path, lambda: model.SweepSpec(*scenario_parts, **fields))
 
 
 def parse_scenario(cfg: dict | None) -> Scenario:
@@ -260,6 +251,10 @@ def load_scenario(path: str) -> Scenario:
             cfg = yaml.load(fh, Loader=_UniqueKeyLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config: not valid YAML: {exc}") from exc
+    except ValidationError:  # a duplicate key
+        raise
+    except ValueError as exc:  # an integer of more digits than Python reads, or a bad date
+        raise ValidationError(f"config: cannot read a value: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("config: nested too deeply to read") from exc
     return parse_scenario(cfg)

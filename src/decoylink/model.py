@@ -21,17 +21,30 @@ from .errors import DegenerateInputError, ModelDomainError, ValidationError
 # Absolute tolerance on the zero-sum constraint for detector biases.
 BIAS_SUM_TOL = 1e-12
 
+# Most detectors ``ReceiverModel.identical`` builds an array of.
+MAX_DETECTORS = 1_000_000
+
+
+def _shown(value) -> str:
+    """``value`` as error messages show it: its repr, or, for an integer of more
+    digits than Python writes out, its power of ten."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        return f"about {sign}10**{int(abs(value).bit_length() * math.log10(2))}"
+
 
 def _check_prob(name: str, value: float, *, upper: float = 1.0) -> None:
     if not 0.0 <= value <= upper:
-        raise ValidationError(f"{name} must be in [0, {upper:g}], got {value!r}")
+        raise ValidationError(f"{name} must be in [0, {upper:g}], got {_shown(value)}")
 
 
 def check_nonnegative(**values: float) -> None:
     """Reject the first of the named ``values`` that is negative or NaN."""
     for name, value in values.items():
         if not value >= 0.0:  # rejects NaN too
-            raise ValidationError(f"{name} must be >= 0, got {value!r}")
+            raise ValidationError(f"{name} must be >= 0, got {_shown(value)}")
 
 
 def check_finite(**values: float) -> None:
@@ -45,7 +58,7 @@ def check_at_most_one(**values: float) -> None:
     """Reject the first of the named ``values`` above 1, or NaN."""
     for name, value in values.items():
         if not value <= 1.0:  # rejects NaN too
-            raise ValidationError(f"{name} must be <= 1, got {value!r}")
+            raise ValidationError(f"{name} must be <= 1, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +125,17 @@ class ReceiverModel:
     def identical(
         cls, num_detectors: int, afterpulse_prob: float = 0.0, **fields: float
     ) -> "ReceiverModel":
-        """Build an unbiased array of identical detectors.
+        """Build an unbiased array of at most MAX_DETECTORS identical detectors.
 
         ``fields`` are the receiver's other fields, by name, as
         ``ReceiverModel`` takes them.
         """
         if num_detectors < 1:
-            raise ValidationError(f"num_detectors must be >= 1, got {num_detectors!r}")
+            raise ValidationError(f"num_detectors must be >= 1, got {_shown(num_detectors)}")
+        if num_detectors > MAX_DETECTORS:
+            raise ValidationError(
+                f"num_detectors must be at most {MAX_DETECTORS}, got {_shown(num_detectors)}"
+            )
         return cls((DetectorUnit(afterpulse_prob),) * num_detectors, **fields)
 
 
@@ -272,7 +289,7 @@ def yield_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
     Poisson mixture, is the one checked against 1.
     """
     if i < 0:
-        raise ValidationError(f"photon number must be >= 0, got {i!r}")
+        raise ValidationError(f"photon number must be >= 0, got {_shown(i)}")
     eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
     background, signal, _ = _gain_terms(receiver, eta_i)
     return background + signal
@@ -470,7 +487,7 @@ class Axis:
                 f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
             )
         if self.count < 1:
-            raise ValidationError(f"axis {self.name}: count must be >= 1, got {self.count!r}")
+            raise ValidationError(f"axis {self.name}: count must be >= 1, got {_shown(self.count)}")
         if self.spacing not in ("linear", "log"):
             raise ValidationError(
                 f"axis {self.name}: spacing must be 'linear' or 'log', got {self.spacing!r}"
@@ -510,7 +527,9 @@ class Axis:
 def check_grid_size(points: int) -> None:
     """Reject a grid of more than MAX_GRID_POINTS nodes."""
     if points > MAX_GRID_POINTS:
-        raise ValidationError(f"grid has {points} points, above the cap of {MAX_GRID_POINTS}")
+        raise ValidationError(
+            f"grid has {_shown(points)} points, above the cap of {MAX_GRID_POINTS}"
+        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line interface and configuration schema."""
 import csv
+import dataclasses
+import inspect
 import io
 import math
 import warnings
@@ -13,7 +15,10 @@ import decoylink
 from decoylink import (
     Axis,
     ChannelModel,
+    DetectorUnit,
     IntensitySet,
+    ProtocolParams,
+    ReceiverModel,
     SweepSpec,
     load_scenario,
     parse_scenario,
@@ -21,7 +26,7 @@ from decoylink import (
 from decoylink import cli, optimize, sweep
 from decoylink.bounds import mu_core, mu_stage
 from decoylink.cli import PRESET_INTRINSIC_ERRORS, _report_rows, main
-from decoylink.config import _UniqueKeyLoader
+from decoylink.config import FIELDS, _UniqueKeyLoader
 from decoylink.errors import DecoyLinkError, ValidationError
 from decoylink.optimize import dark_count_threshold
 from decoylink.sweep import NU1_BY_LOSS_DB
@@ -89,6 +94,56 @@ class TestConfig:
         assert scenario.protocol.sifting_factor == 0.5
         assert scenario.protocol.ec_efficiency == 1.16
         assert scenario.sweep is None
+
+    def test_value_type_defaults_have_one_home(self):
+        # Each default a value type holds is left out of FIELDS, and a config
+        # that omits the field gets the value type's own. A default of None
+        # is a field not given, not a value.
+        def defaults(value_type):
+            return {
+                f.name: f.default for f in dataclasses.fields(value_type)
+                if f.default not in (dataclasses.MISSING, None)
+            }
+
+        afterpulse = inspect.signature(ReceiverModel.identical).parameters["afterpulse_prob"]
+        axis = {"name": "p_ap", "min": 0.0, "max": 0.1, "count": 2}
+        # section -> (a config that builds it, its value type's defaults, the
+        # fields of the value it builds)
+        homes = {
+            "receiver": (
+                {},
+                {**defaults(ReceiverModel), "afterpulse_prob": afterpulse.default},
+                lambda s: {
+                    **vars(s.receiver), "afterpulse_prob": s.receiver.detectors[0].afterpulse_prob
+                },
+            ),
+            "detector": (
+                {"receiver": {"detectors": [{"afterpulse_prob": 0.01}]}},
+                defaults(DetectorUnit), lambda s: vars(s.receiver.detectors[0]),
+            ),
+            "channel": ({}, defaults(ChannelModel), lambda s: vars(s.channel)),
+            "intensities": ({}, defaults(IntensitySet), lambda s: vars(s.intensities)),
+            "protocol": ({}, defaults(ProtocolParams), lambda s: vars(s.protocol)),
+            "sweep": ({"sweep": {}}, defaults(SweepSpec), lambda s: vars(s.sweep)),
+            "axis": ({"sweep": {"axes": [axis]}}, defaults(Axis), lambda s: vars(s.sweep.axes[0])),
+        }
+        assert homes.keys() == FIELDS.keys()
+        checked = []
+        for section, (cfg, own, parsed) in homes.items():
+            values = parsed(parse_scenario(cfg))
+            for name in FIELDS[section].keys() & own.keys():
+                assert FIELDS[section][name][1] is None, f"{section}.{name}"
+                assert values[name] == own[name], f"{section}.{name}"
+                checked.append(f"{section}.{name}")
+        assert len(checked) == 10, checked
+
+    def test_grid_size_past_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        axis = "{name: %s, min: 0, max: 1, count: " + str(10**2200) + "}"
+        text = f"sweep: {{axes: [{axis % 'p_ap'}, {axis % 'loss_db'}]}}\n"
+        assert main(["report", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: config: sweep: grid has about 10**4400 points, above the cap of 1000000\n"
+        )
 
     def test_explicit_detector_list(self):
         scenario = parse_scenario(
@@ -214,12 +269,25 @@ class TestConfig:
                 "channel: {attenuation_db_per_km: -1, loss_db: 3}",
                 "channel: attenuation_db_per_km must be >= 0, got -1.0",
             ),
+            (
+                "receiver: {num_detectors: 1000001}",
+                "receiver: num_detectors must be at most 1000000, got 1000001",
+            ),
+            (
+                "receiver: {num_detectors: 100000000000000000000}",
+                "receiver: num_detectors must be at most 1000000, got 100000000000000000000",
+            ),
+            (
+                f"receiver: {{num_detectors: {10**400}, dark_count_prob_per_detector: 1.0e-7}}",
+                f"receiver: num_detectors must be at most 1000000, got {10**400}",
+            ),
         ],
         ids=[
             "no_detectors", "no_detectors_bad_afterpulse", "bad_afterpulse",
             "per_detector_dark_counts", "detector_list_dark_counts", "not_a_mapping",
             "total_and_per_detector_dark_counts", "negative_distance",
-            "negative_attenuation_with_loss",
+            "negative_attenuation_with_loss", "detectors_past_bound",
+            "detectors_past_index_size", "detectors_past_float_per_detector_dark_counts",
         ],
     )
     def test_receiver_and_channel_error_lines(self, tmp_path, capsys, text, message):
@@ -336,10 +404,15 @@ class TestConfig:
                 "sweep: {outputs: [skr_lower, 1]}",
                 "sweep.outputs: expected a list of metric names, got ['skr_lower', 1]",
             ),
+            (
+                f"receiver: {{intrinsic_error: {10**400}}}",
+                "receiver.intrinsic_error: expected a number, got an integer outside the "
+                "float range",
+            ),
         ],
         ids=[
             "number", "bool_number", "integer", "string", "axis_string", "list",
-            "detectors_list", "empty_detectors", "names",
+            "detectors_list", "empty_detectors", "names", "number_past_float",
         ],
     )
     def test_type_error_lines(self, tmp_path, capsys, text, message):
@@ -561,8 +634,18 @@ class TestReport:
                 b"receiver: " + b"[" * 5000 + b"]" * 5000 + b"\n",
                 "config: nested too deeply to read",
             ),
+            (
+                b"receiver: {intrinsic_error: 1" + b"0" * 5000 + b"}\n",
+                "config: cannot read a value: Exceeds the limit (4300 digits) for integer "
+                "string conversion: value has 5001 digits; use sys.set_int_max_str_digits() "
+                "to increase the limit",
+            ),
+            (
+                b"receiver: {intrinsic_error: 2020-13-45}\n",
+                "config: cannot read a value: month must be in 1..12",
+            ),
         ],
-        ids=["not_utf8", "nested_5000_deep"],
+        ids=["not_utf8", "nested_5000_deep", "integer_past_digit_limit", "impossible_date"],
     )
     def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, data, message):
         path = tmp_path / "scenario.yaml"

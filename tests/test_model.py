@@ -30,6 +30,7 @@ from decoylink import (
     yield_background,
     yield_i,
 )
+from decoylink import model
 
 ETA_21DB = 0.1 * 10.0 ** -2.1  # detector efficiency 0.1, 21 dB loss
 
@@ -134,6 +135,37 @@ class TestReceiverValidation:
             )
         with pytest.raises(ValidationError):
             ReceiverModel(detectors=(), dark_count_prob_total=1e-6, intrinsic_error=0.01)
+
+    # Past the bound, no detector tuple is built: at 10**20 it could not be.
+    @pytest.mark.parametrize("num", [model.MAX_DETECTORS + 1, 10**20])
+    def test_detector_count_bound(self, num):
+        with pytest.raises(ValidationError) as exc:
+            ReceiverModel.identical(num, dark_count_prob_total=1e-6, intrinsic_error=0.02)
+        assert str(exc.value) == f"num_detectors must be at most 1000000, got {num}"
+
+    # An integer of more digits than Python writes out shows as its power of ten.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: DetectorUnit(10**5000),
+                "afterpulse_prob must be in [0, 1], got about 10**5000",
+            ),
+            (
+                lambda: multi_photon_transmittance(0.5, -10**5000),
+                "i must be >= 0, got about -10**5000",
+            ),
+            (
+                lambda: yield_i(receiver_two(), ChannelModel(transmission_loss_db=3.0), -10**5000),
+                "photon number must be >= 0, got about -10**5000",
+            ),
+        ],
+        ids=["probability", "nonnegative", "photon_number"],
+    )
+    def test_integer_too_long_to_print(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestChannel:

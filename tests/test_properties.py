@@ -206,7 +206,7 @@ def inside(domain):
 def outside(domain):
     """NaN, +-inf, a negative or a value just past a bound, outside ``domain``."""
     if domain == PHOTONS:
-        return st.sampled_from([-1, 2.5, math.nan, math.inf, 10**400])
+        return st.sampled_from([-1, 2.5, math.nan, math.inf, 10**400, -10**5000])
     lo, hi = domain
     past = [math.nextafter(lo, -math.inf)]
     if hi < math.inf:
