@@ -15,9 +15,12 @@ the axes it depends on.
 """
 from __future__ import annotations
 
+import gc
 import math
 import sys
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -43,7 +46,7 @@ _APPROX_BACKGROUND_FRACTION = 0.1
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy with the continuous extension H(0) = H(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"binary_entropy argument must be in [0, 1], got {x!r}")
+        raise ValidationError(f"binary_entropy argument must be in [0, 1], got {model._shown(x)}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return _entropy(x, _libm_or_nan)
@@ -118,7 +121,8 @@ def check_decoy_pair(mu: float, nu1: float) -> None:
     """Reject intensities outside 0 < nu1 < mu, where weak+vacuum estimation is undefined."""
     if not 0.0 < nu1 < mu:
         raise ValidationError(
-            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={nu1!r} mu={mu!r}"
+            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={model._shown(nu1)} "
+            f"mu={model._shown(mu)}"
         )
 
 
@@ -651,6 +655,37 @@ def with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
     for i in np.flatnonzero(missing).tolist():
         column[i] = None
     return column
+
+
+# The open ``collector_paused`` blocks of all threads, and whether the first found the collector on.
+_PAUSE_LOCK = threading.Lock()
+_pause_depth = 0
+_resume_collector = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a ``with`` block, as one pause with every open one.
+
+    The first block to open turns the collector off; the last to close turns
+    it on again if it was on when the first opened, so a ``gc.disable()``
+    made while a block is open is undone when the last one closes. For
+    building lists of objects with no reference cycles, which its passes
+    could never free.
+    """
+    global _pause_depth, _resume_collector
+    with _PAUSE_LOCK:
+        if not _pause_depth:
+            _resume_collector = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _pause_depth -= 1
+            if not _pause_depth and _resume_collector:
+                gc.enable()
 
 
 def evaluate_link(

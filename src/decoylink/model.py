@@ -103,7 +103,7 @@ class ReceiverModel:
         for m, det in enumerate(self.detectors):
             if not -1.0 <= det.bias <= n - 1.0:
                 raise ValidationError(
-                    f"detectors[{m}].bias={det.bias!r} outside [-1, {n - 1}]"
+                    f"detectors[{m}].bias={_shown(det.bias)} outside [-1, {n - 1}]"
                 )
         bias_sum = math.fsum(det.bias for det in self.detectors)
         if abs(bias_sum) > BIAS_SUM_TOL:
@@ -112,13 +112,13 @@ class ReceiverModel:
             )
         if not 0.0 <= self.dark_count_prob_total < 1.0:
             raise ValidationError(
-                f"dark_count_prob_total must be in [0, 1), got {self.dark_count_prob_total!r}"
+                f"dark_count_prob_total must be in [0, 1), got {_shown(self.dark_count_prob_total)}"
             )
         _check_prob("intrinsic_error", self.intrinsic_error)
         _check_prob("background_error", self.background_error)
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValidationError(
-                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency!r}"
+                f"detector_efficiency must be in (0, 1], got {_shown(self.detector_efficiency)}"
             )
 
     @classmethod
@@ -203,17 +203,17 @@ class IntensitySet:
     def __post_init__(self) -> None:
         if self.weak_decoy_nu1 < 0.0:
             raise ValidationError(
-                f"weak_decoy_nu1 must be >= 0, got {self.weak_decoy_nu1!r}"
+                f"weak_decoy_nu1 must be >= 0, got {_shown(self.weak_decoy_nu1)}"
             )
         if not self.weak_decoy_nu1 < self.signal_mu:
             raise ValidationError(
-                f"weak_decoy_nu1 ({self.weak_decoy_nu1!r}) must be below "
-                f"signal_mu ({self.signal_mu!r})"
+                f"weak_decoy_nu1 ({_shown(self.weak_decoy_nu1)}) must be below "
+                f"signal_mu ({_shown(self.signal_mu)})"
             )
         if self.vacuum_decoy != 0.0:
             raise ValidationError(
                 "only the ideal vacuum decoy (intensity 0) is modeled, "
-                f"got {self.vacuum_decoy!r}"
+                f"got {_shown(self.vacuum_decoy)}"
             )
 
 
@@ -227,11 +227,11 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.sifting_factor <= 1.0:
             raise ValidationError(
-                f"sifting_factor must be in (0, 1], got {self.sifting_factor!r}"
+                f"sifting_factor must be in (0, 1], got {_shown(self.sifting_factor)}"
             )
         if not self.ec_efficiency >= 1.0:
             raise ValidationError(
-                f"ec_efficiency must be >= 1, got {self.ec_efficiency!r}"
+                f"ec_efficiency must be >= 1, got {_shown(self.ec_efficiency)}"
             )
         check_finite(ec_efficiency=self.ec_efficiency)
 
@@ -484,21 +484,22 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in AXES:
             raise ValidationError(
-                f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
+                f"unknown axis {_shown(self.name)}; expected one of {', '.join(AXIS_NAMES)}"
             )
         if self.count < 1:
             raise ValidationError(f"axis {self.name}: count must be >= 1, got {_shown(self.count)}")
         if self.spacing not in ("linear", "log"):
             raise ValidationError(
-                f"axis {self.name}: spacing must be 'linear' or 'log', got {self.spacing!r}"
+                f"axis {self.name}: spacing must be 'linear' or 'log', got {_shown(self.spacing)}"
             )
         if not self.min <= self.max:
             raise ValidationError(
-                f"axis {self.name}: min {self.min!r} must not exceed max {self.max!r}"
+                f"axis {self.name}: min {_shown(self.min)} must not exceed max {_shown(self.max)}"
             )
         if self.spacing == "log" and self.min <= 0.0:
             raise ValidationError(
-                f"axis {self.name}: log spacing needs positive endpoints, got min={self.min!r}"
+                f"axis {self.name}: log spacing needs positive endpoints, "
+                f"got min={_shown(self.min)}"
             )
         _, lo, hi = AXES[self.name]
         if self.min < lo or (hi is not None and self.max > hi):
@@ -509,7 +510,7 @@ class Axis:
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValidationError(
                 f"axis {self.name}: endpoints must be finite, "
-                f"got min={self.min!r} max={self.max!r}"
+                f"got min={_shown(self.min)} max={_shown(self.max)}"
             )
 
     def values(self) -> tuple[float, ...]:
@@ -567,11 +568,12 @@ class SweepSpec:
         for name in self.outputs:
             if name not in METRIC_NAMES:
                 raise ValidationError(
-                    f"unknown output metric {name!r}; expected one of {', '.join(METRIC_NAMES)}"
+                    f"unknown output metric {_shown(name)}; "
+                    f"expected one of {', '.join(METRIC_NAMES)}"
                 )
         if self.mu_policy not in MU_POLICIES:
             raise ValidationError(
-                f"mu_policy must be one of {MU_POLICIES}, got {self.mu_policy!r}"
+                f"mu_policy must be one of {MU_POLICIES}, got {_shown(self.mu_policy)}"
             )
         check_grid_size(math.prod(ax.count for ax in self.axes))
 

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 # The package before numpy: see the note in cli.py.
 from . import model
 from .bounds import (
-    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage,
-    node_stage, per_node, raised, with_none,
+    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, collector_paused, cut, mu_core,
+    mu_stage, node_stage, per_node, raised, with_none,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -138,12 +139,12 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
     h = binary_entropy(e_detector)
     if h >= 1.0:
         raise NoSolutionError(
-            f"binary entropy saturates at e_detector={e_detector!r}; no optimum exists"
+            f"binary entropy saturates at e_detector={model._shown(e_detector)}; no optimum exists"
         )
     rhs = protocol.ec_efficiency * h / (1.0 - h)
     if not rhs < 1.0:  # rejects NaN too
         raise NoSolutionError(
-            f"error rate too high (e_detector={e_detector!r}): the condition's right "
+            f"error rate too high (e_detector={model._shown(e_detector)}): the condition's right "
             f"side is {rhs:g} >= 1, outside the solvable range"
         )
     mu = 1.0 - _lambert_w0(math.e * rhs)
@@ -153,12 +154,13 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
 def _check_mu_bracket(nu1: float, lo: float) -> None:
     if not nu1 < lo:
         raise ValidationError(
-            f"bracket lower bound {lo!r} must exceed the weak-decoy intensity {nu1!r}"
+            f"bracket lower bound {model._shown(lo)} must exceed the weak-decoy intensity "
+            f"{model._shown(nu1)}"
         )
     if not lo < MU_BRACKET_MAX:
         raise ValidationError(
-            f"empty signal-intensity bracket ({lo!r}, {MU_BRACKET_MAX!r}); the weak-decoy "
-            "intensity leaves no room below the bracket top"
+            f"empty signal-intensity bracket ({model._shown(lo)}, {MU_BRACKET_MAX!r}); "
+            "the weak-decoy intensity leaves no room below the bracket top"
         )
 
 
@@ -215,7 +217,10 @@ def maximize_nodes(
         if len(mu) <= _SEED_SLICE_ROWS:
             return mu_core(mu, background_error, protocol, **at)[0]
         runs = [slice(i, i + _SEED_SLICE_ROWS) for i in range(0, len(mu), _SEED_SLICE_ROWS)]
-        return np.concatenate([probe(mu[r], {name: v[r] for name, v in at.items()}) for r in runs])
+        return np.concatenate([
+            mu_core(mu[r], background_error, protocol, **{name: v[r] for name, v in at.items()})[0]
+            for r in runs
+        ])
 
     points = _GRID_SEED_POINTS
 
@@ -295,7 +300,7 @@ def maximize_skr_over_mu(
     """
     # IntensitySet's test, after the bracket's lower bound, which -inf and -1e300 fail
     if nu1 < min(0.0, nu1 + MU_BRACKET_MARGIN):
-        raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {nu1!r}")
+        raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {model._shown(nu1)}")
     grid = Grid(receiver, channel, {"nu1": nu1}, ())
     _, inputs = grid.slab()
     search = maximize_nodes(**inputs, background_error=grid.background_error, protocol=protocol)
@@ -330,9 +335,9 @@ def threshold_nodes(
     a target the search cap cannot reach) raises its exception.
     """
     if not 0.0 < target_qber < 0.5:
-        raise ValidationError(f"target_qber must be in (0, 0.5), got {target_qber!r}")
+        raise ValidationError(f"target_qber must be in (0, 0.5), got {model._shown(target_qber)}")
     if not mean_photon > 0.0:
-        raise ValidationError(f"mean_photon must be > 0, got {mean_photon!r}")
+        raise ValidationError(f"mean_photon must be > 0, got {model._shown(mean_photon)}")
     grid = Grid(
         receiver_template,
         model.ChannelModel(transmission_loss_db=loss_db),
@@ -363,7 +368,7 @@ def threshold_nodes(
         model.check_detections(float(floor_gain[i]))
         model.check_gain(float(cap_gain[i]))
         raise ValidationError(
-            f"target_qber={target_qber!r} not reachable below the dark-count "
+            f"target_qber={model._shown(target_qber)} not reachable below the dark-count "
             f"search cap {DARK_COUNT_CAP!r} (QBER at cap: {float(ceiling[i]):g})"
         )
 
@@ -420,22 +425,25 @@ def trace_iso_qber_surface(
     ``ContourPoint`` field. A node the scalar model rejects raises its
     exception, and the first such node in row-major order is the one
     reported (at one node, a rejected p_ap before a rejected intrinsic_error).
+    The points are built with the cyclic garbage collector paused, as
+    ``run_sweep``'s records are; the search runs with it as the caller left it.
     """
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
     search = threshold_nodes(
         p_values, e_values, loss_db, target_qber, receiver_template, mean_photon
     )
     infeasible = ~search.feasible
-    return list(map(ContourPoint._make, zip(
-        [p for p in p_values for _ in e_values],
-        e_values * len(p_values),
-        [loss_db] * len(infeasible),
-        with_none(search.dark_count, infeasible),
-        with_none(search.achieved, infeasible),
-        search.feasible.tolist(),
-        (search.converged | infeasible).tolist(),
-        search.iterations.tolist(),
-    )))
+    with collector_paused():
+        return list(map(partial(tuple.__new__, ContourPoint), zip(
+            [p for p in p_values for _ in e_values],
+            e_values * len(p_values),
+            [loss_db] * len(infeasible),
+            with_none(search.dark_count, infeasible),
+            with_none(search.achieved, infeasible),
+            search.feasible.tolist(),
+            (search.converged | infeasible).tolist(),
+            search.iterations.tolist(),
+        )))
 
 
 def dark_count_threshold(

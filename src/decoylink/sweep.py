@@ -4,13 +4,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # optimize before bounds, and the package before numpy: see the note in cli.py.
 from . import model
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
 from .bounds import (
-    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, cut, link_table, per_node, raised, with_none,
+    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, collector_paused, cut, link_table, per_node, raised,
+    with_none,
 )
 # The spec types and name tables live in ``model``; they are importable from here too.
 from .model import (
@@ -91,18 +94,23 @@ class SweepBlock:
             )
 
     def records(self, axis_values: tuple[np.ndarray, ...]) -> list[ResultRecord]:
-        """The nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``."""
+        """The nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``.
+
+        A box is a product of index ranges, so its nodes' axis values are the product of its axes'.
+        The records hold no reference cycles, so they are built with the
+        cyclic garbage collector paused: its passes over them could free nothing.
+        """
         n = self.statuses.size
-        axis_values = (
-            zip(*(self.nodes(v[i]).tolist() for v, i in zip(axis_values, self.axis_index)))
-            if axis_values else [()] * n
-        )
+        axis_values = product(*(
+            v[i.ravel()].tolist() for v, i in zip(axis_values, self.axis_index)
+        ))
         values = zip(*(with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
         mu_opt = [None] * n if self.mu_opt is None else with_none(*map(self.nodes, self.mu_opt))
-        return list(map(ResultRecord._make, zip(
-            axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
-            self.nodes(self.reasons).tolist(),
-        )))
+        with collector_paused():
+            return list(map(partial(tuple.__new__, ResultRecord), zip(
+                axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
+                self.nodes(self.reasons).tolist(),
+            )))
 
 
 def _block(
@@ -215,8 +223,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     ``link_table`` call, or per lockstep optimizer run under
     optimize-per-point (whose probes run in calls of bounded size; see
     ``maximize_nodes``). Per-node failures are recorded in the node's status
-    and never abort the sweep.
+    and never abort the sweep. The cyclic garbage collector is paused while
+    each slab's records are built (``bounds.collector_paused``), not while
+    its nodes are evaluated.
     """
     grid = spec_grid(spec)
     blocks = grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
-    return [record for block in blocks for record in block.records(grid.values)]
+    return list(chain.from_iterable(block.records(grid.values) for block in blocks))

@@ -1,11 +1,26 @@
 """Shared test helpers."""
 import csv
+import gc
 import io
 import math
 
 import pytest
 
 from decoylink import DetectorUnit, ReceiverModel, qber_i, run_sweep, yield_i
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the cyclic garbage collector on or off other than it found it.
+
+    ``run_sweep`` and ``trace_iso_qber_surface`` pause the collector; a
+    pause left open would change how every later test runs.
+    """
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() == enabled, "the test left the cyclic garbage collector " + (
+        "off" if enabled else "on"
+    )
 
 
 def _poisson_mixture(receiver, channel, x):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from decoylink import (
+    Axis,
     ChannelModel,
     DegenerateInputError,
     DetectorUnit,
@@ -15,6 +16,7 @@ from decoylink import (
     ValidationError,
     aggregate_afterpulse,
     baseline_error_change,
+    binary_entropy,
     dark_count_threshold,
     effective_baseline_error,
     estimate_single_photon,
@@ -24,6 +26,7 @@ from decoylink import (
     qber_total,
     skr_approx,
     skr_lower_bound,
+    solve_optimal_mu,
     trace_iso_qber_surface,
     transmittance,
     visibility,
@@ -159,8 +162,82 @@ class TestReceiverValidation:
                 lambda: yield_i(receiver_two(), ChannelModel(transmission_loss_db=3.0), -10**5000),
                 "photon number must be >= 0, got about -10**5000",
             ),
+            (
+                lambda: binary_entropy(10**5000),
+                "binary_entropy argument must be in [0, 1], got about 10**5000",
+            ),
+            (
+                lambda: ProtocolParams(10**5000),
+                "sifting_factor must be in (0, 1], got about 10**5000",
+            ),
+            (
+                lambda: ProtocolParams(0.5, -10**5000),
+                "ec_efficiency must be >= 1, got about -10**5000",
+            ),
+            (
+                lambda: IntensitySet(0.48, -10**5000),
+                "weak_decoy_nu1 must be >= 0, got about -10**5000",
+            ),
+            (
+                lambda: IntensitySet(-10**5000, 0.038),
+                "weak_decoy_nu1 (0.038) must be below signal_mu (about -10**5000)",
+            ),
+            (
+                lambda: IntensitySet(0.48, 0.038, 10**5000),
+                "only the ideal vacuum decoy (intensity 0) is modeled, got about 10**5000",
+            ),
+            (
+                lambda: solve_optimal_mu(10**5000, ProtocolParams()),
+                "binary_entropy argument must be in [0, 1], got about 10**5000",
+            ),
+            (
+                lambda: estimate_single_photon(0.1, 0.02, 0.01, 0.03, 1e-6, -10**5000, 0.038),
+                "weak+vacuum estimation needs 0 < nu1 < mu, got nu1=0.038 mu=about -10**5000",
+            ),
+            (
+                lambda: ReceiverModel.identical(
+                    2, dark_count_prob_total=10**5000, intrinsic_error=0.02
+                ),
+                "dark_count_prob_total must be in [0, 1), got about 10**5000",
+            ),
+            (
+                lambda: ReceiverModel.identical(
+                    2, dark_count_prob_total=1e-6, intrinsic_error=0.02,
+                    detector_efficiency=10**5000,
+                ),
+                "detector_efficiency must be in (0, 1], got about 10**5000",
+            ),
+            (
+                lambda: ReceiverModel(
+                    (DetectorUnit(0.0, 10**5000), DetectorUnit(0.0, -10**5000)), 1e-6, 0.02
+                ),
+                "detectors[0].bias=about 10**5000 outside [-1, 1]",
+            ),
+            (
+                lambda: Axis("p_ap", 10**5000, 1.0, 3),
+                "axis p_ap: min about 10**5000 must not exceed max 1.0",
+            ),
+            (
+                lambda: Axis("loss_db", -10**5000, 1.0, 3, "log"),
+                "axis loss_db: log spacing needs positive endpoints, got min=about -10**5000",
+            ),
+            (
+                lambda: trace_iso_qber_surface(
+                    (0.0,), (0.02,), 3.0, 10**5000, receiver_two(), 0.48
+                ),
+                "target_qber must be in (0, 0.5), got about 10**5000",
+            ),
+            (
+                lambda: dark_count_threshold(0.0, 0.02, 3.0, 0.05, receiver_two(), -10**5000),
+                "mean_photon must be > 0, got about -10**5000",
+            ),
         ],
-        ids=["probability", "nonnegative", "photon_number"],
+        ids=[
+            "probability", "nonnegative", "photon_number", "binary_entropy", "sifting_factor",
+            "ec_efficiency", "weak_decoy", "signal_mu", "vacuum_decoy", "solve_optimal_mu",
+            "decoy_pair", "dark_count", "detector_efficiency", "bias", "axis_min", "axis_log",
+            "target_qber", "mean_photon",
+        ],
     )
     def test_integer_too_long_to_print(self, call, message):
         with pytest.raises(ValidationError) as exc:

@@ -427,16 +427,18 @@ class TestTraceIsoQberSurface:
         expected = []
         for k in range(9):
             feasible = bool(search.feasible[k])
-            expected.append(ContourPoint(
+            expected.append(ContourPoint._make((
                 p_values[k // 3], e_values[k % 3], 21.0,
                 float(search.dark_count[k]) if feasible else None,
                 float(search.achieved[k]) if feasible else None,
                 feasible,
                 bool(search.converged[k]) if feasible else True,
                 int(search.iterations[k]) if feasible else 0,
-            ))
+            )))
         # repr tells a Python float from a numpy scalar
         assert repr(points) == repr(expected)
+        assert [tuple(map(type, p)) for p in points] == [tuple(map(type, p)) for p in expected]
+        assert {type(p) for p in points} == {ContourPoint}
         assert {(p.feasible, p.converged) for p in points} == {
             (True, steps == 200), (False, True)
         }

@@ -204,13 +204,15 @@ def inside(domain):
 
 
 def outside(domain):
-    """NaN, +-inf, a negative or a value just past a bound, outside ``domain``."""
+    """NaN, +-inf, a negative, a value just past a bound or an integer of 5001 digits, outside
+    ``domain``."""
     if domain == PHOTONS:
         return st.sampled_from([-1, 2.5, math.nan, math.inf, 10**400, -10**5000])
     lo, hi = domain
-    past = [math.nextafter(lo, -math.inf)]
+    # an integer too long for Python to print must still get its message
+    past = [math.nextafter(lo, -math.inf), -10**5000]
     if hi < math.inf:
-        past.append(math.nextafter(hi, math.inf))
+        past += [math.nextafter(hi, math.inf), 10**5000]
     return st.one_of(
         st.sampled_from([math.nan, math.inf, -math.inf, *past]),
         st.floats(max_value=-sys.float_info.min, allow_infinity=False),

@@ -227,6 +227,60 @@ class TestResultRecord:
         assert {r.status for r in records} == {"ok", "model-domain-error"}
         assert {r.reason for r in records} >= {None, "no_positive_key"}
 
+    # Slabs of at most slab_nodes nodes: the 3 x 4 x 5 grids split into boxes
+    # of one value of the first axis and runs of two (13) or one (7) of the second.
+    @pytest.mark.parametrize(
+        "axes, outputs, mu_policy, slab_nodes",
+        [
+            (
+                [Axis("p_ap", 0.0, 1.5, 3), Axis("loss_db", 0.0, 60.0, 4),
+                 Axis("intrinsic_error", 0.0, 0.5, 5)],
+                ("baseline_error_change", "y1_lower", "skr_lower", "q_mu"), "fixed", 13,
+            ),
+            (
+                [Axis("p_ap", 0.0, 1.5, 3), Axis("weak_decoy_nu1", 0.0, 0.6, 4),
+                 Axis("loss_db", 0.0, 60.0, 5)],
+                ("p_ap", "e_mu", "skr_lower"), "optimize-per-point", 7,
+            ),
+            ([], ("skr_lower", "e_detector"), "fixed", 7),
+            ([], ("skr_lower",), "optimize-per-point", 7),
+        ],
+        ids=["slabs", "optimized_slabs", "no_axes", "optimized_no_axes"],
+    )
+    def test_records_equal_a_make_rebuild_of_every_block(
+        self, monkeypatch, axes, outputs, mu_policy, slab_nodes
+    ):
+        monkeypatch.setattr(sweep, "SLAB_NODES", slab_nodes)
+        spec = base_spec(axes, outputs=outputs, mu_policy=mu_policy)
+        records = run_sweep(spec)
+        grid = sweep.spec_grid(spec)
+        expected = []
+        for block in sweep.grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy):
+            nodes = block.nodes
+            axis_values = [nodes(v[i]).tolist() for v, i in zip(grid.values, block.axis_index)]
+            columns = [(nodes(v).tolist(), nodes(m).tolist()) for v, m in block.outputs]
+            mu = [None] * block.statuses.size
+            if block.mu_opt is not None:
+                mu = [None if m else v for v, m in zip(*(nodes(a).tolist() for a in block.mu_opt))]
+            statuses, reasons = nodes(block.statuses).tolist(), nodes(block.reasons).tolist()
+            expected += [
+                sweep.ResultRecord._make((
+                    tuple(column[k] for column in axis_values),
+                    tuple(None if m[k] else v[k] for v, m in columns),
+                    mu[k], statuses[k], reasons[k],
+                ))
+                for k in range(block.statuses.size)
+            ]
+        assert len(expected) == max(1, math.prod(ax.count for ax in axes))
+        assert repr(records) == repr(expected)
+
+        def types(value):
+            return (type(value), *map(types, value)) if isinstance(value, tuple) else type(value)
+
+        assert list(map(types, records)) == list(map(types, expected))
+        if axes:
+            assert {"ok", "model-domain-error"} <= {r.status for r in records}
+
 
 class TestRunSweep:
     def test_single_point_matches_direct_evaluation(self):
