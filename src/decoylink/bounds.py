@@ -45,8 +45,7 @@ _APPROX_BACKGROUND_FRACTION = 0.1
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy with the continuous extension H(0) = H(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"binary_entropy argument must be in [0, 1], got {model._shown(x)}")
+    x = model.check_range("binary_entropy argument", x, 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return _entropy(x, _libm_or_nan)
@@ -91,7 +90,7 @@ def estimate_single_photon(
     resolved (``_resolvable``): a yield bound that is not positive and
     finite, or gains or a bound too small (subnormal) to keep any precision.
     """
-    check_decoy_pair(mu, nu1)
+    mu, nu1 = check_decoy_pair(mu, nu1)
     model.check_nonnegative(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1, y0=y0, e0=e0)
     model.check_at_most_one(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1, y0=y0, e0=e0)
     nu2, q_exp_nu1, e1_numerator = _nu1_terms(
@@ -117,13 +116,14 @@ def estimate_single_photon(
     )
 
 
-def check_decoy_pair(mu: float, nu1: float) -> None:
-    """Reject intensities outside 0 < nu1 < mu, where weak+vacuum estimation is undefined."""
-    if not 0.0 < nu1 < mu:
+def check_decoy_pair(mu: float, nu1: float) -> tuple[float, float]:
+    """(mu, nu1) as floats, rejected outside 0 < nu1 < mu (weak+vacuum estimation undefined)."""
+    x_mu, x_nu1 = model.as_float("mu", mu), model.as_float("nu1", nu1)
+    if not 0.0 < x_nu1 < x_mu:
         raise ValidationError(
-            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={model._shown(nu1)} "
-            f"mu={model._shown(mu)}"
+            f"weak+vacuum estimation needs 0 < nu1 < mu, got nu1={nu1!r} mu={mu!r}"
         )
+    return x_mu, x_nu1
 
 
 def skr_lower_bound(

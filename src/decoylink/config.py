@@ -61,7 +61,6 @@ FIELDS = {
 
 # kind -> (what the error message expects, test of a given value)
 _KINDS = {
-    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -98,10 +97,10 @@ def _mapping(value, path: str, keys) -> dict:
 
 
 def _read(value, path: str, fields: dict) -> dict:
-    """The fields of a section: each given one's checked value (numbers as
-    float), else its config default; a field with neither is left out. A
-    REQUIRED field left out is an error, raised after every given value has
-    passed its check."""
+    """The fields of a section: each given one's checked value (a number as
+    ``model.as_float`` reads it), else its config default; a field with neither
+    is left out. A REQUIRED field left out is an error, raised after every
+    given value has passed its check."""
     section = _mapping(value, path, fields)
     out = {}
     for key, (kind, default) in fields.items():
@@ -110,15 +109,11 @@ def _read(value, path: str, fields: dict) -> dict:
             if default is not None:
                 out[key] = default
             continue
-        expected, check = _KINDS[kind]
-        if not check(given):
-            raise ValidationError(f"{path}.{key}: expected {expected}, got {given!r}")
-        try:
-            out[key] = float(given) if kind == "number" else given
-        except OverflowError:
-            raise ValidationError(
-                f"{path}.{key}: expected a number, got an integer outside the float range"
-            ) from None
+        if kind == "number":
+            given = model.as_float(f"{path}.{key}", given)
+        elif not _KINDS[kind][1](given):
+            raise ValidationError(f"{path}.{key}: expected {_KINDS[kind][0]}, got {given!r}")
+        out[key] = given
     for key, value in out.items():
         if value is REQUIRED:
             raise ValidationError(f"{path}.{key}: required")

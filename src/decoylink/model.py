@@ -13,8 +13,9 @@ and imports no numpy: a scenario parses without loading the array engine.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DegenerateInputError, ModelDomainError, ValidationError
 
@@ -25,9 +26,9 @@ BIAS_SUM_TOL = 1e-12
 MAX_DETECTORS = 1_000_000
 
 
-def _shown(value) -> str:
-    """``value`` as error messages show it: its repr, or, for an integer of more
-    digits than Python writes out, its power of ten."""
+def _shown(value: int) -> str:
+    """Integer ``value`` as error messages show it: its repr, or, for an integer
+    of more digits than Python writes out, its power of ten."""
     try:
         return repr(value)
     except ValueError:
@@ -35,30 +36,60 @@ def _shown(value) -> str:
         return f"about {sign}10**{int(abs(value).bit_length() * math.log10(2))}"
 
 
-def _check_prob(name: str, value: float, *, upper: float = 1.0) -> None:
-    if not 0.0 <= value <= upper:
-        raise ValidationError(f"{name} must be in [0, {upper:g}], got {_shown(value)}")
+def as_float(name: str, value) -> float:
+    """``value`` as a float: any real number but a bool; anything else is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValidationError(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{name}: expected a number, got an integer outside the float range"
+        ) from None
+
+
+def check_range(name: str, value, lo=None, hi=None, *, open_lo=False, open_hi=False) -> float:
+    """``as_float(name, value)`` if within ``lo`` and ``hi``, each inclusive unless ``open_lo``
+    or ``open_hi`` and None for no bound; else (NaN always) a ValidationError."""
+    x = as_float(name, value)
+    if (lo is None or (x > lo if open_lo else x >= lo)) and (
+        hi is None or (x < hi if open_hi else x <= hi)
+    ):
+        return x
+    if hi is None:
+        rule = f"{'>' if open_lo else '>='} {lo:g}"
+    elif lo is None:
+        rule = f"{'<' if open_hi else '<='} {hi:g}"
+    else:
+        rule = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _store_floats(value_type) -> None:
+    """Store each float field of a frozen value type as ``as_float`` gives it; None stays."""
+    for field in fields(value_type):
+        value = getattr(value_type, field.name)
+        if field.type in ("float", "float | None") and value is not None:
+            object.__setattr__(value_type, field.name, as_float(field.name, value))
 
 
 def check_nonnegative(**values: float) -> None:
     """Reject the first of the named ``values`` that is negative or NaN."""
     for name, value in values.items():
-        if not value >= 0.0:  # rejects NaN too
-            raise ValidationError(f"{name} must be >= 0, got {_shown(value)}")
+        check_range(name, value, 0.0)
 
 
 def check_finite(**values: float) -> None:
     """Reject the first of the named ``values`` that is inf; ``check_nonnegative`` goes first."""
     for name, value in values.items():
-        if value == math.inf:
+        if as_float(name, value) == math.inf:
             raise ValidationError(f"{name} must be finite, got inf")
 
 
 def check_at_most_one(**values: float) -> None:
     """Reject the first of the named ``values`` above 1, or NaN."""
     for name, value in values.items():
-        if not value <= 1.0:  # rejects NaN too
-            raise ValidationError(f"{name} must be <= 1, got {_shown(value)}")
+        check_range(name, value, hi=1.0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +106,8 @@ class DetectorUnit:
     bias: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_prob("afterpulse_prob", self.afterpulse_prob)
+        _store_floats(self)
+        check_range("afterpulse_prob", self.afterpulse_prob, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +128,7 @@ class ReceiverModel:
     detector_efficiency: float = 0.1
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         object.__setattr__(self, "detectors", tuple(self.detectors))
         n = len(self.detectors)
         if n < 1:
@@ -103,23 +136,17 @@ class ReceiverModel:
         for m, det in enumerate(self.detectors):
             if not -1.0 <= det.bias <= n - 1.0:
                 raise ValidationError(
-                    f"detectors[{m}].bias={_shown(det.bias)} outside [-1, {n - 1}]"
+                    f"detectors[{m}].bias={det.bias!r} outside [-1, {n - 1}]"
                 )
         bias_sum = math.fsum(det.bias for det in self.detectors)
         if abs(bias_sum) > BIAS_SUM_TOL:
             raise ValidationError(
                 f"detector biases must sum to 0 within {BIAS_SUM_TOL:g}, got {bias_sum!r}"
             )
-        if not 0.0 <= self.dark_count_prob_total < 1.0:
-            raise ValidationError(
-                f"dark_count_prob_total must be in [0, 1), got {_shown(self.dark_count_prob_total)}"
-            )
-        _check_prob("intrinsic_error", self.intrinsic_error)
-        _check_prob("background_error", self.background_error)
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValidationError(
-                f"detector_efficiency must be in (0, 1], got {_shown(self.detector_efficiency)}"
-            )
+        check_range("dark_count_prob_total", self.dark_count_prob_total, 0.0, 1.0, open_hi=True)
+        check_range("intrinsic_error", self.intrinsic_error, 0.0, 1.0)
+        check_range("background_error", self.background_error, 0.0, 1.0)
+        check_range("detector_efficiency", self.detector_efficiency, 0.0, 1.0, open_lo=True)
 
     @classmethod
     def identical(
@@ -153,6 +180,7 @@ class ChannelModel:
     transmission_loss_db: float | None = None
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         # An infinite loss or distance is an opaque channel; an infinite
         # attenuation would make 0 km NaN dB, and so would 0 dB/km over an
         # infinite distance.
@@ -201,19 +229,17 @@ class IntensitySet:
     vacuum_decoy: float = 0.0
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.weak_decoy_nu1 < 0.0:
-            raise ValidationError(
-                f"weak_decoy_nu1 must be >= 0, got {_shown(self.weak_decoy_nu1)}"
-            )
+            raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {self.weak_decoy_nu1!r}")
         if not self.weak_decoy_nu1 < self.signal_mu:
             raise ValidationError(
-                f"weak_decoy_nu1 ({_shown(self.weak_decoy_nu1)}) must be below "
-                f"signal_mu ({_shown(self.signal_mu)})"
+                f"weak_decoy_nu1 ({self.weak_decoy_nu1!r}) must be below "
+                f"signal_mu ({self.signal_mu!r})"
             )
         if self.vacuum_decoy != 0.0:
             raise ValidationError(
-                "only the ideal vacuum decoy (intensity 0) is modeled, "
-                f"got {_shown(self.vacuum_decoy)}"
+                f"only the ideal vacuum decoy (intensity 0) is modeled, got {self.vacuum_decoy!r}"
             )
 
 
@@ -225,14 +251,9 @@ class ProtocolParams:
     ec_efficiency: float = 1.16
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sifting_factor <= 1.0:
-            raise ValidationError(
-                f"sifting_factor must be in (0, 1], got {_shown(self.sifting_factor)}"
-            )
-        if not self.ec_efficiency >= 1.0:
-            raise ValidationError(
-                f"ec_efficiency must be >= 1, got {_shown(self.ec_efficiency)}"
-            )
+        _store_floats(self)
+        check_range("sifting_factor", self.sifting_factor, 0.0, 1.0, open_lo=True)
+        check_range("ec_efficiency", self.ec_efficiency, 1.0)
         check_finite(ec_efficiency=self.ec_efficiency)
 
 
@@ -258,14 +279,12 @@ def transmittance(receiver: ReceiverModel, channel: ChannelModel) -> float:
 def multi_photon_transmittance(eta: float, i: int) -> float:
     """Detection probability for an i-photon state, photons independent: 1 - (1 - eta)^i.
 
-    ``eta`` is in [0, 1] and ``i`` a whole number >= 0, at most the largest float.
+    ``eta`` is in [0, 1] and ``i`` a whole number >= 0.
     """
     check_nonnegative(eta=eta, i=i)
     check_at_most_one(eta=eta)
     if i % 1 != 0:  # inf % 1 is NaN
         raise ValidationError(f"i must be a whole number, got {i!r}")
-    if i > sys.float_info.max:  # an int that no float holds
-        raise ValidationError(f"i must be at most {sys.float_info.max!r}, got a larger integer")
     if i == 0:
         return 0.0
     if eta >= 1.0:
@@ -389,8 +408,8 @@ def effective_baseline_error(
 
 def _check_baseline(e_prime: float, e0: float, p_ap: float) -> None:
     """Reject error rates outside [0, 1] and an afterpulse probability below 0, NaN included."""
-    _check_prob("intrinsic_error", e_prime)
-    _check_prob("background_error", e0)
+    check_range("intrinsic_error", e_prime, 0.0, 1.0)
+    check_range("background_error", e0, 0.0, 1.0)
     check_nonnegative(afterpulse_prob=p_ap)
 
 
@@ -482,24 +501,25 @@ class Axis:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.name not in AXES:
             raise ValidationError(
-                f"unknown axis {_shown(self.name)}; expected one of {', '.join(AXIS_NAMES)}"
+                f"unknown axis {self.name!r}; expected one of {', '.join(AXIS_NAMES)}"
             )
         if self.count < 1:
             raise ValidationError(f"axis {self.name}: count must be >= 1, got {_shown(self.count)}")
         if self.spacing not in ("linear", "log"):
             raise ValidationError(
-                f"axis {self.name}: spacing must be 'linear' or 'log', got {_shown(self.spacing)}"
+                f"axis {self.name}: spacing must be 'linear' or 'log', got {self.spacing!r}"
             )
         if not self.min <= self.max:
             raise ValidationError(
-                f"axis {self.name}: min {_shown(self.min)} must not exceed max {_shown(self.max)}"
+                f"axis {self.name}: min {self.min!r} must not exceed max {self.max!r}"
             )
         if self.spacing == "log" and self.min <= 0.0:
             raise ValidationError(
                 f"axis {self.name}: log spacing needs positive endpoints, "
-                f"got min={_shown(self.min)}"
+                f"got min={self.min!r}"
             )
         _, lo, hi = AXES[self.name]
         if self.min < lo or (hi is not None and self.max > hi):
@@ -510,7 +530,7 @@ class Axis:
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValidationError(
                 f"axis {self.name}: endpoints must be finite, "
-                f"got min={_shown(self.min)} max={_shown(self.max)}"
+                f"got min={self.min!r} max={self.max!r}"
             )
 
     def values(self) -> tuple[float, ...]:
@@ -568,12 +588,12 @@ class SweepSpec:
         for name in self.outputs:
             if name not in METRIC_NAMES:
                 raise ValidationError(
-                    f"unknown output metric {_shown(name)}; "
+                    f"unknown output metric {name!r}; "
                     f"expected one of {', '.join(METRIC_NAMES)}"
                 )
         if self.mu_policy not in MU_POLICIES:
             raise ValidationError(
-                f"mu_policy must be one of {MU_POLICIES}, got {_shown(self.mu_policy)}"
+                f"mu_policy must be one of {MU_POLICIES}, got {self.mu_policy!r}"
             )
         check_grid_size(math.prod(ax.count for ax in self.axes))
 

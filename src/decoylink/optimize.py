@@ -139,12 +139,12 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
     h = binary_entropy(e_detector)
     if h >= 1.0:
         raise NoSolutionError(
-            f"binary entropy saturates at e_detector={model._shown(e_detector)}; no optimum exists"
+            f"binary entropy saturates at e_detector={e_detector!r}; no optimum exists"
         )
     rhs = protocol.ec_efficiency * h / (1.0 - h)
     if not rhs < 1.0:  # rejects NaN too
         raise NoSolutionError(
-            f"error rate too high (e_detector={model._shown(e_detector)}): the condition's right "
+            f"error rate too high (e_detector={e_detector!r}): the condition's right "
             f"side is {rhs:g} >= 1, outside the solvable range"
         )
     mu = 1.0 - _lambert_w0(math.e * rhs)
@@ -154,12 +154,11 @@ def solve_optimal_mu(e_detector: float, protocol: model.ProtocolParams) -> Optim
 def _check_mu_bracket(nu1: float, lo: float) -> None:
     if not nu1 < lo:
         raise ValidationError(
-            f"bracket lower bound {model._shown(lo)} must exceed the weak-decoy intensity "
-            f"{model._shown(nu1)}"
+            f"bracket lower bound {lo!r} must exceed the weak-decoy intensity {nu1!r}"
         )
     if not lo < MU_BRACKET_MAX:
         raise ValidationError(
-            f"empty signal-intensity bracket ({model._shown(lo)}, {MU_BRACKET_MAX!r}); "
+            f"empty signal-intensity bracket ({lo!r}, {MU_BRACKET_MAX!r}); "
             "the weak-decoy intensity leaves no room below the bracket top"
         )
 
@@ -299,9 +298,10 @@ def maximize_skr_over_mu(
     result carries skr = 0 and a reason, never an exception.
     """
     # IntensitySet's test, after the bracket's lower bound, which -inf and -1e300 fail
-    if nu1 < min(0.0, nu1 + MU_BRACKET_MARGIN):
-        raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {model._shown(nu1)}")
-    grid = Grid(receiver, channel, {"nu1": nu1}, ())
+    x = model.as_float("nu1", nu1)
+    if x < min(0.0, x + MU_BRACKET_MARGIN):
+        raise ValidationError(f"weak_decoy_nu1 must be >= 0, got {nu1!r}")
+    grid = Grid(receiver, channel, {"nu1": x}, ())
     _, inputs = grid.slab()
     search = maximize_nodes(**inputs, background_error=grid.background_error, protocol=protocol)
     if search.errors:
@@ -334,15 +334,14 @@ def threshold_nodes(
     rejected p_ap, then a rejected intrinsic_error, a gain outside (0, 1], or
     a target the search cap cannot reach) raises its exception.
     """
-    if not 0.0 < target_qber < 0.5:
-        raise ValidationError(f"target_qber must be in (0, 0.5), got {model._shown(target_qber)}")
-    if not mean_photon > 0.0:
-        raise ValidationError(f"mean_photon must be > 0, got {model._shown(mean_photon)}")
+    model.check_range("target_qber", target_qber, 0.0, 0.5, open_lo=True, open_hi=True)
+    mean_photon = model.check_range("mean_photon", mean_photon, 0.0, open_lo=True)
+    axes = {"p_ap": p_ap_values, "intrinsic_error": intrinsic_error_values}
     grid = Grid(
         receiver_template,
-        model.ChannelModel(transmission_loss_db=loss_db),
+        model.ChannelModel(transmission_loss_db=model.as_float("loss_db", loss_db)),
         {},
-        (("p_ap", p_ap_values), ("intrinsic_error", intrinsic_error_values)),
+        ((name, [model.as_float(name, v) for v in values]) for name, values in axes.items()),
     )
     index, inputs = grid.slab()
     detected = -math.expm1(-inputs["eta"].item() * mean_photon)
@@ -368,7 +367,7 @@ def threshold_nodes(
         model.check_detections(float(floor_gain[i]))
         model.check_gain(float(cap_gain[i]))
         raise ValidationError(
-            f"target_qber={model._shown(target_qber)} not reachable below the dark-count "
+            f"target_qber={target_qber!r} not reachable below the dark-count "
             f"search cap {DARK_COUNT_CAP!r} (QBER at cap: {float(ceiling[i]):g})"
         )
 

@@ -8,6 +8,7 @@ each, since this one has loaded everything already.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,3 +140,12 @@ def test_benchmark_probe_targets_resolve_after_cli_import():
         "assert not missing, missing"
     )
     loaded_after(code)
+
+
+def test_numbers_enter_through_one_boundary():
+    """Only ``model`` shows a value through ``_shown``, and ``config`` converts no number
+    itself: every float input goes through ``model.as_float``."""
+    sources = {path.name: path.read_text() for path in (SRC / "decoylink").glob("*.py")}
+    assert [name for name, text in sources.items() if "_shown" in text] == ["model.py"]
+    assert not re.search(r"\bfloat\(", sources["config.py"])
+    assert "OverflowError" not in sources["config.py"]

@@ -9,6 +9,7 @@ from decoylink import (
     ChannelModel,
     DegenerateInputError,
     DetectorUnit,
+    EstimationInfeasibleError,
     IntensitySet,
     ModelDomainError,
     ProtocolParams,
@@ -21,6 +22,7 @@ from decoylink import (
     effective_baseline_error,
     estimate_single_photon,
     gain_total,
+    maximize_skr_over_mu,
     multi_photon_transmittance,
     qber_i,
     qber_total,
@@ -36,6 +38,8 @@ from decoylink import (
 from decoylink import model
 
 ETA_21DB = 0.1 * 10.0 ** -2.1  # detector efficiency 0.1, 21 dB loss
+# The message of a float input that no float holds, by the name it was passed as.
+OUTSIDE = "{}: expected a number, got an integer outside the float range"
 
 
 def receiver_two(p_ap=0.0, p_dc=6e-7, e_prime=0.02, eta_bob=0.1):
@@ -146,103 +150,167 @@ class TestReceiverValidation:
             ReceiverModel.identical(num, dark_count_prob_total=1e-6, intrinsic_error=0.02)
         assert str(exc.value) == f"num_detectors must be at most 1000000, got {num}"
 
-    # An integer of more digits than Python writes out shows as its power of ten.
+    # An integer photon number of more digits than Python writes out shows as
+    # its power of ten; a float input past the float range is named by the
+    # argument or field it was passed as.
     @pytest.mark.parametrize(
         "call, message",
         [
-            (
-                lambda: DetectorUnit(10**5000),
-                "afterpulse_prob must be in [0, 1], got about 10**5000",
-            ),
-            (
-                lambda: multi_photon_transmittance(0.5, -10**5000),
-                "i must be >= 0, got about -10**5000",
-            ),
+            (lambda: DetectorUnit(10**5000), OUTSIDE.format("afterpulse_prob")),
+            (lambda: multi_photon_transmittance(0.5, -10**5000), OUTSIDE.format("i")),
             (
                 lambda: yield_i(receiver_two(), ChannelModel(transmission_loss_db=3.0), -10**5000),
                 "photon number must be >= 0, got about -10**5000",
             ),
-            (
-                lambda: binary_entropy(10**5000),
-                "binary_entropy argument must be in [0, 1], got about 10**5000",
-            ),
-            (
-                lambda: ProtocolParams(10**5000),
-                "sifting_factor must be in (0, 1], got about 10**5000",
-            ),
-            (
-                lambda: ProtocolParams(0.5, -10**5000),
-                "ec_efficiency must be >= 1, got about -10**5000",
-            ),
-            (
-                lambda: IntensitySet(0.48, -10**5000),
-                "weak_decoy_nu1 must be >= 0, got about -10**5000",
-            ),
-            (
-                lambda: IntensitySet(-10**5000, 0.038),
-                "weak_decoy_nu1 (0.038) must be below signal_mu (about -10**5000)",
-            ),
-            (
-                lambda: IntensitySet(0.48, 0.038, 10**5000),
-                "only the ideal vacuum decoy (intensity 0) is modeled, got about 10**5000",
-            ),
+            (lambda: binary_entropy(10**5000), OUTSIDE.format("binary_entropy argument")),
+            (lambda: ProtocolParams(10**5000), OUTSIDE.format("sifting_factor")),
+            (lambda: ProtocolParams(0.5, -10**5000), OUTSIDE.format("ec_efficiency")),
+            (lambda: IntensitySet(0.48, -10**5000), OUTSIDE.format("weak_decoy_nu1")),
+            (lambda: IntensitySet(-10**5000, 0.038), OUTSIDE.format("signal_mu")),
+            (lambda: IntensitySet(0.48, 0.038, 10**5000), OUTSIDE.format("vacuum_decoy")),
             (
                 lambda: solve_optimal_mu(10**5000, ProtocolParams()),
-                "binary_entropy argument must be in [0, 1], got about 10**5000",
+                OUTSIDE.format("binary_entropy argument"),
             ),
             (
                 lambda: estimate_single_photon(0.1, 0.02, 0.01, 0.03, 1e-6, -10**5000, 0.038),
-                "weak+vacuum estimation needs 0 < nu1 < mu, got nu1=0.038 mu=about -10**5000",
+                OUTSIDE.format("mu"),
             ),
             (
                 lambda: ReceiverModel.identical(
                     2, dark_count_prob_total=10**5000, intrinsic_error=0.02
                 ),
-                "dark_count_prob_total must be in [0, 1), got about 10**5000",
+                OUTSIDE.format("dark_count_prob_total"),
             ),
             (
                 lambda: ReceiverModel.identical(
                     2, dark_count_prob_total=1e-6, intrinsic_error=0.02,
                     detector_efficiency=10**5000,
                 ),
-                "detector_efficiency must be in (0, 1], got about 10**5000",
+                OUTSIDE.format("detector_efficiency"),
             ),
             (
                 lambda: ReceiverModel(
                     (DetectorUnit(0.0, 10**5000), DetectorUnit(0.0, -10**5000)), 1e-6, 0.02
                 ),
-                "detectors[0].bias=about 10**5000 outside [-1, 1]",
+                OUTSIDE.format("bias"),
             ),
-            (
-                lambda: Axis("p_ap", 10**5000, 1.0, 3),
-                "axis p_ap: min about 10**5000 must not exceed max 1.0",
-            ),
-            (
-                lambda: Axis("loss_db", -10**5000, 1.0, 3, "log"),
-                "axis loss_db: log spacing needs positive endpoints, got min=about -10**5000",
-            ),
+            (lambda: Axis("p_ap", 10**5000, 1.0, 3), OUTSIDE.format("min")),
+            (lambda: Axis("loss_db", -10**5000, 1.0, 3, "log"), OUTSIDE.format("min")),
             (
                 lambda: trace_iso_qber_surface(
                     (0.0,), (0.02,), 3.0, 10**5000, receiver_two(), 0.48
                 ),
-                "target_qber must be in (0, 0.5), got about 10**5000",
+                OUTSIDE.format("target_qber"),
             ),
             (
                 lambda: dark_count_threshold(0.0, 0.02, 3.0, 0.05, receiver_two(), -10**5000),
-                "mean_photon must be > 0, got about -10**5000",
+                OUTSIDE.format("mean_photon"),
+            ),
+            # each of these raised OverflowError or was accepted
+            (lambda: Axis("loss_db", 0, 10**400, 3), OUTSIDE.format("max")),
+            (lambda: IntensitySet(10**400, 0.038), OUTSIDE.format("signal_mu")),
+            (lambda: ProtocolParams(0.5, 10**400), OUTSIDE.format("ec_efficiency")),
+            (
+                lambda: ChannelModel(attenuation_db_per_km=0.21, distance_km=10**400),
+                OUTSIDE.format("distance_km"),
+            ),
+            (
+                lambda: ChannelModel(transmission_loss_db=10**400),
+                OUTSIDE.format("transmission_loss_db"),
+            ),
+            (
+                lambda: gain_total(receiver_two(), ChannelModel(transmission_loss_db=3.0), 10**400),
+                OUTSIDE.format("mean_photon"),
+            ),
+            (
+                lambda: skr_approx(
+                    receiver_two(), ChannelModel(transmission_loss_db=3.0), 10**400,
+                    ProtocolParams(), warn=False,
+                ),
+                OUTSIDE.format("mu"),
+            ),
+            (
+                lambda: effective_baseline_error(0.02, 0.5, 10**400),
+                OUTSIDE.format("afterpulse_prob"),
+            ),
+            (lambda: baseline_error_change(0.02, 0.5, 10**400), OUTSIDE.format("afterpulse_prob")),
+            (
+                lambda: estimate_single_photon(0.1, 0.02, 0.01, 0.03, 1e-6, 10**400, 0.038),
+                OUTSIDE.format("mu"),
+            ),
+            (
+                lambda: maximize_skr_over_mu(
+                    receiver_two(), ChannelModel(transmission_loss_db=3.0), 10**400,
+                    ProtocolParams(),
+                ),
+                OUTSIDE.format("nu1"),
+            ),
+            (
+                lambda: dark_count_threshold(0.0, 0.02, 3.0, 0.05, receiver_two(), 10**400),
+                OUTSIDE.format("mean_photon"),
+            ),
+            (
+                lambda: dark_count_threshold(0.0, 0.02, 10**400, 0.05, receiver_two(), 0.48),
+                OUTSIDE.format("loss_db"),
+            ),
+            (
+                lambda: trace_iso_qber_surface(
+                    (0.0, 10**400), (0.02,), 3.0, 0.05, receiver_two(), 0.48
+                ),
+                OUTSIDE.format("p_ap"),
+            ),
+            (
+                lambda: trace_iso_qber_surface(
+                    (0.0,), (0.02, -10**400), 3.0, 0.05, receiver_two(), 0.48
+                ),
+                OUTSIDE.format("intrinsic_error"),
             ),
         ],
         ids=[
             "probability", "nonnegative", "photon_number", "binary_entropy", "sifting_factor",
             "ec_efficiency", "weak_decoy", "signal_mu", "vacuum_decoy", "solve_optimal_mu",
             "decoy_pair", "dark_count", "detector_efficiency", "bias", "axis_min", "axis_log",
-            "target_qber", "mean_photon",
+            "target_qber", "mean_photon", "axis_max", "intensity_signal_mu",
+            "protocol_ec_efficiency", "channel_distance", "channel_loss", "gain_total",
+            "skr_approx", "effective_baseline_error", "baseline_error_change",
+            "estimate_mu", "maximize_nu1", "threshold_mean_photon", "threshold_loss_db",
+            "surface_p_ap", "surface_intrinsic_error",
         ],
     )
     def test_integer_too_long_to_print(self, call, message):
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == message
+
+
+# A bool or a str is not a number, for a value type's field as for a function's argument.
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "str"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: ProtocolParams(v), "sifting_factor"),
+    (lambda v: DetectorUnit(0.0, v), "bias"),
+    (lambda v: ChannelModel(transmission_loss_db=v), "transmission_loss_db"),
+    (lambda v: effective_baseline_error(v, 0.5, 0.01), "intrinsic_error"),
+    (lambda v: binary_entropy(v), "binary_entropy argument"),
+    (lambda v: trace_iso_qber_surface((v,), (0.02,), 3.0, 0.05, receiver_two(), 0.48), "p_ap"),
+], ids=["protocol", "detector", "channel", "baseline", "entropy", "surface"])
+def test_bools_and_strs_are_not_numbers(call, name, value):
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name}: expected a number, got {value!r}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: ReceiverModel.identical(
+        2, x(0), dark_count_prob_total=x(0), intrinsic_error=x(0), detector_efficiency=x(1)
+    ),
+    lambda x: ChannelModel(attenuation_db_per_km=x(0), distance_km=x(5)),
+    lambda x: IntensitySet(x(1), x(0)),
+    lambda x: ProtocolParams(x(1), x(2)),
+    lambda x: Axis("loss_db", x(0), x(10), 3),
+], ids=["receiver", "channel", "intensities", "protocol", "axis"])
+def test_value_types_store_integers_as_floats(build):
+    assert repr(build(int)) == repr(build(float))
 
 
 class TestChannel:
@@ -672,7 +740,7 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
      ValidationError, "i must be a whole number, got 2.5"),
     (lambda r, c: yield_i(r, c, 2.5), ValidationError, "i must be a whole number, got 2.5"),
     # OverflowError: int too large to convert to float, three times
-    *((call, ValidationError, "i must be at most 1.7976931348623157e+308, got a larger integer")
+    *((call, ValidationError, OUTSIDE.format("i"))
       for call in (lambda r, c: multi_photon_transmittance(0.5, 10**400),
                    lambda r, c: yield_i(r, c, 10**400), lambda r, c: qber_i(r, c, 10**400))),
     # bounds in [0, 1] from an error rate of 3 or 2
@@ -688,11 +756,19 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
     # -inf: the rate overflows
     (lambda r, c: skr_approx(r, channel(0.0), 1e308, ProtocolParams(ec_efficiency=1e3), warn=False),
      ModelDomainError, "key-rate approximation -inf at mu=1e+308 is not finite"),
+    # an integer that a float holds is taken as that float, as 1e200 would be;
+    # these raised OverflowError and AttributeError
+    (lambda r, c: estimate_single_photon(0.03, 0.02, 0.003, 0.03, 1e-6, 10**200, 0.038),
+     EstimationInfeasibleError, "single-photon yield bound nan is not positive and finite, or it, "
+     "y1 nu1 or a gain is subnormal; link too noisy or lossy, or weak decoy too faint"),
+    (lambda r, c: maximize_skr_over_mu(r, c, 10**200, ProtocolParams()),
+     ValidationError, "bracket lower bound 1e+200 must exceed the weak-decoy intensity 1e+200"),
 ], ids=[
     "skr_lower_bound", "effective_baseline_error", "visibility", "baseline_error_change",
     "multi_photon_eta", "multi_photon_i", "yield_i", "multi_photon_huge_i", "yield_i_huge",
     "qber_i_huge", "estimate_e_mu", "estimate_e0",
-    "skr_approx_inf", "gain_total_opaque_inf", "skr_approx_overflow",
+    "skr_approx_inf", "gain_total_opaque_inf", "skr_approx_overflow", "estimate_float_sized_mu",
+    "maximize_float_sized_nu1",
 ])
 def test_out_of_range_and_infinite_scalar_inputs_rejected(call, error, message):
     """An input above its range, or an infinite one, raises, never a nan or a wrong answer."""

@@ -204,8 +204,8 @@ def inside(domain):
 
 
 def outside(domain):
-    """NaN, +-inf, a negative, a value just past a bound or an integer of 5001 digits, outside
-    ``domain``."""
+    """NaN, +-inf, a negative, a value just past a bound, or an integer that no float holds
+    (of 401 or 5001 digits), outside ``domain``."""
     if domain == PHOTONS:
         return st.sampled_from([-1, 2.5, math.nan, math.inf, 10**400, -10**5000])
     lo, hi = domain
@@ -213,6 +213,8 @@ def outside(domain):
     past = [math.nextafter(lo, -math.inf), -10**5000]
     if hi < math.inf:
         past += [math.nextafter(hi, math.inf), 10**5000]
+    else:  # past every float, though not past the domain
+        past.append(10**400)
     return st.one_of(
         st.sampled_from([math.nan, math.inf, -math.inf, *past]),
         st.floats(max_value=-sys.float_info.min, allow_infinity=False),
