@@ -593,7 +593,7 @@ class Grid:
                 with np.errstate(over="ignore"):  # an inf loss is a transmittance of 0
                     losses = values if name == "loss_db" else channel.attenuation_db_per_km * values
                 per_value = np.array([
-                    model.transmittance(receiver, model.ChannelModel(transmission_loss_db=loss))
+                    receiver.detector_efficiency * model.loss_transmittance(loss)
                     for loss in losses.tolist()
                 ])
             for key, per_key in {AXES[name][0]: per_value, **dict(*coupled)}.items():

@@ -213,7 +213,12 @@ class ChannelModel:
 
     @property
     def channel_transmittance(self) -> float:
-        return 10.0 ** (-self.loss_db / 10.0)
+        return loss_transmittance(self.loss_db)
+
+
+def loss_transmittance(loss_db: float) -> float:
+    """Transmittance of a channel of ``loss_db`` >= 0 dB, 10^(-loss/10): 0 at an infinite loss."""
+    return 10.0 ** (-loss_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,8 @@ def yield_i(receiver: ReceiverModel, channel: ChannelModel, i: int) -> float:
     It may exceed 1: it tends to Y0 + 1 + p_ap as i grows. ``gain_total``, their
     Poisson mixture, is the one checked against 1.
     """
-    if i < 0:
+    # a non-number goes on to multi_photon_transmittance, whose check rejects it
+    if isinstance(i, numbers.Real) and i < 0:
         raise ValidationError(f"photon number must be >= 0, got {_shown(i)}")
     eta_i = multi_photon_transmittance(transmittance(receiver, channel), i)
     background, signal, _ = _gain_terms(receiver, eta_i)

@@ -31,6 +31,10 @@ _GRID_SEED_POINTS = 64
 # nodes search together; the final table at the optimum is one
 # bounds.mu_stage call per slab, as a fixed-mu link_table call is.
 _SEED_SLICE_ROWS = 2048
+# While at most this many nodes are still searching, a golden-section probe
+# takes two steps on 3 points per node, at most 192 <= _SEED_SLICE_ROWS. One
+# mu_core call on 3n points costs two on n near n = 100, the whole search near 64-80.
+_LOOKAHEAD_NODES = 64
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
 # The intensity search stops once its bracket is within ABS_TOLERANCE, at most
@@ -163,6 +167,14 @@ def _check_mu_bracket(nu1: float, lo: float) -> None:
         )
 
 
+def _golden_step(up, lo, hi, c, d):
+    """One golden-section step, ``up`` where f(c) > f(d): the new lo, hi, width, c and d."""
+    lo, hi = np.where(up, lo, c), np.where(up, d, hi)
+    width = hi - lo
+    inner = _INVPHI * width
+    return lo, hi, width, np.where(up, hi - inner, d), np.where(up, c, lo + inner)
+
+
 def maximize_nodes(
     p_ap: np.ndarray,
     e_prime: np.ndarray,
@@ -185,10 +197,13 @@ def maximize_nodes(
     per node still searching: its first probe takes both inner points of
     every node, each later step one, until every bracket is within
     ABS_TOLERANCE: each step keeps a fraction _INVPHI of a checked, finite
-    bracket whatever the objective returns. The result's table, at the
-    optimal intensity ``table.mu``, is one ``bounds.mu_stage`` call. Each
-    node follows the same arithmetic as a search of its own, so its result
-    does not depend on the other nodes, on the runs or on the shapes.
+    bracket whatever the objective returns. While at most _LOOKAHEAD_NODES
+    nodes search and none is within the tolerance after a step, a probe
+    takes that step's point and both points the next step can take, and
+    makes both steps. The result's table, at the optimal intensity
+    ``table.mu``, is one ``bounds.mu_stage`` call. Each node follows the
+    same arithmetic as a search of its own, so its result does not depend on
+    the other nodes, on the runs or on the shapes.
 
     A node's errors are decided before the golden-section phase: its bracket
     (nu1 + MU_BRACKET_MARGIN, MU_BRACKET_MAX) first, then its decoy pair at
@@ -261,6 +276,7 @@ def maximize_nodes(
             c, d = hi - _INVPHI * width, lo + _INVPHI * width
             both = {name: np.concatenate((v, v)) for name, v in live.items()}
             fc, fd = probe(np.concatenate((c, d)), both).reshape(2, -1)
+            three = None
             while True:
                 done = width <= ABS_TOLERANCE
                 if np.count_nonzero(done):
@@ -271,13 +287,21 @@ def maximize_nodes(
                     )
                     if not len(node):
                         break
-                    live = {name: v[keep] for name, v in live.items()}
+                    live, three = {name: v[keep] for name, v in live.items()}, None
                 up = fc > fd
-                lo, hi = np.where(up, lo, c), np.where(up, d, hi)
-                width = hi - lo
-                inner = _INVPHI * width
-                c, d = np.where(up, hi - inner, d), np.where(up, c, lo + inner)
-                f = probe(np.where(up, c, d), live)
+                lo, hi, width, c, d = _golden_step(up, lo, hi, c, d)
+                if len(node) > _LOOKAHEAD_NODES or np.count_nonzero(width <= ABS_TOLERANCE):
+                    f = probe(np.where(up, c, d), live)
+                else:
+                    # this step's point, and the next's either way as _golden_step computes them
+                    three = three or {name: np.concatenate((v, v, v)) for name, v in live.items()}
+                    f, f_up, f_down = probe(np.concatenate((
+                        np.where(up, c, d), d - _INVPHI * (d - lo), c + _INVPHI * (hi - c)
+                    )), three).reshape(3, -1)
+                    fc, fd = np.where(up, f, fd), np.where(up, fc, f)
+                    up = fc > fd
+                    lo, hi, width, c, d = _golden_step(up, lo, hi, c, d)
+                    f = np.where(up, f_up, f_down)
                 fc, fd = np.where(up, f, fd), np.where(up, fc, f)
         mu = (0.5 * (low + high)).reshape(shape)
     table = mu_stage(mu, background_error, protocol, terms, outputs)

@@ -739,6 +739,9 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
     (lambda r, c: multi_photon_transmittance(0.1, 2.5),
      ValidationError, "i must be a whole number, got 2.5"),
     (lambda r, c: yield_i(r, c, 2.5), ValidationError, "i must be a whole number, got 2.5"),
+    # TypeError: '<' not supported between instances, four times
+    *((lambda r, c, f=f, i=i: f(r, c, i), ValidationError, f"i: expected a number, got {i!r}")
+      for f in (yield_i, qber_i) for i in ("2", None)),
     # OverflowError: int too large to convert to float, three times
     *((call, ValidationError, OUTSIDE.format("i"))
       for call in (lambda r, c: multi_photon_transmittance(0.5, 10**400),
@@ -765,7 +768,8 @@ def test_nan_and_negative_scalar_inputs_rejected(call, message):
      ValidationError, "bracket lower bound 1e+200 must exceed the weak-decoy intensity 1e+200"),
 ], ids=[
     "skr_lower_bound", "effective_baseline_error", "visibility", "baseline_error_change",
-    "multi_photon_eta", "multi_photon_i", "yield_i", "multi_photon_huge_i", "yield_i_huge",
+    "multi_photon_eta", "multi_photon_i", "yield_i", "yield_i_str", "yield_i_none", "qber_i_str",
+    "qber_i_none", "multi_photon_huge_i", "yield_i_huge",
     "qber_i_huge", "estimate_e_mu", "estimate_e0",
     "skr_approx_inf", "gain_total_opaque_inf", "skr_approx_overflow", "estimate_float_sized_mu",
     "maximize_float_sized_nu1",

@@ -196,6 +196,32 @@ class TestMaximizeSkr:
         assert not search.errors
         assert len(calls) <= 44
 
+    def test_two_steps_per_probe_visit_the_points_of_one(self, monkeypatch):
+        # At most _LOOKAHEAD_NODES nodes, a golden-section probe takes this
+        # step's point and both the next step can take: every point of the
+        # one-step search, bit for bit, in about half as many probes.
+        probes = []
+
+        def recorded(mu, *args, **kwargs):
+            probes.append({x.hex() for x in mu.ravel().tolist()})
+            return mu_core(mu, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "mu_core", recorded)
+
+        def search(lookahead_nodes):
+            probes.clear()
+            with patch.object(optimize, "_LOOKAHEAD_NODES", lookahead_nodes):
+                maximize_nodes(
+                    np.geomspace(1e-6, 1.0, 32), np.array(0.02), np.array(6e-7),
+                    np.array(0.01), np.array(0.05), 0.5, PROTOCOL,
+                )
+            return len(probes), set().union(*probes)
+
+        one_step, visited = search(0)
+        two_steps, probed = search(optimize._LOOKAHEAD_NODES)
+        assert visited <= probed
+        assert two_steps <= one_step // 2 + 2
+
     def test_tolerance_is_read_at_each_call(self):
         # the search stops once its bracket is no wider than ABS_TOLERANCE
         r = receiver(0.004)

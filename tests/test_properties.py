@@ -359,6 +359,13 @@ search_nodes = st.tuples(
 
 @DETERMINISTIC
 @given(st.lists(search_nodes, min_size=1, max_size=6))
+@example([
+    # seed-grid best points 23 and 0 (a key of 0 everywhere): brackets of 2
+    # and 1 seed spacings, which reach the tolerance after different steps,
+    # so one two-node probe must take one step only
+    (0.01, 0.02, 1e-6, 0.1, 0.05),
+    (0.01, 0.6, 1e-6, 0.1, 0.05),
+])
 def test_lockstep_search_equals_search_of_each_node_alone(nodes):
     columns = [np.array(column) for column in zip(*nodes)]
 
@@ -374,12 +381,19 @@ def test_lockstep_search_equals_search_of_each_node_alone(nodes):
             None if exc is None else (type(exc), str(exc)),
         )
 
-    alone = [outcome_at(search(*(c[i:i + 1] for c in columns)), 0) for i in range(len(nodes))]
+    with patch.object(optimize, "_LOOKAHEAD_NODES", 0):
+        alone = [
+            outcome_at(search(*(c[i:i + 1] for c in columns)), 0) for i in range(len(nodes))
+        ]
     # golden-section runs of 1 and 3 nodes, which split the live nodes and
     # lose some mid-run; seed-grid slices of one node, and of more nodes
-    # than the search holds
-    for rows in (1, 3, _GRID_SEED_POINTS, _GRID_SEED_POINTS * (len(nodes) + 1)):
-        with patch.object(optimize, "_SEED_SLICE_ROWS", rows):
+    # than the search holds. Each golden-section path: _LOOKAHEAD_NODES 0
+    # makes every probe one step, a large value two wherever no bracket is
+    # within the tolerance after the first of them.
+    for rows, lookahead_nodes in itertools.product(
+        (1, 3, _GRID_SEED_POINTS, _GRID_SEED_POINTS * (len(nodes) + 1)), (0, 10**6)
+    ):
+        with patch.multiple(optimize, _SEED_SLICE_ROWS=rows, _LOOKAHEAD_NODES=lookahead_nodes):
             together = search(*columns)
         assert [outcome_at(together, i) for i in range(len(nodes))] == alone
 
@@ -683,19 +697,25 @@ def test_search_on_a_slab_equals_search_on_its_flat_nodes(seed_rows, drawn):
     inputs = {name: values for name, values in drawn[1].items() if name != "mu"}
     shape = np.broadcast_shapes(*(v.shape for v in inputs.values()))
 
-    def search(**inputs):
-        with patch.object(optimize, "_SEED_SLICE_ROWS", seed_rows):
+    def search(lookahead_nodes, **inputs):
+        with patch.multiple(
+            optimize, _SEED_SLICE_ROWS=seed_rows, _LOOKAHEAD_NODES=lookahead_nodes
+        ):
             return maximize_nodes(**inputs, background_error=0.5, protocol=ProtocolParams())
 
-    slab = search(**inputs)
-    flat = search(**{name: per_node(values, shape) for name, values in inputs.items()})
-    for name, value in (("mu", lambda table: table.mu), ("objective", objective)):
-        assert value(slab.table).shape == shape
-        assert np.array_equal(bits(value(slab.table).ravel()), bits(value(flat.table))), name
-    assert_same_nodes(shape, slab.table, flat.table)
-    assert {i: (type(e), str(e)) for i, e in slab.errors.items()} == {
-        i: (type(e), str(e)) for i, e in flat.errors.items()
-    }
+    # the slab one step per probe; its flat nodes by each golden-section path,
+    # as in the lockstep test
+    slab = search(0, **inputs)
+    flat_inputs = {name: per_node(values, shape) for name, values in inputs.items()}
+    for lookahead_nodes in (0, 10**6):
+        flat = search(lookahead_nodes, **flat_inputs)
+        for name, value in (("mu", lambda table: table.mu), ("objective", objective)):
+            assert value(slab.table).shape == shape
+            assert np.array_equal(bits(value(slab.table).ravel()), bits(value(flat.table))), name
+        assert_same_nodes(shape, slab.table, flat.table)
+        assert {i: (type(e), str(e)) for i, e in slab.errors.items()} == {
+            i: (type(e), str(e)) for i, e in flat.errors.items()
+        }
 
 
 @DETERMINISTIC
