@@ -7,6 +7,13 @@ thresholds), ``optimal-mu`` (closed-form optimal signal intensity) and
 
 Exit codes: 0 success, 2 configuration error, 3 model-domain error, 4 I/O
 error. Every error path prints a single ``error: <kind>: <message>`` line.
+
+``run`` is the program entry (``python -m decoylink`` and the ``decoylink``
+script): ``main`` on the command line, then ``gc.freeze()``, then exit with
+``main``'s code. The freeze lets interpreter shutdown skip the cyclic
+collector's passes over every object alive then, most of them made by the
+imports; refcounting, ``atexit`` handlers and the stdio flush run as before.
+``main`` called in process changes no collector state.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from .optimize import solve_optimal_mu, threshold_nodes
 
 import argparse
 import csv
+import gc
 import io
 import sys
 from contextlib import contextmanager
@@ -347,5 +355,12 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """Program entry: exit with ``main``'s code, with the collector frozen for shutdown."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

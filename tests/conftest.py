@@ -11,16 +11,20 @@ from decoylink import DetectorUnit, ReceiverModel, qber_i, run_sweep, yield_i
 
 @pytest.fixture(autouse=True)
 def collector_state_kept():
-    """Fail a test that leaves the cyclic garbage collector on or off other than it found it.
+    """Fail a test that leaves the cyclic garbage collector on or off, or with more or
+    fewer frozen objects, than it found it.
 
     ``run_sweep`` and ``trace_iso_qber_surface`` pause the collector; a
-    pause left open would change how every later test runs.
+    pause left open would change how every later test runs. Only the program
+    entry ``cli.run`` freezes the collector, so every test that calls
+    ``cli.main`` checks that ``main`` freezes nothing.
     """
-    enabled = gc.isenabled()
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     yield
     assert gc.isenabled() == enabled, "the test left the cyclic garbage collector " + (
         "off" if enabled else "on"
     )
+    assert gc.get_freeze_count() == frozen, "the test froze or unfroze the cyclic collector"
 
 
 def _poisson_mixture(receiver, channel, x):

@@ -4,6 +4,9 @@ import dataclasses
 import inspect
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -1372,3 +1375,27 @@ def test_every_public_name_is_exported():
     assert len(set(decoylink.__all__)) == len(decoylink.__all__)
     for name in decoylink.__all__:
         assert names[name] is getattr(decoylink, name)
+
+
+# The program entry in a process of its own, with a probe that runs among the
+# atexit handlers, after ``run`` has frozen the collector.
+ENTRY_PROBE = """\
+import atexit, gc, sys
+from decoylink import cli
+atexit.register(lambda: print("freeze count", gc.get_freeze_count(), file=sys.stderr))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv", [["optimal-mu"], ["sweep"]], ids=["exit-0", "exit-2"])
+def test_program_entry_exits_with_mains_code_and_the_collector_frozen(capsys, argv):
+    src = os.path.dirname(os.path.dirname(decoylink.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code = main(argv)
+    captured = capsys.readouterr()
+    *err, probe = done.stderr.splitlines(keepends=True)
+    assert (done.returncode, done.stdout, "".join(err)) == (code, captured.out, captured.err)
+    assert probe.startswith("freeze count ") and int(probe.split()[-1]) > 0

@@ -15,9 +15,10 @@ are rows of ``divergences.ROWS``: ``divergences.compare``
 judges such a stdout by the row's check, and every other part of the
 outcome by equality.
 ``SEED_CASES`` is a fixed table of CLI cases compared the same way, with
-any ``--output`` file, and ``python -m decoylink`` runs once in a process of
-its own on each tree. A second strategy runs ``maximize_skr_over_mu`` of
-both trees at random receivers and links. Two more tests draw intensities, transmittances and
+any ``--output`` file. ``PROGRAM_CASES`` run ``python -m decoylink`` in a
+process of its own on each tree, one case or more for each exit code. A
+second strategy runs ``maximize_skr_over_mu`` of both trees at random
+receivers and links. Two more tests draw intensities, transmittances and
 error rates where numpy's vectorized exp, expm1 and log1p round differently
 from the C library's: one compares ``link_table`` with ``evaluate_link``,
 the other the optimizer with the seed code, bit for bit, so the array
@@ -599,6 +600,11 @@ sweep:
 }
 
 
+def _paths(argv, config, output):
+    """``argv`` with CONFIG and OUTPUT replaced by the paths ``config`` and ``output``."""
+    return [str(config) if a == CONFIG else str(output) if a == OUTPUT else a for a in argv]
+
+
 @pytest.mark.parametrize("label", SEED_CASES)
 def test_case_matches_the_seed_code(tmp_path, label):
     """Exit code, stdout, stderr, warnings and any --output file, as both trees give them,
@@ -613,7 +619,7 @@ def test_case_matches_the_seed_code(tmp_path, label):
 
     def outcome(tree, main):
         output = tmp_path / f"{tree}.out"
-        args = [str(config) if a == CONFIG else str(output) if a == OUTPUT else a for a in argv]
+        args = _paths(argv, config, output)
         return args, run(main, args), output.read_bytes() if OUTPUT in argv else None
 
     _, ours, written = outcome("src", cli.main)
@@ -675,16 +681,47 @@ def test_divergence_rows_reject_a_mutant(tmp_path, text, command, mutate):
         compare(mutant, theirs, argv)
 
 
-def test_python_m_decoylink_matches_the_seed_code():
-    """``python -m decoylink report`` in a process of its own on each tree: the same result."""
-    ours, theirs = (
-        subprocess.run(
-            [sys.executable, "-m", "decoylink", "report"], capture_output=True,
-            env={**os.environ, "PYTHONPATH": str(REPO / tree),
-                 "PYTHONWARNINGS": "error::RuntimeWarning"},
-        )
-        for tree in ("src", "benchmarks/reference")
-    )
-    assert ours.returncode == 0
-    assert (ours.stdout, ours.stderr) == (theirs.stdout, theirs.stderr)
-    assert theirs.returncode == 0
+# ``python -m decoylink`` runs, label -> (scenario YAML or None, argv, the exit
+# code both trees give): each exit code, and one --output file. With no YAML,
+# CONFIG names a file that does not exist.
+PROGRAM_CASES = {
+    "report": (None, ["report"], 0),
+    "optimal-mu": (None, ["optimal-mu"], 0),
+    "contour-output": (*SEED_CASES["contour"], 0),
+    "sweep-without-grid": (None, ["sweep"], 2),
+    "report-degenerate": (
+        "receiver: {dark_count_prob_total: 0.0}\nchannel: {loss_db: 4000}\n",
+        ["report", "--config", CONFIG], 3,
+    ),
+    "report-missing-config": (None, ["report", "--config", CONFIG], 4),
+}
+assert {code for _, _, code in PROGRAM_CASES.values()} == {0, 2, 3, 4}
+
+
+def test_python_m_decoylink_matches_the_seed_code(tmp_path):
+    """Each of ``PROGRAM_CASES`` as ``python -m decoylink`` in a process of its own on each
+    tree: the same exit code, stderr and --output file, and stdout as ``compare`` judges it.
+
+    This runs the program entry, which main's in-process callers never do.
+    """
+    for label, (text, argv, code) in PROGRAM_CASES.items():
+        config = tmp_path / f"{label}.yaml"
+        if text is not None:
+            config.write_text(text)
+
+        def outcome(tree):
+            output = tmp_path / f"{label}.{tree.replace('/', '-')}.out"
+            args = _paths(argv, config, output)
+            done = subprocess.run(
+                [sys.executable, "-m", "decoylink", *args], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO / tree),
+                     "PYTHONWARNINGS": "error::RuntimeWarning"},
+            )
+            written = output.read_bytes() if OUTPUT in argv else None
+            return args, (done.returncode, done.stdout, done.stderr, []), written
+
+        _, ours, written = outcome("src")
+        args, theirs, seed_written = outcome("benchmarks/reference")
+        assert ours[0] == code, (label, ours)
+        compare(ours, theirs, args)
+        assert written == seed_written, label
