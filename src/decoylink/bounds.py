@@ -20,8 +20,8 @@ import math
 import sys
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -657,34 +657,26 @@ def with_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
     return column
 
 
-# The open ``collector_paused`` blocks of all threads, and whether the first found the collector on.
-_PAUSE_LOCK = threading.Lock()
-_pause_depth = 0
-_resume_collector = False
+# Held for the whole of each ``record_list`` build, so that builds run one at a
+# time: one cannot turn the collector on inside another, or leave it off after both.
+_BUILD_LOCK = threading.Lock()
 
 
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a ``with`` block, as one pause with every open one.
+def record_list(record_type: type, columns: Iterable[Iterable]) -> list:
+    """One ``record_type``, a NamedTuple, per row of ``columns``, built with the collector off.
 
-    The first block to open turns the collector off; the last to close turns
-    it on again if it was on when the first opened, so a ``gc.disable()``
-    made while a block is open is undone when the last one closes. For
-    building lists of objects with no reference cycles, which its passes
-    could never free.
+    Each row is built by the C-level ``tuple.__new__``. The records hold no
+    reference cycles, so passes of Python's cyclic garbage collector over them
+    could free nothing. It is turned on again after the build only if it was
+    on before it, so a ``gc.disable()`` made during a build is undone.
     """
-    global _pause_depth, _resume_collector
-    with _PAUSE_LOCK:
-        if not _pause_depth:
-            _resume_collector = gc.isenabled()
-            gc.disable()
-        _pause_depth += 1
-    try:
-        yield
-    finally:
-        with _PAUSE_LOCK:
-            _pause_depth -= 1
-            if not _pause_depth and _resume_collector:
+    with _BUILD_LOCK:
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(partial(tuple.__new__, record_type), zip(*columns)))
+        finally:
+            if was:
                 gc.enable()
 
 

@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 # The package before numpy: see the note in cli.py.
 from . import model
 from .bounds import (
-    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, collector_paused, cut, mu_core,
-    mu_stage, node_stage, per_node, raised, with_none,
+    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage, node_stage,
+    per_node, raised, record_list, with_none,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -448,25 +447,24 @@ def trace_iso_qber_surface(
     ``ContourPoint`` field. A node the scalar model rejects raises its
     exception, and the first such node in row-major order is the one
     reported (at one node, a rejected p_ap before a rejected intrinsic_error).
-    The points are built with the cyclic garbage collector paused, as
-    ``run_sweep``'s records are; the search runs with it as the caller left it.
+    The points are built by ``bounds.record_list``, as ``run_sweep``'s records
+    are; the search runs with the cyclic garbage collector as the caller left it.
     """
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
     search = threshold_nodes(
         p_values, e_values, loss_db, target_qber, receiver_template, mean_photon
     )
     infeasible = ~search.feasible
-    with collector_paused():
-        return list(map(partial(tuple.__new__, ContourPoint), zip(
-            [p for p in p_values for _ in e_values],
-            e_values * len(p_values),
-            [loss_db] * len(infeasible),
-            with_none(search.dark_count, infeasible),
-            with_none(search.achieved, infeasible),
-            search.feasible.tolist(),
-            (search.converged | infeasible).tolist(),
-            search.iterations.tolist(),
-        )))
+    return record_list(ContourPoint, (
+        [p for p in p_values for _ in e_values],
+        e_values * len(p_values),
+        [loss_db] * len(infeasible),
+        with_none(search.dark_count, infeasible),
+        with_none(search.achieved, infeasible),
+        search.feasible.tolist(),
+        (search.converged | infeasible).tolist(),
+        search.iterations.tolist(),
+    ))
 
 
 def dark_count_threshold(

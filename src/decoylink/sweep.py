@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -12,7 +11,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import model
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
 from .bounds import (
-    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, collector_paused, cut, link_table, per_node, raised,
+    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, cut, link_table, per_node, raised, record_list,
     with_none,
 )
 # The spec types and name tables live in ``model``; they are importable from here too.
@@ -97,8 +96,8 @@ class SweepBlock:
         """The nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``.
 
         A box is a product of index ranges, so its nodes' axis values are the product of its axes'.
-        The records hold no reference cycles, so they are built with the
-        cyclic garbage collector paused: its passes over them could free nothing.
+        They are built by ``bounds.record_list``, with the cyclic garbage
+        collector off: the records hold no reference cycles, so its passes could free nothing.
         """
         n = self.statuses.size
         axis_values = product(*(
@@ -106,11 +105,10 @@ class SweepBlock:
         ))
         values = zip(*(with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
         mu_opt = [None] * n if self.mu_opt is None else with_none(*map(self.nodes, self.mu_opt))
-        with collector_paused():
-            return list(map(partial(tuple.__new__, ResultRecord), zip(
-                axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
-                self.nodes(self.reasons).tolist(),
-            )))
+        return record_list(ResultRecord, (
+            axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
+            self.nodes(self.reasons).tolist(),
+        ))
 
 
 def _block(
@@ -223,9 +221,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     ``link_table`` call, or per lockstep optimizer run under
     optimize-per-point (whose probes run in calls of bounded size; see
     ``maximize_nodes``). Per-node failures are recorded in the node's status
-    and never abort the sweep. The cyclic garbage collector is paused while
-    each slab's records are built (``bounds.collector_paused``), not while
-    its nodes are evaluated.
+    and never abort the sweep. Each slab's records are built by
+    ``bounds.record_list``, one build at a time in the process, with the cyclic
+    garbage collector off; its nodes are evaluated with the collector as the caller left it.
     """
     grid = spec_grid(spec)
     blocks = grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)

@@ -14,8 +14,9 @@ def collector_state_kept():
     """Fail a test that leaves the cyclic garbage collector on or off, or with more or
     fewer frozen objects, than it found it.
 
-    ``run_sweep`` and ``trace_iso_qber_surface`` pause the collector; a
-    pause left open would change how every later test runs. Only the program
+    ``run_sweep`` and ``trace_iso_qber_surface`` build their records with the
+    collector off (``bounds.record_list``); a build that left it off would
+    change how every later test runs. Only the program
     entry ``cli.run`` freezes the collector, so every test that calls
     ``cli.main`` checks that ``main`` freezes nothing.
     """

@@ -1359,8 +1359,13 @@ def test_no_command_builds_a_record(tmp_path, capsys, monkeypatch, argv, text):
         def _make(cls, iterable):
             raise AssertionError("a CLI command built a per-node record")
 
+    def record_list(record_type, columns):
+        raise AssertionError("a CLI command built a per-node record list")
+
     monkeypatch.setattr(optimize, "ContourPoint", Record)
     monkeypatch.setattr(sweep, "ResultRecord", Record)
+    monkeypatch.setattr(optimize, "record_list", record_list)
+    monkeypatch.setattr(sweep, "record_list", record_list)
     config = write_config(tmp_path, text)
     assert main([*argv, "--config", config]) == 0
     captured = capsys.readouterr()

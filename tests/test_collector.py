@@ -2,6 +2,7 @@
 import gc
 import sys
 import threading
+from typing import NamedTuple
 
 import pytest
 
@@ -18,7 +19,7 @@ from decoylink import (
     sweep,
     trace_iso_qber_surface,
 )
-from decoylink.bounds import collector_paused
+from decoylink.bounds import record_list
 from decoylink.model import MU_POLICIES
 
 RECEIVER = ReceiverModel.identical(2, 0.05, dark_count_prob_total=6e-7, intrinsic_error=0.02)
@@ -34,83 +35,71 @@ def enabled(request):
     (gc.enable if was else gc.disable)()
 
 
+class Row(NamedTuple):
+    index: int
+    collector_on: bool
+
+
+def rows(n=30):
+    """The columns of ``n`` Rows, the second read row by row during the build."""
+    return range(n), (gc.isenabled() for _ in range(n))
+
+
+def test_the_builder_returns_rows_as_the_record_type_with_the_collector_off(enabled):
+    built = record_list(Row, rows())
+    assert [type(row) for row in built] == [Row] * 30
+    assert built == [Row(i, False) for i in range(30)]
+
+
 def test_pause_restores_the_collector(enabled):
-    with collector_paused():
-        assert not gc.isenabled()
+    record_list(Row, rows())
     assert gc.isenabled() == enabled
 
 
 def test_pause_restores_the_collector_after_an_exception(enabled):
     with pytest.raises(ZeroDivisionError):
-        with collector_paused():
-            1 / 0
-    assert gc.isenabled() == enabled
-
-
-def test_overlapping_pauses_that_exit_out_of_order(enabled):
-    first, second = collector_paused(), collector_paused()
-    first.__enter__()
-    second.__enter__()
-    first.__exit__(None, None, None)
-    assert not gc.isenabled()
-    second.__exit__(None, None, None)
-    assert gc.isenabled() == enabled
-
-
-def test_pauses_in_two_threads_are_counted_together(enabled):
-    entered, release = threading.Event(), threading.Event()
-
-    def other():
-        with collector_paused():
-            entered.set()
-            release.wait(10)
-
-    thread = threading.Thread(target=other)
-    thread.start()
-    assert entered.wait(10)
-    with collector_paused():
-        release.set()
-        thread.join(10)
-        assert not thread.is_alive()
-        # the other thread's pause, which began first, ended first
-        assert not gc.isenabled()
+        record_list(Row, (range(3), (1 / i for i in (1, 0, 1))))
     assert gc.isenabled() == enabled
 
 
 def test_a_disable_made_during_a_pause_is_undone_when_it_ends():
-    # the pause cannot tell a gc.disable() from another thread from its own
+    # the builder cannot tell a gc.disable() from another thread from its own
     was = gc.isenabled()
     gc.enable()
-    pause = collector_paused()
-    try:
-        pause.__enter__()
+
+    def column():
         thread = threading.Thread(target=gc.disable)
         thread.start()
         thread.join(10)
         assert not thread.is_alive()
-        pause.__exit__(None, None, None)
+        yield False
+
+    try:
+        record_list(Row, (range(1), column()))
         assert gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
 
 
 def test_an_enable_made_during_a_pause_stands(enabled):
-    with collector_paused():
+    def column():
         gc.enable()
+        yield True
+
+    record_list(Row, (range(1), column()))
     assert gc.isenabled()
     (gc.enable if enabled else gc.disable)()
 
 
-def test_pauses_from_many_threads_keep_their_count(enabled):
-    # a lost update of the shared count would turn the collector on inside a
-    # pause, or leave it off after the last one
+def test_builds_from_many_threads_keep_the_collector_off_and_restore_it(enabled):
+    # without the builder's lock, one build turns the collector on inside
+    # another, or leaves it off after both
     seen_on = []
 
     def worker():
-        for _ in range(3000):
-            with collector_paused():
-                if gc.isenabled():
-                    seen_on.append(True)
+        for _ in range(2000):
+            if any(row.collector_on for row in record_list(Row, rows(100))):
+                seen_on.append(True)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     interval = sys.getswitchinterval()
