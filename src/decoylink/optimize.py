@@ -37,10 +37,11 @@ _LOOKAHEAD_NODES = 64
 # Reason reported when no signal intensity in the bracket gives a positive key.
 NO_POSITIVE_KEY = "no_positive_key"
 # The intensity search stops once its bracket is within ABS_TOLERANCE, at most
-# 42 steps; the dark-count bisection stops within ABS_TOLERANCE of the target
-# QBER or after MAX_ITERATIONS steps. Both are read at each call.
+# 42 steps; the dark-count bisection within ABS_TOLERANCE of the target QBER
+# (both read at each call), or once no float is left inside its bracket: each
+# step halves it, so that takes at most _HALVINGS (1073), 2 spare for rounding.
 ABS_TOLERANCE = 1e-10
-MAX_ITERATIONS = 200
+_HALVINGS = math.ceil(math.log2(DARK_COUNT_CAP) - math.log2(math.ulp(0.0))) + 2
 
 
 @dataclass(frozen=True)
@@ -84,24 +85,23 @@ class MuSearch:
 class ThresholdSearch:
     """Outcome of the lockstep dark-count bisection at a 1-D array of nodes.
 
-    ``dark_count`` and ``achieved`` are NaN, and ``iterations`` 0, at infeasible nodes.
+    ``dark_count`` and ``achieved`` are NaN at infeasible nodes.
     """
 
     dark_count: np.ndarray
     achieved: np.ndarray
     feasible: np.ndarray
     converged: np.ndarray
-    iterations: np.ndarray
 
 
 class ContourPoint(NamedTuple):
     """One node of an iso-QBER surface: the dark-count level meeting the target.
 
     An immutable NamedTuple. Infeasible nodes (target unreachable even without
-    dark counts) carry None in ``dark_count_prob`` and ``achieved_qber``,
-    ``converged`` True and 0 ``iterations``. Elsewhere ``converged`` is False
-    when the bisection ran out of iterations before ``achieved_qber`` met the
-    target within the tolerance; ``iterations`` counts its steps.
+    dark counts) carry None in ``dark_count_prob`` and ``achieved_qber``, and
+    ``converged`` True. Elsewhere ``converged`` is False where no float
+    threshold brings ``achieved_qber`` within the tolerance of the target
+    (only at a subnormal signal detection probability).
     """
 
     p_ap: float
@@ -111,7 +111,6 @@ class ContourPoint(NamedTuple):
     achieved_qber: float | None
     feasible: bool
     converged: bool = True
-    iterations: int = 0
 
 
 def _lambert_w0(x: float) -> float:
@@ -359,6 +358,7 @@ def threshold_nodes(
     """
     model.check_range("target_qber", target_qber, 0.0, 0.5, open_lo=True, open_hi=True)
     mean_photon = model.check_range("mean_photon", mean_photon, 0.0, open_lo=True)
+    model.check_finite(mean_photon=mean_photon)
     axes = {"p_ap": p_ap_values, "intrinsic_error": intrinsic_error_values}
     grid = Grid(
         receiver_template,
@@ -397,7 +397,6 @@ def threshold_nodes(
     n = grid.size
     dark_count = np.full(n, math.nan)
     achieved = np.full(n, math.nan)
-    iterations = np.zeros(n, dtype=int)
     # The nodes still searching, and their constants, bracket and midpoint.
     rows = np.flatnonzero(~infeasible)
     one_p, signal, signal_error = one_p[rows], signal[rows], signal_error[rows]
@@ -405,12 +404,11 @@ def threshold_nodes(
     hi = np.full(len(rows), DARK_COUNT_CAP)
     mid = 0.5 * (lo + hi)
     _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
-    for step in range(MAX_ITERATIONS):
+    for _ in range(_HALVINGS):
         done = np.abs(qber - target_qber) < ABS_TOLERANCE
         if np.count_nonzero(done):
             finished = rows[done]
             dark_count[finished], achieved[finished] = mid[done], qber[done]
-            iterations[finished] = step
             running = ~done
             rows, one_p, signal, signal_error, lo, hi, mid, qber = (
                 a[running] for a in (rows, one_p, signal, signal_error, lo, hi, mid, qber)
@@ -422,13 +420,12 @@ def threshold_nodes(
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
         _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
-    dark_count[rows], achieved[rows], iterations[rows] = mid, qber, MAX_ITERATIONS
+    dark_count[rows], achieved[rows] = mid, qber
     return ThresholdSearch(
         dark_count=dark_count,
         achieved=achieved,
         feasible=~infeasible,
         converged=np.abs(achieved - target_qber) < ABS_TOLERANCE,
-        iterations=iterations,
     )
 
 
@@ -463,7 +460,6 @@ def trace_iso_qber_surface(
         with_none(search.achieved, infeasible),
         search.feasible.tolist(),
         (search.converged | infeasible).tolist(),
-        search.iterations.tolist(),
     ))
 
 

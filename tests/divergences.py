@@ -18,6 +18,7 @@ import importlib
 import importlib.util
 import io
 import itertools
+import math
 import sys
 from argparse import Namespace
 from dataclasses import dataclass
@@ -64,29 +65,68 @@ class Divergence:
     check: Callable[[str, str, Namespace], None]
 
 
-def unconverged_contour(out: str, args: Namespace) -> str:
-    """The seed code's ``contour`` stdout ``out``, with status ``not-converged`` at each
-    node whose seed bisection ended more than ABS_TOLERANCE from the target.
+def total_qber(p_ap, e_prime, e0, eta, mean_photon, dark_count):
+    """[e0 Y0 + (e' + e0 p_ap) d] / [Y0 + (1 + p_ap) d], Y0 = (1 + p_ap) p_dc and
+    d = 1 - exp(-eta mu), at 50 digits from the values given (anything mpmath reads)."""
+    with mpmath.workdps(50):
+        p, e, e0, eta, mu, p_dc = map(mpmath.mpf, (p_ap, e_prime, e0, eta, mean_photon, dark_count))
+        detected = -mpmath.expm1(-eta * mu)
+        background = (1 + p) * p_dc
+        return (e0 * background + (e + e0 * p) * detected) / (background + (1 + p) * detected)
 
-    The seed code prints ``ok`` there; this tree says the bisection ran out
-    of steps, and prints every other cell as the seed code does.
-    """
-    scenario = seed_cli._load_scenario(args)
-    axes = {ax.name: ax.values() for ax in scenario.sweep.axes}
-    points = seed.optimize.trace_iso_qber_surface(
-        axes["p_ap"], axes["intrinsic_error"], scenario.channel.loss_db, args.target_qber,
-        scenario.receiver, scenario.intensities.signal_mu,
-    )
-    header, *rows = out.splitlines(keepends=True)
-    for i, point in enumerate(points):
-        if point.feasible and not abs(point.achieved_qber - args.target_qber) < ABS_TOLERANCE:
-            assert rows[i].endswith(",ok\n")
-            rows[i] = rows[i][:-len("ok\n")] + "not-converged\n"
-    return header + "".join(rows)
+
+def qber_slack(target: float) -> float:
+    """How far ABS_TOLERANCE may be overrun by the float QBER's rounding: a few ulps."""
+    return 8 * math.ulp(target)
 
 
 def _check_contour(ours: str, theirs: str, args: Namespace) -> None:
-    assert ours == unconverged_contour(theirs, args)
+    """Every row as the seed code prints it, except at the nodes whose seed bisection
+    ended more than ABS_TOLERANCE from the target: its 200 steps cannot reach a
+    threshold below 0.1/2^200. There the first three cells are the seed's and:
+
+    - at ``ok``, the 50-digit QBER over the interval that rounds to the printed
+      threshold meets the target within ABS_TOLERANCE (plus ``qber_slack``), and
+      the printed QBER is one that a QBER within ABS_TOLERANCE rounds to;
+    - ``not-converged`` is printed only where the node's signal gain
+      d (1 + p_ap) is NaN or below the smallest normal float.
+    """
+    scenario = seed_cli._load_scenario(args)
+    axes = {ax.name: ax.values() for ax in scenario.sweep.axes}
+    loss_db, mu, target = scenario.channel.loss_db, scenario.intensities.signal_mu, args.target_qber
+    points = seed.optimize.trace_iso_qber_surface(
+        axes["p_ap"], axes["intrinsic_error"], loss_db, target, scenario.receiver, mu,
+    )
+    lines, seed_lines = ours.splitlines(keepends=True), theirs.splitlines(keepends=True)
+    assert len(lines) == len(seed_lines) == len(points) + 1 and lines[0] == seed_lines[0]
+    tol, slack = ABS_TOLERANCE, qber_slack(target)
+    for line, seed_line, point in zip(lines[1:], seed_lines[1:], points):
+        if not point.feasible or abs(point.achieved_qber - target) < tol:
+            assert line == seed_line
+            continue
+        cells, seed_cells = line[:-1].split(","), seed_line[:-1].split(",")
+        assert line.endswith("\n") and cells[:3] == seed_cells[:3] and seed_cells[5] == "ok"
+        receiver = seed.optimize._receiver_at(
+            scenario.receiver, point.p_ap, point.intrinsic_error, 0.0
+        )
+        p_ap = seed.model.aggregate_afterpulse(receiver)
+        eta = seed.model.transmittance(
+            receiver, seed.model.ChannelModel(transmission_loss_db=loss_db)
+        )
+        if cells[5] == "not-converged":
+            signal = -math.expm1(-eta * mu) * (1.0 + p_ap)
+            assert math.isnan(signal) or signal < sys.float_info.min
+            continue
+        assert cells[5] == "ok"
+        threshold = Decimal(cells[3])
+        half_unit = Decimal(5).scaleb(threshold.adjusted() - 10)
+        low, high = (
+            total_qber(p_ap, receiver.intrinsic_error, receiver.background_error, eta, mu, str(v))
+            for v in (max(threshold - half_unit, Decimal(0)), threshold + half_unit)
+        )
+        assert low < target + tol + slack and high > target - tol - slack
+        lowest, highest = (Decimal(printed(Decimal(target) + k * Decimal(tol))) for k in (-1, 1))
+        assert lowest <= Decimal(cells[4]) <= highest
 
 
 def optimal_mu_root(e_detector: float, ec_efficiency: float) -> Decimal:
@@ -167,8 +207,8 @@ def _check_sweep(ours: str, theirs: str, args: Namespace) -> None:
 ROWS = (
     Divergence(
         "unconverged_contour",
-        "`import decoylink` loads no submodule, ... `contour` prints `not-converged` where its "
-        "bisection ran out of steps",
+        "The dark-count bisection cannot run out of steps: ... `contour` finds the thresholds "
+        "below 0.1/2^200 that the seed's 200 steps could not reach",
         lambda argv: argv[0] == "contour" and "--output" not in argv,
         _check_contour,
     ),

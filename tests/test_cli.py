@@ -1128,31 +1128,46 @@ class TestContourCommand:
             if row[5] == "infeasible":
                 assert row[3] == "" and row[4] == ""
 
-    def test_bisection_out_of_steps_is_not_converged(self, tmp_path, capsys, monkeypatch):
-        # three bisection steps leave the QBER far from the target; a node
-        # whose floor QBER is above the target stays infeasible
+    # At 0 dB and detector efficiency 1 the signal is detected with
+    # probability mu: at 1e-100 the thresholds are near 2.7e-103, below what a
+    # 200-step bisection reaches; at 1e-315 the signal gain is subnormal and
+    # no float threshold meets the target; a node whose floor QBER is above
+    # the target stays infeasible.
+    @pytest.mark.parametrize(
+        "mu, status", [(1e-100, "ok"), (1e-310, "ok"), (1e-315, "not-converged")],
+        ids=["1e-100", "1e-310", "1e-315"],
+    )
+    def test_not_converged_only_at_a_subnormal_signal(self, tmp_path, capsys, mu, status):
         config = write_config(
             tmp_path,
-            "channel:\n  loss_db: 0.0\n"
+            "receiver:\n  detector_efficiency: 1.0\nchannel:\n  loss_db: 0.0\n"
+            f"intensities:\n  signal_mu: {mu!r}\n  weak_decoy_nu1: 0.0\n"
             "sweep:\n  axes:\n"
             "    - {name: p_ap, min: 0.001, max: 0.01, count: 2}\n"
             "    - {name: intrinsic_error, min: 0.01, max: 0.2, count: 2}\n",
         )
-        argv = ["contour", "--config", config, "--target-qber", "0.05"]
-        assert main(argv) == 0
-        full = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
-        assert [row[5] for row in full] == ["ok", "infeasible"] * 2
-        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
-        assert main(argv) == 0
+        assert main(["contour", "--config", config, "--target-qber", "0.125"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
-        assert [row[5] for row in rows] == ["not-converged", "infeasible"] * 2
-        assert rows[0] == ["0.001", "0.01", "0", "0.00625", "0.06808850694", "not-converged"]
-        for row, converged in zip(rows, full):
-            if row[5] == "not-converged":
-                assert abs(float(row[4]) - 0.05) > 0.01
-            else:
-                assert row == converged
+        assert [row[5] for row in rows] == [status, "infeasible"] * 2
+        for row in rows[::2]:
+            off = abs(float(row[4]) - 0.125)
+            assert off < 1e-9 if status == "ok" else off > 1e-9
 
+    # An infinite intensity is rejected as report rejects it: at an infinite
+    # loss the detection probability 0 * inf was NaN and every row printed,
+    # at a finite loss the gain check failed with exit 3.
+    @pytest.mark.parametrize("loss", [".inf", "10.0"])
+    def test_infinite_signal_rejected(self, tmp_path, capsys, loss):
+        config = write_config(
+            tmp_path,
+            f"channel: {{loss_db: {loss}}}\nintensities: {{signal_mu: .inf}}\n"
+            "sweep:\n  axes:\n"
+            "    - {name: p_ap, min: 0.0, max: 0.01, count: 2}\n"
+            "    - {name: intrinsic_error, min: 0.01, max: 0.02, count: 2}\n",
+        )
+        assert main(["contour", "--config", config]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: config: mean_photon must be finite, got inf\n")
 
     # Exit codes and messages generated from the scalar per-node bisection
     # that the lockstep solver replaced. The last case fails at p_ap = 1 (a

@@ -1,7 +1,9 @@
 """Root finding, key-rate maximization and iso-QBER threshold tracing."""
 import math
 import re
+import sys
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -31,8 +33,9 @@ from decoylink import (
 )
 from decoylink import optimize
 from decoylink.bounds import mu_core
-from decoylink.optimize import maximize_nodes
-from divergences import optimal_mu_root, printed
+from decoylink.model import transmittance
+from decoylink.optimize import _HALVINGS, ABS_TOLERANCE, DARK_COUNT_CAP, maximize_nodes
+from divergences import optimal_mu_root, printed, qber_slack, total_qber
 
 PROTOCOL = ProtocolParams()
 
@@ -333,39 +336,50 @@ class TestDarkCountThreshold:
         r = ReceiverModel.identical(
             2, 0.0, dark_count_prob_total=point.dark_count_prob, intrinsic_error=0.02
         )
-        achieved = qber_total(r, ChannelModel(transmission_loss_db=10.5), 0.48)
+        channel = ChannelModel(transmission_loss_db=10.5)
+        achieved = qber_total(r, channel, 0.48)
         assert abs(achieved - 0.09) < 1e-6
         assert abs(point.achieved_qber - 0.09) < 1e-6
+        # the solver's own guarantee, against the QBER at 50 digits
+        exact = total_qber(0.0, 0.02, 0.5, transmittance(r, channel), 0.48, point.dark_count_prob)
+        assert abs(exact - 0.09) < ABS_TOLERANCE + qber_slack(0.09)
 
-    def test_running_out_of_iterations_is_reported(self):
-        # three bisection steps leave the QBER far from the target; the
-        # point stays feasible but must say that it did not converge
+    def test_threshold_below_a_200_step_bisection(self):
+        # a signal of 1e-100 puts the threshold near 2.7e-103, below the
+        # 0.1/2^200 that a 200-step bisection can reach (it ended at 3.1e-62
+        # with a QBER of 0.5); the values are the seed code's scalar
+        # bisection run to _HALVINGS steps
         r = receiver(0.01)
-        with patch.object(optimize, "MAX_ITERATIONS", 3):
-            point = dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, 0.48)
-        assert point.feasible
-        assert point.achieved_qber == pytest.approx(0.473, abs=1e-3)
-        assert not point.converged
-        assert point.iterations == 3
-        full = dark_count_threshold(0.01, 0.02, 21.0, 0.09, r, 0.48)
-        assert full.converged
-        assert abs(full.achieved_qber - 0.09) < 1e-10
-        assert 3 < full.iterations < 200
-
-    def test_running_out_of_iterations_matches_scalar_search(self):
-        # generated from the scalar per-node bisection
-        with patch.object(optimize, "MAX_ITERATIONS", 3):
-            point = dark_count_threshold(0.01, 0.02, 21.0, 0.09, receiver(0.01), 0.48)
+        point = dark_count_threshold(0.01, 0.02, 10.0, 0.125, r, 1e-100)
         assert point == ContourPoint(
             p_ap=0.01,
             intrinsic_error=0.02,
-            loss_db=21.0,
-            dark_count_prob=0.00625,
-            achieved_qber=0.4726796748163504,
+            loss_db=10.0,
+            dark_count_prob=2.6732673285552276e-103,
+            achieved_qber=0.12500000005392908,
             feasible=True,
-            converged=False,
-            iterations=3,
+            converged=True,
         )
+        eta = transmittance(r, ChannelModel(transmission_loss_db=10.0))
+        exact = total_qber(0.01, 0.02, 0.5, eta, 1e-100, point.dark_count_prob)
+        assert abs(exact - 0.125) < ABS_TOLERANCE + qber_slack(0.125)
+
+    def test_subnormal_signal_is_not_converged(self):
+        # At 0 dB and detector efficiency 1 the signal is detected with
+        # probability mu. At 1e-310 the search converges; at 1e-315 and
+        # 1e-320 the signal gain is subnormal, and the QBER steps past the
+        # tolerance between the threshold and the next float above it.
+        r = receiver(0.01, eta_bob=1.0)
+        channel = ChannelModel(transmission_loss_db=0.0)
+        assert dark_count_threshold(0.01, 0.02, 0.0, 0.125, r, 1e-310).converged
+        for mu, achieved in ((1e-315, 0.12499999758757009), (1e-320, 0.12475859405175743)):
+            point = dark_count_threshold(0.01, 0.02, 0.0, 0.125, r, mu)
+            assert point.feasible and not point.converged
+            assert point.achieved_qber == achieved
+            above = math.nextafter(point.dark_count_prob, 1.0)
+            assert qber_total(replace(r, dark_count_prob_total=above), channel, mu) > (
+                0.125 + ABS_TOLERANCE
+            )
 
     def test_matches_closed_form_oracle(self):
         # frozen from the oracle: 0.0007288309301667241 at 10.5 dB
@@ -404,15 +418,35 @@ class TestDarkCountThreshold:
             dark_count_threshold(0.0, 0.02, 10.5, 0.6, receiver(), 0.48)
         with pytest.raises(ValidationError):
             dark_count_threshold(0.0, 0.02, 10.5, 0.09, receiver(), 0.0)
+        # as gain_total and qber_total reject it, not as a gain above 1
+        with pytest.raises(ValidationError, match="^mean_photon must be finite, got inf$"):
+            dark_count_threshold(0.0, 0.02, 10.5, 0.09, receiver(), math.inf)
+
+
+@pytest.mark.parametrize(
+    "root", [0.0, math.ulp(0.0), 1e-310, sys.float_info.min, 1e-100, 0.05, DARK_COUNT_CAP]
+)
+def test_halvings_end_on_adjacent_floats(root):
+    # threshold_nodes' bracket arithmetic, moving toward ``root`` as the QBER
+    # would toward a threshold there: within _HALVINGS steps no float is
+    # left strictly between the bracket's ends
+    lo, hi = 0.0, DARK_COUNT_CAP
+    mid = 0.5 * (lo + hi)
+    steps = 0
+    while math.nextafter(lo, hi) < hi:
+        lo, hi = (mid, hi) if mid < root else (lo, mid)
+        mid = 0.5 * (lo + hi)
+        steps += 1
+    assert lo <= root <= hi and steps <= _HALVINGS == 1073
 
 
 class TestContourPoint:
     def test_fields_and_defaults(self):
         assert ContourPoint._fields == (
             "p_ap", "intrinsic_error", "loss_db", "dark_count_prob", "achieved_qber",
-            "feasible", "converged", "iterations",
+            "feasible", "converged",
         )
-        assert ContourPoint._field_defaults == {"converged": True, "iterations": 0}
+        assert ContourPoint._field_defaults == {"converged": True}
 
     def test_fields_cannot_be_set(self):
         point = dark_count_threshold(0.008, 0.02, 10.5, 0.09, receiver(), 0.48)
@@ -429,45 +463,51 @@ class TestTraceIsoQberSurface:
         assert len(points) == 4
         assert all(not p.feasible for p in points)
 
-    # (feasible, converged): a feasible node, an infeasible one, one out of steps
+    # (feasible, converged): a feasible node, an infeasible one, and one whose
+    # signal gain is subnormal, where no float threshold meets the target
     @pytest.mark.parametrize(
-        "p_ap, e_prime, steps, kind",
-        [(0.008, 0.02, 200, (True, True)), (0.0, 0.2, 200, (False, True)),
-         (0.008, 0.02, 3, (True, False))],
+        "p_ap, e_prime, loss_db, target, eta_bob, mu, kind",
+        [(0.008, 0.02, 10.5, 0.09, 0.1, 0.48, (True, True)),
+         (0.0, 0.2, 10.5, 0.09, 0.1, 0.48, (False, True)),
+         (0.01, 0.02, 0.0, 0.125, 1.0, 1e-315, (True, False))],
+        ids=["feasible", "infeasible", "subnormal-signal"],
     )
-    def test_single_node_matches_threshold_op(self, p_ap, e_prime, steps, kind):
-        with patch.object(optimize, "MAX_ITERATIONS", steps):
-            [point] = trace_iso_qber_surface((p_ap,), (e_prime,), 10.5, 0.09, receiver(), 0.48)
-            direct = dark_count_threshold(p_ap, e_prime, 10.5, 0.09, receiver(), 0.48)
+    def test_single_node_matches_threshold_op(
+        self, p_ap, e_prime, loss_db, target, eta_bob, mu, kind
+    ):
+        r = receiver(eta_bob=eta_bob)
+        [point] = trace_iso_qber_surface((p_ap,), (e_prime,), loss_db, target, r, mu)
+        direct = dark_count_threshold(p_ap, e_prime, loss_db, target, r, mu)
         assert repr(point) == repr(direct)
         assert (point.feasible, point.converged) == kind
 
-    @pytest.mark.parametrize("steps", [3, 200])
-    def test_points_are_the_threshold_arrays_node_for_node(self, steps):
-        # e' = 0.1 is infeasible at every p_ap; three steps converge no feasible node
+    def test_points_are_the_threshold_arrays_node_for_node(self):
+        # e' = 0.1 is infeasible at every p_ap; at mu = 1e-315 the signal gain
+        # is subnormal, and no feasible node converges
         p_values, e_values = (0.0, 0.01, 0.4), (0.0, 0.02, 0.1)
-        args = (p_values, e_values, 21.0, 0.09, receiver(0.01), 0.48)
-        with patch.object(optimize, "MAX_ITERATIONS", steps):
+        for mu in (0.48, 1e-315):
+            args = (p_values, e_values, 21.0, 0.09, receiver(0.01), mu)
             points = trace_iso_qber_surface(*args)
             search = optimize.threshold_nodes(*args)
-        expected = []
-        for k in range(9):
-            feasible = bool(search.feasible[k])
-            expected.append(ContourPoint._make((
-                p_values[k // 3], e_values[k % 3], 21.0,
-                float(search.dark_count[k]) if feasible else None,
-                float(search.achieved[k]) if feasible else None,
-                feasible,
-                bool(search.converged[k]) if feasible else True,
-                int(search.iterations[k]) if feasible else 0,
-            )))
-        # repr tells a Python float from a numpy scalar
-        assert repr(points) == repr(expected)
-        assert [tuple(map(type, p)) for p in points] == [tuple(map(type, p)) for p in expected]
-        assert {type(p) for p in points} == {ContourPoint}
-        assert {(p.feasible, p.converged) for p in points} == {
-            (True, steps == 200), (False, True)
-        }
+            expected = []
+            for k in range(9):
+                feasible = bool(search.feasible[k])
+                expected.append(ContourPoint._make((
+                    p_values[k // 3], e_values[k % 3], 21.0,
+                    float(search.dark_count[k]) if feasible else None,
+                    float(search.achieved[k]) if feasible else None,
+                    feasible,
+                    bool(search.converged[k]) if feasible else True,
+                )))
+            # repr tells a Python float from a numpy scalar
+            assert repr(points) == repr(expected)
+            assert [tuple(map(type, p)) for p in points] == [
+                tuple(map(type, p)) for p in expected
+            ]
+            assert {type(p) for p in points} == {ContourPoint}
+            assert {(p.feasible, p.converged) for p in points} == {
+                (True, mu == 0.48), (False, True)
+            }
 
     def test_row_major_order_and_monotonicity(self):
         p_values = [0.1 * k / 9.0 for k in range(10)]

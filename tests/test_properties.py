@@ -77,8 +77,10 @@ def test_qber_non_decreasing_in_dark_counts(r, ch, mu, dark_counts):
     assert low <= high
 
 
-def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, steps, tol=1e-10):
-    """Reference: the per-node bisection over ``qber_total``, one receiver per evaluation."""
+def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, tol=1e-10):
+    """Reference: the per-node bisection over ``qber_total``, one receiver per evaluation,
+    until the QBER is within ``tol`` of the target or no float lies strictly between
+    the bracket's ends."""
     channel = ChannelModel(transmission_loss_db=loss_db)
 
     def qber_at(p_dc):
@@ -99,19 +101,15 @@ def scalar_threshold(p_ap, e_prime, loss_db, target, template, mu, steps, tol=1e
     lo, hi = 0.0, DARK_COUNT_CAP
     mid = 0.5 * (lo + hi)
     achieved = qber_at(mid)
-    iterations = 0
-    for _ in range(steps):
-        if abs(achieved - target) < tol:
-            break
+    while not abs(achieved - target) < tol and math.nextafter(lo, hi) < hi:
         if achieved < target:
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
         achieved = qber_at(mid)
-        iterations += 1
     converged = abs(achieved - target) < tol
-    return ContourPoint(p_ap, e_prime, loss_db, mid, achieved, True, converged, iterations)
+    return ContourPoint(p_ap, e_prime, loss_db, mid, achieved, True, converged)
 
 
 def outcome(solve):
@@ -129,20 +127,26 @@ def outcome(solve):
     st.floats(0.0, 50.0),
     st.floats(0.01, 0.3),
     st.floats(0.05, 3.0),
-    st.integers(1, 60),
 )
-def test_surface_equals_scalar_bisection(r, p_values, e_values, loss_db, target, mu, steps):
+# A threshold near 2.7e-103, below what 200 bisection steps reach, and a
+# subnormal signal gain, where no float threshold meets the target.
+@example(
+    ReceiverModel.identical(2, 0.0, dark_count_prob_total=6e-7, intrinsic_error=0.02),
+    [0.01], [0.02], 10.0, 0.125, 1e-100,
+)
+@example(
+    ReceiverModel.identical(
+        2, 0.0, dark_count_prob_total=6e-7, intrinsic_error=0.02, detector_efficiency=1.0
+    ),
+    [0.0, 0.01], [0.02, 0.3], 0.0, 0.125, 1e-315,
+)
+def test_surface_equals_scalar_bisection(r, p_values, e_values, loss_db, target, mu):
     expected = outcome(
-        lambda: [
-            scalar_threshold(p, e, loss_db, target, r, mu, steps)
-            for p in p_values
-            for e in e_values
-        ]
+        lambda: [scalar_threshold(p, e, loss_db, target, r, mu) for p in p_values for e in e_values]
     )
-    with patch.object(optimize, "MAX_ITERATIONS", steps):
-        assert outcome(
-            lambda: trace_iso_qber_surface(p_values, e_values, loss_db, target, r, mu)
-        ) == expected
+    assert outcome(
+        lambda: trace_iso_qber_surface(p_values, e_values, loss_db, target, r, mu)
+    ) == expected
 
 
 @DETERMINISTIC

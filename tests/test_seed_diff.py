@@ -9,7 +9,7 @@ on purpose (non-finite or NaN numbers, ``null`` fields, subnormal values,
 intensities so small that ``mu*nu1 - nu1*nu1`` underflows, a repeated key)
 are not drawn here; CHANGES.md lists them and they keep tests of their own.
 The outputs that changed on purpose where the seed code's answer was wrong
-(a ``contour`` node whose bisection ran out of steps, the digits of
+(a ``contour`` threshold below what the seed's 200 bisection steps reach, the digits of
 ``optimal-mu``, a ``sweep`` baseline change the seed code printed as ``inf``)
 are rows of ``divergences.ROWS``: ``divergences.compare``
 judges such a stdout by the row's check, and every other part of the
@@ -645,6 +645,18 @@ def _replace_line(out, label, text):
 # and 24 in this tree's; the rows above read 24 in both.
 HUGE_PAP_BIASED = SEED_CASES["sweep.huge-pap-biased"][0]
 
+# Thresholds near 2e-101, which the seed code's 200 bisection steps cannot
+# reach: it prints 3.111507639e-62 and a QBER of 0.5 on both feasible rows.
+FAINT_SIGNAL = """\
+receiver: {detector_efficiency: 1.0}
+channel: {loss_db: 0.0}
+intensities: {signal_mu: 1.0e-100, weak_decoy_nu1: 0.0}
+sweep:
+  axes:
+    - {name: p_ap, min: 0.0, max: 0.01, count: 2}
+    - {name: intrinsic_error, min: 0.01, max: 0.2, count: 2}
+"""
+
 
 @pytest.mark.parametrize(
     "text, command, mutate",
@@ -664,9 +676,22 @@ HUGE_PAP_BIASED = SEED_CASES["sweep.huge-pap-biased"][0]
         # a wrong finite value where the seed code printed inf
         (HUGE_PAP_BIASED, "sweep", lambda ours, theirs: ours.replace(
             "1.7e+308,0.5,0,24,ok", "1.7e+308,0.5,0,23.99999999,ok")),
+        # a threshold whose QBER misses the target by about 3e-7
+        (FAINT_SIGNAL, "contour", lambda ours, theirs: ours.replace(
+            "1.951219511e-101", "1.951229511e-101")),
+        # an achieved QBER no QBER within the tolerance rounds to
+        (FAINT_SIGNAL, "contour", lambda ours, theirs: ours.replace(
+            "0.08999999996,ok", "0.08999999989,ok")),
+        # not-converged where the signal gain is normal
+        (FAINT_SIGNAL, "contour", lambda ours, theirs: ours.replace(
+            "0.08999999996,ok", "0.08999999996,not-converged")),
+        # an infeasible row, which the row keeps byte-equal
+        (FAINT_SIGNAL, "contour", lambda ours, theirs: ours.replace(
+            "0,0.2,0,,,infeasible", "0,0.2,0,0,,infeasible")),
     ],
     ids=["e_detector-last-digit", "seed-mu-line", "report-line", "sweep-finite-change-cell",
-         "sweep-inf-change-cell"],
+         "sweep-inf-change-cell", "contour-threshold-cell", "contour-qber-cell",
+         "contour-status-cell", "contour-infeasible-row"],
 )
 def test_divergence_rows_reject_a_mutant(tmp_path, text, command, mutate):
     """``compare`` accepts this tree's outcome and fails on one mutated stdout line."""
