@@ -481,33 +481,38 @@ class TestTraceIsoQberSurface:
         assert repr(point) == repr(direct)
         assert (point.feasible, point.converged) == kind
 
-    def test_points_are_the_threshold_arrays_node_for_node(self):
-        # e' = 0.1 is infeasible at every p_ap; at mu = 1e-315 the signal gain
-        # is subnormal, and no feasible node converges
+    # The ids name the bisection's former step budgets: under 200 halvings
+    # every feasible node of this grid converged, under 3 none did. With no
+    # budget left, a node fails to converge only where the signal gain is
+    # subnormal, as at mu = 1e-315.
+    @pytest.mark.parametrize(
+        "mu, converged", [(0.48, True), (1e-315, False)], ids=["200", "3"]
+    )
+    def test_points_are_the_threshold_arrays_node_for_node(self, mu, converged):
+        # e' = 0.1 is infeasible at every p_ap
         p_values, e_values = (0.0, 0.01, 0.4), (0.0, 0.02, 0.1)
-        for mu in (0.48, 1e-315):
-            args = (p_values, e_values, 21.0, 0.09, receiver(0.01), mu)
-            points = trace_iso_qber_surface(*args)
-            search = optimize.threshold_nodes(*args)
-            expected = []
-            for k in range(9):
-                feasible = bool(search.feasible[k])
-                expected.append(ContourPoint._make((
-                    p_values[k // 3], e_values[k % 3], 21.0,
-                    float(search.dark_count[k]) if feasible else None,
-                    float(search.achieved[k]) if feasible else None,
-                    feasible,
-                    bool(search.converged[k]) if feasible else True,
-                )))
-            # repr tells a Python float from a numpy scalar
-            assert repr(points) == repr(expected)
-            assert [tuple(map(type, p)) for p in points] == [
-                tuple(map(type, p)) for p in expected
-            ]
-            assert {type(p) for p in points} == {ContourPoint}
-            assert {(p.feasible, p.converged) for p in points} == {
-                (True, mu == 0.48), (False, True)
-            }
+        args = (p_values, e_values, 21.0, 0.09, receiver(0.01), mu)
+        points = trace_iso_qber_surface(*args)
+        search = optimize.threshold_nodes(*args)
+        expected = []
+        for k in range(9):
+            feasible = bool(search.feasible[k])
+            expected.append(ContourPoint._make((
+                p_values[k // 3], e_values[k % 3], 21.0,
+                float(search.dark_count[k]) if feasible else None,
+                float(search.achieved[k]) if feasible else None,
+                feasible,
+                bool(search.converged[k]) if feasible else True,
+            )))
+        # repr tells a Python float from a numpy scalar
+        assert repr(points) == repr(expected)
+        assert [tuple(map(type, p)) for p in points] == [
+            tuple(map(type, p)) for p in expected
+        ]
+        assert {type(p) for p in points} == {ContourPoint}
+        assert {(p.feasible, p.converged) for p in points} == {
+            (True, converged), (False, True)
+        }
 
     def test_row_major_order_and_monotonicity(self):
         p_values = [0.1 * k / 9.0 for k in range(10)]
