@@ -20,9 +20,9 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def binary_entropy(x: float) -> float:
     return _entropy(x, _libm_or_nan)
 
 
-@dataclass(frozen=True)
-class SinglePhotonEstimate:
+class SinglePhotonEstimate(NamedTuple):
     """Weak+vacuum bounds on the single-photon contribution.
 
     ``clamped`` records whether any bound had to be clipped into [0, 1], so
@@ -186,8 +185,7 @@ def skr_approx(
     return rate
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
+class LinkMetrics(NamedTuple):
     """Every protocol-level quantity for one operating point.
 
     ``estimate`` is None and ``reason`` is set when decoy estimation was
@@ -290,8 +288,7 @@ def _skr_approx(eta, mu, amp, f, h, exp_neg_mu):
     return -scale * f * h + scale * exp_neg_mu * (1.0 - h)
 
 
-@dataclass(frozen=True)
-class LinkTable:
+class LinkTable(NamedTuple):
     """Every metric of METRIC_NAMES at an array of operating points (nodes).
 
     The nodes are the points of ``shape``, the broadcast shape of the

@@ -9,7 +9,7 @@ carry the ``section.field`` path of the offending entry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 
@@ -73,8 +73,9 @@ _KINDS = {
 TOP_LEVEL_SECTIONS = ("receiver", "channel", "intensities", "protocol", "sweep")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
+    """A parsed scenario file: the value type of each section, and the sweep if it has one."""
+
     receiver: model.ReceiverModel
     channel: model.ChannelModel
     intensities: model.IntensitySet

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # The package before numpy: see the note in cli.py.
@@ -44,8 +43,7 @@ ABS_TOLERANCE = 1e-10
 _HALVINGS = math.ceil(math.log2(DARK_COUNT_CAP) - math.log2(math.ulp(0.0))) + 2
 
 
-@dataclass(frozen=True)
-class OptimalMu:
+class OptimalMu(NamedTuple):
     """Root of the optimal-intensity condition, with its residual.
 
     ``boundary`` marks the degenerate zero-error case where the condition's
@@ -57,8 +55,7 @@ class OptimalMu:
     boundary: bool = False
 
 
-@dataclass(frozen=True)
-class MaximizeResult:
+class MaximizeResult(NamedTuple):
     """Outcome of the direct key-rate maximization over the signal intensity."""
 
     mu: float
@@ -66,8 +63,7 @@ class MaximizeResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class MuSearch:
+class MuSearch(NamedTuple):
     """Outcome of the lockstep key-rate maximization at the nodes of a shape.
 
     ``table`` holds every metric at the optimal intensity ``table.mu``, which
@@ -81,8 +77,7 @@ class MuSearch:
     errors: dict[int, DecoyLinkError]
 
 
-@dataclass(frozen=True)
-class ThresholdSearch:
+class ThresholdSearch(NamedTuple):
     """Outcome of the lockstep dark-count bisection at a 1-D array of nodes.
 
     ``dark_count`` and ``achieved`` are NaN at infeasible nodes.

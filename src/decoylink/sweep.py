@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -49,8 +48,7 @@ class ResultRecord(NamedTuple):
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepBlock:
+class SweepBlock(NamedTuple):
     """A box of grid nodes (a slab of ``grid_blocks``, or a chunk of one) as columns.
 
     ``axis_index[k]`` holds the box's value indices on axis k, shaped to

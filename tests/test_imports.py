@@ -1,10 +1,13 @@
-"""What importing the package loads, and the contract of its lazy exports.
+"""What importing the package loads and builds, and the contract of its exports.
 
 ``decoylink/__init__`` resolves each public name on first use (PEP 562), so
 ``import decoylink`` loads no submodule, and parsing a scenario loads neither
 numpy nor the array engine. The footprint tests run in a fresh interpreter
-each, since this one has loaded everything already.
+each, since this one has loaded everything already. The value types are
+frozen dataclasses, and every result record is a NamedTuple, which is far
+cheaper to build at import.
 """
+import dataclasses
 import importlib
 import json
 import os
@@ -15,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import decoylink
-from decoylink import bounds, model, sweep
+from decoylink import bounds, config, model, optimize, sweep
+from decoylink.errors import NoSolutionError
 
 SRC = Path(decoylink.__file__).resolve().parents[1]
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -90,6 +96,150 @@ class TestImportFootprint:
             "__init__.py", "cli.py", "config.py", "errors.py", "model.py", "sweep.py",
             "optimize.py", "bounds.py",
         }
+
+
+def test_only_the_value_types_are_dataclasses():
+    """After ``import decoylink.cli`` the package's dataclasses are the seven value types."""
+    import decoylink.cli  # noqa: F401
+
+    built = {
+        f"{name.removeprefix('decoylink.')}.{value.__name__}"
+        for name, module in list(sys.modules.items()) if name.startswith("decoylink.")
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value)
+    }
+    assert built == {
+        "model.DetectorUnit", "model.ReceiverModel", "model.ChannelModel", "model.IntensitySet",
+        "model.ProtocolParams", "model.Axis", "model.SweepSpec",
+    }
+
+
+def _table():
+    return bounds.LinkTable(
+        {"q_mu": np.array([0.5])}, np.array([0.48]), np.array([0.038]), np.array([False]),
+        np.array([False]), np.array([True]), np.array([False]),
+    )
+
+
+_TABLE_REPR = (
+    "LinkTable(values={'q_mu': array([0.5])}, mu=array([0.48]), nu1=array([0.038]), "
+    "gain_error=array([False]), domain_error=array([False]), infeasible=array([ True]), "
+    "clamped=array([False]))"
+)
+
+# Each result record type: its fields in order, their defaults, a sample
+# instance (built on use) and that sample's repr, as they were when the nine
+# records other than ResultRecord and ContourPoint were frozen dataclasses.
+RECORDS = [
+    pytest.param(
+        bounds.SinglePhotonEstimate, ("y1_lower", "e1_upper", "q1_lower", "clamped"),
+        {"clamped": False}, lambda: bounds.SinglePhotonEstimate(0.25, 0.5, 0.125, True),
+        "SinglePhotonEstimate(y1_lower=0.25, e1_upper=0.5, q1_lower=0.125, clamped=True)",
+        id="SinglePhotonEstimate",
+    ),
+    pytest.param(
+        bounds.LinkMetrics,
+        ("q_mu", "e_mu", "q_nu1", "e_nu1", "y0_measured", "estimate", "skr_lower", "skr_raw",
+         "skr_approx", "reason"),
+        {"reason": None},
+        lambda: bounds.LinkMetrics(
+            0.01, 0.02, 0.001, 0.03, 1e-06, bounds.SinglePhotonEstimate(0.25, 0.5, 0.125),
+            0.001, 0.002, 0.003,
+        ),
+        "LinkMetrics(q_mu=0.01, e_mu=0.02, q_nu1=0.001, e_nu1=0.03, y0_measured=1e-06, "
+        "estimate=SinglePhotonEstimate(y1_lower=0.25, e1_upper=0.5, q1_lower=0.125, "
+        "clamped=False), skr_lower=0.001, skr_raw=0.002, skr_approx=0.003, reason=None)",
+        id="LinkMetrics",
+    ),
+    pytest.param(
+        bounds.LinkTable,
+        ("values", "mu", "nu1", "gain_error", "domain_error", "infeasible", "clamped"), {},
+        _table, _TABLE_REPR, id="LinkTable",
+    ),
+    pytest.param(
+        optimize.OptimalMu, ("mu", "residual", "boundary"), {"boundary": False},
+        lambda: optimize.OptimalMu(1.0, 0.0, True),
+        "OptimalMu(mu=1.0, residual=0.0, boundary=True)", id="OptimalMu",
+    ),
+    pytest.param(
+        optimize.MaximizeResult, ("mu", "skr", "reason"), {"reason": None},
+        lambda: optimize.MaximizeResult(0.48, 0.0, "no_positive_key"),
+        "MaximizeResult(mu=0.48, skr=0.0, reason='no_positive_key')", id="MaximizeResult",
+    ),
+    pytest.param(
+        optimize.MuSearch, ("table", "errors"), {},
+        lambda: optimize.MuSearch(_table(), {0: NoSolutionError("no bracket")}),
+        f"MuSearch(table={_TABLE_REPR}, errors={{0: NoSolutionError('no bracket')}})",
+        id="MuSearch",
+    ),
+    pytest.param(
+        optimize.ThresholdSearch, ("dark_count", "achieved", "feasible", "converged"), {},
+        lambda: optimize.ThresholdSearch(
+            np.array([1e-06, np.nan]), np.array([0.07, np.nan]), np.array([True, False]),
+            np.array([True, True]),
+        ),
+        "ThresholdSearch(dark_count=array([1.e-06,    nan]), achieved=array([0.07,  nan]), "
+        "feasible=array([ True, False]), converged=array([ True,  True]))",
+        id="ThresholdSearch",
+    ),
+    pytest.param(
+        config.Scenario, ("receiver", "channel", "intensities", "protocol", "sweep"),
+        {"sweep": None}, lambda: config.parse_scenario(None),
+        "Scenario(receiver=ReceiverModel(detectors=(DetectorUnit(afterpulse_prob=0.0, "
+        "bias=0.0), DetectorUnit(afterpulse_prob=0.0, bias=0.0)), "
+        "dark_count_prob_total=6e-07, intrinsic_error=0.02, background_error=0.5, "
+        "detector_efficiency=0.1), channel=ChannelModel(attenuation_db_per_km=0.21, "
+        "distance_km=0.0, transmission_loss_db=None), intensities=IntensitySet("
+        "signal_mu=0.48, weak_decoy_nu1=0.038, vacuum_decoy=0.0), protocol=ProtocolParams("
+        "sifting_factor=0.5, ec_efficiency=1.16), sweep=None)",
+        id="Scenario",
+    ),
+    pytest.param(
+        sweep.SweepBlock, ("axis_index", "outputs", "mu_opt", "statuses", "reasons"), {},
+        lambda: sweep.SweepBlock(
+            (np.array([0, 1]),), ((np.array([0.5, 0.25]), np.array([False, True])),), None,
+            np.array(["ok", "infeasible"], dtype=object),
+            np.array([None, "estimation_infeasible"], dtype=object),
+        ),
+        "SweepBlock(axis_index=(array([0, 1]),), outputs=((array([0.5 , 0.25]), "
+        "array([False,  True])),), mu_opt=None, statuses=array(['ok', 'infeasible'], "
+        "dtype=object), reasons=array([None, 'estimation_infeasible'], dtype=object))",
+        id="SweepBlock",
+    ),
+    pytest.param(
+        sweep.ResultRecord, ("axis_values", "values", "mu_opt", "status", "reason"),
+        {"reason": None}, lambda: sweep.ResultRecord((0.01, 10.0), (0.5, None), None, "ok"),
+        "ResultRecord(axis_values=(0.01, 10.0), values=(0.5, None), mu_opt=None, "
+        "status='ok', reason=None)",
+        id="ResultRecord",
+    ),
+    pytest.param(
+        optimize.ContourPoint,
+        ("p_ap", "intrinsic_error", "loss_db", "dark_count_prob", "achieved_qber", "feasible",
+         "converged"),
+        {"converged": True}, lambda: optimize.ContourPoint(0.01, 0.02, 10.0, 1e-06, 0.07, True),
+        "ContourPoint(p_ap=0.01, intrinsic_error=0.02, loss_db=10.0, dark_count_prob=1e-06, "
+        "achieved_qber=0.07, feasible=True, converged=True)",
+        id="ContourPoint",
+    ),
+]
+
+
+@pytest.mark.parametrize("record_type, fields, defaults, build, text", RECORDS)
+def test_result_record_api(record_type, fields, defaults, build, text):
+    """Each result record keeps its fields, defaults and repr, stays immutable, and
+    ``_replace`` keeps its type."""
+    assert record_type._fields == fields
+    assert record_type._field_defaults == defaults
+    sample = build()
+    assert type(sample) is record_type
+    assert repr(sample) == text
+    with pytest.raises(AttributeError):
+        setattr(sample, fields[0], None)
+    assert sample == tuple(sample)
+    last = fields[-1]
+    changed = sample._replace(**{last: getattr(sample, last)})
+    assert type(changed) is record_type and repr(changed) == text
 
 
 class TestExports:
