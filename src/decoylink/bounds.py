@@ -180,9 +180,14 @@ def skr_approx(
     )
     h = binary_entropy(e_det)
     rate = _skr_approx(eta, mu, 1.0 + p_ap, protocol.ec_efficiency, h, _libm_or_nan(math.exp, -mu))
+    _check_approx(rate, mu)
+    return rate
+
+
+def _check_approx(rate: float, mu: float) -> None:
+    """Reject a key-rate approximation ``rate`` at ``mu`` that is not finite."""
     if not abs(rate) < math.inf:  # rejects NaN too
         raise ModelDomainError(f"key-rate approximation {rate!r} at mu={mu!r} is not finite")
-    return rate
 
 
 class LinkMetrics(NamedTuple):
@@ -296,8 +301,9 @@ class LinkTable(NamedTuple):
     the broadcast shape of the inputs it depends on, which broadcasts to
     ``shape``. The scalar metrics hold at every node. The link metrics hold
     only where the scalar closed forms return: ``domain_error`` marks the
-    nodes where ``gain_total``, ``qber_total`` or ``estimate_single_photon``
-    raise (``gain_error``, a gain outside (0, 1], or a decoy pair outside
+    nodes where ``gain_total``, ``qber_total``, ``skr_approx`` or
+    ``estimate_single_photon`` raise (``gain_error``, a gain outside (0, 1];
+    a key-rate approximation that is not finite; or a decoy pair outside
     0 < nu1 < mu), and ``error(i)`` rebuilds that exception. At
     ``infeasible`` nodes ``estimate_single_photon`` raises
     EstimationInfeasibleError: the estimate metrics and ``skr_raw`` are
@@ -319,7 +325,8 @@ class LinkTable(NamedTuple):
 
     def error(self, i: int) -> DecoyLinkError:
         """The exception the scalar model raises at ``domain_error`` node ``i``."""
-        args = (self.values["q_mu"], self.values["q_nu1"], self.mu, self.nu1)
+        values = self.values
+        args = (values["q_mu"], values["q_nu1"], values["skr_approx"], self.mu, self.nu1)
         shape = self.shape
         return raised(_check_link, *(np.broadcast_to(a, shape).flat[i] for a in args))
 
@@ -447,7 +454,7 @@ def mu_stage(
         )
     found = {**outputs, **core, "y0": terms["y0"]}
     nu1, gain_error = terms["nu1"], core["gain_error"]
-    domain_error = gain_error | ~((0.0 < nu1) & (nu1 < mu))
+    domain_error = gain_error | ~(np.abs(core["skr_approx"]) < np.inf) | ~((0.0 < nu1) & (nu1 < mu))
     return LinkTable(
         {name: found[name] for name in METRIC_NAMES}, mu, nu1, gain_error, domain_error,
         ~domain_error & ~core["resolvable"],
@@ -455,12 +462,13 @@ def mu_stage(
     )
 
 
-def _check_link(q_mu: float, q_nu1: float, mu: float, nu1: float) -> None:
-    """The link model's checks at one node, in the order the scalar functions meet them."""
+def _check_link(q_mu: float, q_nu1: float, approx: float, mu: float, nu1: float) -> None:
+    """The link model's checks at one node, in the order ``evaluate_link`` meets them."""
     model.check_gain(q_mu)
     model.check_detections(q_mu)
     model.check_gain(q_nu1)
     model.check_detections(q_nu1)
+    _check_approx(approx, mu)
     check_decoy_pair(mu, nu1)
 
 
@@ -530,6 +538,49 @@ def cut(values: np.ndarray, box: tuple[range, ...]) -> np.ndarray:
         slice(r.start, r.stop) if n > 1 else slice(None)
         for r, n in zip(box[len(box) - values.ndim:], values.shape)
     ))]
+
+
+class SweepBlock(NamedTuple):
+    """A box of grid nodes (a slab of a grid, or a chunk of one) as columns.
+
+    ``axis_index[k]`` holds the box's value indices on axis k, shaped to
+    vary along axis k only. ``outputs`` holds, per output, its float64
+    values and the mask of the nodes where it has no value, each at the
+    shape it was computed at, which broadcasts over the box; ``mu_opt`` is
+    the same pair under optimize-per-point and None otherwise. Values under
+    a mask are meaningless. ``statuses`` and ``reasons`` are object arrays
+    of the box's shape; ``reasons`` is None where no status has one.
+    ``nodes`` gives any of these arrays one entry per node, in row-major order.
+    """
+
+    axis_index: tuple[np.ndarray, ...]
+    outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    mu_opt: tuple[np.ndarray, np.ndarray] | None
+    statuses: np.ndarray
+    reasons: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The box's length along each axis."""
+        return tuple(i.size for i in self.axis_index)
+
+    def nodes(self, values) -> np.ndarray:
+        """``values``, an array that broadcasts over the box, as one entry per node."""
+        return per_node(values, self.shape)
+
+    def chunks(self, max_nodes: int) -> Iterator[SweepBlock]:
+        """The block as the ``boxes`` of at most ``max_nodes`` nodes, each a SweepBlock.
+
+        A chunk's arrays are views of the block's.
+        """
+        for box in boxes(self.shape, max_nodes):
+            yield SweepBlock(
+                axis_index=tuple(cut(i, box) for i in self.axis_index),
+                outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
+                mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
+                statuses=cut(self.statuses, box),
+                reasons=None if self.reasons is None else cut(self.reasons, box),
+            )
 
 
 # The nodes of a box of a Grid: (axis value indices, kernel inputs); see ``Grid.slab``.

@@ -29,7 +29,7 @@ from . import config as config_mod
 from . import model
 from .errors import DecoyLinkError, ValidationError
 from .sweep import NU1_BY_LOSS_DB, SweepBlock, grid_blocks, spec_grid
-from .bounds import Grid, SinglePhotonEstimate, boxes, evaluate_link
+from .bounds import Grid, SinglePhotonEstimate, evaluate_link
 from .optimize import solve_optimal_mu, threshold_nodes
 
 import argparse
@@ -161,24 +161,26 @@ def _write_csv(path: str | None, header, blocks) -> None:
 def _write_grid(
     path: str | None, axis_cells: list, grid: Grid, protocol, outputs, mu_policy: str
 ) -> None:
-    """Write ``grid_blocks`` of the grid as CSV, a chunk of at most CHUNK_NODES nodes at a time.
-
-    Each (name, axis position, cells) triple of ``axis_cells`` is a leading
-    column: ``cells`` holds one CSV cell per value of that axis, formatted
-    once per run. Then come mu_opt under optimize-per-point, the ``outputs``,
-    status and reason.
-    """
+    """``_write_blocks`` of ``grid_blocks``, with mu_opt if optimized, outputs, status, reason."""
     header = [name for name, _, _ in axis_cells]
     if mu_policy == "optimize-per-point":
         header.append("mu_opt")
     header.extend((*outputs, "status", "reason"))
-    blocks = grid_blocks(grid, protocol, outputs, mu_policy)
+    _write_blocks(path, header, axis_cells, grid_blocks(grid, protocol, outputs, mu_policy))
+
+
+def _write_blocks(path: str | None, header, axis_cells: list, blocks) -> None:
+    """Write the ``blocks`` as CSV, a chunk of at most CHUNK_NODES nodes at a time.
+
+    Each (name, axis position, cells) triple of ``axis_cells`` is a leading
+    column: ``cells`` holds one CSV cell per value of that axis.
+    """
     chunks = (chunk for block in blocks for chunk in block.chunks(CHUNK_NODES))
     _write_csv(path, header, (_block_columns(chunk, axis_cells) for chunk in chunks))
 
 
 def _block_columns(block: SweepBlock, axis_cells: list) -> list:
-    """CSV columns of the block's nodes, with ``axis_cells`` as ``_write_grid`` takes them.
+    """CSV columns of the block's nodes, with ``axis_cells`` as ``_write_blocks`` takes them.
 
     Each node gets the cell of its axis value. Each output is formatted at
     the shape it was computed at, once per distinct value of the axes it
@@ -192,9 +194,10 @@ def _block_columns(block: SweepBlock, axis_cells: list) -> list:
     )
     # The statuses are fixed words that need no quoting.
     columns.append(block.nodes(block.statuses).tolist())
-    reasons = block.nodes(block.reasons).tolist()
-    quoted = {reason: _csv_field(reason) for reason in set(reasons)}
-    columns.append([quoted[reason] for reason in reasons])
+    if block.reasons is not None:
+        reasons = block.nodes(block.reasons).tolist()
+        quoted = {reason: _csv_field(reason) for reason in set(reasons)}
+        columns.append([quoted[reason] for reason in reasons])
     return columns
 
 
@@ -209,33 +212,19 @@ def cmd_contour(args) -> int:
         )
     p_values, e_values = axes["p_ap"].values(), axes["intrinsic_error"].values()
     loss_db = scenario.channel.loss_db
-    search = threshold_nodes(
+    block = threshold_nodes(
         p_values, e_values, loss_db, args.target_qber, scenario.receiver,
         scenario.intensities.signal_mu,
     )
-    p_cells, e_cells = _float_cells(np.asarray(p_values)), _float_cells(np.asarray(e_values))
-    loss_cell = format(float(loss_db), ".10g")
-
-    def columns(nodes: np.ndarray) -> list:
-        p_index, e_index = np.divmod(nodes, len(e_values))
-        feasible = search.feasible[nodes]
-        return [
-            p_cells[p_index].tolist(),
-            e_cells[e_index].tolist(),
-            [loss_cell] * len(nodes),
-            _float_cells(search.dark_count[nodes], ~feasible).tolist(),
-            _float_cells(search.achieved[nodes], ~feasible).tolist(),
-            np.where(
-                feasible, np.where(search.converged[nodes], "ok", "not-converged"), "infeasible"
-            ).tolist(),
-        ]
-
-    _write_csv(
-        args.output,
-        ("p_ap", "intrinsic_error", "loss_db", "dark_count_threshold", "achieved_qber", "status"),
-        (columns(np.arange(run.start, run.stop))
-         for (run,) in boxes((len(search.feasible),), CHUNK_NODES)),
-    )
+    # the one loss is a column on the p_ap axis, as the preset's nu1 is on its loss axis
+    axis_cells = [
+        ("p_ap", 0, _float_cells(p_values)),
+        ("intrinsic_error", 1, _float_cells(e_values)),
+        ("loss_db", 0, _float_cells(np.full(len(p_values), loss_db))),
+    ]
+    header = [name for name, _, _ in axis_cells]
+    header.extend(("dark_count_threshold", "achieved_qber", "status"))
+    _write_blocks(args.output, header, axis_cells, (block,))
     return 0
 
 

@@ -7,8 +7,8 @@ from typing import NamedTuple
 # The package before numpy: see the note in cli.py.
 from . import model
 from .bounds import (
-    Grid, LinkTable, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage, node_stage,
-    per_node, raised, record_list, with_none,
+    Grid, LinkTable, SweepBlock, binary_entropy, boxes, check_decoy_pair, cut, mu_core, mu_stage,
+    node_stage, per_node, raised, record_list, with_none,
 )
 from .errors import DecoyLinkError, NoSolutionError, ValidationError
 
@@ -41,6 +41,8 @@ NO_POSITIVE_KEY = "no_positive_key"
 # step halves it, so that takes at most _HALVINGS (1073), 2 spare for rounding.
 ABS_TOLERANCE = 1e-10
 _HALVINGS = math.ceil(math.log2(DARK_COUNT_CAP) - math.log2(math.ulp(0.0))) + 2
+# A contour node's status by 2 * (infeasible) + (feasible and not converged).
+_STATUSES = np.array(["ok", "not-converged", "infeasible"], dtype=object)
 
 
 class OptimalMu(NamedTuple):
@@ -75,18 +77,6 @@ class MuSearch(NamedTuple):
 
     table: LinkTable
     errors: dict[int, DecoyLinkError]
-
-
-class ThresholdSearch(NamedTuple):
-    """Outcome of the lockstep dark-count bisection at a 1-D array of nodes.
-
-    ``dark_count`` and ``achieved`` are NaN at infeasible nodes.
-    """
-
-    dark_count: np.ndarray
-    achieved: np.ndarray
-    feasible: np.ndarray
-    converged: np.ndarray
 
 
 class ContourPoint(NamedTuple):
@@ -338,12 +328,14 @@ def threshold_nodes(
     target_qber: float,
     receiver_template: model.ReceiverModel,
     mean_photon: float,
-) -> ThresholdSearch:
+) -> SweepBlock:
     """The dark-count threshold bisection on every node of a (p_ap, intrinsic_error) grid.
 
     Takes the arguments of ``trace_iso_qber_surface`` and returns its nodes
-    as arrays, in row-major order (p_ap outer, intrinsic_error inner).
-    ``bounds.Grid`` builds every node's inputs and rejections. Every
+    as one ``SweepBlock`` over the grid (p_ap outer, intrinsic_error inner),
+    with no reasons: the outputs dark_count_threshold and achieved_qber,
+    masked at infeasible nodes, and the statuses ok, not-converged and
+    infeasible. ``bounds.Grid`` builds every node's inputs and rejections. Every
     bisection step is one pass of array arithmetic over the nodes still above
     the tolerance, with the scalar closed form's operations in its order, so
     each node follows the same arithmetic as a search of its own. The first
@@ -416,12 +408,12 @@ def threshold_nodes(
         mid = 0.5 * (lo + hi)
         _, qber = model.gain_and_qber(one_p * mid, signal, signal_error, e0)
     dark_count[rows], achieved[rows] = mid, qber
-    return ThresholdSearch(
-        dark_count=dark_count,
-        achieved=achieved,
-        feasible=~infeasible,
-        converged=np.abs(achieved - target_qber) < ABS_TOLERANCE,
-    )
+    # an infeasible node's achieved QBER is NaN, which no tolerance holds
+    not_converged = ~infeasible & ~(np.abs(achieved - target_qber) < ABS_TOLERANCE)
+    shape = grid.shape
+    statuses = _STATUSES[2 * infeasible + not_converged].reshape(shape)
+    masked = tuple((v.reshape(shape), infeasible.reshape(shape)) for v in (dark_count, achieved))
+    return SweepBlock(index, masked, None, statuses, None)
 
 
 def trace_iso_qber_surface(
@@ -435,26 +427,30 @@ def trace_iso_qber_surface(
     """Dark-count threshold on every node of a (p_ap, intrinsic_error) grid.
 
     Nodes are returned in row-major order (p_ap outer, intrinsic_error
-    inner), built from ``threshold_nodes``' arrays as one column per
-    ``ContourPoint`` field. A node the scalar model rejects raises its
-    exception, and the first such node in row-major order is the one
-    reported (at one node, a rejected p_ap before a rejected intrinsic_error).
-    The points are built by ``bounds.record_list``, as ``run_sweep``'s records
-    are; the search runs with the cyclic garbage collector as the caller left it.
+    inner), built from ``threshold_nodes``' block as one column per
+    ``ContourPoint`` field, with the inputs as floats. A node the scalar
+    model rejects raises its exception, and the first such node in row-major
+    order is the one reported (at one node, a rejected p_ap before a
+    rejected intrinsic_error). The points are built by ``bounds.record_list``,
+    as ``run_sweep``'s records are; the search runs with the cyclic garbage
+    collector as the caller left it.
     """
     p_values, e_values = tuple(p_ap_values), tuple(intrinsic_error_values)
-    search = threshold_nodes(
+    block = threshold_nodes(
         p_values, e_values, loss_db, target_qber, receiver_template, mean_photon
     )
-    infeasible = ~search.feasible
+    # the search accepted these, and took them as floats
+    p_values, e_values = (np.array(v, dtype=float).tolist() for v in (p_values, e_values))
+    (dark_count, infeasible), (achieved, _) = block.outputs
+    infeasible = infeasible.ravel()
     return record_list(ContourPoint, (
         [p for p in p_values for _ in e_values],
         e_values * len(p_values),
-        [loss_db] * len(infeasible),
-        with_none(search.dark_count, infeasible),
-        with_none(search.achieved, infeasible),
-        search.feasible.tolist(),
-        (search.converged | infeasible).tolist(),
+        [model.as_float("loss_db", loss_db)] * len(infeasible),
+        with_none(dark_count.ravel(), infeasible),
+        with_none(achieved.ravel(), infeasible),
+        (~infeasible).tolist(),
+        (block.statuses.ravel() != "not-converged").tolist(),
     ))
 
 

@@ -9,11 +9,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 # optimize before bounds, and the package before numpy: see the note in cli.py.
 from . import model
 from .optimize import NO_POSITIVE_KEY, maximize_nodes
+# The spec types and name tables live in ``model``, the block type in ``bounds``;
+# they are importable from here too.
 from .bounds import (
-    ESTIMATION_INFEASIBLE, Grid, Slab, boxes, cut, link_table, per_node, raised, record_list,
-    with_none,
+    ESTIMATION_INFEASIBLE, Grid, Slab, SweepBlock, boxes, link_table, per_node, raised,
+    record_list, with_none,
 )
-# The spec types and name tables live in ``model``; they are importable from here too.
 from .model import (
     LINK_METRICS, MAX_GRID_POINTS, METRIC_NAMES, MU_POLICIES, SCALAR_METRICS, Axis, SweepSpec,
     check_grid_size,
@@ -48,65 +49,22 @@ class ResultRecord(NamedTuple):
     reason: str | None = None
 
 
-class SweepBlock(NamedTuple):
-    """A box of grid nodes (a slab of ``grid_blocks``, or a chunk of one) as columns.
+def block_records(block: SweepBlock, axis_values: tuple[np.ndarray, ...]) -> list[ResultRecord]:
+    """The block's nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``.
 
-    ``axis_index[k]`` holds the box's value indices on axis k, shaped to
-    vary along axis k only. ``outputs`` holds, per requested metric,
-    its float64 values and the mask of the nodes where it has no value, each
-    at the shape it was computed at, which broadcasts over the box;
-    ``mu_opt`` is the same pair under optimize-per-point and None
-    otherwise. Values under a mask are meaningless. ``statuses`` and
-    ``reasons`` are object arrays of the box's shape. ``nodes`` gives any of
-    these arrays one entry per node, in row-major order.
+    A box is a product of index ranges, so its nodes' axis values are the product of its axes'.
+    They are built by ``bounds.record_list``, with the cyclic garbage
+    collector off: the records hold no reference cycles, so its passes could free nothing.
     """
-
-    axis_index: tuple[np.ndarray, ...]
-    outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    mu_opt: tuple[np.ndarray, np.ndarray] | None
-    statuses: np.ndarray
-    reasons: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The box's length along each axis."""
-        return tuple(i.size for i in self.axis_index)
-
-    def nodes(self, values) -> np.ndarray:
-        """``values``, an array that broadcasts over the box, as one entry per node."""
-        return per_node(values, self.shape)
-
-    def chunks(self, max_nodes: int) -> Iterator[SweepBlock]:
-        """The block as the ``boxes`` of at most ``max_nodes`` nodes, each a SweepBlock.
-
-        A chunk's arrays are views of the block's.
-        """
-        for box in boxes(self.shape, max_nodes):
-            yield SweepBlock(
-                axis_index=tuple(cut(i, box) for i in self.axis_index),
-                outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
-                mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
-                statuses=cut(self.statuses, box),
-                reasons=cut(self.reasons, box),
-            )
-
-    def records(self, axis_values: tuple[np.ndarray, ...]) -> list[ResultRecord]:
-        """The nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``.
-
-        A box is a product of index ranges, so its nodes' axis values are the product of its axes'.
-        They are built by ``bounds.record_list``, with the cyclic garbage
-        collector off: the records hold no reference cycles, so its passes could free nothing.
-        """
-        n = self.statuses.size
-        axis_values = product(*(
-            v[i.ravel()].tolist() for v, i in zip(axis_values, self.axis_index)
-        ))
-        values = zip(*(with_none(self.nodes(v), self.nodes(m)) for v, m in self.outputs))
-        mu_opt = [None] * n if self.mu_opt is None else with_none(*map(self.nodes, self.mu_opt))
-        return record_list(ResultRecord, (
-            axis_values, values, mu_opt, self.nodes(self.statuses).tolist(),
-            self.nodes(self.reasons).tolist(),
-        ))
+    n = block.statuses.size
+    nodes = block.nodes
+    axis_values = product(*(v[i.ravel()].tolist() for v, i in zip(axis_values, block.axis_index)))
+    values = zip(*(with_none(nodes(v), nodes(m)) for v, m in block.outputs))
+    mu_opt = [None] * n if block.mu_opt is None else with_none(*map(nodes, block.mu_opt))
+    return record_list(ResultRecord, (
+        axis_values, values, mu_opt, nodes(block.statuses).tolist(),
+        nodes(block.reasons).tolist(),
+    ))
 
 
 def _block(
@@ -207,6 +165,9 @@ def grid_blocks(
 
 def spec_grid(spec: SweepSpec) -> Grid:
     """The grid of ``run_sweep``: the spec's value types, base intensities and axis values."""
+    # a fixed mu that no axis sets is evaluated, so it must be finite, as in ``report``
+    if spec.mu_policy == "fixed" and all(ax.name != "signal_mu" for ax in spec.axes):
+        model.check_finite(mean_photon=spec.intensities.signal_mu)
     intensities = {"mu": spec.intensities.signal_mu, "nu1": spec.intensities.weak_decoy_nu1}
     axes = ((ax.name, ax.values()) for ax in spec.axes)
     return Grid(spec.receiver, spec.channel, intensities, axes)
@@ -225,4 +186,4 @@ def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
     """
     grid = spec_grid(spec)
     blocks = grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
-    return list(chain.from_iterable(block.records(grid.values) for block in blocks))
+    return list(chain.from_iterable(block_records(block, grid.values) for block in blocks))

@@ -27,7 +27,7 @@ from decoylink import (
     yield_i,
 )
 from decoylink import model
-from decoylink.bounds import link_table
+from decoylink.bounds import Grid, link_table
 
 
 def receiver(p_ap=0.0, p_dc=6e-7, e_prime=0.02, eta_bob=0.1):
@@ -460,24 +460,35 @@ class TestLinkTable:
         assert kinds == {"infeasible", "positive key", "zero key"}
 
     def test_domain_errors_match_scalar_exceptions(self):
-        # gain above 1, zero gain at both intensities, and nu1 = 0: the
-        # table flags each node and rebuilds the scalar model's exception
+        # gain above 1, zero gain at both intensities, nu1 = 0, and a key-rate
+        # approximation of -inf (f = 1e308 at a gain near 1): the table flags
+        # each node and rebuilds the scalar model's exception
         r_hot = receiver(0.5, eta_bob=1.0)
         r_dark = receiver(0.0, p_dc=0.0)
         cases = [
-            (r_hot, channel(0.0), IntensitySet(3.0, 0.1)),
-            (r_dark, ChannelModel(transmission_loss_db=4000.0), IntensitySet(0.48, 0.038)),
-            (r_dark, channel(5.0), IntensitySet(0.48, 0.0)),
-            (receiver(0.01), channel(5.0), IntensitySet(0.48, 0.0)),
+            (r_hot, channel(0.0), IntensitySet(3.0, 0.1), self.PROTOCOL),
+            (r_dark, ChannelModel(transmission_loss_db=4000.0), IntensitySet(0.48, 0.038),
+             self.PROTOCOL),
+            (r_dark, channel(5.0), IntensitySet(0.48, 0.0), self.PROTOCOL),
+            (receiver(0.01), channel(5.0), IntensitySet(0.48, 0.0), self.PROTOCOL),
+            (receiver(eta_bob=1.0), channel(0.0), IntensitySet(10.0, 0.038),
+             ProtocolParams(ec_efficiency=1e308)),
         ]
-        for r, ch, intensities in cases:
+        for r, ch, intensities, protocol in cases:
+            mu, nu1 = intensities.signal_mu, intensities.weak_decoy_nu1
             with pytest.raises(DecoyLinkError) as scalar:
-                mu, nu1 = intensities.signal_mu, intensities.weak_decoy_nu1
                 q_mu, e_mu = gain_total(r, ch, mu), qber_total(r, ch, mu)
                 q_nu1, e_nu1 = gain_total(r, ch, nu1), qber_total(r, ch, nu1)
+                skr_approx(r, ch, mu, protocol, warn=False)
                 estimate_single_photon(
                     q_mu, e_mu, q_nu1, e_nu1, model.yield_background(r), mu, nu1
                 )
             with pytest.raises(type(scalar.value)) as kernel:
-                evaluate_link(r, ch, intensities, self.PROTOCOL)
+                evaluate_link(r, ch, intensities, protocol)
             assert str(kernel.value) == str(scalar.value)
+            grid = Grid(r, ch, {"mu": mu, "nu1": nu1}, ())
+            _, inputs = grid.slab()
+            table = link_table(**inputs, background_error=grid.background_error, protocol=protocol)
+            assert table.domain_error.item()
+            error = table.error(0)
+            assert (type(error), str(error)) == (type(kernel.value), str(kernel.value))

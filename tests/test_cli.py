@@ -1102,13 +1102,14 @@ class TestContourCommand:
                 *("" if v is None else format(v, ".10g") for v in numbers),
                 "ok" if p.feasible else "infeasible",
             ])
-        # at least 3 chunks, the last one partial, with infeasible rows
-        chunk_nodes = 20
-        monkeypatch.setattr(cli, "CHUNK_NODES", chunk_nodes)
-        assert len(points) > 2 * chunk_nodes and len(points) % chunk_nodes != 0
         assert {p.feasible for p in points} == {True, False}
-        assert main(["contour", "--config", config, "--target-qber", "0.09"]) == 0
-        assert capsys.readouterr().out == buf.getvalue()
+        # at least 3 chunks, the last one partial, with infeasible rows; at 5
+        # nodes the chunks also end inside the p_ap rows of 8 nodes
+        for chunk_nodes in (20, 5):
+            monkeypatch.setattr(cli, "CHUNK_NODES", chunk_nodes)
+            assert len(points) > 2 * chunk_nodes and len(points) % chunk_nodes != 0
+            assert main(["contour", "--config", config, "--target-qber", "0.09"]) == 0
+            assert capsys.readouterr().out == buf.getvalue()
 
     def test_requires_both_axes(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)
@@ -1155,9 +1156,14 @@ class TestContourCommand:
 
     # An infinite intensity is rejected as report rejects it: at an infinite
     # loss the detection probability 0 * inf was NaN and every row printed,
-    # at a finite loss the gain check failed with exit 3.
-    @pytest.mark.parametrize("loss", [".inf", "10.0"])
-    def test_infinite_signal_rejected(self, tmp_path, capsys, loss):
+    # at a finite loss the gain check failed with exit 3. A fixed-mu sweep
+    # printed its rows, infeasible or failed, for the same configs.
+    @pytest.mark.parametrize(
+        "loss, command",
+        [(".inf", "contour"), ("10.0", "contour"), (".inf", "sweep"), ("10.0", "sweep")],
+        ids=[".inf", "10.0", "sweep-.inf", "sweep-10.0"],
+    )
+    def test_infinite_signal_rejected(self, tmp_path, capsys, loss, command):
         config = write_config(
             tmp_path,
             f"channel: {{loss_db: {loss}}}\nintensities: {{signal_mu: .inf}}\n"
@@ -1165,7 +1171,7 @@ class TestContourCommand:
             "    - {name: p_ap, min: 0.0, max: 0.01, count: 2}\n"
             "    - {name: intrinsic_error, min: 0.01, max: 0.02, count: 2}\n",
         )
-        assert main(["contour", "--config", config]) == 2
+        assert main([command, "--config", config]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: config: mean_photon must be finite, got inf\n")
 

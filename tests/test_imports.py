@@ -173,16 +173,6 @@ RECORDS = [
         id="MuSearch",
     ),
     pytest.param(
-        optimize.ThresholdSearch, ("dark_count", "achieved", "feasible", "converged"), {},
-        lambda: optimize.ThresholdSearch(
-            np.array([1e-06, np.nan]), np.array([0.07, np.nan]), np.array([True, False]),
-            np.array([True, True]),
-        ),
-        "ThresholdSearch(dark_count=array([1.e-06,    nan]), achieved=array([0.07,  nan]), "
-        "feasible=array([ True, False]), converged=array([ True,  True]))",
-        id="ThresholdSearch",
-    ),
-    pytest.param(
         config.Scenario, ("receiver", "channel", "intensities", "protocol", "sweep"),
         {"sweep": None}, lambda: config.parse_scenario(None),
         "Scenario(receiver=ReceiverModel(detectors=(DetectorUnit(afterpulse_prob=0.0, "

@@ -463,14 +463,16 @@ class TestTraceIsoQberSurface:
         assert len(points) == 4
         assert all(not p.feasible for p in points)
 
-    # (feasible, converged): a feasible node, an infeasible one, and one whose
-    # signal gain is subnormal, where no float threshold meets the target
+    # (feasible, converged): a feasible node, an infeasible one, one whose
+    # signal gain is subnormal, where no float threshold meets the target,
+    # and a feasible one given as ints
     @pytest.mark.parametrize(
         "p_ap, e_prime, loss_db, target, eta_bob, mu, kind",
         [(0.008, 0.02, 10.5, 0.09, 0.1, 0.48, (True, True)),
          (0.0, 0.2, 10.5, 0.09, 0.1, 0.48, (False, True)),
-         (0.01, 0.02, 0.0, 0.125, 1.0, 1e-315, (True, False))],
-        ids=["feasible", "infeasible", "subnormal-signal"],
+         (0.01, 0.02, 0.0, 0.125, 1.0, 1e-315, (True, False)),
+         (0, 0, 10, 0.09, 0.1, 0.48, (True, True))],
+        ids=["feasible", "infeasible", "subnormal-signal", "int"],
     )
     def test_single_node_matches_threshold_op(
         self, p_ap, e_prime, loss_db, target, eta_bob, mu, kind
@@ -478,8 +480,16 @@ class TestTraceIsoQberSurface:
         r = receiver(eta_bob=eta_bob)
         [point] = trace_iso_qber_surface((p_ap,), (e_prime,), loss_db, target, r, mu)
         direct = dark_count_threshold(p_ap, e_prime, loss_db, target, r, mu)
-        assert repr(point) == repr(direct)
+        # numpy inputs give the same point: the fields hold Python floats and bools
+        [from_numpy] = trace_iso_qber_surface(
+            np.array([p_ap]), [np.float64(e_prime)], np.float64(loss_db), target, r, mu
+        )
+        assert repr(point) == repr(direct) == repr(from_numpy)
         assert (point.feasible, point.converged) == kind
+        assert point[:3] == (p_ap, e_prime, loss_db)
+        numbers = (float,) * 3 + ((float,) * 2 if kind[0] else (type(None),) * 2)
+        for p in (point, direct, from_numpy):
+            assert tuple(map(type, p)) == (*numbers, bool, bool)
 
     # The ids name the bisection's former step budgets: under 200 halvings
     # every feasible node of this grid converged, under 3 none did. With no
@@ -493,16 +503,23 @@ class TestTraceIsoQberSurface:
         p_values, e_values = (0.0, 0.01, 0.4), (0.0, 0.02, 0.1)
         args = (p_values, e_values, 21.0, 0.09, receiver(0.01), mu)
         points = trace_iso_qber_surface(*args)
-        search = optimize.threshold_nodes(*args)
+        block = optimize.threshold_nodes(*args)
+        assert block.shape == (3, 3) and block.mu_opt is None and block.reasons is None
+        (dark_count, infeasible), (achieved, achieved_missing) = (
+            map(block.nodes, output) for output in block.outputs
+        )
+        assert (achieved_missing == infeasible).all()
+        statuses = block.nodes(block.statuses).tolist()
         expected = []
         for k in range(9):
-            feasible = bool(search.feasible[k])
+            feasible = not infeasible[k]
+            assert (statuses[k] == "infeasible") == infeasible[k]
             expected.append(ContourPoint._make((
                 p_values[k // 3], e_values[k % 3], 21.0,
-                float(search.dark_count[k]) if feasible else None,
-                float(search.achieved[k]) if feasible else None,
+                float(dark_count[k]) if feasible else None,
+                float(achieved[k]) if feasible else None,
                 feasible,
-                bool(search.converged[k]) if feasible else True,
+                statuses[k] != "not-converged",
             )))
         # repr tells a Python float from a numpy scalar
         assert repr(points) == repr(expected)
