@@ -544,18 +544,19 @@ class SweepBlock(NamedTuple):
     """A box of grid nodes (a slab of a grid, or a chunk of one) as columns.
 
     ``axis_index[k]`` holds the box's value indices on axis k, shaped to
-    vary along axis k only. ``outputs`` holds, per output, its float64
-    values and the mask of the nodes where it has no value, each at the
-    shape it was computed at, which broadcasts over the box; ``mu_opt`` is
-    the same pair under optimize-per-point and None otherwise. Values under
-    a mask are meaningless. ``statuses`` and ``reasons`` are object arrays
-    of the box's shape; ``reasons`` is None where no status has one.
-    ``nodes`` gives any of these arrays one entry per node, in row-major order.
+    vary along axis k only. ``outputs`` holds the block's float columns in
+    CSV order (a sweep's ``mu_opt`` first when optimized, then its metrics
+    as listed, repeats included), each a (name, values, missing) triple: the
+    float64 values and the mask of the nodes where the column has no value,
+    each at the shape it was computed at, which broadcasts over the box.
+    Values under a mask are meaningless. ``statuses`` and ``reasons`` are
+    object arrays of the box's shape; ``reasons`` is None where no status
+    has one. ``nodes`` gives any of these arrays one entry per node, in
+    row-major order.
     """
 
     axis_index: tuple[np.ndarray, ...]
-    outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    mu_opt: tuple[np.ndarray, np.ndarray] | None
+    outputs: tuple[tuple[str, np.ndarray, np.ndarray], ...]
     statuses: np.ndarray
     reasons: np.ndarray | None
 
@@ -576,8 +577,7 @@ class SweepBlock(NamedTuple):
         for box in boxes(self.shape, max_nodes):
             yield SweepBlock(
                 axis_index=tuple(cut(i, box) for i in self.axis_index),
-                outputs=tuple((cut(v, box), cut(m, box)) for v, m in self.outputs),
-                mu_opt=None if self.mu_opt is None else tuple(cut(a, box) for a in self.mu_opt),
+                outputs=tuple((name, cut(v, box), cut(m, box)) for name, v, m in self.outputs),
                 statuses=cut(self.statuses, box),
                 reasons=None if self.reasons is None else cut(self.reasons, box),
             )

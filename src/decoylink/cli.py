@@ -38,6 +38,7 @@ import gc
 import io
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -117,7 +118,8 @@ def cmd_sweep(args) -> int:
     spec = scenario.sweep
     grid = spec_grid(spec)
     axis_cells = [(ax.name, k, _float_cells(grid.values[k])) for k, ax in enumerate(spec.axes)]
-    _write_grid(args.output, axis_cells, grid, spec.protocol, spec.outputs, spec.mu_policy)
+    blocks = grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
+    _write_blocks(args.output, axis_cells, blocks)
     return 0
 
 
@@ -158,25 +160,22 @@ def _write_csv(path: str | None, header, blocks) -> None:
         fh.writelines(map(_rows, blocks))
 
 
-def _write_grid(
-    path: str | None, axis_cells: list, grid: Grid, protocol, outputs, mu_policy: str
-) -> None:
-    """``_write_blocks`` of ``grid_blocks``, with mu_opt if optimized, outputs, status, reason."""
-    header = [name for name, _, _ in axis_cells]
-    if mu_policy == "optimize-per-point":
-        header.append("mu_opt")
-    header.extend((*outputs, "status", "reason"))
-    _write_blocks(path, header, axis_cells, grid_blocks(grid, protocol, outputs, mu_policy))
-
-
-def _write_blocks(path: str | None, header, axis_cells: list, blocks) -> None:
+def _write_blocks(path: str | None, axis_cells: list, blocks) -> None:
     """Write the ``blocks`` as CSV, a chunk of at most CHUNK_NODES nodes at a time.
 
     Each (name, axis position, cells) triple of ``axis_cells`` is a leading
-    column: ``cells`` holds one CSV cell per value of that axis.
+    column: ``cells`` holds one CSV cell per value of that axis. The header
+    is read from the first chunk, which is computed before the output is
+    opened: the axis names, the names of its ``outputs``, status, and reason
+    if it has reasons.
     """
     chunks = (chunk for block in blocks for chunk in block.chunks(CHUNK_NODES))
-    _write_csv(path, header, (_block_columns(chunk, axis_cells) for chunk in chunks))
+    first = next(chunks)
+    header = [name for name, _, _ in (*axis_cells, *first.outputs)] + ["status"]
+    if first.reasons is not None:
+        header.append("reason")
+    columns = (_block_columns(chunk, axis_cells) for chunk in chain((first,), chunks))
+    _write_csv(path, header, columns)
 
 
 def _block_columns(block: SweepBlock, axis_cells: list) -> list:
@@ -187,10 +186,8 @@ def _block_columns(block: SweepBlock, axis_cells: list) -> list:
     depends on, and then spread over the block's nodes.
     """
     columns = [block.nodes(cells[block.axis_index[k]]).tolist() for _, k, cells in axis_cells]
-    if block.mu_opt is not None:
-        columns.append(block.nodes(_float_cells(*block.mu_opt)).tolist())
     columns.extend(
-        block.nodes(_float_cells(values, missing)).tolist() for values, missing in block.outputs
+        block.nodes(_float_cells(values, missing)).tolist() for _, values, missing in block.outputs
     )
     # The statuses are fixed words that need no quoting.
     columns.append(block.nodes(block.statuses).tolist())
@@ -222,9 +219,7 @@ def cmd_contour(args) -> int:
         ("intrinsic_error", 1, _float_cells(e_values)),
         ("loss_db", 0, _float_cells(np.full(len(p_values), loss_db))),
     ]
-    header = [name for name, _, _ in axis_cells]
-    header.extend(("dark_count_threshold", "achieved_qber", "status"))
-    _write_blocks(args.output, header, axis_cells, (block,))
+    _write_blocks(args.output, axis_cells, (block,))
     return 0
 
 
@@ -266,9 +261,8 @@ def cmd_skr_vs_afterpulse(args) -> int:
     grid = Grid(scenario.receiver, scenario.channel, {"mu": 1.0}, axes)
     axis_cells = [(name, k, _float_cells(grid.values[k])) for k, (name, *_) in enumerate(axes)]
     axis_cells.insert(1, ("weak_decoy_nu1", 0, _float_cells(nu1)))
-    _write_grid(
-        args.output, axis_cells, grid, scenario.protocol, ("skr_lower",), "optimize-per-point"
-    )
+    blocks = grid_blocks(grid, scenario.protocol, ("skr_lower",), "optimize-per-point")
+    _write_blocks(args.output, axis_cells, blocks)
     return 0
 
 

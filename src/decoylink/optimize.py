@@ -412,8 +412,9 @@ def threshold_nodes(
     not_converged = ~infeasible & ~(np.abs(achieved - target_qber) < ABS_TOLERANCE)
     shape = grid.shape
     statuses = _STATUSES[2 * infeasible + not_converged].reshape(shape)
-    masked = tuple((v.reshape(shape), infeasible.reshape(shape)) for v in (dark_count, achieved))
-    return SweepBlock(index, masked, None, statuses, None)
+    columns = (("dark_count_threshold", dark_count), ("achieved_qber", achieved))
+    masked = tuple((name, v.reshape(shape), infeasible.reshape(shape)) for name, v in columns)
+    return SweepBlock(index, masked, statuses, None)
 
 
 def trace_iso_qber_surface(
@@ -441,7 +442,7 @@ def trace_iso_qber_surface(
     )
     # the search accepted these, and took them as floats
     p_values, e_values = (np.array(v, dtype=float).tolist() for v in (p_values, e_values))
-    (dark_count, infeasible), (achieved, _) = block.outputs
+    (_, dark_count, infeasible), (_, achieved, _) = block.outputs
     infeasible = infeasible.ravel()
     return record_list(ContourPoint, (
         [p for p in p_values for _ in e_values],

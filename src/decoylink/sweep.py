@@ -52,15 +52,18 @@ class ResultRecord(NamedTuple):
 def block_records(block: SweepBlock, axis_values: tuple[np.ndarray, ...]) -> list[ResultRecord]:
     """The block's nodes as ResultRecords, None where masked; ``axis_values`` is ``Grid.values``.
 
-    A box is a product of index ranges, so its nodes' axis values are the product of its axes'.
-    They are built by ``bounds.record_list``, with the cyclic garbage
-    collector off: the records hold no reference cycles, so its passes could free nothing.
+    The column named mu_opt, which no metric is named, is each record's
+    ``mu_opt`` (None at every node without it); the other columns, in order,
+    are its ``values``. A box is a product of index ranges, so its nodes'
+    axis values are the product of its axes'. They are built by
+    ``bounds.record_list``, with the cyclic garbage collector off: the
+    records hold no reference cycles, so its passes could free nothing.
     """
-    n = block.statuses.size
     nodes = block.nodes
     axis_values = product(*(v[i.ravel()].tolist() for v, i in zip(axis_values, block.axis_index)))
-    values = zip(*(with_none(nodes(v), nodes(m)) for v, m in block.outputs))
-    mu_opt = [None] * n if block.mu_opt is None else with_none(*map(nodes, block.mu_opt))
+    columns = [(name, with_none(nodes(v), nodes(m))) for name, v, m in block.outputs]
+    mu_opt = dict(columns).get("mu_opt", [None] * block.statuses.size)
+    values = zip(*(column for name, column in columns if name != "mu_opt"))
     return record_list(ResultRecord, (
         axis_values, values, mu_opt, nodes(block.statuses).tolist(),
         nodes(block.reasons).tolist(),
@@ -103,7 +106,7 @@ def _block(
     fail(np.flatnonzero(per_node(scalar_failed, shape)), lambda i: raised(
         model.baseline_error_change, at(x["e_prime"], i), grid.background_error, at(x["p_ap"], i)
     ))
-    search = None
+    search, columns = None, []
     if link_model:
         rejected = grid.rejections(index)
         fail(rejected, rejected.__getitem__)
@@ -115,22 +118,21 @@ def _block(
             x["p_ap"], x["e_prime"], x["p_dc"], x["eta"], x["nu1"], grid.background_error, protocol
         )
         fail(search.errors, search.errors.__getitem__)
-        # A node the link model alone rejects keeps its mu_opt.
-        mu_missing = failed.reshape(shape).copy()
         table = search.table
+        # A node the link model alone rejects keeps its mu_opt.
+        columns.append(("mu_opt", table.mu, failed.reshape(shape).copy()))
     else:
         table = link_table(**x, background_error=grid.background_error, protocol=protocol)
     if link_model:
         fail(np.flatnonzero(per_node(table.domain_error, shape)), table.error)
     infeasible = link_model & per_node(table.infeasible, shape) & ~failed
 
-    columns = []
     for j, name in enumerate(outputs):
         if name in SCALAR_METRICS:
             missing = scalar_failed & (j >= first_change) & (name not in outputs[:first_change])
         else:
             missing = failed.reshape(shape) | table.missing(name)
-        columns.append((table.values[name], missing))
+        columns.append((name, table.values[name], missing))
 
     # A reason other than the ledger's: estimation_infeasible, else
     # no_positive_key where the optimizer found no key (a node whose gain
@@ -142,7 +144,6 @@ def _block(
     return SweepBlock(
         axis_index=index,
         outputs=tuple(columns),
-        mu_opt=None if search is None else (table.mu, mu_missing),
         statuses=_STATUSES[2 * failed + infeasible].reshape(shape),
         reasons=reasons.reshape(shape),
     )
@@ -151,7 +152,7 @@ def _block(
 def grid_blocks(
     grid: Grid, protocol: model.ProtocolParams, outputs: tuple[str, ...], mu_policy: str,
 ) -> Iterator[SweepBlock]:
-    """The nodes of ``grid`` as columns of the ``outputs``, one slab at a time.
+    """The nodes of ``grid`` as columns, one slab at a time: mu_opt if optimized, then ``outputs``.
 
     The slabs are the ``boxes`` of at most SLAB_NODES nodes, as
     ``Grid.slab`` gives them. Each is one ``link_table`` call, or under

@@ -840,12 +840,41 @@ sweep:
             )
             assert captured.out == ""
 
-    def test_unwritable_output(self, tmp_path, capsys):
-        config = write_config(tmp_path, SWEEP_CONFIG)
-        assert main(["sweep", "--config", config, "--output", "/no/such/dir/x.csv"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: io:")
-        assert "/no/such/dir/x.csv" in err
+    # The grid commands read their header from the first chunk, so the
+    # output is opened after the first slab is computed; the error is the same.
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"], ["contour"], ["skr-vs-afterpulse", "--points", "3"]],
+        ids=["sweep", "contour", "preset"],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        text = {"sweep": SWEEP_CONFIG, "contour": CONTOUR_CONFIG}.get(argv[0], "")
+        config = write_config(tmp_path, text)
+        assert main([*argv, "--config", config, "--output", "/no/such/dir/x.csv"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: io:")
+        assert "/no/such/dir/x.csv" in line
+
+    # A metric listed twice is two columns, under either mu policy.
+    @pytest.mark.parametrize(
+        "mu_policy, lead", [("fixed", []), ("optimize-per-point", ["mu_opt"])]
+    )
+    def test_repeated_metric_is_written_twice(self, tmp_path, mu_policy, lead):
+        config = write_config(tmp_path, SWEEP_CONFIG.replace(
+            "[e_detector, e_mu, skr_lower]", "[skr_lower, e_mu, skr_lower]"
+        ) + f"  mu_policy: {mu_policy}\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--output", str(out)]) == 0
+        header, *rows = csv.reader(out.open())
+        assert header == ["p_ap", *lead, "skr_lower", "e_mu", "skr_lower", "status", "reason"]
+        assert len(rows) == 4
+        first = 1 + len(lead)
+        for row in rows:
+            assert row[first] == row[first + 2] != ""
+            assert row[first + 3] == "ok"
+            assert all(row[1:first])
 
     def test_golden_section_calls_take_at_most_the_row_budget(self, tmp_path, monkeypatch):
         # 75 nodes in one slab. With a budget of 64 points the seed grid takes

@@ -185,14 +185,15 @@ RECORDS = [
         id="Scenario",
     ),
     pytest.param(
-        sweep.SweepBlock, ("axis_index", "outputs", "mu_opt", "statuses", "reasons"), {},
+        sweep.SweepBlock, ("axis_index", "outputs", "statuses", "reasons"), {},
         lambda: sweep.SweepBlock(
-            (np.array([0, 1]),), ((np.array([0.5, 0.25]), np.array([False, True])),), None,
+            (np.array([0, 1]),),
+            (("skr_lower", np.array([0.5, 0.25]), np.array([False, True])),),
             np.array(["ok", "infeasible"], dtype=object),
             np.array([None, "estimation_infeasible"], dtype=object),
         ),
-        "SweepBlock(axis_index=(array([0, 1]),), outputs=((array([0.5 , 0.25]), "
-        "array([False,  True])),), mu_opt=None, statuses=array(['ok', 'infeasible'], "
+        "SweepBlock(axis_index=(array([0, 1]),), outputs=(('skr_lower', array([0.5 , 0.25]), "
+        "array([False,  True])),), statuses=array(['ok', 'infeasible'], "
         "dtype=object), reasons=array([None, 'estimation_infeasible'], dtype=object))",
         id="SweepBlock",
     ),

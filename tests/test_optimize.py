@@ -504,9 +504,12 @@ class TestTraceIsoQberSurface:
         args = (p_values, e_values, 21.0, 0.09, receiver(0.01), mu)
         points = trace_iso_qber_surface(*args)
         block = optimize.threshold_nodes(*args)
-        assert block.shape == (3, 3) and block.mu_opt is None and block.reasons is None
+        assert block.shape == (3, 3) and block.reasons is None
+        # two columns, so no mu_opt
+        names = [name for name, _, _ in block.outputs]
+        assert names == ["dark_count_threshold", "achieved_qber"]
         (dark_count, infeasible), (achieved, achieved_missing) = (
-            map(block.nodes, output) for output in block.outputs
+            map(block.nodes, output) for _, *output in block.outputs
         )
         assert (achieved_missing == infeasible).all()
         statuses = block.nodes(block.statuses).tolist()

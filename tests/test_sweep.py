@@ -210,8 +210,11 @@ class TestResultRecord:
         [block] = sweep.grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy)
         nodes = block.nodes
         axis_values = [nodes(v[i]).tolist() for v, i in zip(grid.values, block.axis_index)]
-        outputs = [(nodes(v).tolist(), nodes(m).tolist()) for v, m in block.outputs]
-        mu, mu_missing = map(nodes, block.mu_opt)
+        (mu_name, *mu_opt), *metrics = block.outputs
+        assert mu_name == "mu_opt"
+        assert [name for name, _, _ in metrics] == list(spec.outputs)
+        outputs = [(nodes(v).tolist(), nodes(m).tolist()) for _, v, m in metrics]
+        mu, mu_missing = map(nodes, mu_opt)
         expected = [
             sweep.ResultRecord(
                 tuple(column[k] for column in axis_values),
@@ -258,10 +261,14 @@ class TestResultRecord:
         for block in sweep.grid_blocks(grid, spec.protocol, spec.outputs, spec.mu_policy):
             nodes = block.nodes
             axis_values = [nodes(v[i]).tolist() for v, i in zip(grid.values, block.axis_index)]
-            columns = [(nodes(v).tolist(), nodes(m).tolist()) for v, m in block.outputs]
+            metrics = block.outputs
             mu = [None] * block.statuses.size
-            if block.mu_opt is not None:
-                mu = [None if m else v for v, m in zip(*(nodes(a).tolist() for a in block.mu_opt))]
+            if mu_policy == "optimize-per-point":
+                (mu_name, *mu_opt), *metrics = block.outputs
+                assert mu_name == "mu_opt"
+                mu = [None if m else v for v, m in zip(*(nodes(a).tolist() for a in mu_opt))]
+            assert [name for name, _, _ in metrics] == list(outputs)
+            columns = [(nodes(v).tolist(), nodes(m).tolist()) for _, v, m in metrics]
             statuses, reasons = nodes(block.statuses).tolist(), nodes(block.reasons).tolist()
             expected += [
                 sweep.ResultRecord._make((
@@ -344,6 +351,21 @@ class TestRunSweep:
         assert rates[0] > 0.0
         for lo, hi in zip(rates[1:], rates):
             assert hi >= lo
+
+    # A metric listed twice is two values of each record, under either mu policy.
+    @pytest.mark.parametrize("mu_policy", ["fixed", "optimize-per-point"])
+    def test_repeated_metric_keeps_both_values(self, mu_policy):
+        axes = [Axis("p_ap", 1e-4, 0.05, 4, "log")]
+        spec = base_spec(axes, outputs=("skr_lower", "e_mu", "skr_lower"), mu_policy=mu_policy)
+        once = base_spec(axes, outputs=("skr_lower", "e_mu"), mu_policy=mu_policy)
+        records = run_sweep(spec)
+        assert len(records) == 4
+        for record, single in zip(records, run_sweep(once), strict=True):
+            assert len(record.values) == 3
+            assert record.values[0] == record.values[2] is not None
+            assert record.values == (*single.values, single.values[0])
+            assert record.mu_opt == single.mu_opt
+            assert (record.mu_opt is None) == (mu_policy == "fixed")
 
     def test_determinism(self):
         spec = base_spec(
